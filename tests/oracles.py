@@ -1,12 +1,20 @@
 """Independent reference implementations used to check the real code.
 
 Everything here is deliberately naive: plain scans, explicit loops, no
-shared code with the package beyond its public data types.
+shared code with the package beyond its public data types. The search
+references score and compare one mapping at a time, one Python call per
+mapping, as the slow reference for the package's block search core.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
+
+from relmap.terms import TermPair
+
+TIE_TOLERANCE = 1e-12
 
 
 def scan_windows(documents, x_tokens, y_tokens,
@@ -156,4 +164,97 @@ def relational_score(perm, sim_lookup):
 
 
 def attributional_score(perm, table):
-    return sum(table[i][j] for i, j in enumerate(perm))
+    """Scalar sum from 0.0 in source order (sum() compensates on Python 3.12+)."""
+    total = 0.0
+    for i, j in enumerate(perm):
+        total += table[i][j]
+    return total
+
+
+# --- tuple-at-a-time search ---------------------------------------------------
+
+def relational_scorer(problem, space):
+    """score(perm) for one tuple: the double loop over nested-list sim_r grids."""
+    m = problem.m
+    src, tgt = problem.source, problem.target
+    grids = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            p = TermPair(src[i], src[j])
+            grids[(i, j)] = [[space.sim_r(p, TermPair(tgt[a], tgt[b])) if a != b else 0.0
+                              for b in range(m)] for a in range(m)]
+    return lambda perm: relational_score(perm, lambda i, j, a, b: grids[(i, j)][a][b])
+
+
+def attributional_scorer(problem, provider):
+    m = problem.m
+    table = [[provider.sim(problem.source[i], problem.target[j]) for j in range(m)]
+             for i in range(m)]
+    return lambda perm: attributional_score(perm, table)
+
+
+def argmax_with_ties(perms, score_fn):
+    """(best, tied perms, count) by the sequential tolerance chain rule.
+
+    A score more than 1e-12 above the running best resets the tie set;
+    one within 1e-12 of it joins.
+    """
+    best = -math.inf
+    tied = []
+    total = 0
+    for perm in perms:
+        total += 1
+        s = score_fn(perm)
+        if s > best + TIE_TOLERANCE:
+            best = s
+            tied = [perm]
+        elif s >= best - TIE_TOLERANCE:
+            tied.append(perm)
+    return best, tied, total
+
+
+def pick_tied(tied, seed, problem_id, tie_policy):
+    if tie_policy == "first" or len(tied) == 1:
+        return tied[0]
+    rng = random.Random(f"{seed}:{problem_id}")
+    return tied[rng.randrange(len(tied))]
+
+
+def constrained_perms(m, sub_src, sub_tgt):
+    """Permutations sending the source subset onto the target subset setwise.
+
+    Enumerated with the subset assignment as the major key.
+    """
+    rest_src = [i for i in range(m) if i not in set(sub_src)]
+    rest_tgt = [j for j in range(m) if j not in set(sub_tgt)]
+    for sub_perm in itertools.permutations(sub_tgt):
+        base = dict(zip(sub_src, sub_perm))
+        for rest_perm in itertools.permutations(rest_tgt):
+            full = dict(base)
+            full.update(zip(rest_src, rest_perm))
+            yield tuple(full[i] for i in range(m))
+
+
+def probabilities(scores):
+    """Shift negatives away, then normalize; degenerate fields become uniform.
+
+    The sum is a scalar loop from 0.0, as sum() was before Python 3.12.
+    """
+    lo = min(scores)
+    shifted = [s - lo for s in scores] if lo < 0 else list(scores)
+    total = 0.0
+    for s in shifted:
+        total += s
+    if total <= 0:
+        return [1.0 / len(scores)] * len(scores)
+    return [s / total for s in shifted]
+
+
+def hybrid_probabilities(problem, space, provider):
+    """(perms, prob_r, prob_a) over the whole search space, as lists."""
+    perms = list(itertools.permutations(range(problem.m)))
+    rel_fn = relational_scorer(problem, space)
+    att_fn = attributional_scorer(problem, provider)
+    return (perms,
+            probabilities([rel_fn(p) for p in perms]),
+            probabilities([att_fn(p) for p in perms]))

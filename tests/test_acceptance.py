@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import brute_force_best, enumerate_pattern_strings, ppmi_cell
+from oracles import (brute_force_best, enumerate_pattern_strings,
+                     hybrid_probabilities, ppmi_cell)
 from relmap.attributes import TableSimilarity
 from relmap.config import Config
 from relmap.corpus import PhraseOccurrence, ingest_dir
@@ -19,9 +20,8 @@ from relmap.evaluation import (accuracy, coherence_experiment, run_batch)
 from relmap.patterns import build_pair_list, generate_patterns, serialize_pattern
 from relmap.planted import PlantedConfig, generate_planted_corpus
 from relmap.problems import MappingProblem
-from relmap.solver import (AttributionalScorer, RelationalScorer,
-                           hybrid_probabilities, solve, solve_constrained,
-                           solve_hybrid)
+from relmap.solver import (AttributionalScorer, RelationalScorer, solve,
+                           solve_constrained, solve_hybrid)
 from relmap.space import _svd_components, transform_ppmic
 from relmap.terms import TermPair
 

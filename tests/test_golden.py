@@ -1,0 +1,90 @@
+"""CLI outputs on a small planted corpus, compared byte for byte with fixtures.
+
+The fixtures in tests/golden/ were written by the exhaustive
+tuple-at-a-time search that preceded the block search core, so these
+tests pin every report and sidecar to that implementation's bytes.
+Regenerate them only for a change that means to alter an output:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Each command runs in a child interpreter with one BLAS thread: the dense
+SVD's last bits, and so the printed scores, change with the thread count.
+Paths are relative to the input directory, because the coherence sidecar
+records the corpus directory as given.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from relmap.dataset import Dataset, dump_problems
+from relmap.planted import PlantedConfig, generate_planted_corpus
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# file name -> relmap arguments, {out} being the output path. Hybrid runs
+# on the first seven terms of each problem (problems_m7.json).
+COMMANDS = {
+    "solve_relational_m8.txt": ["solve", "problems_m8.json", "--mode", "relational",
+                                "--seed", "3", "--out", "{out}"],
+    "solve_hybrid_add_m7.txt": ["solve", "problems_m7.json", "--mode", "hybrid-add",
+                                "--provider", "pos", "--out", "{out}"],
+    "solve_hybrid_mul_m7.txt": ["solve", "problems_m7.json", "--mode", "hybrid-mul",
+                                "--provider", "pmi-ir", "--out", "{out}"],
+    "coherence_m8.tsv": ["coherence", "problems_m8.json", "--mode", "relational",
+                         "--m-prime", "3", "--trials", "4", "--report", "{out}"],
+}
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def make_inputs(root: Path) -> Path:
+    """Planted corpus and problem files (two m=8 problems, ~30k tokens) in root."""
+    data = generate_planted_corpus(
+        root / "corpus", PlantedConfig(n_problems=2, m=8, target_tokens=30_000,
+                                       occurrences=(8, 16), seed=5))
+    dump_problems(Dataset(data.problems), root / "problems_m8.json")
+    dump_problems(Dataset([p.restricted(list(range(7)), suffix="m7")
+                           for p in data.problems]), root / "problems_m7.json")
+    return root
+
+
+def run_command(name: str, inputs: Path, out_dir: Path) -> dict[str, bytes]:
+    """Run one command; its output files (report and sidecar) by file name."""
+    argv = [a.format(out=out_dir / name) for a in COMMANDS[name]]
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "relmap", *argv, "--corpus", "corpus"],
+                          cwd=inputs, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {p.name: p.read_bytes() for p in sorted(out_dir.glob(name + "*"))}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return make_inputs(tmp_path_factory.mktemp("golden_inputs"))
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden_bytes(name, inputs, tmp_path):
+    produced = run_command(name, inputs, tmp_path)
+    expected = {p.name: p.read_bytes() for p in sorted(GOLDEN.glob(name + "*"))}
+    assert expected, f"no fixture for {name}"
+    assert produced == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_root = Path(tmp)
+        made = make_inputs(tmp_root / "inputs")
+        for command in COMMANDS:
+            work = tmp_root / command
+            work.mkdir()
+            for file_name, data in run_command(command, made, work).items():
+                (GOLDEN / file_name).write_bytes(data)
+                print(f"wrote {GOLDEN / file_name} ({len(data)} bytes)", file=sys.stderr)

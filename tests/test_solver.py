@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (all_permutations, attributional_score, brute_force_best,
-                     relational_score)
+                     hybrid_probabilities, relational_score)
 from relmap.attributes import TableSimilarity
 from relmap.errors import BudgetError, DataError
 from relmap.problems import Mapping, MappingProblem
 from relmap.solver import (AttributionalScorer, RelationalScorer,
                            enumerate_mappings, evaluate_proportional,
-                           hybrid_probabilities, solve, solve_constrained,
-                           solve_hybrid)
+                           solve, solve_constrained, solve_hybrid)
 from relmap.terms import Term, TermPair
 
 
