@@ -11,8 +11,9 @@ from .attributes import (CombinedSimilarity, PmiIrSimilarity, PosSimilarity,
                          TableSimilarity, combine_with_pos,
                          load_external_similarity, load_pos_tags)
 from .config import Config, load_config_file
-from .corpus import (CorpusIndex, PhraseOccurrence, cooccurrence_counts,
-                     ingest, ingest_dir, load_index, save_index, search_phrases)
+from .corpus import (CorpusIndex, PhraseOccurrence, cached_index,
+                     cooccurrence_counts, ingest, ingest_dir, load_index,
+                     save_index, search_phrases)
 from .dataset import Dataset, builtin_dataset, dump_problems, load_problems
 from .errors import (BudgetError, ConfigError, CorpusError, DataError,
                      RelmapError, TransformError, UsageError)

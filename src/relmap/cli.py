@@ -166,16 +166,10 @@ def _index_for(cfg: Config) -> Optional[cp.CorpusIndex]:
         raise UsageError(f"mode {cfg.mode!r} (or provider {cfg.provider!r}) "
                          f"needs --corpus")
     files = _corpus_files_checked(cfg.corpus_dir)
-    if cfg.cache_dir:
-        digest = cp.corpus_digest(files)
-        path = cp.cache_path(cfg.cache_dir, digest)
-        if path.exists():
-            logger.info("cache hit: %s", path)
-            return cp.load_index(path)
-        index = cp.ingest(files)
-        cp.save_index(index, cfg.cache_dir)
-        return index
-    return cp.ingest(files)
+    index, hit = cp.cached_index(files, cfg.cache_dir)
+    if hit:
+        logger.info("cache hit: %s", cp.cache_path(cfg.cache_dir, index.digest))
+    return index
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -193,16 +187,13 @@ def _write_report(report, path: Optional[str]) -> None:
 
 def cmd_index(args) -> int:
     files = _corpus_files_checked(args.corpus)
-    digest = cp.corpus_digest(files)
-    path = cp.cache_path(args.cache, digest)
-    if path.exists():
-        index = cp.load_index(path)
+    index, hit = cp.cached_index(files, args.cache)
+    path = cp.cache_path(args.cache, index.digest)
+    if hit:
         print(f"cache hit: {path}")
     else:
-        index = cp.ingest(files)
-        cp.save_index(index, args.cache)
         print(f"indexed {len(files)} files into {path}")
-    print(f"documents={len(index.documents)} tokens={index.total_tokens} "
+    print(f"documents={index.n_documents} tokens={index.total_tokens} "
           f"digest={index.digest[:16]}")
     return EXIT_OK
 

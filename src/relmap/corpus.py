@@ -1,8 +1,6 @@
 """Corpus ingestion, phrase-window retrieval, and co-occurrence counts.
 
-The index is a plain token-position inverted index over a list of
-documents (one text file = one document). Phrase retrieval finds every
-window of the form
+Phrase retrieval finds every window of the form
 
     [0-1 words]  x  [0-3 words]  y  [0-1 words]
 
@@ -10,16 +8,45 @@ where x and y are (possibly multiword) terms matched as contiguous
 token runs. Windows never cross document boundaries; the leading and
 trailing context words are included when available. Occurrences are
 tokens, not types: the same window shape in two places is two results.
+
+Index layout. One text file is one document. The documents are
+concatenated into a single int32 array of token ids; `doc_offsets`
+(int64, one more entry than there are documents) marks where each
+starts, so document d spans global positions
+``doc_offsets[d]:doc_offsets[d + 1]``. Token ids index a vocabulary in
+lexicographic order, and a term's token is looked up by bisection. The
+postings are CSR: the global positions sorted by (token id, position),
+with per-id bounds from a bincount. They are derived from the ids, so
+they are rebuilt when an index is loaded rather than stored.
+
+Cache. `save_index` writes an uncompressed ``.npz`` holding the ids,
+the offsets, the vocabulary as one "\\n"-joined UTF-8 byte array
+(tokens never contain whitespace) and a JSON metadata string. The file
+name is a hash of the corpus content digest, the tokenizer settings and
+the format version, so an index built under other settings is never
+found. The file is written to a temporary name in the cache directory
+and renamed into place, so no reader sees a partial file. `load_index`
+reads it with ``allow_pickle=False`` and checks the format, the dtypes,
+the offsets and the id range before it returns anything.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
+import json
 import logging
-import pickle
-from bisect import bisect_left, bisect_right
+import operator
+import os
+import zipfile
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
+
+import numpy as np
 
 from .errors import CorpusError
 from .terms import DEFAULT_TOKENIZER, Term, TermPair, Tokenizer
@@ -30,7 +57,8 @@ MAX_PRE = 1
 MAX_MID = 3
 MAX_POST = 1
 
-_CACHE_MAGIC = "relmap-corpus-index-v1"
+_CACHE_FORMAT = "relmap-corpus-index-v2"
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -59,31 +87,80 @@ class PhraseOccurrence:
             raise ValueError("term spans overlap or are out of order")
 
 
-@dataclass
+@dataclass(eq=False)
 class CorpusIndex:
-    """Immutable token index: documents, postings, and total token count."""
+    """Immutable token index: token ids, document offsets, sorted vocabulary."""
 
-    documents: list[list[str]] = field(default_factory=list)
-    doc_names: list[str] = field(default_factory=list)
-    postings: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    total_tokens: int = 0
+    ids: np.ndarray              # int32 token ids, all documents concatenated
+    doc_offsets: np.ndarray      # int64, n_documents + 1 entries
+    vocab: list[str]             # lexicographically sorted
     digest: str = ""
     tokenizer: Tokenizer = DEFAULT_TOKENIZER
+    _order: np.ndarray = field(init=False, repr=False)
+    _bounds: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.ids.flags.writeable = False
+        self.doc_offsets.flags.writeable = False
+        self._order = np.argsort(self.ids, kind="stable")
+        self._bounds = np.zeros(len(self.vocab) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.ids, minlength=len(self.vocab)),
+                  out=self._bounds[1:])
+
+    @classmethod
+    def from_token_lists(cls, documents: list[list[str]], digest: str = "",
+                         tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> "CorpusIndex":
+        """Index already tokenized documents, in the given order."""
+        # Ids in order of first appearance, assigned without a Python loop.
+        first_seen = defaultdict(itertools.count().__next__)
+        n_tokens = sum(map(len, documents))
+        seen_ids = np.fromiter(
+            map(first_seen.__getitem__, itertools.chain.from_iterable(documents)),
+            dtype=np.int32, count=n_tokens)
+        seen = list(first_seen)
+        order = sorted(range(len(seen)), key=seen.__getitem__)
+        rank = np.empty(len(seen), dtype=np.int32)
+        rank[order] = np.arange(len(seen), dtype=np.int32)
+        offsets = np.zeros(len(documents) + 1, dtype=np.int64)
+        np.cumsum([len(doc) for doc in documents], dtype=np.int64, out=offsets[1:])
+        return cls(ids=rank[seen_ids], doc_offsets=offsets,
+                   vocab=[seen[i] for i in order], digest=digest,
+                   tokenizer=tokenizer)
+
+    @property
+    def total_tokens(self) -> int:
+        return int(self.ids.size)
+
+    @property
+    def n_documents(self) -> int:
+        return int(self.doc_offsets.size) - 1
+
+    def _token_id(self, token: str) -> int:
+        i = bisect_left(self.vocab, token)
+        return i if i < len(self.vocab) and self.vocab[i] == token else -1
+
+    def _starts(self, term: Term) -> np.ndarray:
+        """Sorted global start positions of the term's token run."""
+        tids = [self._token_id(tok) for tok in term.tokens]
+        if min(tids) < 0:
+            return _EMPTY
+        pos = self._order[self._bounds[tids[0]]:self._bounds[tids[0] + 1]]
+        if len(tids) == 1:
+            return pos
+        span = len(tids)
+        pos = pos[pos + span <= self.ids.size]
+        for k, tid in enumerate(tids[1:], 1):
+            pos = pos[self.ids[pos + k] == tid]
+        return pos[pos + span <= self.doc_offsets[self._doc_of(pos) + 1]]
+
+    def _doc_of(self, pos: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.doc_offsets, pos, side="right") - 1
 
     def occurrences(self, term: Term) -> list[tuple[int, int]]:
         """All (doc, start) positions where the term's token run occurs."""
-        first = self.postings.get(term.tokens[0])
-        if not first:
-            return []
-        if len(term.tokens) == 1:
-            return list(first)
-        out = []
-        for doc, pos in first:
-            toks = self.documents[doc]
-            end = pos + len(term.tokens)
-            if end <= len(toks) and tuple(toks[pos:end]) == term.tokens:
-                out.append((doc, pos))
-        return out
+        pos = self._starts(term)
+        doc = self._doc_of(pos)
+        return list(zip(doc.tolist(), (pos - self.doc_offsets[doc]).tolist()))
 
 
 def ingest(paths: list[str | Path], tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> CorpusIndex:
@@ -94,9 +171,6 @@ def ingest(paths: list[str | Path], tokenizer: Tokenizer = DEFAULT_TOKENIZER) ->
     empty index.
     """
     documents: list[list[str]] = []
-    doc_names: list[str] = []
-    postings: dict[str, list[tuple[int, int]]] = {}
-    total = 0
     hasher = hashlib.sha256()
     for path in paths:
         p = Path(path)
@@ -106,15 +180,9 @@ def ingest(paths: list[str | Path], tokenizer: Tokenizer = DEFAULT_TOKENIZER) ->
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusError(f"cannot ingest {p}: {exc}") from exc
         hasher.update(hashlib.sha256(raw).digest())
-        toks = tokenizer.tokenize(text)
-        doc_id = len(documents)
-        documents.append(toks)
-        doc_names.append(str(p))
-        for off, tok in enumerate(toks):
-            postings.setdefault(tok, []).append((doc_id, off))
-        total += len(toks)
-    return CorpusIndex(documents=documents, doc_names=doc_names, postings=postings,
-                       total_tokens=total, digest=hasher.hexdigest(), tokenizer=tokenizer)
+        documents.append(tokenizer.tokenize(text))
+    return CorpusIndex.from_token_lists(documents, digest=hasher.hexdigest(),
+                                       tokenizer=tokenizer)
 
 
 def corpus_files(corpus_dir: str | Path) -> list[Path]:
@@ -132,48 +200,57 @@ def ingest_dir(corpus_dir: str | Path, tokenizer: Tokenizer = DEFAULT_TOKENIZER)
 def search_phrases(index: CorpusIndex, pair: TermPair) -> list[PhraseOccurrence]:
     """Every window where pair.x is followed by pair.y within the template.
 
-    Absent terms simply yield an empty list. The scan is driven by the
-    postings of each term's first token; a y match must start 0-3 tokens
-    after the x match ends, and up to one token of leading and trailing
-    context is included when the document provides it.
+    Absent terms simply yield an empty list. A y match must start 0-3
+    tokens after the x match ends and lie in the same document; up to
+    one token of leading and trailing context is included when the
+    document provides it. Results come in (document, x start, y start)
+    order.
     """
-    xs = index.occurrences(pair.x)
-    if not xs:
+    xs = index._starts(pair.x)
+    if not xs.size:
         return []
-    ys = index.occurrences(pair.y)
-    if not ys:
+    ys = index._starts(pair.y)
+    if not ys.size:
         return []
-    y_by_doc: dict[int, list[int]] = {}
-    for doc, pos in ys:
-        y_by_doc.setdefault(doc, []).append(pos)
-
     x_len = len(pair.x.tokens)
     y_len = len(pair.y.tokens)
+    doc = index._doc_of(xs)
+    doc_start = index.doc_offsets[doc]
+    doc_end = index.doc_offsets[doc + 1]
+    # Every y occurrence lies inside one document, so a y start in
+    # [x end, doc end - y_len] is a y in the same document as x.
+    lo = np.searchsorted(ys, xs + x_len, side="left")
+    hi = np.searchsorted(ys, np.minimum(xs + x_len + MAX_MID, doc_end - y_len),
+                         side="right")
+    n_hits = np.maximum(hi - lo, 0)
+    total = int(n_hits.sum())
+    if not total:
+        return []
+    xi = np.repeat(np.arange(xs.size), n_hits)
+    y_pos = ys[lo[xi] + np.arange(total) - np.repeat(np.cumsum(n_hits) - n_hits, n_hits)]
+    x_pos = xs[xi]
+    pre = np.minimum(MAX_PRE, x_pos - doc_start[xi])
+    post = np.minimum(MAX_POST, doc_end[xi] - (y_pos + y_len))
+    w_start = x_pos - pre
+    w_end = y_pos + y_len + post
+
+    vocab = index.vocab
+    ids = index.ids
     out = []
-    for doc, x_pos in xs:
-        positions = y_by_doc.get(doc)
-        if not positions:
-            continue
-        toks = index.documents[doc]
-        x_end = x_pos + x_len
-        lo = bisect_left(positions, x_end)
-        hi = bisect_right(positions, x_end + MAX_MID)
-        for y_pos in positions[lo:hi]:
-            y_end = y_pos + y_len
-            pre = min(MAX_PRE, x_pos)
-            post = min(MAX_POST, len(toks) - y_end)
-            w_start = x_pos - pre
-            w_end = y_end + post
-            out.append(PhraseOccurrence(
-                doc=doc,
-                start=w_start,
-                window=tuple(toks[w_start:w_end]),
-                x_span=(x_pos - w_start, x_end - w_start),
-                y_span=(y_pos - w_start, y_end - w_start),
-                pre=pre,
-                mid=y_pos - x_end,
-                post=post,
-            ))
+    for d, ds, ws, we, xp, yp, pr, po in zip(
+            doc[xi].tolist(), doc_start[xi].tolist(), w_start.tolist(),
+            w_end.tolist(), x_pos.tolist(), y_pos.tolist(), pre.tolist(),
+            post.tolist()):
+        out.append(PhraseOccurrence(
+            doc=d,
+            start=ws - ds,
+            window=tuple(map(vocab.__getitem__, ids[ws:we].tolist())),
+            x_span=(xp - ws, xp + x_len - ws),
+            y_span=(yp - ws, yp + y_len - ws),
+            pre=pr,
+            mid=yp - xp - x_len,
+            post=po,
+        ))
     return out
 
 
@@ -187,52 +264,102 @@ def cooccurrence_counts(index: CorpusIndex, a: Term, b: Term,
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    occ_a = index.occurrences(a)
-    occ_b = index.occurrences(b)
-    same = a == b
-    b_by_doc: dict[int, list[int]] = {}
-    for doc, pos in occ_b:
-        b_by_doc.setdefault(doc, []).append(pos)
-    count_ab = 0
-    for doc, pos in occ_a:
-        positions = b_by_doc.get(doc)
-        if not positions:
-            continue
-        lo = bisect_left(positions, pos - window)
-        hi = bisect_right(positions, pos + window)
-        n = hi - lo
-        if same:
-            n -= 1  # a position does not co-occur with itself
-        count_ab += n
-    if same:
-        count_ab //= 2  # each unordered pair was seen from both ends
-    return len(occ_a), len(occ_b), count_ab
+    pos_a = index._starts(a)
+    pos_b = index._starts(b)
+    doc = index._doc_of(pos_a)
+    # Every b occurrence lies inside one document, so clipping the range
+    # to a's document keeps only same-document positions.
+    lo = np.searchsorted(pos_b, np.maximum(pos_a - window, index.doc_offsets[doc]),
+                         side="left")
+    hi = np.searchsorted(pos_b, np.minimum(pos_a + window, index.doc_offsets[doc + 1] - 1),
+                         side="right")
+    count_ab = int(np.maximum(hi - lo, 0).sum())
+    if a == b:
+        count_ab -= pos_a.size    # a position does not co-occur with itself
+        count_ab //= 2            # each unordered pair was seen from both ends
+    return int(pos_a.size), int(pos_b.size), count_ab
 
 
 # --- persistence -----------------------------------------------------------
 
-def cache_path(cache_dir: str | Path, digest: str) -> Path:
-    return Path(cache_dir) / f"index-{digest}.pkl"
+def cache_path(cache_dir: str | Path, digest: str,
+               tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Path:
+    """Where the index of a corpus with this digest, tokenized so, is cached."""
+    key = json.dumps({"format": _CACHE_FORMAT, "digest": digest,
+                      "tokenizer": dataclasses.asdict(tokenizer)}, sort_keys=True)
+    return Path(cache_dir) / f"index-{hashlib.sha256(key.encode()).hexdigest()}.npz"
 
 
 def save_index(index: CorpusIndex, cache_dir: str | Path) -> Path:
-    """Persist the index keyed by its corpus content digest."""
-    path = cache_path(cache_dir, index.digest)
+    """Persist the index under its cache key; returns the file's path."""
+    path = cache_path(cache_dir, index.digest, index.tokenizer)
+    blob = "\n".join(index.vocab).encode("utf-8")
+    if index.vocab and blob.count(b"\n") != len(index.vocab) - 1:
+        raise CorpusError("cannot cache an index whose vocabulary holds a newline")
+    meta = {"format": _CACHE_FORMAT, "digest": index.digest,
+            "tokenizer": dataclasses.asdict(index.tokenizer),
+            "vocab_size": len(index.vocab)}
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        pickle.dump({"magic": _CACHE_MAGIC, "index": index}, fh)
+    tmp = path.with_name(f".{path.stem}-{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, ids=index.ids, doc_offsets=index.doc_offsets,
+                     vocab=np.frombuffer(blob, dtype=np.uint8),
+                     meta=json.dumps(meta))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
+def _require(ok: bool, path, what: str) -> None:
+    if not ok:
+        raise CorpusError(f"bad index cache {path}: {what}")
+
+
 def load_index(path: str | Path) -> CorpusIndex:
+    """Read an index written by `save_index`, checking it before use.
+
+    Nothing is unpickled. A file that is not such an index, or whose
+    arrays are inconsistent, raises CorpusError naming the path.
+    """
     try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.PickleError) as exc:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"][()]))
+            ids = data["ids"]
+            offsets = data["doc_offsets"]
+            blob = data["vocab"]
+    except (OSError, ValueError, KeyError, TypeError, EOFError,
+            zipfile.BadZipFile) as exc:
         raise CorpusError(f"cannot load index cache {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("magic") != _CACHE_MAGIC:
-        raise CorpusError(f"not an index cache file: {path}")
-    return payload["index"]
+    _require(isinstance(meta, dict) and meta.get("format") == _CACHE_FORMAT,
+             path, "not a relmap index of this format")
+    settings = meta.get("tokenizer")
+    _require(isinstance(settings, dict)
+             and set(settings) == {f.name for f in dataclasses.fields(Tokenizer)}
+             and all(isinstance(v, bool) for v in settings.values()),
+             path, "bad tokenizer settings")
+    digest, vocab_size = meta.get("digest"), meta.get("vocab_size")
+    _require(isinstance(digest, str) and type(vocab_size) is int,
+             path, "bad metadata")
+    _require(ids.dtype == np.int32 and ids.ndim == 1
+             and offsets.dtype == np.int64 and offsets.ndim == 1
+             and blob.dtype == np.uint8 and blob.ndim == 1, path, "bad array types")
+    _require(offsets.size >= 1 and offsets[0] == 0 and offsets[-1] == ids.size
+             and bool(np.all(offsets[1:] >= offsets[:-1])),
+             path, "document offsets do not partition the tokens")
+    try:
+        vocab = blob.tobytes().decode("utf-8").split("\n") if vocab_size else []
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"bad index cache {path}: {exc}") from exc
+    _require(len(vocab) == vocab_size
+             and all(map(operator.lt, vocab, itertools.islice(vocab, 1, None))),
+             path, "vocabulary is not a sorted list of the stated size")
+    _require(ids.size == 0 or (int(ids.min()) >= 0 and int(ids.max()) < vocab_size),
+             path, "token id out of vocabulary range")
+    return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=vocab, digest=digest,
+                       tokenizer=Tokenizer(**settings))
 
 
 def corpus_digest(paths: list[str | Path]) -> str:
@@ -245,3 +372,24 @@ def corpus_digest(paths: list[str | Path]) -> str:
         except OSError as exc:
             raise CorpusError(f"cannot read {p}: {exc}") from exc
     return hasher.hexdigest()
+
+
+def cached_index(paths: list[str | Path],
+                 cache_dir: Optional[str | Path]) -> tuple[CorpusIndex, bool]:
+    """The index of these files, from the cache when it holds one.
+
+    Returns the index and whether it came from the cache. On a miss the
+    files are ingested and, with a cache directory, the index is saved.
+    """
+    if not cache_dir:
+        return ingest(paths), False
+    digest = corpus_digest(paths)
+    path = cache_path(cache_dir, digest)
+    if path.exists():
+        index = load_index(path)
+        if index.digest != digest or index.tokenizer != DEFAULT_TOKENIZER:
+            raise CorpusError(f"index cache {path} holds another corpus or tokenizer")
+        return index, True
+    index = ingest(paths)
+    save_index(index, cache_dir)
+    return index, False

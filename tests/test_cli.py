@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,15 +29,37 @@ def test_missing_problem_source_is_usage_error(capsys):
     assert main(["eval", "--mode", "attributional", "--provider", "pos"]) == 1
 
 
-def test_index_command_caches_and_hits(planted_paths, tmp_path, capsys):
+def test_index_command_caches_and_hits(planted_all, planted_paths, tmp_path, capsys):
+    _, index = planted_all
     corpus, _ = planted_paths
+    cache = tmp_path / "cache"
+    assert main(["index", "--corpus", corpus, "--cache", str(cache)]) == 0
+    indexed, counts = capsys.readouterr().out.splitlines()
+    [path] = cache.iterdir()
+    n_files = len(list(Path(corpus).glob("*.txt")))
+    assert indexed == f"indexed {n_files} files into {path}"
+    assert counts == (f"documents={n_files} tokens={index.total_tokens} "
+                      f"digest={index.digest[:16]}")
+    assert main(["index", "--corpus", corpus, "--cache", str(cache)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"cache hit: {path}", counts]
+
+
+def test_eval_from_cache_matches_uncached(planted_paths, tmp_path):
+    corpus, problems = planted_paths
     cache = str(tmp_path / "cache")
     assert main(["index", "--corpus", corpus, "--cache", cache]) == 0
-    first = capsys.readouterr().out
-    assert "indexed" in first
-    assert main(["index", "--corpus", corpus, "--cache", cache]) == 0
-    second = capsys.readouterr().out
-    assert "cache hit" in second
+    outputs = []
+    for name, extra in (("cached", ["--cache", cache]), ("plain", [])):
+        report = tmp_path / f"{name}.tsv"
+        assert main(["eval", problems, "--mode", "relational", "--corpus", corpus,
+                     *extra, "--report", str(report)]) == 0
+        sidecar = Path(str(report) + ".json").read_text(encoding="utf-8")
+        outputs.append((report.read_bytes(), sidecar))
+    (cached_tsv, cached_json), (plain_tsv, plain_json) = outputs
+    assert cached_tsv == plain_tsv
+    # the sidecar records the cache directory in its config, and only there
+    assert cached_json == plain_json.replace('"cache_dir": null',
+                                             f'"cache_dir": {json.dumps(cache)}')
 
 
 def test_index_missing_corpus_dir(tmp_path, capsys):

@@ -1,12 +1,19 @@
+import json
+import pickle
+import tempfile
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import scan_cooccurrences, scan_windows
-from relmap.corpus import (cooccurrence_counts, ingest, ingest_dir,
-                           load_index, save_index, search_phrases)
+from relmap import corpus as corpus_module
+from relmap.corpus import (CorpusIndex, cache_path, cached_index,
+                           cooccurrence_counts, corpus_digest, ingest,
+                           ingest_dir, load_index, save_index, search_phrases)
 from relmap.errors import CorpusError
-from relmap.terms import Term, TermPair
+from relmap.terms import DEFAULT_TOKENIZER, Term, TermPair, Tokenizer
 
 from conftest import write_corpus
 
@@ -16,19 +23,28 @@ def occ_key(occ):
             occ.pre, occ.mid, occ.post)
 
 
+def doc_tokens(index):
+    """The index's documents as token lists, decoded from its arrays."""
+    offsets = index.doc_offsets.tolist()
+    return [[index.vocab[i] for i in index.ids[a:b].tolist()]
+            for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 # --- ingestion --------------------------------------------------------------
 
 def test_ingest_empty_list():
     index = ingest([])
     assert index.total_tokens == 0
-    assert index.postings == {}
+    assert index.n_documents == 0
+    assert index.vocab == []
+    assert index.occurrences(Term.parse("sun")) == []
 
 
 def test_ingest_single_sentence(tmp_path):
     index = write_corpus(tmp_path, ["The sun attracts the planet."])
     assert index.total_tokens == 5
-    assert len(index.postings["sun"]) == 1
-    assert index.postings["the"] == [(0, 0), (0, 3)]
+    assert len(index.occurrences(Term.parse("sun"))) == 1
+    assert index.occurrences(Term.parse("the")) == [(0, 0), (0, 3)]
 
 
 def test_ingest_twice_doubles_counts(tmp_path):
@@ -36,8 +52,10 @@ def test_ingest_twice_doubles_counts(tmp_path):
     once = write_corpus(tmp_path, [text])
     twice = write_corpus(tmp_path, [text, text], prefix="dup")
     assert twice.total_tokens == 2 * once.total_tokens
-    for tok, posts in once.postings.items():
-        assert len(twice.postings[tok]) == 2 * len(posts)
+    assert twice.vocab == once.vocab
+    for tok in once.vocab:
+        term = Term((tok,))
+        assert len(twice.occurrences(term)) == 2 * len(once.occurrences(term))
 
 
 def test_ingest_unreadable_file_names_path(tmp_path):
@@ -60,7 +78,7 @@ def test_ingest_dir_reads_lexicographically(tmp_path):
     sub.mkdir()
     (sub / "c.txt").write_text("gamma")
     index = ingest_dir(tmp_path)
-    assert [d[0] for d in index.documents] == ["alpha", "beta", "gamma"]
+    assert [d[0] for d in doc_tokens(index)] == ["alpha", "beta", "gamma"]
 
 
 # --- phrase search ----------------------------------------------------------
@@ -86,7 +104,7 @@ def test_search_gap_too_wide(tmp_path):
     pair = TermPair.parse("x", "y")
     assert search_phrases(index, pair) == []
     # the independent scanner agrees there is no in-bounds window
-    assert scan_windows(index.documents, ("x",), ("y",)) == []
+    assert scan_windows(doc_tokens(index), ("x",), ("y",)) == []
 
 
 def test_search_stays_within_documents(tmp_path):
@@ -112,38 +130,68 @@ docs = st.lists(st.lists(token, max_size=12), max_size=3)
 @given(docs)
 @settings(max_examples=120)
 def test_search_matches_bruteforce_scan(documents):
-    index = ingest([])
-    for toks in documents:
-        doc_id = len(index.documents)
-        index.documents.append(list(toks))
-        index.doc_names.append(f"mem{doc_id}")
-        for off, tok in enumerate(toks):
-            index.postings.setdefault(tok, []).append((doc_id, off))
-        index.total_tokens += len(toks)
+    index = CorpusIndex.from_token_lists(documents)
     pair = TermPair.parse("x", "y")
     got = sorted(occ_key(o) for o in search_phrases(index, pair))
-    want = sorted(scan_windows(index.documents, ("x",), ("y",)))
+    want = sorted(scan_windows(documents, ("x",), ("y",)))
     assert got == want
 
 
 @given(docs)
 @settings(max_examples=80)
 def test_order_duality_covers_both_directions(documents):
-    index = ingest([])
-    for toks in documents:
-        doc_id = len(index.documents)
-        index.documents.append(list(toks))
-        index.doc_names.append(f"mem{doc_id}")
-        for off, tok in enumerate(toks):
-            index.postings.setdefault(tok, []).append((doc_id, off))
-        index.total_tokens += len(toks)
+    index = CorpusIndex.from_token_lists(documents)
     fwd = search_phrases(index, TermPair.parse("x", "y"))
     bwd = search_phrases(index, TermPair.parse("y", "x"))
     got = sorted([occ_key(o) for o in fwd] +
                  [occ_key(o) for o in bwd])
-    want = sorted(scan_windows(index.documents, ("x",), ("y",)) +
-                  scan_windows(index.documents, ("y",), ("x",)))
+    want = sorted(scan_windows(documents, ("x",), ("y",)) +
+                  scan_windows(documents, ("y",), ("x",)))
     assert got == want
+
+
+small_token = st.sampled_from(["a", "b", "c"])
+small_docs = st.lists(st.lists(small_token, max_size=10), max_size=4)
+run = st.lists(small_token, min_size=1, max_size=3).map(tuple)
+
+
+@given(small_docs, run, run)
+@settings(max_examples=200)
+def test_search_multiword_matches_scan_in_order(documents, x, y):
+    if x == y:
+        return
+    index = CorpusIndex.from_token_lists(documents)
+    occs = search_phrases(index, TermPair(Term(x), Term(y)))
+    # same windows, and in the scanner's (document, x, y) order
+    assert [occ_key(o) for o in occs] == scan_windows(documents, x, y)
+    for occ in occs:
+        toks = documents[occ.doc]
+        assert occ.window == tuple(toks[occ.start:occ.start + len(occ.window)])
+        assert occ.window[occ.x_span[0]:occ.x_span[1]] == x
+        assert occ.window[occ.y_span[0]:occ.y_span[1]] == y
+        assert all(type(v) is int for v in (occ.doc, occ.start, occ.pre,
+                                             occ.mid, occ.post))
+
+
+def test_search_windows_at_document_edges():
+    documents = [["x", "y"], ["x", "w", "w", "w", "y"], ["y", "x"], ["a", "x"],
+                 ["y", "b"]]
+    index = CorpusIndex.from_token_lists(documents)
+    occs = search_phrases(index, TermPair.parse("x", "y"))
+    assert [(o.doc, o.start, o.window, o.pre, o.post) for o in occs] == [
+        (0, 0, ("x", "y"), 0, 0),
+        (1, 0, ("x", "w", "w", "w", "y"), 0, 0),
+    ]
+    # "x" ends document 3 and "y" starts document 4: no window across them
+    assert [occ_key(o) for o in occs] == scan_windows(documents, ("x",), ("y",))
+
+
+def test_occurrences_of_multiword_term_stay_in_documents():
+    index = CorpusIndex.from_token_lists([["a", "solar"], ["system", "a"],
+                                          ["the", "solar", "system"]])
+    assert index.occurrences(Term.parse("solar system")) == [(2, 1)]
+    assert index.occurrences(Term.parse("a")) == [(0, 0), (1, 1)]
+    assert index.occurrences(Term.parse("absent word")) == []
 
 
 def test_search_linear_in_corpus_duplication(tmp_path):
@@ -178,15 +226,38 @@ def test_cooccurrence_outside_window(tmp_path):
        st.integers(min_value=1, max_value=6))
 @settings(max_examples=100)
 def test_cooccurrence_matches_scan(tokens, window):
-    index = ingest([])
-    index.documents.append(list(tokens))
-    index.doc_names.append("mem0")
-    for off, tok in enumerate(tokens):
-        index.postings.setdefault(tok, []).append((0, off))
-    index.total_tokens = len(tokens)
+    index = CorpusIndex.from_token_lists([tokens])
     got = cooccurrence_counts(index, Term.parse("a"), Term.parse("b"), window)
-    want = scan_cooccurrences(index.documents, ("a",), ("b",), window)
+    want = scan_cooccurrences([tokens], ("a",), ("b",), window)
     assert got == want
+
+
+# Runs over disjoint alphabets, so an occurrence of one term never
+# starts where an occurrence of the other does.
+ab_run = st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=3).map(tuple)
+cd_run = st.lists(st.sampled_from(["c", "d"]), min_size=1, max_size=3).map(tuple)
+abcd_docs = st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=12),
+                     max_size=4)
+
+
+@given(abcd_docs, ab_run, cd_run, st.integers(min_value=1, max_value=6))
+@settings(max_examples=150)
+def test_cooccurrence_multiword_matches_scan(documents, a, b, window):
+    index = CorpusIndex.from_token_lists(documents)
+    got = cooccurrence_counts(index, Term(a), Term(b), window)
+    assert got == scan_cooccurrences(documents, a, b, window)
+    assert all(type(v) is int for v in got)
+    # a term against itself counts pairs of distinct positions
+    assert (cooccurrence_counts(index, Term(a), Term(a), window) ==
+            scan_cooccurrences(documents, a, a, window))
+
+
+def test_cooccurrence_same_multiword_term():
+    documents = [["solar", "system", "w", "solar", "system"], ["solar", "system"]]
+    index = CorpusIndex.from_token_lists(documents)
+    term = Term.parse("solar system")
+    assert cooccurrence_counts(index, term, term, 3) == (3, 3, 1)
+    assert cooccurrence_counts(index, term, term, 2) == (3, 3, 0)
 
 
 def test_cooccurrence_doubles_with_corpus(tmp_path):
@@ -219,6 +290,13 @@ def test_load_rejects_foreign_file(tmp_path):
     bogus.write_bytes(b"not a pickle")
     with pytest.raises(CorpusError):
         load_index(bogus)
+    for name, payload in (("empty.npz", b""), ("cut.npz", b"PK\x03\x04 cut")):
+        (tmp_path / name).write_bytes(payload)
+        with pytest.raises(CorpusError, match=name):
+            load_index(tmp_path / name)
+    np.save(tmp_path / "plain.npy", np.arange(3))
+    with pytest.raises(CorpusError, match="plain.npy"):
+        load_index(tmp_path / "plain.npy")
 
 
 def test_digest_tracks_content(tmp_path):
@@ -227,3 +305,166 @@ def test_digest_tracks_content(tmp_path):
     c = write_corpus(tmp_path, ["one three"], prefix="c")
     assert a.digest == b.digest
     assert a.digest != c.digest
+
+
+@given(small_docs, run, run)
+@settings(max_examples=60, deadline=None)
+def test_saved_index_gives_identical_windows(documents, x, y):
+    index = CorpusIndex.from_token_lists(documents, digest="d" * 64)
+    with tempfile.TemporaryDirectory() as cache:
+        loaded = load_index(save_index(index, cache))
+    assert loaded.vocab == index.vocab
+    assert loaded.ids.tolist() == index.ids.tolist()
+    assert loaded.doc_offsets.tolist() == index.doc_offsets.tolist()
+    assert (loaded.digest, loaded.tokenizer) == (index.digest, index.tokenizer)
+    assert doc_tokens(loaded) == documents
+    if x != y:
+        pair = TermPair(Term(x), Term(y))
+        assert search_phrases(loaded, pair) == search_phrases(index, pair)
+
+
+def test_saved_empty_index_roundtrips(tmp_path):
+    for documents in ([], [[]], [[], []]):
+        index = CorpusIndex.from_token_lists(documents)
+        loaded = load_index(save_index(index, tmp_path / str(len(documents))))
+        assert loaded.total_tokens == 0
+        assert loaded.n_documents == len(documents)
+        assert loaded.vocab == []
+        assert search_phrases(loaded, TermPair.parse("x", "y")) == []
+
+
+# --- cache safety -----------------------------------------------------------
+
+UNPICKLED = []
+
+
+class Trap:
+    """Records that it was unpickled; loading must never get this far."""
+
+    def __reduce__(self):
+        return (UNPICKLED.append, ("unpickled",))
+
+
+def _saved_arrays(tmp_path):
+    index = write_corpus(tmp_path, ["the sun warms the planet", "a sun"])
+    path = save_index(index, tmp_path / "cache")
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    return path, arrays
+
+
+def test_load_refuses_object_arrays_without_unpickling(tmp_path):
+    path, arrays = _saved_arrays(tmp_path)
+    for key in ("ids", "meta"):
+        bad = dict(arrays, **{key: np.array([Trap()], dtype=object)})
+        with open(path, "wb") as fh:
+            np.savez(fh, **bad)
+        with pytest.raises(CorpusError, match=path.name):
+            load_index(path)
+    path.write_bytes(pickle.dumps(Trap()))
+    with pytest.raises(CorpusError, match=path.name):
+        load_index(path)
+    assert UNPICKLED == []
+
+
+def _meta(arrays, **changes):
+    meta = json.loads(str(arrays["meta"]))
+    meta.update(changes)
+    return json.dumps(meta)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda a: {"meta": _meta(a, format="relmap-corpus-index-v1")},
+    lambda a: {"meta": _meta(a, tokenizer={"lowercase": True})},
+    lambda a: {"meta": _meta(a, tokenizer={"lowercase": 1, "strip_punctuation": 0})},
+    lambda a: {"meta": _meta(a, vocab_size=99)},
+    lambda a: {"meta": "[1, 2]"},
+    lambda a: {"ids": a["ids"].astype(np.int64)},
+    lambda a: {"doc_offsets": a["doc_offsets"].astype(np.int32)},
+    lambda a: {"vocab": a["vocab"].astype(np.int16)},
+    lambda a: {"doc_offsets": np.array([0, a["ids"].size + 1, a["ids"].size])},
+    lambda a: {"doc_offsets": a["doc_offsets"] + 1},
+    lambda a: {"doc_offsets": a["doc_offsets"][:-1].copy()},
+    lambda a: {"ids": np.where(a["ids"] == 0, 10**6, a["ids"]).astype(np.int32)},
+    lambda a: {"ids": np.where(a["ids"] == 0, -1, a["ids"]).astype(np.int32)},
+    lambda a: {"vocab": np.frombuffer(b"\n".join(sorted(bytes(a["vocab"]).split(b"\n"),
+                                                       reverse=True)), np.uint8)},
+    lambda a: {"vocab": np.frombuffer(b"\xff" + bytes(a["vocab"]), np.uint8)},
+], ids=["format", "tokenizer-keys", "tokenizer-types", "vocab-size", "meta-type",
+        "ids-dtype", "offsets-dtype", "vocab-dtype", "offsets-order", "offsets-start",
+        "offsets-end", "id-too-large", "id-negative", "vocab-unsorted", "vocab-utf8"])
+def test_load_checks_what_it_reads(tmp_path, corrupt):
+    path, arrays = _saved_arrays(tmp_path)
+    with open(path, "wb") as fh:
+        np.savez(fh, **dict(arrays, **corrupt(arrays)))
+    with pytest.raises(CorpusError, match=path.name):
+        load_index(path)
+
+
+def test_load_names_path_of_missing_array(tmp_path):
+    path, arrays = _saved_arrays(tmp_path)
+    del arrays["vocab"]
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(CorpusError, match=path.name):
+        load_index(path)
+
+
+def _files(tmp_path, texts):
+    paths = []
+    for i, text in enumerate(texts):
+        p = tmp_path / f"doc{i:03d}.txt"
+        p.write_text(text, encoding="utf-8")
+        paths.append(p)
+    return paths
+
+
+def test_cache_keys_on_tokenizer(tmp_path):
+    files = _files(tmp_path, ["The Sun warms the Planet"])
+    cache = tmp_path / "cache"
+    raw = Tokenizer(lowercase=False)
+    foreign = save_index(ingest(files, tokenizer=raw), cache)
+    digest = corpus_digest(files)
+    assert foreign == cache_path(cache, digest, raw)
+    assert foreign != cache_path(cache, digest)
+    index, hit = cached_index(files, cache)
+    assert not hit
+    assert index.tokenizer == DEFAULT_TOKENIZER
+    assert index.vocab == ["planet", "sun", "the", "warms"]
+    assert cached_index(files, cache)[1]
+    # a file copied under the default key is refused, not served
+    cache_path(cache, digest).write_bytes(foreign.read_bytes())
+    with pytest.raises(CorpusError, match="another corpus or tokenizer"):
+        cached_index(files, cache)
+
+
+def test_cache_never_opens_stale_pickles(tmp_path):
+    files = _files(tmp_path, ["the sun warms the planet"])
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / f"index-{corpus_digest(files)}.pkl").write_bytes(pickle.dumps(Trap()))
+    index, hit = cached_index(files, cache)
+    assert not hit
+    assert index.total_tokens == 5
+    assert UNPICKLED == []
+
+
+def test_failed_save_leaves_nothing(tmp_path, monkeypatch):
+    index = write_corpus(tmp_path, ["the sun warms the planet"])
+    cache = tmp_path / "cache"
+
+    def broken_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(corpus_module.np, "savez", broken_savez)
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_index(index, cache)
+    assert not cache_path(cache, index.digest).exists()
+    assert list(cache.iterdir()) == []
+
+
+def test_save_refuses_newline_in_vocabulary(tmp_path):
+    index = CorpusIndex.from_token_lists([["a\nb"]])
+    with pytest.raises(CorpusError, match="newline"):
+        save_index(index, tmp_path)
