@@ -258,25 +258,30 @@ def cooccurrence_counts(index: CorpusIndex, a: Term, b: Term,
                         window: int) -> tuple[int, int, int]:
     """Occurrence counts of a and b, and of their co-occurrences.
 
-    count_ab counts unordered position pairs whose start offsets lie
-    within `window` tokens of each other in the same document. When a
-    and b are the same term, pairs of distinct positions are counted.
+    count_ab counts unordered pairs of distinct start positions, one
+    where a starts and one where b starts, within `window` tokens of
+    each other in the same document.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     pos_a = index._starts(a)
     pos_b = index._starts(b)
-    doc = index._doc_of(pos_a)
-    # Every b occurrence lies inside one document, so clipping the range
-    # to a's document keeps only same-document positions.
-    lo = np.searchsorted(pos_b, np.maximum(pos_a - window, index.doc_offsets[doc]),
-                         side="left")
-    hi = np.searchsorted(pos_b, np.minimum(pos_a + window, index.doc_offsets[doc + 1] - 1),
-                         side="right")
-    count_ab = int(np.maximum(hi - lo, 0).sum())
-    if a == b:
-        count_ab -= pos_a.size    # a position does not co-occur with itself
-        count_ab //= 2            # each unordered pair was seen from both ends
+
+    def pairs(p: np.ndarray, q: np.ndarray) -> int:
+        """Ordered (p, q) position pairs at most `window` apart in one document."""
+        doc = index._doc_of(p)
+        # Every q position lies inside one document, so clipping the range
+        # to p's document keeps only same-document positions.
+        lo = np.searchsorted(q, np.maximum(p - window, index.doc_offsets[doc]), side="left")
+        hi = np.searchsorted(q, np.minimum(p + window, index.doc_offsets[doc + 1] - 1),
+                             side="right")
+        return int(np.maximum(hi - lo, 0).sum())
+
+    # A position where both terms start does not pair with itself, and a
+    # pair of two such positions is seen once from each end.
+    shared = np.intersect1d(pos_a, pos_b, assume_unique=True)
+    inside = (pairs(shared, shared) - shared.size) // 2
+    count_ab = pairs(pos_a, pos_b) - shared.size - inside
     return int(pos_a.size), int(pos_b.size), count_ab
 
 

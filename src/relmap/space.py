@@ -5,6 +5,12 @@ PMI by default, log entropy as the alternative) -> truncated SVD ->
 W = row-normalized U_k * Sigma_k. The relational similarity of two
 term pairs is the dot product of their unit rows of W (their cosine);
 a pair without a row scores zero against everything.
+
+Only U_k * Sigma_k is used, so the one decomposition is an eigh of the
+n_r x n_r Gram matrix X X^T (8 * n_r^2 bytes, whatever the column count),
+cut at a strict gap in the spectrum so that tied singular values never
+leave an arbitrary pick. A row left at or below _WEAK_ROW_SHARE of the
+largest norm holds only rounding noise and is zeroed, not made a unit.
 """
 
 from __future__ import annotations
@@ -16,14 +22,14 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import svds
 
 from .errors import ConfigError, DataError, TransformError
 from .terms import Term, TermPair
 
-# Below this dimension a dense LAPACK decomposition is cheaper and more
-# robust than the iterative sparse solver.
-_DENSE_SVD_LIMIT = 600
+# A row at or below this share of the largest row norm is noise; see above.
+_WEAK_ROW_SHARE = 1e-6
+# Singular values closer than this share of sigma_1 count as tied.
+_TIE_SHARE = 1e-9
 
 PPMIC = "ppmic"
 LOG_ENTROPY = "logentropy"
@@ -89,44 +95,31 @@ def transform_log_entropy(F) -> tuple[sp.csr_matrix, np.ndarray]:
     return out, kept
 
 
-def _svd_components(X, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U_k, sigma_k, Vt_k) with singular values descending.
+def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-k factors (U_k, sigma_k), shaped (n, k) and (k,), sigma descending.
 
-    When k exceeds the smaller matrix dimension, the factors are padded
-    with zero columns/values so shapes stay (n, k), (k,), (k, m).
+    Every column after the last strict gap at or below k, a strict gap
+    being sigma_j - sigma_(j+1) > _TIE_SHARE * sigma_1 with sigma_(n+1) = 0,
+    gets sigma = 0 and a zero U column; so does every column past n.
     """
     if k < 1:
         raise ConfigError(f"svd rank k must be >= 1, got {k}")
     X = _as_csr(X)
-    n, m = X.shape
-    small = min(n, m)
-    if small == 0:
-        return np.zeros((n, k)), np.zeros(k), np.zeros((k, m))
-    if small > _DENSE_SVD_LIMIT and 1 <= k < small:
-        rng = np.random.default_rng(0)
-        u, s, vt = svds(X, k=k, v0=rng.standard_normal(small), which="LM")
-        order = np.argsort(s)[::-1]
-        return u[:, order], s[order], vt[order]
-    u, s, vt = np.linalg.svd(X.toarray(), full_matrices=False)
-    kk = min(k, small)
-    u, s, vt = u[:, :kk], s[:kk], vt[:kk]
-    if kk < k:
-        u = np.pad(u, ((0, 0), (0, k - kk)))
-        s = np.pad(s, (0, k - kk))
-        vt = np.pad(vt, ((0, k - kk), (0, 0)))
-    return u, s, vt
-
-
-def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-k factors (U_k, sigma_k); the right factor is not needed here."""
-    u, s, _ = _svd_components(X, k)
-    return u, s
+    lam, vecs = np.linalg.eigh((X @ X.T).toarray())
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    gaps = s[:k] - np.append(s[1:], 0.0)[:k]
+    strict = np.flatnonzero(gaps > _TIE_SHARE * s.max(initial=0.0))
+    keep = strict[-1] + 1 if strict.size else 0
+    u = np.zeros((X.shape[0], k))
+    u[:, :keep] = vecs[:, ::-1][:, :keep]
+    return u, np.pad(s[:keep], (0, k - keep))
 
 
 def _normalize_rows(M: np.ndarray) -> np.ndarray:
+    """Unit rows; rows at or below _WEAK_ROW_SHARE of the largest norm become zero."""
     norms = np.linalg.norm(M, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    return M / safe[:, None]
+    strong = norms > _WEAK_ROW_SHARE * norms.max(initial=0.0)
+    return np.where(strong[:, None], M / np.where(strong, norms, 1.0)[:, None], 0.0)
 
 
 @dataclass
@@ -177,7 +170,7 @@ def build_space(U_k: np.ndarray, sigma_k: np.ndarray,
                 row_index: dict[TermPair, int], *,
                 transform: str = PPMIC,
                 provenance: Optional[dict] = None) -> RelationSpace:
-    """Space over W = row-normalized U_k * diag(sigma_k); zero rows stay zero."""
+    """Space over W = row-normalized U_k * diag(sigma_k); weak rows become zero."""
     W = _normalize_rows(U_k * sigma_k[None, :])
     return RelationSpace(row_index=dict(row_index), W=W, k=len(sigma_k),
                          transform=transform, provenance=provenance or {})

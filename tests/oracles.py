@@ -4,6 +4,8 @@ Everything here is deliberately naive: plain scans, explicit loops, no
 shared code with the package beyond its public data types. The search
 references score and compare one mapping at a time, one Python call per
 mapping, as the slow reference for the package's block search core.
+The SVD references are the dense LAPACK and iterative `svds` backends,
+against which the package's one Gram eigendecomposition is checked.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import svds
 
 from relmap.terms import TermPair
 
@@ -120,6 +126,27 @@ def log_entropy_cell(F, i, j):
     else:
         weight = 1.0
     return math.log(F[i][j] + 1.0) * weight
+
+
+def dense_svd(X, k):
+    """(U_k, sigma_k) from LAPACK's full SVD, zero-padded past min(shape)."""
+    X = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=float)
+    u, s, _ = np.linalg.svd(X, full_matrices=False)
+    kk = min(k, s.size)
+    return (np.pad(u[:, :kk], ((0, 0), (0, k - kk))),
+            np.pad(s[:kk], (0, k - kk)))
+
+
+def sparse_svd(X, k):
+    """(U_k, sigma_k) from scipy's iterative svds, with a seeded start vector.
+
+    Needs 1 <= k < min(X.shape).
+    """
+    X = sp.csr_matrix(X, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(min(X.shape))
+    u, s, _ = svds(X, k=k, v0=v0, which="LM")
+    order = np.argsort(s)[::-1]
+    return u[:, order], s[order]
 
 
 def all_permutations(m):

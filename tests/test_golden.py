@@ -1,14 +1,18 @@
 """CLI outputs on a small planted corpus, compared byte for byte with fixtures.
 
-The fixtures in tests/golden/ were written by the exhaustive
+The fixtures in tests/golden/ were first written by the exhaustive
 tuple-at-a-time search that preceded the block search core, so these
-tests pin every report and sidecar to that implementation's bytes.
+tests pin every report and sidecar to that implementation's bytes. The
+solve fixtures' scores were written again when the relation space moved
+from an SVD to the Gram eigendecomposition, which moved them in the last
+digits (below 1e-14) and left every mapping and tie count as it was.
 Regenerate them only for a change that means to alter an output:
 
     PYTHONPATH=src python tests/test_golden.py
 
-Each command runs in a child interpreter with one BLAS thread: the dense
-SVD's last bits, and so the printed scores, change with the thread count.
+Each command runs in a child interpreter with one BLAS thread: the
+eigendecomposition's last bits, and so the printed scores, change with
+the thread count.
 Paths are relative to the input directory, because the coherence sidecar
 records the corpus directory as given.
 """

@@ -6,16 +6,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import log_entropy_cell, ppmi_cell
+from oracles import dense_svd, log_entropy_cell, ppmi_cell, sparse_svd
 from relmap.corpus import ingest
 from relmap.errors import ConfigError, TransformError
 from relmap.evaluation import mine_for_problems, space_from_stats
 from relmap.patterns import (build_frequency_matrix, build_pair_list,
                              mine_patterns, prune_rows, select_columns)
 from relmap.problems import MappingProblem
-from relmap.space import (RelationSpace, _svd_components, build_space,
-                          build_space_from_matrix, transform_log_entropy,
-                          transform_ppmic, truncated_svd)
+from relmap.space import (RelationSpace, build_space, build_space_from_matrix,
+                          transform_log_entropy, transform_ppmic, truncated_svd)
 from relmap.terms import TermPair
 
 from conftest import write_corpus
@@ -121,8 +120,8 @@ def test_log_entropy_random_matches_oracle(seed):
 
 def test_svd_rank_one_exact():
     X = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
-    u, s, vt = _svd_components(sp.csr_matrix(X), 1)
-    recon = (u * s) @ vt
+    u, s = truncated_svd(sp.csr_matrix(X), 1)
+    recon = u @ u.T @ X
     assert np.linalg.norm(recon - X) <= 1e-8
 
 
@@ -131,16 +130,16 @@ def test_svd_diagonal_analytic():
     u, s = truncated_svd(np.diag([3.0, 1.0]), 1)
     assert s.shape == (1,)
     assert s[0] == pytest.approx(3.0, abs=1e-12)
-    u_full, s_full, vt = _svd_components(sp.csr_matrix(np.diag([3.0, 1.0])), 1)
-    recon = (u_full * s_full) @ vt
+    u_full, s_full = truncated_svd(sp.csr_matrix(np.diag([3.0, 1.0])), 1)
+    recon = u_full @ u_full.T @ np.diag([3.0, 1.0])
     assert np.allclose(recon, [[3.0, 0.0], [0.0, 0.0]], atol=1e-10)
 
 
 def test_svd_full_rank_reconstruction():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, 4))
-    u, s, vt = _svd_components(sp.csr_matrix(X), 4)
-    err = np.linalg.norm((u * s) @ vt - X) / np.linalg.norm(X)
+    u, s = truncated_svd(sp.csr_matrix(X), 4)
+    err = np.linalg.norm(u @ u.T @ X - X) / np.linalg.norm(X)
     assert err <= 1e-8
 
 
@@ -172,8 +171,8 @@ def test_svd_beats_random_rank_k_competitors():
     for _ in range(5):
         X = rng.standard_normal((12, 18))
         k = 3
-        u, s, vt = _svd_components(sp.csr_matrix(X), k)
-        best = np.linalg.norm((u * s) @ vt - X)
+        u, s = truncated_svd(sp.csr_matrix(X), k)
+        best = np.linalg.norm(u @ u.T @ X - X)
         for _ in range(20):
             B = rng.standard_normal((12, k)) @ rng.standard_normal((k, 18))
             assert best <= np.linalg.norm(B - X) + 1e-8
@@ -182,10 +181,58 @@ def test_svd_beats_random_rank_k_competitors():
 def test_svd_sparse_path_matches_dense():
     rng = np.random.default_rng(3)
     X = sp.random(700, 900, density=0.01, random_state=rng, format="csr")
-    u, s = truncated_svd(X, 5)   # min(shape) > dense limit: iterative path
+    u, s = truncated_svd(X, 5)   # Gram eigendecomposition against dense LAPACK
     dense_s = np.linalg.svd(X.toarray(), compute_uv=False)[:5]
     assert np.allclose(s, dense_s, rtol=1e-6, atol=1e-8)
     assert np.linalg.norm(u.T @ u - np.eye(5)) <= 1e-6
+
+
+def test_weak_row_is_zeroed():
+    # Rows 2 and 3 lie wholly in the third right singular direction of a
+    # rank-3 matrix, so at k=2 their rows of U_k * Sigma_k hold only
+    # rounding noise, which must not be scaled up to unit vectors.
+    rng = np.random.default_rng(1)
+    V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    R, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    X0 = np.zeros((5, 6))
+    X0[:2, :2] = R @ np.diag([5.0, 4.0])
+    X0[2, 2] = 1.0
+    X0[3, 2] = 2.0
+    rows = [TermPair.parse(f"a{i}", f"b{i}") for i in range(5)]
+    space = build_space_from_matrix(X0 @ V.T, rows, k=2)
+    assert np.linalg.norm(space.W, axis=1).tolist() == pytest.approx(
+        [1.0, 1.0, 0.0, 0.0, 0.0], abs=1e-12)
+    assert np.all(space.W[2:] == 0.0)
+    assert space.sim_r(rows[2], rows[3]) == 0.0
+    assert space.sim_r(rows[2], rows[0]) == 0.0
+
+
+def test_decomposition_backends_agree(planted_all):
+    """eigh, dense LAPACK and svds give the same sim_r on rows with signal."""
+    data, index = planted_all
+    pairs, stats = mine_for_problems(index, data.problems)
+    rows = prune_rows(pairs, stats.phrase_counts)
+    F = build_frequency_matrix(rows, select_columns(stats, 20, len(rows)), stats)
+    X = transform_ppmic(F)
+    s = np.linalg.svd(X.toarray(), compute_uv=False)
+    for k in (20, 100):
+        assert s[k - 1] - s[k] > 1e-3 * s[0]   # a unique rank-k space
+        space = build_space_from_matrix(X, rows, k=k)
+        weak = np.flatnonzero(np.all(space.W == 0.0, axis=1))
+        assert 0 < weak.size < len(rows)
+        for backend in (dense_svd, sparse_svd):
+            u, sigma = backend(X, k)
+            proj = u * sigma
+            norms = np.linalg.norm(proj, axis=1)
+            assert np.flatnonzero(norms <= 1e-6 * norms.max()).tolist() == weak.tolist()
+            strong = np.flatnonzero(norms > 1e-6 * norms.max())
+            unit = proj[strong] / norms[strong, None]
+            want = unit @ unit.T
+            for a, i in enumerate(strong):
+                for b, j in enumerate(strong):
+                    assert abs(space.sim_r(rows[i], rows[j]) - want[a, b]) <= 1e-9
+            for i in weak:
+                assert space.sim_r(rows[i], rows[strong[0]]) == 0.0
 
 
 # --- relation space ---------------------------------------------------------
@@ -240,20 +287,35 @@ def build_toy_space(tmp_path, k=None, transform="ppmic"):
 
 
 def test_sim_matches_dense_cosine_oracle(tmp_path):
+    # k=3 is left out: sigma_3 ties sigma_4 on this space, so a rank-3
+    # space is not unique (see test_tied_boundary_cuts_at_last_gap)
     X, rows = build_toy_space(tmp_path)
-    k = 3
-    space = build_space_from_matrix(X, rows, k=k)
-    Xd = X.toarray()
-    u, s, vt = np.linalg.svd(Xd, full_matrices=False)
-    proj = u[:, :k] * s[:k]
-    for i, p in enumerate(rows):
-        for j, q in enumerate(rows):
-            ni, nj = np.linalg.norm(proj[i]), np.linalg.norm(proj[j])
-            if ni == 0 or nj == 0:
-                want = 0.0
-            else:
-                want = float(proj[i] @ proj[j] / (ni * nj))
-            assert space.sim_r(p, q) == pytest.approx(want, abs=1e-9)
+    for k in (2, 4):
+        space = build_space_from_matrix(X, rows, k=k)
+        Xd = X.toarray()
+        u, s, vt = np.linalg.svd(Xd, full_matrices=False)
+        proj = u[:, :k] * s[:k]
+        for i, p in enumerate(rows):
+            for j, q in enumerate(rows):
+                ni, nj = np.linalg.norm(proj[i]), np.linalg.norm(proj[j])
+                if ni == 0 or nj == 0:
+                    want = 0.0
+                else:
+                    want = float(proj[i] @ proj[j] / (ni * nj))
+                assert space.sim_r(p, q) == pytest.approx(want, abs=1e-9)
+
+
+def test_tied_boundary_cuts_at_last_gap(tmp_path):
+    X, rows = build_toy_space(tmp_path)
+    s = np.linalg.svd(X.toarray(), compute_uv=False)
+    assert s[2] - s[3] <= 1e-9 * s[0] < s[1] - s[2]
+    u, sigma = truncated_svd(X, 3)
+    assert sigma[2] == 0.0 and np.all(u[:, 2] == 0.0)
+    three = build_space_from_matrix(X, rows, k=3)
+    two = build_space_from_matrix(X, rows, k=2)
+    for p in rows:
+        for q in rows:
+            assert three.sim_r(p, q) == pytest.approx(two.sim_r(p, q), abs=1e-12)
 
 
 def test_sim_symmetric_under_pair_reversal(tmp_path):
