@@ -21,8 +21,8 @@ from .evaluation import (CoherenceReport, Report, SweepReport, accuracy,
                          build_space_for_problems, coherence_experiment,
                          run_batch, sensitivity_sweep, solve_batch)
 from .patterns import (PatternStats, build_frequency_matrix, build_pair_list,
-                       generate_patterns, mine_patterns, prune_rows,
-                       select_columns, serialize_pattern)
+                       mine_patterns, prune_rows, select_columns,
+                       serialize_pattern)
 from .planted import PlantedConfig, PlantedData, generate_planted_corpus
 from .problems import Mapping, MappingProblem
 from .solver import (AttributionalScorer, RelationalScorer, SolveResult,

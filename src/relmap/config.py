@@ -43,6 +43,9 @@ class Config:
             raise ConfigError(f"pmi_window must be >= 1, got {self.pmi_window}")
         if self.m_max < 1:
             raise ConfigError(f"m_max must be >= 1, got {self.m_max}")
+        if self.max_phrases_per_pair is not None and self.max_phrases_per_pair < 1:
+            raise ConfigError(f"max_phrases_per_pair must be >= 1 or none, "
+                              f"got {self.max_phrases_per_pair}")
         return self
 
     def needs_corpus(self) -> bool:
@@ -64,7 +67,7 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(name: str, value: str, target_type):
+def _coerce(name: str, value: str, target_type, nullable: bool):
     value = value.strip()
     if target_type is bool or name == "svd":
         low = value.lower()
@@ -74,6 +77,8 @@ def _coerce(name: str, value: str, target_type):
             return False
         raise ConfigError(f"config key {name}: expected a boolean, got {value!r}")
     if value.lower() == "none":
+        if not nullable:
+            raise ConfigError(f"config key {name}: none is not allowed")
         return None
     if target_type is int:
         try:
@@ -107,5 +112,6 @@ def load_config_file(path: str | Path, base: Optional[Config] = None) -> Config:
         target = type(current) if current is not None else (
             int if key in ("k", "t", "seed", "pmi_window", "m_max",
                            "max_phrases_per_pair") else str)
-        setattr(cfg, key, _coerce(key, value, target))
+        # Only the keys that default to None (the optional ones) take none.
+        setattr(cfg, key, _coerce(key, value, target, known[key].default is None))
     return cfg.validate()

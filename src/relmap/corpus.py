@@ -57,6 +57,8 @@ MAX_PRE = 1
 MAX_MID = 3
 MAX_POST = 1
 
+_X_BLOCK = 1 << 18
+
 _CACHE_FORMAT = "relmap-corpus-index-v2"
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -197,6 +199,69 @@ def ingest_dir(corpus_dir: str | Path, tokenizer: Tokenizer = DEFAULT_TOKENIZER)
     return ingest(corpus_files(corpus_dir), tokenizer=tokenizer)
 
 
+def _find_windows(index: CorpusIndex, pairs: list[TermPair]) -> tuple[np.ndarray, ...]:
+    """Every template window of every pair, as arrays.
+
+    Returns (pair, doc, x_pos, y_pos, pre, post), one entry per window:
+    the position of its pair in `pairs`, its document, the global start
+    positions of its x and y runs, and the number of leading and
+    trailing context words. Windows come in (pair, document, x start,
+    y start) order. A y match starts 0-3 tokens after the x match ends
+    and lies in the same document.
+    """
+    starts: dict[Term, np.ndarray] = {}
+    for pair in pairs:
+        for term in (pair.x, pair.y):
+            if term not in starts:
+                starts[term] = index._starts(term)
+    # Pairs are searched in blocks of about _X_BLOCK x occurrences, which
+    # bounds the memory of the per-occurrence arrays.
+    blocks, first, size = [], 0, 0
+    for i, pair in enumerate(pairs):
+        if size and size + starts[pair.x].size > _X_BLOCK:
+            blocks.append(_block_windows(index, pairs, starts, first, i))
+            first, size = i, 0
+        size += starts[pair.x].size
+    blocks.append(_block_windows(index, pairs, starts, first, len(pairs)))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _block_windows(index: CorpusIndex, pairs: list[TermPair], starts: dict[Term, np.ndarray],
+                   first: int, stop: int) -> tuple[np.ndarray, ...]:
+    """`_find_windows` for pairs[first:stop]."""
+    block = pairs[first:stop]
+    xs = [starts[p.x] for p in block]
+    ys = [starts[p.y] for p in block]
+    n_x = np.array([a.size for a in xs], dtype=np.int64)
+    n_y = np.array([a.size for a in ys], dtype=np.int64)
+    x_len = np.repeat(np.array([len(p.x.tokens) for p in block], dtype=np.int64), n_x)
+    y_len = np.repeat(np.array([len(p.y.tokens) for p in block], dtype=np.int64), n_x)
+    owner = np.repeat(np.arange(len(block)), n_x)
+    x_pos = np.concatenate([_EMPTY, *xs])
+    # Each pair's y starts, offset into a key range of its own, so that
+    # one sorted array serves every pair of the block.
+    span = index.ids.size + MAX_MID + 1
+    base = owner * span
+    y_keys = np.concatenate([_EMPTY, *ys]) + np.repeat(np.arange(len(block)) * span, n_y)
+    doc = index._doc_of(x_pos)
+    doc_start = index.doc_offsets[doc]
+    doc_end = index.doc_offsets[doc + 1]
+    # Every y occurrence lies inside one document, so a y start in
+    # [x end, doc end - y_len] is a y in the same document as x.
+    lo = np.searchsorted(y_keys, base + x_pos + x_len, side="left")
+    hi = np.searchsorted(y_keys, base + np.minimum(x_pos + x_len + MAX_MID, doc_end - y_len),
+                         side="right")
+    n_hits = np.maximum(hi - lo, 0)
+    total = int(n_hits.sum())
+    xi = np.repeat(np.arange(x_pos.size), n_hits)
+    y_pos = (y_keys[lo[xi] + np.arange(total) - np.repeat(np.cumsum(n_hits) - n_hits, n_hits)]
+             - base[xi])
+    x_pos = x_pos[xi]
+    pre = np.minimum(MAX_PRE, x_pos - doc_start[xi])
+    post = np.minimum(MAX_POST, doc_end[xi] - (y_pos + y_len[xi]))
+    return first + owner[xi], doc[xi], x_pos, y_pos, pre, post
+
+
 def search_phrases(index: CorpusIndex, pair: TermPair) -> list[PhraseOccurrence]:
     """Every window where pair.x is followed by pair.y within the template.
 
@@ -206,39 +271,16 @@ def search_phrases(index: CorpusIndex, pair: TermPair) -> list[PhraseOccurrence]
     document provides it. Results come in (document, x start, y start)
     order.
     """
-    xs = index._starts(pair.x)
-    if not xs.size:
-        return []
-    ys = index._starts(pair.y)
-    if not ys.size:
-        return []
+    _pair, doc, x_pos, y_pos, pre, post = _find_windows(index, [pair])
     x_len = len(pair.x.tokens)
     y_len = len(pair.y.tokens)
-    doc = index._doc_of(xs)
-    doc_start = index.doc_offsets[doc]
-    doc_end = index.doc_offsets[doc + 1]
-    # Every y occurrence lies inside one document, so a y start in
-    # [x end, doc end - y_len] is a y in the same document as x.
-    lo = np.searchsorted(ys, xs + x_len, side="left")
-    hi = np.searchsorted(ys, np.minimum(xs + x_len + MAX_MID, doc_end - y_len),
-                         side="right")
-    n_hits = np.maximum(hi - lo, 0)
-    total = int(n_hits.sum())
-    if not total:
-        return []
-    xi = np.repeat(np.arange(xs.size), n_hits)
-    y_pos = ys[lo[xi] + np.arange(total) - np.repeat(np.cumsum(n_hits) - n_hits, n_hits)]
-    x_pos = xs[xi]
-    pre = np.minimum(MAX_PRE, x_pos - doc_start[xi])
-    post = np.minimum(MAX_POST, doc_end[xi] - (y_pos + y_len))
     w_start = x_pos - pre
     w_end = y_pos + y_len + post
-
     vocab = index.vocab
     ids = index.ids
     out = []
     for d, ds, ws, we, xp, yp, pr, po in zip(
-            doc[xi].tolist(), doc_start[xi].tolist(), w_start.tolist(),
+            doc.tolist(), index.doc_offsets[doc].tolist(), w_start.tolist(),
             w_end.tolist(), x_pos.tolist(), y_pos.tolist(), pre.tolist(),
             post.tolist()):
         out.append(PhraseOccurrence(

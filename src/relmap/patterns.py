@@ -1,10 +1,10 @@
 """Wildcard-pattern mining and assembly of the pair-pattern matrix.
 
-A pattern is a tuple of slots: literal lowercase words, the hole
-markers "X" and "Y" (exactly one of each, either order), and "*"
-which matches any single word. Corpus tokens are lowercase with
-punctuation-stripped edges, so the three marker strings can never
-collide with a literal.
+A pattern is a tuple of slots: literal words, the hole markers "X" and
+"Y" (exactly one of each, either order), and "*" which matches any
+single word. A literal equal to a marker string is that marker; the
+default tokenizer lowercases and strips punctuation, so it never emits
+one.
 
 From a retrieved window, the two term spans become X and Y and every
 remaining word is independently kept or wildcarded; the same is done
@@ -15,16 +15,65 @@ pair reproducing it: patterns from the direct substitution are
 credited to the retrieved pair, patterns from the exchanged
 substitution to the reversed pair. This is what makes the matrix rows
 of a pair and its reverse mirror images of each other.
+
+Slot coding. Mining works on token-id arrays and never builds a
+string pattern: the windows of all pairs come from one array search
+over the index, and a window is laid out as at most MAX_SLOTS slots
+(pre word, X, up to three middle words, Y, post word), and every slot
+is an integer code; code 0 marks a slot past the pattern's end. The
+codes rank one sorted alphabet of pieces: each slot string (the words
+seen in windows plus "X", "Y" and "*") once as it is and once with a
+trailing space. An inner slot is coded by its spaced piece and the
+pattern's last slot by its bare piece.
+
+Order rule. A serialized pattern (slots joined by single spaces) is
+the concatenation of its pieces, so comparing code tuples gives exactly
+the order of the serialized patterns: no spaced piece is a prefix of
+another piece, because words hold no whitespace, and a bare piece that
+is a prefix of another piece ends its pattern. Ranking each slot's word
+alone is not enough, because a word may hold a character below U+0020
+that is not whitespace: ("a", "X", "Y") comes before ("a\\x01", "X", "Y")
+as a tuple, but "a\\x01 X Y" comes before "a X Y" as a string, and the
+spaced pieces "a\\x01 " < "a " keep that order.
+
+The codes of a pattern are packed most significant first into as few
+uint64 words as the code width needs, so that comparing the words
+compares the code tuples. All variants of all windows are sorted at
+once by (pattern words, pair) with `np.lexsort`; equal runs give the
+counts.
+
+Array layout of `PatternStats`, for P distinct patterns and E nonzero
+(pair, pattern) entries:
+
+- ``pairs``: the pair table, the mined pairs in first-seen order and
+  then the reverses not among them, which also receive counts.
+- ``phrase_counts``: windows mined per pair, keyed by pair.
+- ``words`` and ``codes``: the sorted slot strings, and a (2, len(words))
+  array of each string's code as the last slot (row 0) and as an inner
+  slot (row 1).
+- ``keys``: (n_words, P) uint64, the packed codes of the distinct
+  patterns in serialized order; pattern ids index its columns.
+- ``starts``: P + 1 offsets; the entries of pattern p are
+  ``starts[p]:starts[p + 1]``, so ``np.diff(starts)`` is the number of
+  generating pairs of each pattern.
+- ``entry_pair`` and ``entry_count``: per entry, the pair table id and
+  the number of windows, ordered by (pattern, pair).
+- ``column_order``: pattern ids by (-generating pairs, serialized
+  order), computed once; `select_columns` takes a prefix of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
+import numpy as np
 import scipy.sparse as sp
 
-from .corpus import CorpusIndex, PhraseOccurrence, search_phrases
+from .corpus import MAX_MID, MAX_POST, MAX_PRE, CorpusIndex, _find_windows
 from .errors import ConfigError, DataError, RelmapError
 from .problems import MappingProblem
 from .terms import TermPair
@@ -34,79 +83,13 @@ Pattern = tuple[str, ...]
 X_SLOT = "X"
 Y_SLOT = "Y"
 WILDCARD = "*"
+MARKERS = (X_SLOT, Y_SLOT, WILDCARD)
+MAX_SLOTS = MAX_PRE + 1 + MAX_MID + 1 + MAX_POST
 
 
 def serialize_pattern(pattern: Pattern) -> str:
     """Canonical report form: slots joined by single spaces."""
     return " ".join(pattern)
-
-
-def swap_pattern(pattern: Pattern) -> Pattern:
-    """The same pattern with the X and Y holes exchanged."""
-    return tuple(Y_SLOT if s == X_SLOT else X_SLOT if s == Y_SLOT else s
-                 for s in pattern)
-
-
-def is_template_shaped(pattern: Pattern) -> bool:
-    """True if the slot layout could come from a template window."""
-    holes = [i for i, s in enumerate(pattern) if s in (X_SLOT, Y_SLOT)]
-    if len(holes) != 2 or pattern[holes[0]] == pattern[holes[1]]:
-        return False
-    first, second = holes
-    return first <= 1 and (second - first - 1) <= 3 and (len(pattern) - second - 1) <= 1
-
-
-def _base_slots(phrase: PhraseOccurrence, pair: TermPair) -> tuple[list[str], list[int]]:
-    (xs, xe), (ys, ye) = phrase.x_span, phrase.y_span
-    if tuple(phrase.window[xs:xe]) != pair.x.tokens or \
-       tuple(phrase.window[ys:ye]) != pair.y.tokens:
-        raise RelmapError(f"phrase window does not contain pair {pair.text!r} "
-                          f"at the recorded spans")
-    slots: list[str] = []
-    free: list[int] = []
-    i = 0
-    while i < len(phrase.window):
-        if i == xs:
-            slots.append(X_SLOT)
-            i = xe
-        elif i == ys:
-            slots.append(Y_SLOT)
-            i = ye
-        else:
-            free.append(len(slots))
-            slots.append(phrase.window[i])
-            i += 1
-    return slots, free
-
-
-def _wildcard_variants(slots: list[str], free: list[int]) -> set[Pattern]:
-    out: set[Pattern] = set()
-    for mask in range(1 << len(free)):
-        variant = list(slots)
-        for bit, pos in enumerate(free):
-            if mask >> bit & 1:
-                variant[pos] = WILDCARD
-        out.add(tuple(variant))
-    return out
-
-
-def generate_pattern_families(phrase: PhraseOccurrence,
-                              pair: TermPair) -> tuple[set[Pattern], set[Pattern]]:
-    """(direct, exchanged) pattern sets for one window of `pair`.
-
-    Direct patterns reproduce the window when instantiated with the
-    pair as retrieved; exchanged patterns reproduce it when
-    instantiated with the reversed pair.
-    """
-    slots, free = _base_slots(phrase, pair)
-    direct = _wildcard_variants(slots, free)
-    return direct, {swap_pattern(p) for p in direct}
-
-
-def generate_patterns(phrase: PhraseOccurrence, pair: TermPair) -> set[Pattern]:
-    """All patterns a window contributes, both hole assignments together."""
-    direct, swapped = generate_pattern_families(phrase, pair)
-    return direct | swapped
 
 
 def build_pair_list(problems: Iterable[MappingProblem]) -> list[TermPair]:
@@ -127,33 +110,214 @@ def build_pair_list(problems: Iterable[MappingProblem]) -> list[TermPair]:
     return list(seen)
 
 
-@dataclass
+# --- packed codes -------------------------------------------------------------
+
+def _segments(bits: int):
+    """(slot, word, shift in slot, shift in word, mask) of each part of a slot code
+    that lies in one uint64 word, slot codes of `bits` bits laid end to end."""
+    for slot in range(MAX_SLOTS):
+        start, end = slot * bits, (slot + 1) * bits
+        for w in range(start // 64, (end - 1) // 64 + 1):
+            lo, hi = max(start, 64 * w), min(end, 64 * w + 64)
+            yield (slot, w, np.uint64(end - hi), np.uint64(64 * w + 64 - hi),
+                   np.uint64((1 << (hi - lo)) - 1))
+
+
+def _pack(codes: np.ndarray, bits: int) -> np.ndarray:
+    """(n, MAX_SLOTS) codes -> (n_words, n) uint64 words, most significant first."""
+    codes = codes.astype(np.uint64)
+    words = np.zeros((-(-MAX_SLOTS * bits // 64), codes.shape[0]), dtype=np.uint64)
+    for slot, w, in_slot, in_word, mask in _segments(bits):
+        words[w] |= (codes[:, slot] >> in_slot & mask) << in_word
+    return words
+
+
+def _unpack(words: np.ndarray, bits: int) -> np.ndarray:
+    """Inverse of `_pack`: (n_words, n) uint64 words -> (n, MAX_SLOTS) codes."""
+    codes = np.zeros((words.shape[1], MAX_SLOTS), dtype=np.uint64)
+    for slot, w, in_slot, in_word, mask in _segments(bits):
+        codes[:, slot] |= (words[w] >> in_word & mask) << in_slot
+    return codes.astype(np.int64)
+
+
+def _find_keys(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Column of each query in the lexicographically sorted key columns, or -1."""
+    n = keys.shape[1]
+    lo = np.zeros(queries.shape[1], dtype=np.int64)
+    hi = np.full(queries.shape[1], n, dtype=np.int64)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        probe = keys[:, np.minimum(mid, n - 1)]
+        less = np.zeros(lo.size, dtype=bool)
+        equal = np.ones(lo.size, dtype=bool)
+        for w in range(keys.shape[0]):
+            less |= equal & (probe[w] < queries[w])
+            equal &= probe[w] == queries[w]
+        lo = np.where(open_ & less, mid + 1, lo)
+        hi = np.where(open_ & ~less, mid, hi)
+    found = lo < n
+    found[found] = (keys[:, lo[found]] == queries[:, found]).all(axis=0)
+    return np.where(found, lo, -1)
+
+
+# --- statistics ---------------------------------------------------------------
+
+@dataclass(eq=False)
 class PatternStats:
-    """Occurrence counts per (pair, pattern) plus per-pair phrase totals."""
+    """Occurrence counts per (pair, pattern) plus per-pair phrase totals.
 
-    counts: dict[TermPair, dict[Pattern, int]] = field(default_factory=dict)
-    phrase_counts: dict[TermPair, int] = field(default_factory=dict)
+    Array-backed; the module docstring gives the layout.
+    """
 
-    def add_window(self, pair: TermPair, phrase: PhraseOccurrence) -> None:
-        direct, swapped = generate_pattern_families(phrase, pair)
-        self.phrase_counts[pair] = self.phrase_counts.get(pair, 0) + 1
-        row = self.counts.setdefault(pair, {})
-        for p in direct:
-            row[p] = row.get(p, 0) + 1
-        rrow = self.counts.setdefault(pair.reversed(), {})
-        for p in swapped:
-            rrow[p] = rrow.get(p, 0) + 1
+    pairs: list[TermPair]
+    phrase_counts: dict[TermPair, int]
+    words: list[str]
+    codes: np.ndarray
+    keys: np.ndarray
+    starts: np.ndarray
+    entry_pair: np.ndarray
+    entry_count: np.ndarray
+    column_order: np.ndarray
 
-    def count(self, pair: TermPair, pattern: Pattern) -> int:
-        return self.counts.get(pair, {}).get(pattern, 0)
+    @property
+    def bits(self) -> int:
+        """Width of one slot code."""
+        return int(self.codes.max()).bit_length()
 
-    def generating_pair_counts(self) -> dict[Pattern, int]:
-        """Number of distinct pairs with a nonzero count, per pattern."""
-        out: dict[Pattern, int] = {}
-        for row in self.counts.values():
-            for pattern in row:
-                out[pattern] = out.get(pattern, 0) + 1
-        return out
+    def decode(self, ids: np.ndarray) -> list[Pattern]:
+        """The patterns with these ids, as slot-string tuples."""
+        codes = _unpack(self.keys[:, ids], self.bits)
+        word_of = np.zeros(int(self.codes.max()) + 1, dtype=np.int64)
+        word_of[self.codes] = np.arange(len(self.words))
+        lengths = np.count_nonzero(codes, axis=1).tolist()
+        words = self.words
+        return [tuple(map(words.__getitem__, row[:n]))
+                for row, n in zip(word_of[codes].tolist(), lengths)]
+
+    @cached_property
+    def _word_index(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.words)}
+
+    def pattern_ids(self, patterns: list[Pattern]) -> np.ndarray:
+        """The id of each pattern, or -1 for a pattern never mined."""
+        lengths = np.fromiter(map(len, patterns), dtype=np.int64, count=len(patterns))
+        known = (lengths >= 2) & (lengths <= MAX_SLOTS)
+        n = lengths[known]
+        get = self._word_index.get
+        word = np.fromiter((get(s, -1) for p, fits in zip(patterns, known.tolist())
+                            if fits for s in p), dtype=np.int64, count=int(n.sum()))
+        row = np.repeat(np.flatnonzero(known), n)
+        col = np.arange(word.size) - np.repeat(np.cumsum(n) - n, n)
+        codes = np.zeros((len(patterns), MAX_SLOTS), dtype=np.int64)
+        codes[row, col] = self.codes[(col < np.repeat(n, n) - 1).astype(np.int64), word]
+        known[row[word < 0]] = False
+        return np.where(known, _find_keys(self.keys, _pack(codes, self.bits)), -1)
+
+
+def _window_arrays(index: CorpusIndex, pairs: list[TermPair], table: dict[TermPair, int],
+                   cap: Optional[int]) -> tuple[dict[str, np.ndarray], dict[TermPair, int]]:
+    """Per-window arrays over all pairs, and the windows mined per pair."""
+    owner, _doc, x, y, pre, post = _find_windows(index, pairs)
+    if cap is not None:
+        rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+        owner, x, y, pre, post = (a[rank < cap] for a in (owner, x, y, pre, post))
+    phrase_counts: dict[TermPair, int] = {}
+    for pair, n in zip(pairs, np.bincount(owner, minlength=len(pairs)).tolist()):
+        phrase_counts[pair] = phrase_counts.get(pair, 0) + n
+    x_len = np.array([len(p.x.tokens) for p in pairs], dtype=np.int64)
+    y_len = np.array([len(p.y.tokens) for p in pairs], dtype=np.int64)
+    ids = np.array([table[p] for p in pairs], dtype=np.int32)
+    rev = np.array([table[p.reversed()] for p in pairs], dtype=np.int32)
+    win = {"pair": ids[owner], "rev": rev[owner], "x": x, "x_end": x + x_len[owner],
+           "y": y, "y_end": y + y_len[owner], "pre": pre, "post": post}
+    win["mid"] = win["y"] - win["x_end"]
+    return win, phrase_counts
+
+
+def _alphabet(index: CorpusIndex, win: dict[str, np.ndarray]
+              ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The slot strings and their codes, and the codes of the window tokens.
+
+    Returns the sorted slot strings, their (2, n) codes, the sorted ids
+    of the tokens seen in windows and those tokens' (2, n_tokens) codes.
+    Row 0 codes a string as a pattern's last slot, row 1 as an inner one.
+    """
+    seen = [index.ids[win["x"][win["pre"] > 0] - 1],
+            index.ids[win["y_end"][win["post"] > 0]]]
+    seen += [index.ids[win["x_end"][win["mid"] > k] + k] for k in range(MAX_MID)]
+    token_ids = np.unique(np.concatenate(seen))
+    words = [index.vocab[t] for t in token_ids.tolist()]   # sorted, as the vocabulary is
+    added = [m for m in MARKERS if not _holds(words, m)]
+    words = sorted(words + added)
+    is_token = np.ones(len(words), dtype=bool)
+    is_token[[bisect_left(words, m) for m in added]] = False
+    pieces = words + [w + " " for w in words]
+    codes = np.empty(len(pieces), dtype=np.int64)
+    codes[sorted(range(len(pieces)), key=pieces.__getitem__)] = np.arange(1, len(pieces) + 1)
+    codes = codes.reshape(2, len(words))
+    return words, codes, token_ids, codes[:, is_token]
+
+
+def _holds(words: list[str], word: str) -> bool:
+    at = bisect_left(words, word)
+    return at < len(words) and words[at] == word
+
+
+def _variants(index: CorpusIndex, win: dict[str, np.ndarray], words: list[str],
+              codes: np.ndarray, token_ids: np.ndarray,
+              token_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packed codes and pair ids of every distinct variant of every window.
+
+    Windows are taken one shape (pre, mid, post) at a time, so that the
+    free slots sit at fixed columns. Direct variants go to the window's
+    pair; the exchanged ones, the same codes with X and Y swapped, to the
+    reversed pair.
+    """
+    marker = {(m, last): int(codes[int(not last), bisect_left(words, m)])
+              for m in MARKERS for last in (False, True)}
+    swap = np.arange(int(codes.max()) + 1)
+    for last in (False, True):
+        x, y = marker[X_SLOT, last], marker[Y_SLOT, last]
+        swap[x], swap[y] = y, x
+    bits = int(codes.max()).bit_length()
+    keys, owners = [], []
+    for pre, mid, post in itertools.product(range(MAX_PRE + 1), range(MAX_MID + 1),
+                                            range(MAX_POST + 1)):
+        sel = np.flatnonzero((win["pre"] == pre) & (win["mid"] == mid)
+                             & (win["post"] == post))
+        if not sel.size:
+            continue
+        n_slots = pre + mid + post + 2
+        free = ([(k, win["x"][sel] - pre + k) for k in range(pre)]
+                + [(pre + 1 + k, win["x_end"][sel] + k) for k in range(mid)]
+                + [(pre + mid + 2 + k, win["y_end"][sel] + k) for k in range(post)])
+        base = np.zeros((sel.size, MAX_SLOTS), dtype=np.int64)
+        star = np.zeros(MAX_SLOTS, dtype=np.int64)
+        base[:, pre] = marker[X_SLOT, False]
+        base[:, pre + mid + 1] = marker[Y_SLOT, not post]
+        for col, pos in free:
+            last = col == n_slots - 1
+            token = np.searchsorted(token_ids, index.ids[pos])
+            base[:, col] = token_codes[int(not last), token]
+            star[col] = marker[WILDCARD, last]
+        # Packing is bit concatenation, so a variant's key is the window's
+        # key with the wildcarded fields cleared and filled with "*".
+        masks = np.arange(1 << len(free))
+        cols = [col for col, _pos in free]
+        wild = np.zeros((masks.size, MAX_SLOTS), dtype=bool)
+        wild[:, cols] = masks[:, None] >> np.arange(len(free)) & 1
+        hold = _pack(np.where(wild, 0, (1 << bits) - 1), bits)[:, None, :]
+        fill = _pack(np.where(wild, star, 0), bits)[:, None, :]
+        # A literal "*" kept and wildcarded gives one pattern, counted once.
+        literal = (base[:, cols] == star[cols]) @ (1 << np.arange(len(free)))
+        kept = (literal[:, None] & masks == 0).ravel()
+        for slots, owner in ((base, win["pair"]), (swap[base], win["rev"])):
+            variant = _pack(slots, bits)[:, :, None] & hold | fill
+            keys.append(variant.reshape(variant.shape[0], -1)[:, kept])
+            owners.append(np.repeat(owner[sel], masks.size)[kept])
+    n_words = -(-MAX_SLOTS * bits // 64)
+    return (np.concatenate(keys, axis=1) if keys else np.zeros((n_words, 0), np.uint64),
+            np.concatenate(owners) if owners else np.zeros(0, np.int32))
 
 
 def mine_patterns(index: CorpusIndex, pairs: list[TermPair],
@@ -161,17 +325,32 @@ def mine_patterns(index: CorpusIndex, pairs: list[TermPair],
     """Retrieve phrases for every pair and accumulate pattern statistics.
 
     `max_phrases_per_pair` caps the windows processed per ordered pair
-    (a guard for degenerate corpora); None means unlimited.
+    (a guard for degenerate corpora): the first N in (document, x start,
+    y start) order. None means unlimited.
     """
-    stats = PatternStats()
-    for pair in pairs:
-        occs = search_phrases(index, pair)
-        if max_phrases_per_pair is not None:
-            occs = occs[:max_phrases_per_pair]
-        stats.phrase_counts.setdefault(pair, 0)
-        for occ in occs:
-            stats.add_window(pair, occ)
-    return stats
+    if max_phrases_per_pair is not None and max_phrases_per_pair < 1:
+        raise ConfigError(f"max_phrases_per_pair must be >= 1 or None, "
+                          f"got {max_phrases_per_pair}")
+    table = list(dict.fromkeys([*pairs, *(p.reversed() for p in pairs)]))
+    win, phrase_counts = _window_arrays(
+        index, pairs, {p: i for i, p in enumerate(table)}, max_phrases_per_pair)
+    words, codes, token_ids, token_codes = _alphabet(index, win)
+    keys, owner = _variants(index, win, words, codes, token_ids, token_codes)
+
+    order = np.lexsort((owner, *keys[::-1]))
+    keys, owner = keys[:, order], owner[order]
+    new_pattern = np.ones(owner.size, dtype=bool)
+    new_pattern[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    new_entry = new_pattern.copy()
+    new_entry[1:] |= owner[1:] != owner[:-1]
+    entry = np.flatnonzero(new_entry)
+    first = np.flatnonzero(new_pattern[entry])
+    starts = np.append(first, entry.size)
+    return PatternStats(
+        pairs=table, phrase_counts=phrase_counts, words=words, codes=codes,
+        keys=keys[:, entry[first]], starts=starts, entry_pair=owner[entry],
+        entry_count=np.diff(entry, append=owner.size),
+        column_order=np.argsort(-np.diff(starts), kind="stable"))
 
 
 def prune_rows(pairs: list[TermPair],
@@ -185,13 +364,12 @@ def select_columns(stats: PatternStats, t: int, n_r: int) -> list[Pattern]:
     """Top t*n_r patterns by number of distinct generating pairs.
 
     Ties are broken by ascending lexicographic serialization so the
-    selection (and everything downstream) is reproducible.
+    selection (and everything downstream) is reproducible. The order is
+    computed once at mining; this decodes a prefix of it.
     """
     if t <= 0:
         raise ConfigError(f"column factor t must be positive, got {t}")
-    counts = stats.generating_pair_counts()
-    ordered = sorted(counts, key=lambda p: (-counts[p], serialize_pattern(p)))
-    return ordered[:min(t * n_r, len(ordered))]
+    return stats.decode(stats.column_order[:t * n_r])
 
 
 def build_frequency_matrix(rows: list[TermPair], cols: list[Pattern],
@@ -205,16 +383,18 @@ def build_frequency_matrix(rows: list[TermPair], cols: list[Pattern],
         raise RelmapError("duplicate row labels in frequency matrix")
     if len(set(cols)) != len(cols):
         raise RelmapError("duplicate column labels in frequency matrix")
-    col_index = {c: j for j, c in enumerate(cols)}
-    data, ii, jj = [], [], []
+    row_of = np.full(len(stats.pairs), -1, dtype=np.int64)
+    table = {pair: i for i, pair in enumerate(stats.pairs)}
     for i, pair in enumerate(rows):
-        for pattern, count in stats.counts.get(pair, {}).items():
-            j = col_index.get(pattern)
-            if j is not None and count:
-                ii.append(i)
-                jj.append(j)
-                data.append(float(count))
-    mat = sp.csr_matrix((data, (ii, jj)), shape=(len(rows), len(cols)))
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    return mat
+        if pair in table:
+            row_of[table[pair]] = i
+    ids = stats.pattern_ids(cols)
+    col = np.flatnonzero(ids >= 0)
+    first = stats.starts[ids[col]]
+    n = stats.starts[ids[col] + 1] - first
+    entry = np.repeat(first - np.cumsum(n) + n, n) + np.arange(int(n.sum()))
+    ii = row_of[stats.entry_pair[entry]]
+    kept = ii >= 0
+    data = stats.entry_count[entry[kept]].astype(np.float64)
+    return sp.csr_matrix((data, (ii[kept], np.repeat(col, n)[kept])),
+                         shape=(len(rows), len(cols)))

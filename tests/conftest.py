@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from relmap.corpus import ingest, ingest_dir
 from relmap.dataset import Dataset
+from relmap.patterns import build_frequency_matrix, select_columns
 from relmap.planted import PlantedConfig, generate_planted_corpus
 
 
@@ -18,6 +19,14 @@ def write_corpus(tmp_path, texts, prefix="doc"):
         p.write_text(text, encoding="utf-8")
         paths.append(p)
     return ingest(paths)
+
+
+def mined_counts(stats, pairs):
+    """{pair: {pattern: count}} of mined statistics, read through the matrix."""
+    cols = select_columns(stats, t=max(1, len(stats.column_order)), n_r=1)
+    F = build_frequency_matrix(pairs, cols, stats)
+    return {pair: {cols[j]: int(F[i, j]) for j in F[i].indices}
+            for i, pair in enumerate(pairs)}
 
 
 @pytest.fixture(scope="session")

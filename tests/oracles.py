@@ -5,7 +5,11 @@ shared code with the package beyond its public data types. The search
 references score and compare one mapping at a time, one Python call per
 mapping, as the slow reference for the package's block search core.
 The SVD references are the dense LAPACK and iterative `svds` backends,
-against which the package's one Gram eigendecomposition is checked.
+against which the package's one Gram eigendecomposition is checked. The
+pattern-mining reference takes its windows from `search_phrases` (itself
+checked against `scan_windows`), builds string patterns and counts them
+in dicts; the package's integer-coded miner must give the same counts,
+columns and matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
+from relmap.corpus import search_phrases
+from relmap.errors import RelmapError
 from relmap.terms import TermPair
 
 TIE_TOLERANCE = 1e-12
@@ -95,6 +101,138 @@ def enumerate_pattern_strings(window, x_span, y_span):
                     variant[pos] = "*"
             out.add(" ".join(variant))
     return out
+
+
+# --- string pattern mining ------------------------------------------------------
+# The dict-of-string-tuples miner that preceded the package's integer-coded
+# one: patterns are tuples of slot strings, counted per pair in dicts, and
+# the columns are ordered by sorting every pattern's serialized string.
+
+def swap_pattern(pattern):
+    """The same pattern with the X and Y holes exchanged."""
+    return tuple("Y" if s == "X" else "X" if s == "Y" else s for s in pattern)
+
+
+def is_template_shaped(pattern):
+    """True if the slot layout could come from a template window."""
+    holes = [i for i, s in enumerate(pattern) if s in ("X", "Y")]
+    if len(holes) != 2 or pattern[holes[0]] == pattern[holes[1]]:
+        return False
+    first, second = holes
+    return first <= 1 and (second - first - 1) <= 3 and (len(pattern) - second - 1) <= 1
+
+
+def _base_slots(phrase, pair):
+    (xs, xe), (ys, ye) = phrase.x_span, phrase.y_span
+    if tuple(phrase.window[xs:xe]) != pair.x.tokens or \
+       tuple(phrase.window[ys:ye]) != pair.y.tokens:
+        raise RelmapError(f"phrase window does not contain pair {pair.text!r} "
+                          f"at the recorded spans")
+    slots = []
+    free = []
+    i = 0
+    while i < len(phrase.window):
+        if i == xs:
+            slots.append("X")
+            i = xe
+        elif i == ys:
+            slots.append("Y")
+            i = ye
+        else:
+            free.append(len(slots))
+            slots.append(phrase.window[i])
+            i += 1
+    return slots, free
+
+
+def _wildcard_variants(slots, free):
+    out = set()
+    for mask in range(1 << len(free)):
+        variant = list(slots)
+        for bit, pos in enumerate(free):
+            if mask >> bit & 1:
+                variant[pos] = "*"
+        out.add(tuple(variant))
+    return out
+
+
+def generate_pattern_families(phrase, pair):
+    """(direct, exchanged) pattern sets for one window of `pair`."""
+    slots, free = _base_slots(phrase, pair)
+    direct = _wildcard_variants(slots, free)
+    return direct, {swap_pattern(p) for p in direct}
+
+
+def generate_patterns(phrase, pair):
+    """All patterns a window contributes, both hole assignments together."""
+    direct, swapped = generate_pattern_families(phrase, pair)
+    return direct | swapped
+
+
+class StringPatternStats:
+    """Occurrence counts per (pair, pattern) in dicts, plus per-pair phrase totals."""
+
+    def __init__(self):
+        self.counts = {}
+        self.phrase_counts = {}
+
+    def add_window(self, pair, phrase):
+        direct, swapped = generate_pattern_families(phrase, pair)
+        self.phrase_counts[pair] = self.phrase_counts.get(pair, 0) + 1
+        row = self.counts.setdefault(pair, {})
+        for p in direct:
+            row[p] = row.get(p, 0) + 1
+        rrow = self.counts.setdefault(pair.reversed(), {})
+        for p in swapped:
+            rrow[p] = rrow.get(p, 0) + 1
+
+    def count(self, pair, pattern):
+        return self.counts.get(pair, {}).get(pattern, 0)
+
+    def generating_pair_counts(self):
+        """Number of distinct pairs with a nonzero count, per pattern."""
+        out = {}
+        for row in self.counts.values():
+            for pattern in row:
+                out[pattern] = out.get(pattern, 0) + 1
+        return out
+
+
+def mine_patterns(index, pairs, max_phrases_per_pair=None):
+    """The first `max_phrases_per_pair` windows of each pair, turned into string patterns."""
+    stats = StringPatternStats()
+    for pair in pairs:
+        occs = search_phrases(index, pair)
+        if max_phrases_per_pair is not None:
+            occs = occs[:max_phrases_per_pair]
+        stats.phrase_counts.setdefault(pair, 0)
+        for occ in occs:
+            stats.add_window(pair, occ)
+    return stats
+
+
+def select_columns(stats, t, n_r):
+    """Top t*n_r patterns by (-generating pairs, serialized string)."""
+    counts = stats.generating_pair_counts()
+    ordered = sorted(counts, key=lambda p: (-counts[p], " ".join(p)))
+    return ordered[:min(t * n_r, len(ordered))]
+
+
+def build_frequency_matrix(rows, cols, stats):
+    """Frequency matrix from the count dicts, one cell at a time."""
+    col_index = {c: j for j, c in enumerate(cols)}
+    data, ii, jj = [], [], []
+    for i, pair in enumerate(rows):
+        for pattern, count in stats.counts.get(pair, {}).items():
+            j = col_index.get(pattern)
+            if j is not None and count:
+                ii.append(i)
+                jj.append(j)
+                data.append(float(count))
+    mat = sp.csr_matrix((data, (ii, jj)), shape=(len(rows), len(cols)))
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    return mat
 
 
 def ppmi_cell(F, i, j):

@@ -11,13 +11,13 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import (brute_force_best, enumerate_pattern_strings,
-                     hybrid_probabilities, ppmi_cell)
+                     generate_patterns, hybrid_probabilities, ppmi_cell)
 from relmap.attributes import TableSimilarity
 from relmap.config import Config
 from relmap.corpus import PhraseOccurrence, ingest_dir
 from relmap.dataset import Dataset, builtin_dataset
 from relmap.evaluation import (accuracy, coherence_experiment, run_batch)
-from relmap.patterns import build_pair_list, generate_patterns, serialize_pattern
+from relmap.patterns import build_pair_list, serialize_pattern
 from relmap.planted import PlantedConfig, generate_planted_corpus
 from relmap.problems import MappingProblem
 from relmap.solver import (AttributionalScorer, RelationalScorer, solve,

@@ -209,6 +209,32 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert main(["eval", "--builtin", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_config_file_rejects_bad_phrase_cap(planted_paths, tmp_path, capsys, cap):
+    corpus, problems = planted_paths
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"max_phrases_per_pair = {cap}\n", encoding="utf-8")
+    report = tmp_path / "r.tsv"
+    assert main(["eval", problems, "--corpus", corpus, "--mode", "relational",
+                 "--config", str(cfg), "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: max_phrases_per_pair")
+    assert not report.exists()
+
+
+def test_config_file_takes_none_only_for_optional_keys(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = attributional\nmax_phrases_per_pair = none\n"
+                   "corpus_dir = none\ncache_dir = none\n", encoding="utf-8")
+    assert main(["eval", "--builtin", "--config", str(cfg),
+                 "--report", str(tmp_path / "r.tsv")]) == 0
+    for key in ("k", "t", "seed", "mode", "svd"):
+        cfg.write_text(f"{key} = none\n", encoding="utf-8")
+        assert main(["eval", "--builtin", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), err
+        assert "Traceback" not in err
+
+
 def test_bad_grid_is_usage_error(planted_paths, capsys):
     corpus, problems = planted_paths
     assert main(["sweep", problems, "--corpus", corpus,

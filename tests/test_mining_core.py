@@ -1,0 +1,169 @@
+"""The integer-coded miner against the string-pattern reference in oracles.
+
+Both mine the same index and pair list; the phrase counts, the pruned
+rows, the ordered column selection at several t and the frequency
+matrix (values and positions) must be identical.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from relmap.config import Config
+from relmap.corpus import CorpusIndex
+from relmap.dataset import Dataset
+from relmap.errors import ConfigError
+from relmap.evaluation import sensitivity_sweep
+from relmap.patterns import (build_frequency_matrix, mine_patterns, prune_rows,
+                             select_columns, serialize_pattern)
+from relmap.terms import Term, TermPair
+
+from conftest import mined_counts
+
+# "a\x01" sorts after "a" but "a\x01 X" before "a X"; "X" and "*" equal the
+# marker strings, which a tokenizer that keeps case and punctuation emits.
+# Terms come from the first four tokens, so most pairs have windows and
+# many patterns have several generating pairs.
+ALPHABET = ["a", "b", "a\x01", "c", "a\x00b", "b\x1b", "X", "*"]
+T_VALUES = (1, 2, 3, 7, 1000)
+
+terms = st.lists(st.sampled_from(ALPHABET[:4]), min_size=1, max_size=2).map(
+    lambda t: Term(tokens=tuple(t)))
+pairs_st = st.lists(st.tuples(terms, terms).filter(lambda xy: xy[0] != xy[1])
+                    .map(lambda xy: TermPair(*xy)), max_size=8)
+documents = st.lists(st.lists(st.sampled_from(ALPHABET), max_size=40),
+                     min_size=1, max_size=4)
+caps = st.one_of(st.none(), st.integers(1, 3))
+
+
+def assert_same_mining(index, pairs, cap):
+    stats = mine_patterns(index, pairs, max_phrases_per_pair=cap)
+    ref = oracles.mine_patterns(index, pairs, max_phrases_per_pair=cap)
+    assert stats.phrase_counts == ref.phrase_counts
+    rows = prune_rows(pairs, stats.phrase_counts)
+    assert rows == prune_rows(pairs, ref.phrase_counts)
+    rows = list(dict.fromkeys(rows))   # a pair listed twice is mined twice
+    n_r = max(len(rows), 1)
+    for t in T_VALUES:
+        cols = select_columns(stats, t, n_r)
+        assert cols == oracles.select_columns(ref, t, n_r)
+        F = build_frequency_matrix(rows, cols, stats)
+        G = oracles.build_frequency_matrix(rows, cols, ref)
+        assert F.shape == G.shape
+        assert F.dtype == G.dtype
+        assert np.array_equal(F.indptr, G.indptr)
+        assert np.array_equal(F.indices, G.indices)
+        assert np.array_equal(F.data, G.data)
+    table = list(ref.counts)
+    assert mined_counts(stats, table) == {p: ref.counts[p] for p in table}
+    return stats
+
+
+@given(docs=documents, pairs=pairs_st, cap=caps, block=st.sampled_from([1, 3, 1 << 18]))
+@settings(max_examples=300, deadline=None)
+def test_random_corpora_match_reference(docs, pairs, cap, block):
+    # Small blocks make the window search split the pairs into batches.
+    with mock.patch("relmap.corpus._X_BLOCK", block):
+        assert_same_mining(CorpusIndex.from_token_lists(docs), pairs, cap)
+
+
+@given(docs=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=60),
+                     min_size=1, max_size=3),
+       cap=caps)
+@settings(max_examples=60, deadline=None)
+def test_multiword_terms_and_missing_reverses(docs, cap):
+    x, y, z = (Term(tokens=t) for t in (("a", "b"), ("c",), ("d", "a")))
+    pairs = [TermPair(x, y), TermPair(y, z), TermPair(z, x), TermPair(x, z),
+             TermPair(Term(tokens=("q",)), x)]   # "q" never occurs
+    assert_same_mining(CorpusIndex.from_token_lists(docs), pairs, cap)
+
+
+def test_wide_alphabet_packs_codes_across_words():
+    rng = np.random.default_rng(5)
+    fillers = [f"f{i}" for i in range(3000)] + [f"f{i}\x01" for i in range(300)]
+    docs = [[str(w) for w in rng.choice(["a", "b", "c"] + fillers, size=400,
+                                        p=[0.1] * 3 + [0.7 / len(fillers)] * len(fillers))]
+            for _ in range(10)]
+    a, b, c = (Term(tokens=(t,)) for t in "abc")
+    pairs = [TermPair(a, b), TermPair(b, c), TermPair(c, a), TermPair(a, c)]
+    stats = assert_same_mining(CorpusIndex.from_token_lists(docs), pairs, None)
+    assert stats.keys.shape[0] >= 2   # slot codes straddle uint64 words
+
+
+def index_of(*docs):
+    return CorpusIndex.from_token_lists([doc.split() for doc in docs])
+
+
+def test_columns_ordered_by_generating_pairs():
+    pairs = [TermPair.parse("x", "y"), TermPair.parse("a", "b")]
+    stats = assert_same_mining(index_of("x w y", "a w b", "x v y"), pairs, None)
+    assert [serialize_pattern(c) for c in select_columns(stats, 3, 2)] == [
+        "X * Y", "X w Y", "Y * X", "Y w X", "X v Y", "Y v X"]
+    counts = mined_counts(stats, pairs)
+    assert counts[pairs[0]] == {("X", "*", "Y"): 2, ("X", "w", "Y"): 1, ("X", "v", "Y"): 1}
+    assert counts[pairs[1]] == {("X", "*", "Y"): 1, ("X", "w", "Y"): 1}
+
+
+def test_unmined_columns_are_zero():
+    pair = TermPair.parse("x", "y")
+    stats = assert_same_mining(index_of("x w y"), [pair], None)
+    cols = [("X", "zz", "Y"), ("X", "w", "Y"), ("X",), ("X", "w", "w", "w", "w", "w", "Y"),
+            ("w", "X", "w", "Y")]
+    assert build_frequency_matrix([pair], cols, stats).toarray().tolist() == \
+        [[0.0, 1.0, 0.0, 0.0, 0.0]]
+
+
+def test_reverse_outside_pair_list_gets_counts():
+    pair = TermPair.parse("x", "y")
+    stats = assert_same_mining(index_of("u x w y v"), [pair], None)
+    assert mined_counts(stats, [pair.reversed()])[pair.reversed()][("u", "Y", "w", "X", "v")] == 1
+    assert stats.phrase_counts == {pair: 1}
+
+
+def test_pairs_without_windows():
+    pairs = [TermPair.parse("x", "y"), TermPair.parse("p", "q")]
+    stats = assert_same_mining(index_of("x y", "p z z z z q"), pairs, None)
+    assert stats.phrase_counts == {pairs[0]: 1, pairs[1]: 0}
+    empty = assert_same_mining(index_of("x y"), [], None)
+    assert select_columns(empty, 5, 1) == []
+    assert build_frequency_matrix([], [], empty).shape == (0, 0)
+
+
+def test_below_space_token_orders_as_serialized():
+    # One window each, so every pattern has one generating pair and the
+    # serialized string alone orders them.
+    pairs = [TermPair.parse("x", "y")]
+    index = CorpusIndex.from_token_lists([["a", "x", "y"], ["a\x01", "x", "y"]])
+    stats = assert_same_mining(index, pairs, None)
+    cols = [serialize_pattern(c) for c in select_columns(stats, 100, 1)]
+    assert cols.index("a\x01 X Y") < cols.index("a X Y")
+    assert ("a", "X", "Y") < ("a\x01", "X", "Y")
+
+
+def test_cap_takes_first_windows_in_corpus_order():
+    pair = TermPair.parse("x", "y")
+    index = index_of("x y a x b y", "c x y")   # three windows
+    for cap in (1, 2, 3):
+        stats = assert_same_mining(index, [pair], cap)
+        assert stats.phrase_counts[pair] == min(cap, 3)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_bad_cap_is_refused(cap):
+    with pytest.raises(ConfigError):
+        mine_patterns(index_of("x y"), [TermPair.parse("x", "y")], max_phrases_per_pair=cap)
+
+
+def test_sweep_over_t_matches_separate_runs(planted_all):
+    data, index = planted_all
+    dataset = Dataset(data.problems)
+    grid = [1, 3, 20]
+    swept = sensitivity_sweep(dataset, Config(k=20), index, t_grid=grid)
+    for t, row in zip(grid, swept.rows):
+        alone = sensitivity_sweep(dataset, Config(k=20, t=t), index).rows[0]
+        assert (row.k, row.t, row.n_c, row.accuracy) == \
+            (alone.k, alone.t, alone.n_c, alone.accuracy)

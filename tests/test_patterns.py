@@ -2,18 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_pattern_strings
-from relmap.corpus import PhraseOccurrence
+import oracles
+from oracles import (enumerate_pattern_strings, generate_patterns,
+                     is_template_shaped, swap_pattern)
+from relmap.corpus import CorpusIndex, PhraseOccurrence
 from relmap.dataset import builtin_dataset
 from relmap.errors import ConfigError, DataError, RelmapError
-from relmap.patterns import (PatternStats, build_frequency_matrix,
-                             build_pair_list, generate_patterns,
-                             is_template_shaped, mine_patterns, prune_rows,
-                             select_columns, serialize_pattern, swap_pattern)
+from relmap.patterns import (build_frequency_matrix, build_pair_list,
+                             mine_patterns, prune_rows, select_columns,
+                             serialize_pattern)
 from relmap.problems import MappingProblem
 from relmap.terms import TermPair
 
-from conftest import write_corpus
+from conftest import mined_counts, write_corpus
 
 
 def occurrence(window, x_span, y_span, pre, mid, post):
@@ -29,6 +30,13 @@ WORKED_PAIR = TermPair.parse("sun", "solar system")
 
 # --- pattern generation -----------------------------------------------------
 
+def mined_patterns(window, pair):
+    """Patterns the package mines from a one-window corpus, both pairs together."""
+    stats = mine_patterns(CorpusIndex.from_token_lists([list(window)]), [pair])
+    mined = mined_counts(stats, [pair, pair.reversed()])
+    return set(mined[pair]) | set(mined[pair.reversed()])
+
+
 def test_worked_example_sixteen_patterns():
     pats = generate_patterns(WORKED, WORKED_PAIR)
     assert len(pats) == 16
@@ -37,6 +45,7 @@ def test_worked_example_sixteen_patterns():
     assert "a X * Y illustrates" in texts
     assert "a Y centered X *" in texts
     assert texts == enumerate_pattern_strings(WORKED.window, (1, 2), (3, 5))
+    assert mined_patterns(WORKED.window, WORKED_PAIR) == pats
 
 
 def test_two_token_window():
@@ -82,6 +91,7 @@ def test_pattern_count_law(pre, mid, post, x_len, y_len, data):
     assert all(is_template_shaped(p) for p in pats)
     assert {serialize_pattern(p) for p in pats} == \
         enumerate_pattern_strings(window, xs, ys)
+    assert mined_patterns(window, pair) == pats
 
 
 @given(pre=st.integers(0, 1), mid=st.integers(0, 3), post=st.integers(0, 1),
@@ -177,12 +187,11 @@ def stats_from_corpus(tmp_path, texts, pair_texts):
 
 def test_select_columns_orders_by_generating_pairs(tmp_path):
     # "x w y" occurs for two pairs, "x v y" for one
-    pairs, stats = stats_from_corpus(
-        tmp_path,
-        ["x w y . a w b . x v y"],
-        [("x", "y"), ("a", "b")])
+    index = write_corpus(tmp_path, ["x w y . a w b . x v y"])
+    pairs = [TermPair.parse("x", "y"), TermPair.parse("a", "b")]
+    stats = mine_patterns(index, pairs)
     cols = select_columns(stats, t=100, n_r=2)
-    counts = stats.generating_pair_counts()
+    counts = oracles.mine_patterns(index, pairs).generating_pair_counts()
     for earlier, later in zip(cols, cols[1:]):
         assert (-counts[earlier], serialize_pattern(earlier)) <= \
             (-counts[later], serialize_pattern(later))
@@ -230,8 +239,9 @@ def test_matrix_mirrors_counts_for_reversed_rows(tmp_path):
     pair = TermPair.parse("x", "y")
     rev = pair.reversed()
     stats = mine_patterns(index, [pair, rev])
-    for pattern, count in stats.counts[pair].items():
-        assert stats.counts[rev][swap_pattern(pattern)] == count
+    counts = mined_counts(stats, [pair, rev])
+    for pattern, count in counts[pair].items():
+        assert counts[rev][swap_pattern(pattern)] == count
 
 
 def test_matrix_doubles_with_corpus(tmp_path):
@@ -265,7 +275,7 @@ def test_matrix_row_sum_bounded_by_phrases(tmp_path):
 
 def test_matrix_rejects_duplicate_labels(tmp_path):
     pair = TermPair.parse("x", "y")
-    stats = PatternStats()
+    stats = mine_patterns(write_corpus(tmp_path, ["x y"]), [pair])
     with pytest.raises(RelmapError):
         build_frequency_matrix([pair, pair], [], stats)
 
@@ -275,9 +285,10 @@ def test_generating_pair_counts_match_nonzero_rows(tmp_path):
     pairs = [TermPair.parse("x", "y"), TermPair.parse("y", "x"),
              TermPair.parse("a", "b"), TermPair.parse("b", "a")]
     stats = mine_patterns(index, pairs)
-    counts = stats.generating_pair_counts()
+    counts = oracles.mine_patterns(index, pairs).generating_pair_counts()
+    mined = mined_counts(stats, pairs)
     for pattern, n in counts.items():
-        nonzero = sum(1 for pair in pairs if stats.count(pair, pattern) > 0)
+        nonzero = sum(1 for pair in pairs if mined[pair].get(pattern, 0) > 0)
         assert n == nonzero
 
 
@@ -296,7 +307,7 @@ def test_matrix_allows_all_zero_rows(tmp_path):
     xy = TermPair.parse("x", "y")
     ab = TermPair.parse("a", "b")
     stats = mine_patterns(index, [xy, ab])
-    cols = [p for p in stats.counts[xy]]  # only xy-generated patterns
+    cols = list(mined_counts(stats, [xy])[xy])  # only xy-generated patterns
     F = build_frequency_matrix([xy, ab], cols, stats)
     assert F[0].nnz > 0
     assert F[1].nnz == 0
