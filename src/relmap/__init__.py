@@ -8,8 +8,7 @@ hybrid scoring, and coherence experiments ride on the same machinery.
 """
 
 from .attributes import (CombinedSimilarity, PmiIrSimilarity, PosSimilarity,
-                         TableSimilarity, combine_with_pos,
-                         load_external_similarity, load_pos_tags)
+                         TableSimilarity, load_external_similarity)
 from .config import Config, load_config_file
 from .corpus import (CorpusIndex, PhraseOccurrence, cached_index,
                      cooccurrence_counts, ingest, ingest_dir, load_index,
@@ -26,8 +25,7 @@ from .patterns import (PatternStats, build_frequency_matrix, build_pair_list,
 from .planted import PlantedConfig, PlantedData, generate_planted_corpus
 from .problems import Mapping, MappingProblem
 from .solver import (AttributionalScorer, RelationalScorer, SolveResult,
-                     enumerate_mappings, evaluate_proportional, solve,
-                     solve_constrained, solve_hybrid)
+                     solve, solve_constrained, solve_hybrid)
 from .space import (RelationSpace, build_space, build_space_from_matrix,
                     transform_log_entropy, transform_ppmic, truncated_svd)
 from .terms import Term, TermPair, Tokenizer

@@ -133,24 +133,3 @@ class CombinedSimilarity:
     def sim(self, a: Term, b: Term) -> float:
         return self.base.sim(a, b) + self.pos.sim(a, b)
 
-
-def combine_with_pos(base, pos: PosSimilarity) -> CombinedSimilarity:
-    return CombinedSimilarity(base, pos)
-
-
-def load_pos_tags(path: str | Path) -> dict[str, str]:
-    """POS tag table from `term<TAB>tag` lines."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read POS tag file {p}: {exc}") from exc
-    tags: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{p}:{lineno}: expected term<TAB>tag")
-        tags[Term.parse(parts[0]).text] = parts[1].strip()
-    return tags

@@ -204,8 +204,6 @@ def cmd_solve(args) -> int:
     index = _index_for(cfg)
     space = None
     if cfg.mode != "attributional":
-        if index is None:
-            raise UsageError(f"mode {cfg.mode!r} needs --corpus")
         space, _ = build_space_for_problems(index, list(dataset), cfg)
     chunks = []
     refused = False
@@ -244,8 +242,6 @@ def cmd_sweep(args) -> int:
     cfg.mode = "relational"
     dataset = _load_dataset(args)
     index = _index_for(cfg)
-    if index is None:
-        raise UsageError("sweep needs --corpus")
     report = sensitivity_sweep(
         dataset, cfg, index,
         k_grid=_parse_grid(args.k) if args.k else None,

@@ -158,12 +158,6 @@ class CorpusIndex:
     def _doc_of(self, pos: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.doc_offsets, pos, side="right") - 1
 
-    def occurrences(self, term: Term) -> list[tuple[int, int]]:
-        """All (doc, start) positions where the term's token run occurs."""
-        pos = self._starts(term)
-        doc = self._doc_of(pos)
-        return list(zip(doc.tolist(), (pos - self.doc_offsets[doc]).tolist()))
-
 
 def ingest(paths: list[str | Path], tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> CorpusIndex:
     """Build an index over the given files, in the given order.

@@ -219,10 +219,7 @@ def run_batch(dataset: Dataset, config: Config,
     for result in results:
         problem = result.problem
         acc = accuracy(result.mapping, problem.intended_mapping())
-        agreement = None
-        if problem.agreement:
-            values = [problem.agreement[t.text] for t in problem.source]
-            agreement = sum(values) / len(values)
+        agreement = dataset.mean_agreement(problem) if problem.agreement else None
         rows.append(ReportRow(problem_id=problem.id, mnemonic=problem.mnemonic,
                               m=problem.m, accuracy=acc,
                               tie_count=result.tie_count, agreement=agreement))

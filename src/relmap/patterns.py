@@ -60,6 +60,10 @@ Array layout of `PatternStats`, for P distinct patterns and E nonzero
   the number of windows, ordered by (pattern, pair).
 - ``column_order``: pattern ids by (-generating pairs, serialized
   order), computed once; `select_columns` takes a prefix of it.
+
+Matrix columns stay pattern ids from selection to F: `select_columns`
+returns ids and `build_frequency_matrix` takes them. `PatternStats.decode`
+is the one way to read a column as a pattern.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -140,26 +143,6 @@ def _unpack(words: np.ndarray, bits: int) -> np.ndarray:
     return codes.astype(np.int64)
 
 
-def _find_keys(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Column of each query in the lexicographically sorted key columns, or -1."""
-    n = keys.shape[1]
-    lo = np.zeros(queries.shape[1], dtype=np.int64)
-    hi = np.full(queries.shape[1], n, dtype=np.int64)
-    while (open_ := lo < hi).any():
-        mid = (lo + hi) // 2
-        probe = keys[:, np.minimum(mid, n - 1)]
-        less = np.zeros(lo.size, dtype=bool)
-        equal = np.ones(lo.size, dtype=bool)
-        for w in range(keys.shape[0]):
-            less |= equal & (probe[w] < queries[w])
-            equal &= probe[w] == queries[w]
-        lo = np.where(open_ & less, mid + 1, lo)
-        hi = np.where(open_ & ~less, mid, hi)
-    found = lo < n
-    found[found] = (keys[:, lo[found]] == queries[:, found]).all(axis=0)
-    return np.where(found, lo, -1)
-
-
 # --- statistics ---------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -193,25 +176,6 @@ class PatternStats:
         words = self.words
         return [tuple(map(words.__getitem__, row[:n]))
                 for row, n in zip(word_of[codes].tolist(), lengths)]
-
-    @cached_property
-    def _word_index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.words)}
-
-    def pattern_ids(self, patterns: list[Pattern]) -> np.ndarray:
-        """The id of each pattern, or -1 for a pattern never mined."""
-        lengths = np.fromiter(map(len, patterns), dtype=np.int64, count=len(patterns))
-        known = (lengths >= 2) & (lengths <= MAX_SLOTS)
-        n = lengths[known]
-        get = self._word_index.get
-        word = np.fromiter((get(s, -1) for p, fits in zip(patterns, known.tolist())
-                            if fits for s in p), dtype=np.int64, count=int(n.sum()))
-        row = np.repeat(np.flatnonzero(known), n)
-        col = np.arange(word.size) - np.repeat(np.cumsum(n) - n, n)
-        codes = np.zeros((len(patterns), MAX_SLOTS), dtype=np.int64)
-        codes[row, col] = self.codes[(col < np.repeat(n, n) - 1).astype(np.int64), word]
-        known[row[word < 0]] = False
-        return np.where(known, _find_keys(self.keys, _pack(codes, self.bits)), -1)
 
 
 def _window_arrays(index: CorpusIndex, pairs: list[TermPair], table: dict[TermPair, int],
@@ -360,41 +324,44 @@ def prune_rows(pairs: list[TermPair],
             if phrase_counts.get(p, 0) or phrase_counts.get(p.reversed(), 0)]
 
 
-def select_columns(stats: PatternStats, t: int, n_r: int) -> list[Pattern]:
-    """Top t*n_r patterns by number of distinct generating pairs.
+def select_columns(stats: PatternStats, t: int, n_r: int) -> np.ndarray:
+    """Ids of the top t*n_r patterns by number of distinct generating pairs.
 
     Ties are broken by ascending lexicographic serialization so the
     selection (and everything downstream) is reproducible. The order is
-    computed once at mining; this decodes a prefix of it.
+    computed once at mining; this is an int64 prefix of it, and
+    `stats.decode` reads the selected columns as patterns.
     """
     if t <= 0:
         raise ConfigError(f"column factor t must be positive, got {t}")
-    return stats.decode(stats.column_order[:t * n_r])
+    return stats.column_order[:t * n_r]
 
 
-def build_frequency_matrix(rows: list[TermPair], cols: list[Pattern],
+def build_frequency_matrix(rows: list[TermPair], cols: np.ndarray,
                            stats: PatternStats) -> sp.csr_matrix:
     """Assemble the sparse pair-pattern frequency matrix from the records.
 
-    No corpus re-search happens here; entry (i, j) is the number of
-    windows of pair i that reproduce pattern j.
+    `cols` holds pattern ids, as `select_columns` returns them. No corpus
+    re-search happens here; entry (i, j) is the number of windows of
+    pair i that reproduce pattern cols[j].
     """
     if len(set(rows)) != len(rows):
         raise RelmapError("duplicate row labels in frequency matrix")
-    if len(set(cols)) != len(cols):
-        raise RelmapError("duplicate column labels in frequency matrix")
+    ids = np.asarray(cols, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= len(stats.starts) - 1):
+        raise RelmapError("frequency matrix column is not a mined pattern id")
+    if np.unique(ids).size != ids.size:
+        raise RelmapError("duplicate column ids in frequency matrix")
     row_of = np.full(len(stats.pairs), -1, dtype=np.int64)
     table = {pair: i for i, pair in enumerate(stats.pairs)}
     for i, pair in enumerate(rows):
         if pair in table:
             row_of[table[pair]] = i
-    ids = stats.pattern_ids(cols)
-    col = np.flatnonzero(ids >= 0)
-    first = stats.starts[ids[col]]
-    n = stats.starts[ids[col] + 1] - first
+    first = stats.starts[ids]
+    n = stats.starts[ids + 1] - first
     entry = np.repeat(first - np.cumsum(n) + n, n) + np.arange(int(n.sum()))
     ii = row_of[stats.entry_pair[entry]]
     kept = ii >= 0
     data = stats.entry_count[entry[kept]].astype(np.float64)
-    return sp.csr_matrix((data, (ii[kept], np.repeat(col, n)[kept])),
-                         shape=(len(rows), len(cols)))
+    return sp.csr_matrix((data, (ii[kept], np.repeat(np.arange(ids.size), n)[kept])),
+                         shape=(len(rows), ids.size))

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BudgetError, DataError
 from .problems import Mapping, MappingProblem
-from .terms import Term, TermPair
+from .terms import TermPair
 
 TIE_TOLERANCE = 1e-12
 DEFAULT_M_MAX = 10
@@ -107,16 +107,6 @@ def _mapping_blocks(m: int, sub_src: Sequence[int] = (),
                 block = np.hstack([np.repeat(chunk, len(tails), axis=0),
                                    np.tile(tails, (len(chunk), 1))])
                 yield block[:, columns]
-
-
-def enumerate_mappings(m: int, m_max: int = DEFAULT_M_MAX) -> Iterator[tuple[int, ...]]:
-    """All m! target-index permutations, lexicographically.
-
-    Refuses outright when m exceeds the budget, naming the m! that
-    would have been enumerated.
-    """
-    _check_budget(m, m_max)
-    return (tuple(row) for block in _mapping_blocks(m) for row in block.tolist())
 
 
 def _pair_sum(grids: np.ndarray, pairs: Sequence[tuple[int, int]]) -> Callable:
@@ -408,10 +398,8 @@ def solve_constrained(problem: MappingProblem, fixed: dict[str, str], scorer,
         sub_tgt = sorted(tgt_index[t] for t in fixed.values())
     except KeyError as exc:
         raise DataError(f"constraint names unknown term {exc.args[0]!r}") from exc
-    if len(sub_tgt) != len(set(fixed.values())) or len(sub_src) != len(fixed):
+    if len(set(fixed.values())) != len(fixed):
         raise DataError("constraint is not injective")
-    if len(sub_src) != len(sub_tgt):
-        raise DataError("constraint sides have different sizes")
 
     sub_intended = {}
     if problem.intended and all(s in problem.intended for s in fixed):
@@ -430,7 +418,6 @@ def solve_constrained(problem: MappingProblem, fixed: dict[str, str], scorer,
     if mode == "internal":
         result = solve(reduced, scorer, seed, tie_policy=tie_policy, m_max=m_max)
         result.diagnostics["mode"] = f"{scorer.mode}-internal"
-        result.diagnostics["search_size"] = result.diagnostics.pop("n_mappings")
         return result
 
     started = time.perf_counter()
@@ -448,11 +435,7 @@ def solve_constrained(problem: MappingProblem, fixed: dict[str, str], scorer,
         tie_count=found.tie_count,
         breakdown=scorer.explain(problem, perm),
         diagnostics={"mode": f"{scorer.mode}-total", "seed": seed,
-                     "search_size": found.n_mappings, "full_perm": list(perm),
+                     "n_mappings": found.n_mappings, "full_perm": list(perm),
                      "elapsed": time.perf_counter() - started},
     )
 
-
-def evaluate_proportional(space, a1: Term, a2: Term, b1: Term, b2: Term) -> float:
-    """Quality of the four-term analogy a1:a2 :: b1:b2."""
-    return space.sim_r(TermPair(a1, a2), TermPair(b1, b2))

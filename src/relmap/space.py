@@ -15,16 +15,14 @@ largest norm holds only rounding noise and is zeroed, not made a unit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, TransformError
-from .terms import Term, TermPair
+from .terms import TermPair
 
 # A row at or below this share of the largest row norm is noise; see above.
 _WEAK_ROW_SHARE = 1e-6
@@ -144,26 +142,6 @@ class RelationSpace:
         if i is None or j is None:
             return 0.0
         return float(self.W[i] @ self.W[j])
-
-    def save(self, path: str | Path) -> None:
-        labels = [[p.x.text, p.y.text] for p in self.row_index]
-        meta = {"k": self.k, "transform": self.transform,
-                "provenance": self.provenance}
-        np.savez(path, W=self.W, labels=json.dumps(labels), meta=json.dumps(meta))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RelationSpace":
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                W = data["W"]
-                labels = json.loads(str(data["labels"]))
-                meta = json.loads(str(data["meta"]))
-        except (OSError, KeyError, ValueError) as exc:
-            raise DataError(f"cannot load relation space {path}: {exc}") from exc
-        row_index = {TermPair(Term.parse(x), Term.parse(y)): i
-                     for i, (x, y) in enumerate(labels)}
-        return cls(row_index=row_index, W=W, k=meta["k"],
-                   transform=meta["transform"], provenance=meta["provenance"])
 
 
 def build_space(U_k: np.ndarray, sigma_k: np.ndarray,

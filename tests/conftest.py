@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -25,8 +26,23 @@ def mined_counts(stats, pairs):
     """{pair: {pattern: count}} of mined statistics, read through the matrix."""
     cols = select_columns(stats, t=max(1, len(stats.column_order)), n_r=1)
     F = build_frequency_matrix(pairs, cols, stats)
-    return {pair: {cols[j]: int(F[i, j]) for j in F[i].indices}
+    patterns = stats.decode(cols)
+    return {pair: {patterns[j]: int(F[i, j]) for j in F[i].indices}
             for i, pair in enumerate(pairs)}
+
+
+def column_ids(stats, patterns):
+    """The ids of mined patterns given as slot tuples, looked up through decode."""
+    every = np.arange(len(stats.starts) - 1)
+    id_of = {pattern: i for i, pattern in zip(every.tolist(), stats.decode(every))}
+    return np.array([id_of[p] for p in patterns], dtype=np.int64)
+
+
+def occurrences(index, term):
+    """All (doc, start) positions where the term's token run occurs."""
+    pos = index._starts(term)
+    doc = index._doc_of(pos)
+    return list(zip(doc.tolist(), (pos - index.doc_offsets[doc]).tolist()))
 
 
 @pytest.fixture(scope="session")

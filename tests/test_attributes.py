@@ -5,8 +5,7 @@ import pytest
 
 from relmap.attributes import (CombinedSimilarity, PmiIrSimilarity,
                                PosSimilarity, TableSimilarity,
-                               combine_with_pos, load_external_similarity,
-                               load_pos_tags)
+                               load_external_similarity)
 from relmap.corpus import cooccurrence_counts
 from relmap.dataset import builtin_dataset
 from relmap.errors import DataError
@@ -141,20 +140,12 @@ def test_external_bad_score_reports_number(tmp_path):
         load_external_similarity(path)
 
 
-def test_pos_tag_file_roundtrip(tmp_path):
-    path = tmp_path / "tags.tsv"
-    path.write_text("sun\tNN\nsolar system\tNN\nrevolves\tVBZ\n",
-                    encoding="utf-8")
-    tags = load_pos_tags(path)
-    assert tags == {"sun": "NN", "solar system": "NN", "revolves": "VBZ"}
-
-
 # --- combination ------------------------------------------------------------
 
 def test_combination_with_zero_base_equals_pos():
     tags = builtin_dataset().by_id("A1").pos_tags
     pos = PosSimilarity(tags)
-    combined = combine_with_pos(TableSimilarity({}), pos)
+    combined = CombinedSimilarity(TableSimilarity({}), pos)
     for a in ("sun", "planet", "attracts"):
         for b in ("nucleus", "electron", "attracts"):
             assert combined.sim(T(a), T(b)) == pos.sim(T(a), T(b))
@@ -163,7 +154,7 @@ def test_combination_with_zero_base_equals_pos():
 def test_combination_adds_values():
     pos = PosSimilarity({"sun": "NN", "nucleus": "NN"})
     base = TableSimilarity({("sun", "nucleus"): 2.5})
-    combined = combine_with_pos(base, pos)
+    combined = CombinedSimilarity(base, pos)
     assert combined.sim(T("sun"), T("nucleus")) == 12.5
 
 

@@ -139,6 +139,9 @@ def test_eval_builtin_pos_report(tmp_path):
 def test_eval_relational_mode_requires_corpus(capsys):
     assert main(["eval", "--builtin", "--mode", "relational"]) == 1
     assert "corpus" in capsys.readouterr().err
+    for argv in (["solve", "--builtin", "--mode", "hybrid-add"], ["sweep", "--builtin"]):
+        assert main(argv) == 1
+        assert "needs --corpus" in capsys.readouterr().err
 
 
 def test_eval_planted_relational_hundred(planted_paths, tmp_path):

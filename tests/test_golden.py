@@ -40,6 +40,10 @@ COMMANDS = {
                                 "--provider", "pmi-ir", "--out", "{out}"],
     "coherence_m8.tsv": ["coherence", "problems_m8.json", "--mode", "relational",
                          "--m-prime", "3", "--trials", "4", "--report", "{out}"],
+    "eval_relational_m8.tsv": ["eval", "problems_m8.json", "--mode", "relational",
+                               "--report", "{out}"],
+    "sweep_m8.tsv": ["sweep", "problems_m8.json", "--k", "20:60:20", "--t", "5:25:10",
+                     "--no-svd", "--transform", "logentropy", "--report", "{out}"],
 }
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -16,13 +16,13 @@ import oracles
 from relmap.config import Config
 from relmap.corpus import CorpusIndex
 from relmap.dataset import Dataset
-from relmap.errors import ConfigError
+from relmap.errors import ConfigError, RelmapError
 from relmap.evaluation import sensitivity_sweep
 from relmap.patterns import (build_frequency_matrix, mine_patterns, prune_rows,
                              select_columns, serialize_pattern)
 from relmap.terms import Term, TermPair
 
-from conftest import mined_counts
+from conftest import column_ids, mined_counts
 
 # "a\x01" sorts after "a" but "a\x01 X" before "a X"; "X" and "*" equal the
 # marker strings, which a tokenizer that keeps case and punctuation emits.
@@ -50,9 +50,11 @@ def assert_same_mining(index, pairs, cap):
     n_r = max(len(rows), 1)
     for t in T_VALUES:
         cols = select_columns(stats, t, n_r)
-        assert cols == oracles.select_columns(ref, t, n_r)
+        assert cols.dtype == np.int64
+        patterns = stats.decode(cols)
+        assert patterns == oracles.select_columns(ref, t, n_r)
         F = build_frequency_matrix(rows, cols, stats)
-        G = oracles.build_frequency_matrix(rows, cols, ref)
+        G = oracles.build_frequency_matrix(rows, patterns, ref)
         assert F.shape == G.shape
         assert F.dtype == G.dtype
         assert np.array_equal(F.indptr, G.indptr)
@@ -101,20 +103,28 @@ def index_of(*docs):
 def test_columns_ordered_by_generating_pairs():
     pairs = [TermPair.parse("x", "y"), TermPair.parse("a", "b")]
     stats = assert_same_mining(index_of("x w y", "a w b", "x v y"), pairs, None)
-    assert [serialize_pattern(c) for c in select_columns(stats, 3, 2)] == [
+    assert [serialize_pattern(c) for c in stats.decode(select_columns(stats, 3, 2))] == [
         "X * Y", "X w Y", "Y * X", "Y w X", "X v Y", "Y v X"]
     counts = mined_counts(stats, pairs)
     assert counts[pairs[0]] == {("X", "*", "Y"): 2, ("X", "w", "Y"): 1, ("X", "v", "Y"): 1}
     assert counts[pairs[1]] == {("X", "*", "Y"): 1, ("X", "w", "Y"): 1}
 
 
-def test_unmined_columns_are_zero():
+def test_unmined_columns_are_refused():
     pair = TermPair.parse("x", "y")
     stats = assert_same_mining(index_of("x w y"), [pair], None)
-    cols = [("X", "zz", "Y"), ("X", "w", "Y"), ("X",), ("X", "w", "w", "w", "w", "w", "Y"),
-            ("w", "X", "w", "Y")]
-    assert build_frequency_matrix([pair], cols, stats).toarray().tolist() == \
-        [[0.0, 1.0, 0.0, 0.0, 0.0]]
+    n_patterns = len(stats.starts) - 1
+    mined = stats.decode(np.arange(n_patterns))
+    for unmined in [("X", "zz", "Y"), ("X",), ("X", "w", "w", "w", "w", "w", "Y"),
+                    ("w", "X", "w", "Y")]:
+        assert unmined not in mined
+    ok = column_ids(stats, [("X", "w", "Y")])
+    assert build_frequency_matrix([pair], ok, stats).toarray().tolist() == [[1.0]]
+    for bad in ([-1], [n_patterns], [ok[0], n_patterns + 5]):
+        with pytest.raises(RelmapError, match="not a mined pattern id"):
+            build_frequency_matrix([pair], bad, stats)
+    with pytest.raises(RelmapError, match="duplicate column ids"):
+        build_frequency_matrix([pair], [ok[0], ok[0]], stats)
 
 
 def test_reverse_outside_pair_list_gets_counts():
@@ -129,7 +139,7 @@ def test_pairs_without_windows():
     stats = assert_same_mining(index_of("x y", "p z z z z q"), pairs, None)
     assert stats.phrase_counts == {pairs[0]: 1, pairs[1]: 0}
     empty = assert_same_mining(index_of("x y"), [], None)
-    assert select_columns(empty, 5, 1) == []
+    assert select_columns(empty, 5, 1).tolist() == []
     assert build_frequency_matrix([], [], empty).shape == (0, 0)
 
 
@@ -139,7 +149,7 @@ def test_below_space_token_orders_as_serialized():
     pairs = [TermPair.parse("x", "y")]
     index = CorpusIndex.from_token_lists([["a", "x", "y"], ["a\x01", "x", "y"]])
     stats = assert_same_mining(index, pairs, None)
-    cols = [serialize_pattern(c) for c in select_columns(stats, 100, 1)]
+    cols = [serialize_pattern(c) for c in stats.decode(select_columns(stats, 100, 1))]
     assert cols.index("a\x01 X Y") < cols.index("a X Y")
     assert ("a", "X", "Y") < ("a\x01", "X", "Y")
 

@@ -14,7 +14,7 @@ from relmap.patterns import (build_frequency_matrix, build_pair_list,
 from relmap.problems import MappingProblem
 from relmap.terms import TermPair
 
-from conftest import mined_counts, write_corpus
+from conftest import column_ids, mined_counts, write_corpus
 
 
 def occurrence(window, x_span, y_span, pre, mid, post):
@@ -186,17 +186,17 @@ def stats_from_corpus(tmp_path, texts, pair_texts):
 
 
 def test_select_columns_orders_by_generating_pairs(tmp_path):
-    # "x w y" occurs for two pairs, "x v y" for one
-    index = write_corpus(tmp_path, ["x w y . a w b . x v y"])
+    # one document each: "X w Y" comes from two pairs, "X v Y" from one
+    index = write_corpus(tmp_path, ["x w y", "a w b", "x v y"])
     pairs = [TermPair.parse("x", "y"), TermPair.parse("a", "b")]
     stats = mine_patterns(index, pairs)
-    cols = select_columns(stats, t=100, n_r=2)
+    cols = stats.decode(select_columns(stats, t=100, n_r=2))
     counts = oracles.mine_patterns(index, pairs).generating_pair_counts()
     for earlier, later in zip(cols, cols[1:]):
         assert (-counts[earlier], serialize_pattern(earlier)) <= \
             (-counts[later], serialize_pattern(later))
     top = cols[0]
-    assert counts[top] == max(counts.values())
+    assert counts[top] == max(counts.values()) == 2
 
 
 def test_select_columns_truncates_to_t_times_nr(tmp_path):
@@ -204,7 +204,7 @@ def test_select_columns_truncates_to_t_times_nr(tmp_path):
     all_cols = select_columns(stats, t=1000, n_r=1)
     limited = select_columns(stats, t=2, n_r=1)
     assert len(limited) == 2
-    assert limited == all_cols[:2]
+    assert limited.tolist() == all_cols[:2].tolist()
 
 
 def test_select_columns_monotone_in_t(tmp_path):
@@ -212,7 +212,7 @@ def test_select_columns_monotone_in_t(tmp_path):
         tmp_path, ["x w y . x v y . x u y"], [("x", "y")])
     previous = []
     for t in range(1, 8):
-        cols = select_columns(stats, t=t, n_r=1)
+        cols = select_columns(stats, t=t, n_r=1).tolist()
         assert cols[:len(previous)] == previous
         previous = cols
 
@@ -229,7 +229,7 @@ def test_matrix_single_phrase_counts(tmp_path):
     index = write_corpus(tmp_path, ["x w y"])
     pair = TermPair.parse("x", "y")
     stats = mine_patterns(index, [pair, pair.reversed()])
-    cols = [("X", "w", "Y"), ("X", "*", "Y")]
+    cols = column_ids(stats, [("X", "w", "Y"), ("X", "*", "Y")])
     F = build_frequency_matrix([pair], cols, stats)
     assert F.toarray().tolist() == [[1.0, 1.0]]
 
@@ -276,8 +276,11 @@ def test_matrix_row_sum_bounded_by_phrases(tmp_path):
 def test_matrix_rejects_duplicate_labels(tmp_path):
     pair = TermPair.parse("x", "y")
     stats = mine_patterns(write_corpus(tmp_path, ["x y"]), [pair])
-    with pytest.raises(RelmapError):
+    with pytest.raises(RelmapError, match="duplicate row labels"):
         build_frequency_matrix([pair, pair], [], stats)
+    col = select_columns(stats, t=1, n_r=1)
+    with pytest.raises(RelmapError, match="duplicate column ids"):
+        build_frequency_matrix([pair], [col[0], col[0]], stats)
 
 
 def test_generating_pair_counts_match_nonzero_rows(tmp_path):
@@ -307,7 +310,7 @@ def test_matrix_allows_all_zero_rows(tmp_path):
     xy = TermPair.parse("x", "y")
     ab = TermPair.parse("a", "b")
     stats = mine_patterns(index, [xy, ab])
-    cols = list(mined_counts(stats, [xy])[xy])  # only xy-generated patterns
+    cols = column_ids(stats, mined_counts(stats, [xy])[xy])  # only xy-generated patterns
     F = build_frequency_matrix([xy, ab], cols, stats)
     assert F[0].nnz > 0
     assert F[1].nnz == 0

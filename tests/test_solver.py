@@ -10,11 +10,10 @@ from oracles import (all_permutations, attributional_score, brute_force_best,
                      hybrid_probabilities, relational_score)
 from relmap.attributes import TableSimilarity
 from relmap.errors import BudgetError, DataError
-from relmap.problems import Mapping, MappingProblem
-from relmap.solver import (AttributionalScorer, RelationalScorer,
-                           enumerate_mappings, evaluate_proportional,
+from relmap.problems import MappingProblem
+from relmap.solver import (AttributionalScorer, RelationalScorer, _mapping_blocks,
                            solve, solve_constrained, solve_hybrid)
-from relmap.terms import Term, TermPair
+from relmap.terms import TermPair
 
 
 def make_problem(m, pid="p"):
@@ -59,29 +58,41 @@ def random_attributional_provider(problem, rng):
 
 # --- enumeration ------------------------------------------------------------
 
+def mappings(m):
+    """The rows of every block the search scores, in order."""
+    return [tuple(row) for block in _mapping_blocks(m) for row in block.tolist()]
+
+
 def test_enumerate_m1():
-    assert list(enumerate_mappings(1)) == [(0,)]
+    assert mappings(1) == [(0,)]
 
 
 def test_enumerate_m3_lexicographic():
-    perms = list(enumerate_mappings(3))
+    perms = mappings(3)
     assert len(perms) == 6
     assert perms == sorted(perms)
     assert perms == all_permutations(3)
 
 
 def test_enumerate_m9_count():
-    assert sum(1 for _ in enumerate_mappings(9)) == 362_880
+    assert sum(len(block) for block in _mapping_blocks(9)) == 362_880
 
 
 def test_enumerate_budget_refusal_names_factorial():
     with pytest.raises(BudgetError, match="39,916,800"):
-        list(enumerate_mappings(11))
+        solve(make_problem(11), RelationalScorer(SimTable({})))
 
 
 def test_budget_is_configurable():
-    with pytest.raises(BudgetError):
-        list(enumerate_mappings(4, m_max=3))
+    problem, space, provider = make_problem(4), SimTable({}), TableSimilarity({})
+    scorer = RelationalScorer(space)
+    for search in (lambda: solve(problem, scorer, m_max=3),
+                   lambda: solve_hybrid(problem, space, provider, m_max=3),
+                   lambda: solve_constrained(problem, {"s0": "t0", "s1": "t1"}, scorer,
+                                             m_max=3)):
+        with pytest.raises(BudgetError, match="over the budget of m <= 3"):
+            search()
+    assert solve(make_problem(3), scorer, m_max=3).diagnostics["n_mappings"] == 6
 
 
 # --- scoring ----------------------------------------------------------------
@@ -97,7 +108,7 @@ def test_relational_score_m2_is_single_similarity():
 def test_relational_score_zero_field():
     problem = make_problem(4)
     score = RelationalScorer(SimTable({})).prepare(problem)
-    assert all(score(p) == 0.0 for p in enumerate_mappings(4))
+    assert all(score(p) == 0.0 for p in itertools.permutations(range(4)))
 
 
 def test_relational_score_matches_double_loop_oracle():
@@ -110,7 +121,7 @@ def test_relational_score_matches_double_loop_oracle():
         return table.sim_r(TermPair(problem.source[i], problem.source[j]),
                            TermPair(problem.target[a], problem.target[b]))
 
-    for perm in enumerate_mappings(3):
+    for perm in itertools.permutations(range(3)):
         assert score(perm) == relational_score(perm, lookup)
 
 
@@ -148,7 +159,7 @@ def test_attributional_matches_direct_sum():
     score = AttributionalScorer(provider).prepare(problem)
     table = [[provider.sim(problem.source[i], problem.target[j])
               for j in range(4)] for i in range(4)]
-    for perm in enumerate_mappings(4):
+    for perm in itertools.permutations(range(4)):
         assert score(perm) == attributional_score(perm, table)
 
 
@@ -210,7 +221,7 @@ def test_solve_scale_invariance_of_argmax_set():
 def test_permutation_completeness():
     problem = make_problem(4)
     score = RelationalScorer(SimTable({})).prepare(problem)
-    scores = [score(p) for p in enumerate_mappings(4)]
+    scores = [score(p) for p in itertools.permutations(range(4))]
     assert len(scores) == math.factorial(4)
 
 
@@ -298,7 +309,7 @@ def test_constrained_full_subset_equals_unconstrained():
     for mode in ("total", "internal"):
         constrained = solve_constrained(problem, fixed, scorer, mode=mode, seed=3)
         assert constrained.score == full.score
-        assert constrained.diagnostics["search_size"] == math.factorial(4)
+        assert constrained.diagnostics["n_mappings"] == math.factorial(4)
 
 
 def test_constrained_search_space_sizes():
@@ -308,15 +319,16 @@ def test_constrained_search_space_sizes():
     total = solve_constrained(problem, fixed, scorer, mode="total", seed=0)
     internal = solve_constrained(problem, fixed, scorer, mode="internal", seed=0)
     # |P'| = m'! * (m - m')!
-    assert total.diagnostics["search_size"] == math.factorial(3) * math.factorial(2)
-    assert internal.diagnostics["search_size"] == math.factorial(3)
+    assert total.diagnostics["n_mappings"] == math.factorial(3) * math.factorial(2)
+    assert internal.diagnostics["n_mappings"] == math.factorial(3)
 
 
 def test_constrained_rejects_non_injective():
     problem = make_problem(3)
     scorer = RelationalScorer(SimTable({}))
-    with pytest.raises(DataError):
-        solve_constrained(problem, {"s0": "t0", "s1": "t0"}, scorer)
+    for mode in ("total", "internal"):
+        with pytest.raises(DataError, match="constraint is not injective"):
+            solve_constrained(problem, {"s0": "t0", "s1": "t0"}, scorer, mode=mode)
 
 
 def test_constrained_rejects_unknown_terms():
@@ -346,14 +358,6 @@ def test_attributional_total_equals_internal_with_first_policy(seed):
     assert total.assignment() == internal.assignment()
 
 
-def test_evaluate_proportional():
-    table = SimTable({("a:b", "c:d"): 0.9, ("a:b", "a:b"): 1.0})
-    a, b, c, d = (Term.parse(t) for t in "abcd")
-    assert evaluate_proportional(table, a, b, c, d) == 0.9
-    assert evaluate_proportional(table, a, b, a, b) == 1.0
-    assert evaluate_proportional(table, a, b, d, c) == 0.0
-
-
 def test_solve_result_serialization_deterministic():
     problem = make_problem(3)
     scorer = RelationalScorer(SimTable({}))
@@ -375,6 +379,6 @@ def test_proportional_planted_analogous_beats_non_analogous(planted_all):
     a1, a2 = problem.source[0], problem.source[1]
     b1, b2 = problem.target[0], problem.target[1]
     wrong = problem.target[2]
-    analogous = evaluate_proportional(space, a1, a2, b1, b2)
-    non_analogous = evaluate_proportional(space, a1, a2, b1, wrong)
+    analogous = space.sim_r(TermPair(a1, a2), TermPair(b1, b2))
+    non_analogous = space.sim_r(TermPair(a1, a2), TermPair(b1, wrong))
     assert analogous > non_analogous

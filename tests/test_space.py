@@ -13,7 +13,7 @@ from relmap.evaluation import mine_for_problems, space_from_stats
 from relmap.patterns import (build_frequency_matrix, build_pair_list,
                              mine_patterns, prune_rows, select_columns)
 from relmap.problems import MappingProblem
-from relmap.space import (RelationSpace, build_space, build_space_from_matrix,
+from relmap.space import (build_space, build_space_from_matrix,
                           transform_log_entropy, transform_ppmic, truncated_svd)
 from relmap.terms import TermPair
 
@@ -348,21 +348,6 @@ def test_no_svd_equals_direct_cosines(tmp_path):
             ni, nj = np.linalg.norm(Xd[i]), np.linalg.norm(Xd[j])
             want = 0.0 if ni == 0 or nj == 0 else float(Xd[i] @ Xd[j] / (ni * nj))
             assert space.sim_r(p, q) == pytest.approx(want, abs=1e-12)
-
-
-def test_space_roundtrip_exact(tmp_path):
-    X, rows = build_toy_space(tmp_path)
-    space = build_space_from_matrix(X, rows, k=3,
-                                    provenance={"corpus_digest": "abc", "t": 50})
-    path = tmp_path / "space.npz"
-    space.save(path)
-    loaded = RelationSpace.load(path)
-    assert loaded.k == space.k
-    assert loaded.transform == space.transform
-    assert loaded.provenance == space.provenance
-    for p in rows:
-        for q in rows:
-            assert abs(loaded.sim_r(p, q) - space.sim_r(p, q)) <= 1e-12
 
 
 def test_empty_space_from_empty_corpus():
