@@ -143,6 +143,23 @@ class RelationSpace:
             return 0.0
         return float(self.W[i] @ self.W[j])
 
+    def sim_grid(self, ps: list[TermPair], qs: list[TermPair]) -> np.ndarray:
+        """sim_r of every (p, q) as a len(ps) x len(qs) array.
+
+        Each pair's row is looked up once. Each cell is the dot product
+        sim_r takes, one vector pair at a time rather than a matrix
+        product, whose blocking could move a last bit.
+        """
+        out = np.zeros((len(ps), len(qs)))
+        cols = [(b, self.W[r]) for b, r in enumerate(map(self.row_index.get, qs))
+                if r is not None]
+        for a, r in enumerate(map(self.row_index.get, ps)):
+            if r is not None:
+                w = self.W[r]
+                for b, v in cols:
+                    out[a, b] = float(w @ v)
+        return out
+
 
 def build_space(U_k: np.ndarray, sigma_k: np.ndarray,
                 row_index: dict[TermPair, int], *,

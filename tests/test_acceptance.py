@@ -24,6 +24,7 @@ from relmap.solver import (AttributionalScorer, RelationalScorer, solve,
                            solve_constrained, solve_hybrid)
 from relmap.space import transform_ppmic, truncated_svd
 from relmap.terms import TermPair
+from test_solver import SimTable
 
 
 def report(line):
@@ -35,14 +36,6 @@ def make_problem(m, pid="p"):
                                 source=[f"s{i}" for i in range(m)],
                                 target=[f"t{i}" for i in range(m)],
                                 intended={f"s{i}": f"t{i}" for i in range(m)})
-
-
-class SimTable:
-    def __init__(self, values):
-        self.values = values
-
-    def sim_r(self, p, q):
-        return self.values.get((p.text, q.text), 0.0)
 
 
 def random_relational_table(problem, rng):

@@ -12,11 +12,13 @@ Regenerate them only for a change that means to alter an output:
 
 Each command runs in a child interpreter with one BLAS thread: the
 eigendecomposition's last bits, and so the printed scores, change with
-the thread count.
+the thread count. A second run with two BLAS threads must give the same
+mappings, tie counts, accuracies and sidecars, with scores within 1e-12.
 Paths are relative to the input directory, because the coherence sidecar
 records the corpus directory as given.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -46,6 +48,7 @@ COMMANDS = {
                      "--no-svd", "--transform", "logentropy", "--report", "{out}"],
 }
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCORE_TOLERANCE = 1e-12
 
 
 def make_inputs(root: Path) -> Path:
@@ -59,11 +62,14 @@ def make_inputs(root: Path) -> Path:
     return root
 
 
-def run_command(name: str, inputs: Path, out_dir: Path) -> dict[str, bytes]:
+def run_command(name: str, inputs: Path, out_dir: Path,
+                blas_threads: int = 1) -> dict[str, bytes]:
     """Run one command; its output files (report and sidecar) by file name."""
     argv = [a.format(out=out_dir / name) for a in COMMANDS[name]]
+    threads = str(blas_threads)
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0",
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
     proc = subprocess.run([sys.executable, "-m", "relmap", *argv, "--corpus", "corpus"],
                           cwd=inputs, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -75,12 +81,39 @@ def inputs(tmp_path_factory):
     return make_inputs(tmp_path_factory.mktemp("golden_inputs"))
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_cli_output_matches_golden_bytes(name, inputs, tmp_path):
-    produced = run_command(name, inputs, tmp_path)
+def fixtures(name: str) -> dict[str, bytes]:
     expected = {p.name: p.read_bytes() for p in sorted(GOLDEN.glob(name + "*"))}
     assert expected, f"no fixture for {name}"
-    assert produced == expected
+    return expected
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden_bytes(name, inputs, tmp_path):
+    assert run_command(name, inputs, tmp_path) == fixtures(name)
+
+
+def assert_same_but_scores(produced: str, expected: str) -> None:
+    """Equal line by line, except a JSON line's "score", which may move by 1e-12."""
+    assert len(produced.splitlines()) == len(expected.splitlines())
+    for got, want in zip(produced.splitlines(), expected.splitlines()):
+        if not want.startswith("{"):
+            assert got == want
+            continue
+        got, want = json.loads(got), json.loads(want)
+        assert abs(got.pop("score") - want.pop("score")) <= SCORE_TOLERANCE
+        assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_two_blas_threads_change_no_mapping(name, inputs, tmp_path):
+    produced = run_command(name, inputs, tmp_path, blas_threads=2)
+    expected = fixtures(name)
+    assert sorted(produced) == sorted(expected)
+    for file_name, want in expected.items():
+        if file_name.endswith(".json"):
+            assert json.loads(produced[file_name]) == json.loads(want)
+        else:
+            assert_same_but_scores(produced[file_name].decode(), want.decode())
 
 
 if __name__ == "__main__":

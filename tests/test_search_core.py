@@ -5,8 +5,15 @@ mapping must be equal, not merely close. Fields include ones built for
 the tolerance chain rule: scores 0.6e-12 apart, so that a score more than
 1e-12 above the running best resets the tie set and drops near-ties that
 joined it earlier. m = 8 spans eight blocks of 7! rows.
+
+`solve` skips every head whose bound cannot reach the running best. The
+pruning tests use fields where that happens: a strong planted mapping,
+in shuffled target order, with near-ties placed around the 1e-12 band
+of the eventual best. They check the pruned search against the oracle
+and against the unpruned core, and that the bound holds at every depth.
 """
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -19,6 +26,10 @@ from hypothesis import strategies as st
 from oracles import (argmax_with_ties, attributional_scorer, constrained_perms,
                      hybrid_probabilities, pick_tied, relational_scorer)
 from relmap.attributes import TableSimilarity
+from relmap.config import Config
+from relmap.corpus import ingest_dir
+from relmap.evaluation import build_space_for_problems
+from relmap.planted import PlantedConfig, generate_planted_corpus
 from relmap.solver import (BLOCK_ROWS, AttributionalScorer, RelationalScorer,
                            _argmax_blocks, _channel_probability, _mapping_blocks,
                            solve, solve_constrained, solve_hybrid)
@@ -161,6 +172,173 @@ def test_constrained_total_equals_oracle(seed, m, kind, policy, relational):
         math.factorial(size) * math.factorial(m - size)
 
 
+# --- pruning --------------------------------------------------------------------
+
+PLANTED = ("planted", "planted-near", "planted-equal", "planted-negative")
+# near-tie offsets in units of 1e-12: inside the tie band of the planted
+# score, just beyond it, and above it (a later reset of the tie set)
+NEAR_OFFSETS = (-1.2, -1.05, -0.6, -0.3, 0.0, 0.6, 1.05)
+
+
+def mapping_cells(image, relational):
+    """The grid cells a mapping reads: (i, j, a, b) per source pair, or (i, a) per source."""
+    m = len(image)
+    if relational:
+        return [(i, j, image[i], image[j]) for i in range(m) for j in range(i + 1, m)]
+    return [(i, image[i]) for i in range(m)]
+
+
+def planted_scorers(problem, kind, rng, relational):
+    """(scorer, tuple reference) on a field with a strong planted mapping.
+
+    The planted mapping's cells hold 1.0, over a base of noise, a constant
+    or negative values, and its targets come in shuffled order. With
+    "planted-near", four variants that swap two sources also hold 1.0 on
+    their cells but one, which holds 1.0 plus a near-tie offset, so each
+    variant scores that offset away from the planted mapping.
+    """
+    m, src, tgt = problem.m, problem.source, problem.target
+    image = rng.permutation(m).tolist()
+    if relational:
+        keys = [(i, j, a, b) for i in range(m) for j in range(i + 1, m)
+                for a in range(m) for b in range(m) if a != b]
+    else:
+        keys = [(i, a) for i in range(m) for a in range(m)]
+    if kind == "planted-equal":
+        base = np.full(len(keys), 0.25)
+    elif kind == "planted-negative":
+        base = -rng.uniform(2.0, 3.0, len(keys))
+    else:
+        base = rng.uniform(0.0, 0.3, len(keys))
+    values = dict(zip(keys, base.tolist()))
+    planted = mapping_cells(image, relational)
+    values.update(dict.fromkeys(planted, 1.0))
+    for _ in range(4 if kind == "planted-near" else 0):
+        p, q = rng.choice(m, size=2, replace=False).tolist()
+        variant = list(image)
+        variant[p], variant[q] = variant[q], variant[p]
+        cells = mapping_cells(variant, relational)
+        values.update(dict.fromkeys(cells, 1.0))
+        near = next(c for c in cells if c not in planted)
+        values[near] = 1.0 + 1e-12 * float(rng.choice(NEAR_OFFSETS))
+    if relational:
+        space = SimTable({(f"{src[i].text}:{src[j].text}", f"{tgt[a].text}:{tgt[b].text}"): x
+                          for (i, j, a, b), x in values.items()})
+        return RelationalScorer(space), relational_scorer(problem, space)
+    provider = TableSimilarity({(src[i].text, tgt[a].text): x
+                                for (i, a), x in values.items()})
+    return AttributionalScorer(provider), attributional_scorer(problem, provider)
+
+
+def rows_of(found):
+    return [tuple(r) for rows in found.tied for r in rows.tolist()]
+
+
+PRUNE_CASES = dict(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(PLANTED),
+                   policy=st.sampled_from(POLICIES), relational=st.booleans())
+
+
+@given(**PRUNE_CASES)
+@settings(max_examples=25, deadline=None)
+@example(seed=6, kind="planted-near", policy="random", relational=True)
+@example(seed=7, kind="planted-near", policy="first", relational=False)
+def test_pruned_solve_equals_oracle_at_m8(seed, kind, policy, relational):
+    rng = np.random.default_rng(seed)
+    problem = make_problem(8)
+    scorer, reference = planted_scorers(problem, kind, rng, relational)
+    result = solve(problem, scorer, seed=seed, tie_policy=policy)
+    best, tied, total, perm = oracle_search(
+        problem, itertools.permutations(range(8)), reference, seed, policy)
+    assert result.score.hex() == best.hex()
+    assert result.tie_count == len(tied)
+    assert result.mapping.perm == perm
+    assert result.diagnostics["n_mappings"] == total
+
+
+@given(**PRUNE_CASES)
+@settings(max_examples=15, deadline=None)
+@example(seed=8, kind="planted-near", policy="random", relational=True)
+def test_pruned_core_equals_full_scan_at_m9(seed, kind, policy, relational):
+    rng = np.random.default_rng(seed)
+    problem = make_problem(9)
+    scorer, _ = planted_scorers(problem, kind, rng, relational)
+    score_fn = scorer.prepare(problem)
+    full = _argmax_blocks(score_fn, 9)
+    pruned = _argmax_blocks(score_fn, 9, bound=score_fn.bound)
+    assert pruned.best.hex() == full.best.hex()
+    assert rows_of(pruned) == rows_of(full)
+    assert pruned.pick(seed, problem.id, policy) == full.pick(seed, problem.id, policy)
+    assert pruned.n_mappings == full.n_mappings == full.n_scored == math.factorial(9)
+    assert pruned.n_scored < full.n_scored
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 8),
+       kind=st.sampled_from(FIELDS + PLANTED), relational=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_bound_covers_every_mapping_under_its_head(seed, m, kind, relational):
+    rng = np.random.default_rng(seed)
+    problem = make_problem(m)
+    if kind in PLANTED:
+        scorer, _ = planted_scorers(problem, kind, rng, relational)
+    elif relational:
+        scorer = RelationalScorer(relational_field(problem, kind, rng))
+    else:
+        scorer = AttributionalScorer(attributional_field(problem, kind, rng))
+    score_fn = scorer.prepare(problem)
+    for d in range(m - 1):  # every depth at which a head leaves a source open
+        head = tuple(rng.permutation(m)[:d].tolist())
+        free = tuple(sorted(set(range(m)) - set(head)))
+        bounds = score_fn.bound(head, free)
+        for c, upper in zip(free, bounds.tolist()):
+            rest = [v for v in free if v != c]
+            rows = np.array([head + (c,) + tail for tail in itertools.permutations(rest)])
+            assert score_fn(rows).max() <= upper
+
+
+@pytest.mark.parametrize("relational", [True, False])
+def test_strong_signal_prunes(relational):
+    """A change that stops pruning, or loosens the bound to nothing, fails here."""
+    rng = np.random.default_rng(10)
+    problem = make_problem(10)
+    scorer, _ = planted_scorers(problem, "planted", rng, relational)
+    result = solve(problem, scorer, seed=0)
+    assert result.diagnostics["n_mappings"] == math.factorial(10)
+    assert result.diagnostics["n_scored"] < math.factorial(10) // 10
+
+
+@pytest.fixture(scope="module")
+def planted_m10(tmp_path_factory):
+    """One planted m=10 problem and its relation space."""
+    root = tmp_path_factory.mktemp("planted_m10")
+    data = generate_planted_corpus(root, PlantedConfig(n_problems=1, m=10,
+                                                       target_tokens=20_000, seed=3))
+    space, _ = build_space_for_problems(ingest_dir(data.corpus_dir), data.problems,
+                                        Config())
+    return data.problems[0], space
+
+
+@pytest.mark.parametrize("order", ["intended", "reversed", "shuffled"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_planted_m10_solve_equals_full_scan(planted_m10, order, policy):
+    problem, space = planted_m10
+    targets = list(range(10))
+    if order == "reversed":
+        targets.reverse()
+    elif order == "shuffled":
+        targets = np.random.default_rng(4).permutation(10).tolist()
+    problem = dataclasses.replace(problem, target=tuple(problem.target[j] for j in targets))
+    result = solve(problem, RelationalScorer(space), seed=2, tie_policy=policy)
+    score_fn = RelationalScorer(space).prepare(problem)
+    full = _argmax_blocks(score_fn, 10)
+    pruned = _argmax_blocks(score_fn, 10, bound=score_fn.bound)
+    assert rows_of(pruned) == rows_of(full)
+    assert result.score.hex() == pruned.best.hex() == full.best.hex()
+    assert result.tie_count == full.tie_count
+    assert result.mapping.perm == full.pick(2, problem.id, policy)
+    assert result.diagnostics["n_mappings"] == full.n_scored == math.factorial(10)
+    assert result.diagnostics["n_scored"] < math.factorial(10)
+
+
 # --- the tie rule on score sequences built for it ------------------------------
 
 def sequence_scorer(scores):
@@ -190,7 +368,7 @@ def test_tie_chain_rule_across_blocks(pattern):
     else:  # ties in every block, then a reset in the last one
         scores = np.zeros(n)
         scores[-7:] = 2 * CHAIN_STEP
-    found = _argmax_blocks(_mapping_blocks(m), sequence_scorer(scores))
+    found = _argmax_blocks(sequence_scorer(scores), m)
     values = dict(zip(itertools.permutations(range(m)), scores.tolist()))
     best, tied, total = argmax_with_ties(itertools.permutations(range(m)),
                                          values.__getitem__)

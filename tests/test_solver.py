@@ -32,6 +32,9 @@ class SimTable:
     def sim_r(self, p, q):
         return self.values.get((p.text, q.text), 0.0)
 
+    def sim_grid(self, ps, qs):
+        return np.array([[self.sim_r(p, q) for q in qs] for p in ps]).reshape(len(ps), len(qs))
+
 
 def random_relational_table(problem, rng):
     values = {}
