@@ -93,7 +93,8 @@ def load_external_similarity(path: str | Path, name: str = "") -> TableSimilarit
     """Provider from a UTF-8 file of `term_a<TAB>term_b<TAB>score` lines.
 
     Both orders are stored. A repeated pair keeps the last value and is
-    warned about; a malformed line is a load error naming its number.
+    warned about; a malformed line, or a score that is NaN or infinite,
+    is a load error naming its number.
     """
     p = Path(path)
     entries: dict[tuple[str, str], float] = {}
@@ -111,6 +112,8 @@ def load_external_similarity(path: str | Path, name: str = "") -> TableSimilarit
             score = float(parts[2])
         except ValueError as exc:
             raise DataError(f"{p}:{lineno}: bad score {parts[2]!r}") from exc
+        if not math.isfinite(score):
+            raise DataError(f"{p}:{lineno}: score {parts[2]!r} is not finite")
         a = Term.parse(parts[0]).text
         b = Term.parse(parts[1]).text
         key = (a, b)

@@ -33,20 +33,32 @@ best - 1e-12 at the moment the walk reaches it. Every mapping skipped
 so would score below that best, where the full scan ignores it too:
 it neither joins nor resets the tie set, so by induction the best, the
 tie set and the seeded draw are those of the full scan. Scored blocks
-go through the same score function and tie replay. The hybrid, whose
-probabilities need sums over all m! mappings, and total-mode coherence,
-whose blocks mix subset heads, enumerate in full. `n_mappings` in a
-result's diagnostics is the size of the search space, `n_scored` the
-rows actually scored.
+go through the same score function and tie replay. Total-mode
+coherence, whose blocks mix subset heads, enumerates in full.
+`n_mappings` in a result's diagnostics is the size of the search
+space, `n_scored` the rows actually scored.
 
-Memory stays O(block) for any budget: the hybrid search streams the
-blocks three times (channel minima, shifted sums, combined values)
-rather than holding every score, and the tie set is kept as compact
-integer rows. At m = 10 the full scan of 3,628,800 mappings takes about
-0.42 s on one core of a 2-vCPU x86 host. On a planted problem, the
-pruned relational search takes 0.006-0.016 s there and scores 5,040 to
-80,640 rows, with the targets in intended, reversed or shuffled order;
-on a uniform-noise field nothing is pruned and the bounds add about 3%.
+The hybrid normalizes each channel's scores to probabilities, which
+need the channel's minimum and its sum over all m! mappings. The
+minimum takes no walk when no grid cell is negative (it then cannot be
+below 0.0, and the shift is 0.0). Otherwise it is minus the maximum
+under the negated grids, found by a walk that skips every head whose
+bound cannot raise the running maximum, which starts at 0.0 since a
+positive minimum gives no shift. The sums of both channels come from
+one walk over every mapping, in enumeration order. The combined argmax
+is pruned too: each channel's head bound goes through the same
+monotone arithmetic as its probability and the combination, so it
+bounds every combined value under the head.
+
+Memory stays O(block) for any budget: the hybrid streams its scores
+rather than holding them, and the tie set is kept as compact integer
+rows. At m = 10 the full scan of 3,628,800 mappings takes about 0.42 s
+on one core of a 2-vCPU x86 host. On a planted problem, the pruned
+relational search takes 0.006-0.016 s there and scores 5,040 to 80,640
+rows, with the targets in intended, reversed or shuffled order; on a
+uniform-noise field nothing is pruned and the bounds add about 3%. A
+planted hybrid solve at m = 10 takes about 1.0-1.1 s there, most of it
+the sum walk.
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -85,9 +97,9 @@ def _check_budget(m: int, m_max: int) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _tail_table(k: int) -> np.ndarray:
-    """All k! permutations of range(k), lexicographically (read-only)."""
+    """All k! permutations of range(k), lexicographically, one per column (read-only)."""
     table = np.array(list(itertools.permutations(range(k))),
-                     dtype=np.intp).reshape(math.factorial(k), k)
+                     dtype=np.intp).reshape(math.factorial(k), k).T.copy()
     table.setflags(write=False)
     return table
 
@@ -99,17 +111,18 @@ def _perm_blocks(values: Sequence[int], bound=None, keep=None) -> Iterator[np.nd
     each child in increasing order. With a bound, a head joins the walk
     only if keep(u) holds for its bound u, so a rejected head is skipped
     with every block under it; keep is asked when the walk reaches it.
+    A block is stored by columns, the layout the scorers read.
     """
     k = len(values)
     tail = _tail_table(min(k, BLOCK_TAIL))
-    n_head = k - tail.shape[1]
+    n_head = k - len(tail)
 
     def walk(head: tuple, free: tuple) -> Iterator[np.ndarray]:
         if len(head) == n_head:
-            block = np.empty((len(tail), k), dtype=np.intp)
-            block[:, :n_head] = head
-            block[:, n_head:] = np.array(free, dtype=np.intp)[tail]
-            yield block
+            cols = np.empty((k, tail.shape[1]), dtype=np.intp)
+            cols[:n_head] = np.array(head, dtype=np.intp)[:, None]
+            np.take(np.array(free, dtype=np.intp), tail, out=cols[n_head:])
+            yield cols.T
             return
         bounds = None if bound is None else bound(head, free)
         for t, c in enumerate(free):
@@ -193,11 +206,11 @@ class _PairSum:
         P = np.asarray(perms, dtype=np.intp)
         if P.ndim == 1:
             return float(self(P[None, :])[0])
-        m = self.m
         cols = np.ascontiguousarray(P.T)
+        scaled = cols * self.m
         acc = np.zeros(len(P))
         for grid, (i, j) in zip(self.grids, self.pairs):
-            acc += grid.take(cols[i] * m + cols[j])
+            acc += grid.take(scaled[i] + cols[j])
         return acc
 
     def _by_depth(self, d: int) -> tuple[np.ndarray, ...]:
@@ -410,30 +423,74 @@ def solve(problem: MappingProblem, scorer, seed=0, *,
     )
 
 
-def _channel_probability(score_fn, blocks: Callable[[], Iterator[np.ndarray]]):
-    """Block function giving one channel's probability of each mapping.
+def _shift(score_fn: _PairSum, m: int) -> float:
+    """A channel's shift: its exact minimum score over all m! mappings if negative, else 0.0.
 
-    Negative scores are shifted away by the minimum, then each score is
-    divided by the sum over all m! mappings; a degenerate field becomes
-    uniform. Two streamed passes over the blocks find the minimum and the
-    sum, so memory stays O(block). The sum runs from 0.0 in enumeration
-    order: `np.add.accumulate` adds strictly left to right, carrying the
-    running total from block to block.
+    Without a negative cell every score is a sum of non-negative terms
+    from 0.0, so none is negative and no walk is needed. Otherwise the
+    shift is minus the largest score under the negated grids, floored at
+    0.0. Negation is exact under round-to-nearest, so each negated sum
+    is exactly the negated score. The walk skips a head when its bound
+    is at most the running top, which starts at the floor: no mapping
+    under it can raise the top.
     """
-    lo = min(float(score_fn(block).min()) for block in blocks())
-    shift = lo if lo < 0 else 0.0  # x - 0.0 == x, signed zeros included
-    total, count = 0.0, 0
-    for block in blocks():
-        shifted = score_fn(block) - shift
-        total = float(np.add.accumulate(np.concatenate(([total], shifted)))[-1])
+    if not (score_fn.grids < 0).any():
+        return 0.0
+    negated = _PairSum(-score_fn.grids, score_fn.pairs)
+    top = 0.0
+    for block in _perm_blocks(range(m), negated.bound,
+                              lambda upper: not upper <= top):  # a NaN bound prunes nothing
+        top = max(top, float(negated(block).max()))
+    return -top if top > 0 else 0.0
+
+
+class _Probability:
+    """One channel's probability of a mapping: (score - shift) / total.
+
+    `shift` is the minimum score when it is negative, else 0.0, and
+    `total` the shifted sum over all `count` mappings; when it is not
+    positive the field is degenerate and every mapping gets 1 / count.
+    `bound(head, free)` puts the score's head bounds through the same
+    arithmetic. Subtracting a constant and dividing by a positive one
+    are monotone in IEEE arithmetic, so it bounds the float probability
+    of every mapping under each head.
+    """
+
+    def __init__(self, score_fn: _PairSum, shift: float, total: float, count: int):
+        self.score_fn, self.shift, self.total, self.count = score_fn, shift, total, count
+
+    def _scale(self, scores: np.ndarray) -> np.ndarray:
+        if self.total <= 0:
+            return np.full(len(scores), 1.0 / self.count)
+        return (scores - self.shift) / self.total
+
+    def __call__(self, perms: np.ndarray) -> np.ndarray:
+        return self._scale(self.score_fn(perms))
+
+    def bound(self, head: Sequence[int], free: Sequence[int]) -> np.ndarray:
+        return self._scale(self.score_fn.bound(head, free))
+
+
+def _channel_probabilities(score_fns: Sequence[_PairSum], m: int) -> list[_Probability]:
+    """Each channel's probability over the m! mappings, from one walk over them.
+
+    Negative scores are shifted away by their minimum (`_shift`); when
+    none is negative the shift is 0.0, and x - 0.0 == x, signed zeros
+    included. The walk sums every channel's shifted scores from 0.0 in
+    enumeration order: `np.add.accumulate` adds strictly left to right,
+    carrying the running total from block to block. Memory stays
+    O(block).
+    """
+    shifts = [_shift(fn, m) for fn in score_fns]
+    totals = [0.0] * len(score_fns)
+    count = 0
+    for block in _mapping_blocks(m):
+        for k, (fn, shift) in enumerate(zip(score_fns, shifts)):
+            shifted = fn(block) - shift
+            totals[k] = float(np.add.accumulate(np.concatenate(([totals[k]], shifted)))[-1])
         count += len(block)
-
-    def probability(perms: np.ndarray) -> np.ndarray:
-        if total <= 0:
-            return np.full(len(perms), 1.0 / count)
-        return (score_fn(perms) - shift) / total
-
-    return probability
+    return [_Probability(fn, shift, total, count)
+            for fn, shift, total in zip(score_fns, shifts, totals)]
 
 
 def solve_hybrid(problem: MappingProblem, space, provider, combine: str = "add",
@@ -444,24 +501,30 @@ def solve_hybrid(problem: MappingProblem, space, provider, combine: str = "add",
     Each channel's scores over all m! mappings are normalized to a
     probability distribution (after shifting if any score is negative);
     "add" averages the two probabilities and "multiply" takes their
-    product, and the best combined value wins.
+    product, and the best combined value wins. The argmax skips heads
+    whose combined bound cannot reach the running best, as in `solve`:
+    the two probability bounds go through the same combination, which
+    is monotone in each (halving a sum, or multiplying two non-negative
+    factors), so it bounds every combined value under the head.
     """
     if combine not in ("add", "multiply"):
         raise DataError(f"unknown hybrid combination {combine!r}")
     started = time.perf_counter()
     _check_budget(problem.m, m_max)
-    rel_fn = RelationalScorer(space).prepare(problem)
-    att_fn = AttributionalScorer(provider).prepare(problem)
-    blocks = functools.partial(_mapping_blocks, problem.m)
-    prob_r = _channel_probability(rel_fn, blocks)
-    prob_a = _channel_probability(att_fn, blocks)
+    prob_r, prob_a = _channel_probabilities(
+        [RelationalScorer(space).prepare(problem),
+         AttributionalScorer(provider).prepare(problem)], problem.m)
+
+    def join(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return (r + a) / 2.0 if combine == "add" else r * a
 
     def combined(block: np.ndarray) -> np.ndarray:
-        if combine == "add":
-            return (prob_r(block) + prob_a(block)) / 2.0
-        return prob_r(block) * prob_a(block)
+        return join(prob_r(block), prob_a(block))
 
-    found = _argmax_blocks(combined, problem.m)
+    def bound(head: Sequence[int], free: Sequence[int]) -> np.ndarray:
+        return join(prob_r.bound(head, free), prob_a.bound(head, free))
+
+    found = _argmax_blocks(combined, problem.m, bound=bound)
     perm = found.pick(seed, problem.id, tie_policy)
     winner = np.array([perm])
     r, a = float(prob_r(winner)[0]), float(prob_a(winner)[0])
@@ -478,7 +541,7 @@ def solve_hybrid(problem: MappingProblem, space, provider, combine: str = "add",
         breakdown=breakdown,
         diagnostics={"mode": f"hybrid-{'add' if combine == 'add' else 'mul'}",
                      "seed": seed, "n_mappings": found.n_mappings,
-                     "prob_r": r, "prob_a": a,
+                     "n_scored": found.n_scored, "prob_r": r, "prob_a": a,
                      "elapsed": time.perf_counter() - started},
     )
 

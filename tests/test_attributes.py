@@ -140,6 +140,14 @@ def test_external_bad_score_reports_number(tmp_path):
         load_external_similarity(path)
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_external_non_finite_score_reports_file_and_number(tmp_path, score):
+    path = tmp_path / "table.tsv"
+    path.write_text(f"a\tb\t1.0\nc\td\t{score}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"table.tsv:2: score '{score}' is not finite"):
+        load_external_similarity(path)
+
+
 # --- combination ------------------------------------------------------------
 
 def test_combination_with_zero_base_equals_pos():

@@ -6,11 +6,13 @@ the tolerance chain rule: scores 0.6e-12 apart, so that a score more than
 1e-12 above the running best resets the tie set and drops near-ties that
 joined it earlier. m = 8 spans eight blocks of 7! rows.
 
-`solve` skips every head whose bound cannot reach the running best. The
-pruning tests use fields where that happens: a strong planted mapping,
-in shuffled target order, with near-ties placed around the 1e-12 band
-of the eventual best. They check the pruned search against the oracle
-and against the unpruned core, and that the bound holds at every depth.
+`solve` and `solve_hybrid` skip every head whose bound cannot reach the
+running best, and the hybrid finds each channel's minimum with the same
+head bounds on the negated scores. The pruning tests use fields where
+that happens: a strong planted mapping, in shuffled target order, with
+near-ties placed around the 1e-12 band of the eventual best. They check
+the pruned search against the oracle and against the unpruned core, and
+that the bound holds at every depth.
 """
 
 import dataclasses
@@ -31,11 +33,11 @@ from relmap.corpus import ingest_dir
 from relmap.evaluation import build_space_for_problems
 from relmap.planted import PlantedConfig, generate_planted_corpus
 from relmap.solver import (BLOCK_ROWS, AttributionalScorer, RelationalScorer,
-                           _argmax_blocks, _channel_probability, _mapping_blocks,
-                           solve, solve_constrained, solve_hybrid)
+                           _argmax_blocks, _channel_probabilities, _mapping_blocks,
+                           _PairSum, _shift, solve, solve_constrained, solve_hybrid)
 from test_solver import SimTable, make_problem
 
-FIELDS = ("random", "chain", "equal", "negative")
+FIELDS = ("random", "chain", "equal", "negative", "negative-equal", "negative-chain")
 POLICIES = ("random", "first")
 CHAIN_STEP = 0.6e-12
 
@@ -49,6 +51,10 @@ def field_values(kind, rng, n):
         return base + CHAIN_STEP * rng.integers(0, 4, n)
     if kind == "equal":
         return np.full(n, float(rng.choice([0.0, 0.25, -3.0])))
+    if kind == "negative-equal":
+        return np.full(n, -3.0)
+    if kind == "negative-chain":  # minima a chain step or two apart
+        return -1.0 - CHAIN_STEP * rng.integers(0, 4, n)
     return -rng.uniform(0.0, 5.0, n)
 
 
@@ -136,11 +142,10 @@ def test_streamed_probabilities_equal_list_oracle(seed, m, kind):
     space = relational_field(problem, kind, rng)
     provider = attributional_field(problem, kind, rng)
     _, prob_r, prob_a = hybrid_probabilities(problem, space, provider)
-    blocks = lambda: _mapping_blocks(m)  # noqa: E731
-    for scorer, expected in ((RelationalScorer(space), prob_r),
-                             (AttributionalScorer(provider), prob_a)):
-        probability = _channel_probability(scorer.prepare(problem), blocks)
-        got = np.concatenate([probability(b) for b in blocks()]).tolist()
+    channels = _channel_probabilities([RelationalScorer(space).prepare(problem),
+                                       AttributionalScorer(provider).prepare(problem)], m)
+    for probability, expected in zip(channels, (prob_r, prob_a)):
+        got = np.concatenate([probability(b) for b in _mapping_blocks(m)]).tolist()
         assert [p.hex() for p in got] == [p.hex() for p in expected]
 
 
@@ -295,6 +300,36 @@ def test_bound_covers_every_mapping_under_its_head(seed, m, kind, relational):
             assert score_fn(rows).max() <= upper
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 8),
+       kind=st.sampled_from(FIELDS + PLANTED), relational=st.booleans())
+@settings(max_examples=60, deadline=None)
+@example(seed=11, m=8, kind="negative-chain", relational=True)
+@example(seed=12, m=8, kind="negative-equal", relational=True)
+@example(seed=13, m=8, kind="chain", relational=False)
+# a near-tie of the minimum is reached first, and the minimum's head
+# bound lies within 1e-12 of it: pruning that head would be wrong
+@example(seed=4, m=8, kind="planted-near", relational=True)
+@example(seed=11, m=8, kind="planted-near", relational=False)
+def test_shift_is_the_exact_minimum(seed, m, kind, relational):
+    rng = np.random.default_rng(seed)
+    problem = make_problem(m)
+    if kind in PLANTED:
+        scorer, _ = planted_scorers(problem, kind, rng, relational)
+        planted = scorer.prepare(problem)
+        # negated, the planted mapping and its near-ties are the minima
+        score_fn = _PairSum(-planted.grids, planted.pairs)
+    else:
+        if relational:
+            scorer = RelationalScorer(relational_field(problem, kind, rng))
+        else:
+            scorer = AttributionalScorer(attributional_field(problem, kind, rng))
+        score_fn = scorer.prepare(problem)
+    lo = min(float(score_fn(block).min()) for block in _mapping_blocks(m))
+    assert _shift(score_fn, m).hex() == (lo if lo < 0 else 0.0).hex()
+    if kind.startswith("negative") or kind in PLANTED:
+        assert _shift(score_fn, m) == lo < 0
+
+
 @pytest.mark.parametrize("relational", [True, False])
 def test_strong_signal_prunes(relational):
     """A change that stops pruning, or loosens the bound to nothing, fails here."""
@@ -337,6 +372,55 @@ def test_planted_m10_solve_equals_full_scan(planted_m10, order, policy):
     assert result.mapping.perm == full.pick(2, problem.id, policy)
     assert result.diagnostics["n_mappings"] == full.n_scored == math.factorial(10)
     assert result.diagnostics["n_scored"] < math.factorial(10)
+
+
+def planted_hybrid_inputs(problem, kind, seed):
+    """A relation space and a provider with the same planted mapping (see planted_scorers)."""
+    relational, _ = planted_scorers(problem, kind, np.random.default_rng(seed), True)
+    attributional, _ = planted_scorers(problem, kind, np.random.default_rng(seed), False)
+    return relational.space, attributional.provider
+
+
+def unpruned_hybrid(problem, space, provider, combine):
+    """The hybrid's argmax over every mapping, with no bound."""
+    prob_r, prob_a = _channel_probabilities(
+        [RelationalScorer(space).prepare(problem),
+         AttributionalScorer(provider).prepare(problem)], problem.m)
+    if combine == "add":
+        return _argmax_blocks(lambda block: (prob_r(block) + prob_a(block)) / 2.0, problem.m)
+    return _argmax_blocks(lambda block: prob_r(block) * prob_a(block), problem.m)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(PLANTED),
+       policy=st.sampled_from(POLICIES), combine=st.sampled_from(("add", "multiply")))
+@settings(max_examples=8, deadline=None)
+@example(seed=14, kind="planted-near", policy="random", combine="add")
+@example(seed=15, kind="planted-near", policy="first", combine="add")
+@example(seed=16, kind="planted-near", policy="random", combine="multiply")
+@example(seed=17, kind="planted-near", policy="first", combine="multiply")
+def test_pruned_hybrid_equals_unpruned_core_at_m9(seed, kind, policy, combine):
+    problem = make_problem(9)
+    space, provider = planted_hybrid_inputs(problem, kind, seed)
+    result = solve_hybrid(problem, space, provider, combine, seed=seed, tie_policy=policy)
+    full = unpruned_hybrid(problem, space, provider, combine)
+    assert result.score.hex() == full.best.hex()
+    assert result.tie_count == full.tie_count
+    assert result.mapping.perm == full.pick(seed, problem.id, policy)
+    assert result.diagnostics["n_mappings"] == full.n_scored == math.factorial(9)
+    assert result.diagnostics["n_scored"] < full.n_scored
+
+
+def test_strong_signal_hybrid_prunes():
+    """A change that stops pruning the hybrid's argmax, or loosens its bound to nothing, fails here.
+
+    Only "add": at m = 10 a product of two probabilities is of the order
+    of the 1e-12 tie tolerance, so head bounds within it prune nothing.
+    """
+    problem = make_problem(10)
+    space, provider = planted_hybrid_inputs(problem, "planted", 10)
+    result = solve_hybrid(problem, space, provider, "add")
+    assert result.diagnostics["n_mappings"] == math.factorial(10)
+    assert result.diagnostics["n_scored"] < math.factorial(10) // 10
 
 
 # --- the tie rule on score sequences built for it ------------------------------
@@ -418,12 +502,16 @@ def traced_peak_mb(fn):
 
 
 def test_hybrid_memory_is_bounded_at_m9():
-    rng = np.random.default_rng(9)
+    """Also on an all-equal negative field: both minimum searches prune nothing, and every mapping ties."""
     problem = make_problem(9)
-    space = relational_field(problem, "random", rng)
-    provider = attributional_field(problem, "random", rng)
-    _, peak = traced_peak_mb(lambda: solve_hybrid(problem, space, provider, "add"))
-    assert peak < MEMORY_CAP_MB, f"peak {peak:.1f} MB"
+    for kind in ("random", "negative-equal"):
+        rng = np.random.default_rng(9)
+        space = relational_field(problem, kind, rng)
+        provider = attributional_field(problem, kind, rng)
+        result, peak = traced_peak_mb(lambda: solve_hybrid(problem, space, provider, "add"))
+        if kind == "negative-equal":
+            assert result.tie_count == math.factorial(9)
+        assert peak < MEMORY_CAP_MB, f"{kind}: peak {peak:.1f} MB"
 
 
 def test_all_zero_field_memory_is_bounded_at_m9():
