@@ -16,8 +16,15 @@ starts, so document d spans global positions
 ``doc_offsets[d]:doc_offsets[d + 1]``. Token ids index a vocabulary in
 lexicographic order, and a term's token is looked up by bisection. The
 postings are CSR: the global positions sorted by (token id, position),
-with per-id bounds from a bincount. They are derived from the ids, so
-they are rebuilt when an index is loaded rather than stored.
+with per-id bounds from a bincount. They are derived from the ids and
+built on the first search, so they are never stored, and an index that
+is only built and cached never sorts them.
+
+Ingest streams the files. Each file is read, hashed, tokenized and
+mapped to first-seen ids before the next one is read, so at any time
+memory holds the vocabulary, 4 bytes per token so far and one file's
+tokens, never a Python string per corpus token. The first-seen ids are
+renumbered by vocabulary rank at the end.
 
 Cache. `save_index` writes an uncompressed ``.npz`` holding the ids,
 the offsets, the vocabulary as one "\\n"-joined UTF-8 byte array
@@ -33,6 +40,7 @@ the offsets and the id range before it returns anything.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -42,9 +50,9 @@ import os
 import zipfile
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -98,36 +106,53 @@ class CorpusIndex:
     vocab: list[str]             # lexicographically sorted
     digest: str = ""
     tokenizer: Tokenizer = DEFAULT_TOKENIZER
-    _order: np.ndarray = field(init=False, repr=False)
-    _bounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.ids.flags.writeable = False
         self.doc_offsets.flags.writeable = False
-        self._order = np.argsort(self.ids, kind="stable")
-        self._bounds = np.zeros(len(self.vocab) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.ids, minlength=len(self.vocab)),
-                  out=self._bounds[1:])
 
     @classmethod
-    def from_token_lists(cls, documents: list[list[str]], digest: str = "",
+    def from_token_lists(cls, documents: Iterable[list[str]], digest: str = "",
                          tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> "CorpusIndex":
-        """Index already tokenized documents, in the given order."""
+        """Index tokenized documents, in the given order.
+
+        `documents` is consumed one document at a time, and only that
+        document's ids are kept, so a generator of token lists holds
+        one document's tokens at a time.
+        """
         # Ids in order of first appearance, assigned without a Python loop.
         first_seen = defaultdict(itertools.count().__next__)
-        n_tokens = sum(map(len, documents))
-        seen_ids = np.fromiter(
-            map(first_seen.__getitem__, itertools.chain.from_iterable(documents)),
-            dtype=np.int32, count=n_tokens)
+
+        def seen_ids(doc: list[str]) -> np.ndarray:
+            return np.fromiter(map(first_seen.__getitem__, doc), dtype=np.int32,
+                               count=len(doc))
+
+        # map() keeps no reference to a document once its ids are made.
+        parts = [np.zeros(0, dtype=np.int32), *map(seen_ids, documents)]
         seen = list(first_seen)
+        del first_seen
         order = sorted(range(len(seen)), key=seen.__getitem__)
         rank = np.empty(len(seen), dtype=np.int32)
         rank[order] = np.arange(len(seen), dtype=np.int32)
-        offsets = np.zeros(len(documents) + 1, dtype=np.int64)
-        np.cumsum([len(doc) for doc in documents], dtype=np.int64, out=offsets[1:])
-        return cls(ids=rank[seen_ids], doc_offsets=offsets,
+        offsets = np.zeros(len(parts), dtype=np.int64)
+        np.cumsum([part.size for part in parts[1:]], dtype=np.int64, out=offsets[1:])
+        ids = np.concatenate(parts)
+        del parts
+        return cls(ids=rank[ids], doc_offsets=offsets,
                    vocab=[seen[i] for i in order], digest=digest,
                    tokenizer=tokenizer)
+
+    @functools.cached_property
+    def _order(self) -> np.ndarray:
+        """Postings: every global position, sorted by (token id, position)."""
+        return np.argsort(self.ids, kind="stable")
+
+    @functools.cached_property
+    def _bounds(self) -> np.ndarray:
+        """Token id t's postings are _order[_bounds[t]:_bounds[t + 1]]."""
+        bounds = np.zeros(len(self.vocab) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.ids, minlength=len(self.vocab)), out=bounds[1:])
+        return bounds
 
     @property
     def total_tokens(self) -> int:
@@ -162,23 +187,28 @@ class CorpusIndex:
 def ingest(paths: list[str | Path], tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> CorpusIndex:
     """Build an index over the given files, in the given order.
 
-    Files must be UTF-8 text; an unreadable or mis-encoded file raises
-    CorpusError naming the path. An empty path list yields a valid
-    empty index.
+    The files are streamed: each is read, hashed, tokenized and mapped
+    to ids before the next is read, so memory holds the vocabulary,
+    4 bytes per token and one file's tokens. Files must be UTF-8 text;
+    an unreadable or mis-encoded file raises CorpusError naming the
+    path. An empty path list yields a valid empty index.
     """
-    documents: list[list[str]] = []
     hasher = hashlib.sha256()
-    for path in paths:
-        p = Path(path)
-        try:
-            raw = p.read_bytes()
-            text = raw.decode("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CorpusError(f"cannot ingest {p}: {exc}") from exc
-        hasher.update(hashlib.sha256(raw).digest())
-        documents.append(tokenizer.tokenize(text))
-    return CorpusIndex.from_token_lists(documents, digest=hasher.hexdigest(),
-                                       tokenizer=tokenizer)
+    index = CorpusIndex.from_token_lists(
+        (tokenizer.tokenize(_read_text(Path(path), hasher)) for path in paths),
+        tokenizer=tokenizer)
+    return dataclasses.replace(index, digest=hasher.hexdigest())
+
+
+def _read_text(path: Path, hasher) -> str:
+    """The file's UTF-8 text; the SHA-256 of its bytes goes into `hasher`."""
+    try:
+        raw = path.read_bytes()
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"cannot ingest {path}: {exc}") from exc
+    hasher.update(hashlib.sha256(raw).digest())
+    return text
 
 
 def corpus_files(corpus_dir: str | Path) -> list[Path]:

@@ -22,7 +22,12 @@ class TransformError(RelmapError):
 
 
 class BudgetError(RelmapError):
-    """Exhaustive enumeration refused because m! exceeds the budget."""
+    """Work refused because it passes a budget.
+
+    Either exhaustive enumeration, when m! exceeds the enumeration
+    budget, or the relation space's decomposition, when its n_r x n_r
+    Gram matrix would pass the memory budget.
+    """
 
 
 class UsageError(RelmapError):

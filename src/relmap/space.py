@@ -9,8 +9,11 @@ a pair without a row scores zero against everything.
 Only U_k * Sigma_k is used, so the one decomposition is an eigh of the
 n_r x n_r Gram matrix X X^T (8 * n_r^2 bytes, whatever the column count),
 cut at a strict gap in the spectrum so that tied singular values never
-leave an arbitrary pick. A row left at or below _WEAK_ROW_SHARE of the
-largest norm holds only rounding noise and is zeroed, not made a unit.
+leave an arbitrary pick. Its memory grows as n_r^2, so a matrix with
+more rows than the decomposition budget allows is refused with
+BudgetError before the Gram matrix is formed. A row left at or below
+_WEAK_ROW_SHARE of the largest norm holds only rounding noise and is
+zeroed, not made a unit.
 """
 
 from __future__ import annotations
@@ -21,13 +24,18 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, TransformError
+from .errors import BudgetError, ConfigError, DataError, TransformError
 from .terms import TermPair
 
 # A row at or below this share of the largest row norm is noise; see above.
 _WEAK_ROW_SHARE = 1e-6
 # Singular values closer than this share of sigma_1 count as tied.
 _TIE_SHARE = 1e-9
+# The decomposition's peak memory per Gram cell, the Gram matrix included:
+# 41-46 bytes at n_r = 1000-4000 (x86-64, OpenBLAS, one thread).
+_DECOMPOSITION_BYTES_PER_CELL = 48
+# Half of an 8 GB host, which admits n_r up to 9,128.
+_DECOMPOSITION_BUDGET_BYTES = 4 * 10 ** 9
 
 PPMIC = "ppmic"
 LOG_ENTROPY = "logentropy"
@@ -103,6 +111,7 @@ def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k < 1:
         raise ConfigError(f"svd rank k must be >= 1, got {k}")
     X = _as_csr(X)
+    _require_decomposition_budget(X.shape[0])
     lam, vecs = np.linalg.eigh((X @ X.T).toarray())
     s = np.sqrt(np.maximum(lam[::-1], 0.0))
     gaps = s[:k] - np.append(s[1:], 0.0)[:k]
@@ -111,6 +120,15 @@ def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
     u = np.zeros((X.shape[0], k))
     u[:, :keep] = vecs[:, ::-1][:, :keep]
     return u, np.pad(s[:keep], (0, k - keep))
+
+
+def _require_decomposition_budget(n_r: int) -> None:
+    """Raise BudgetError when decomposing n_r rows would pass the memory budget."""
+    need = _DECOMPOSITION_BYTES_PER_CELL * n_r * n_r
+    if need > _DECOMPOSITION_BUDGET_BYTES:
+        raise BudgetError(
+            f"decomposing n_r={n_r:,} pair rows needs about {need:,} bytes, over the "
+            f"budget of {_DECOMPOSITION_BUDGET_BYTES:,} bytes")
 
 
 def _normalize_rows(M: np.ndarray) -> np.ndarray:

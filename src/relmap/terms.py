@@ -9,6 +9,7 @@ normalized independently and still match.
 
 from __future__ import annotations
 
+import itertools
 import string
 from dataclasses import dataclass, field
 
@@ -19,20 +20,24 @@ _PUNCT = string.punctuation + "‘’“”–—"
 
 @dataclass(frozen=True)
 class Tokenizer:
-    """Whitespace tokenizer with lowercasing and edge-punctuation stripping."""
+    """Whitespace tokenizer with lowercasing and edge-punctuation stripping.
+
+    The whole text is lowercased before it is split, so that the work
+    per token runs in C calls, with no Python loop. That gives the
+    tokens of lowercasing each word on its own: no character lowercases
+    to whitespace or from it, and the final-sigma rule never looks
+    across whitespace (tests/test_terms.py checks both over every code
+    point).
+    """
 
     lowercase: bool = True
     strip_punctuation: bool = True
 
     def tokenize(self, text: str) -> list[str]:
-        out = []
-        for raw in text.split():
-            tok = raw.lower() if self.lowercase else raw
-            if self.strip_punctuation:
-                tok = tok.strip(_PUNCT)
-            if tok:
-                out.append(tok)
-        return out
+        tokens = (text.lower() if self.lowercase else text).split()
+        if self.strip_punctuation:
+            return list(filter(None, map(str.strip, tokens, itertools.repeat(_PUNCT))))
+        return tokens
 
 
 DEFAULT_TOKENIZER = Tokenizer()

@@ -3,13 +3,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import PUNCTUATION
 
 from relmap.corpus import ingest, ingest_dir
 from relmap.dataset import Dataset
 from relmap.patterns import build_frequency_matrix, select_columns
 from relmap.planted import PlantedConfig, generate_planted_corpus
+
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+# Text built from the pieces that decide a token's bounds and its
+# lowercasing: every whitespace character, edge punctuation, repeated
+# words, and capital sigma where a word ends.
+token_texts = st.lists(st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(WHITESPACE),
+    st.sampled_from(PUNCTUATION),
+    st.sampled_from(["Sun", "sun.", "SUN", "«sun»", "ΟΔΟΣ", "ΣΑ", "Σ", "'Σ", "Σ'", "İ", "ß"]),
+), max_size=30).map("".join)
 
 
 def write_corpus(tmp_path, texts, prefix="doc"):

@@ -1,7 +1,10 @@
 """Independent reference implementations used to check the real code.
 
 Everything here is deliberately naive: plain scans, explicit loops, no
-shared code with the package beyond its public data types. The search
+shared code with the package beyond its public data types. The ingest
+references tokenize one word at a time and assign ids after every file
+is tokenized, the package's earlier batch design; the streamed ingest
+must give the same ids, offsets, vocabulary and digest. The search
 references score and compare one mapping at a time, one Python call per
 mapping, as the slow reference for the package's block search core.
 The SVD references are the dense LAPACK and iterative `svds` backends,
@@ -14,9 +17,13 @@ columns and matrix.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
+import string
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +34,52 @@ from relmap.errors import RelmapError
 from relmap.terms import TermPair
 
 TIE_TOLERANCE = 1e-12
+
+PUNCTUATION = string.punctuation + "‘’“”–—"
+
+
+def tokenize_words(text, lowercase=True, strip_punctuation=True):
+    """Split on whitespace, then lowercase and strip each word on its own."""
+    out = []
+    for raw in text.split():
+        tok = raw.lower() if lowercase else raw
+        if strip_punctuation:
+            tok = tok.strip(PUNCTUATION)
+        if tok:
+            out.append(tok)
+    return out
+
+
+def batch_index(documents):
+    """(ids, offsets, vocab) of token lists, with ids assigned after all are read.
+
+    Ids are first assigned in order of first appearance, then renumbered
+    by the token's rank in the sorted vocabulary.
+    """
+    first_seen = defaultdict(itertools.count().__next__)
+    n_tokens = sum(map(len, documents))
+    seen_ids = np.fromiter(
+        map(first_seen.__getitem__, itertools.chain.from_iterable(documents)),
+        dtype=np.int32, count=n_tokens)
+    seen = list(first_seen)
+    order = sorted(range(len(seen)), key=seen.__getitem__)
+    rank = np.empty(len(seen), dtype=np.int32)
+    rank[order] = np.arange(len(seen), dtype=np.int32)
+    offsets = np.zeros(len(documents) + 1, dtype=np.int64)
+    np.cumsum([len(doc) for doc in documents], dtype=np.int64, out=offsets[1:])
+    return rank[seen_ids], offsets, [seen[i] for i in order]
+
+
+def batch_ingest(paths, lowercase=True, strip_punctuation=True):
+    """(ids, offsets, vocab, digest): every file tokenized, then ids assigned."""
+    hasher = hashlib.sha256()
+    documents = []
+    for path in paths:
+        raw = Path(path).read_bytes()
+        hasher.update(hashlib.sha256(raw).digest())
+        documents.append(tokenize_words(raw.decode("utf-8"), lowercase,
+                                        strip_punctuation))
+    return (*batch_index(documents), hasher.hexdigest())
 
 
 def scan_windows(documents, x_tokens, y_tokens,

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from relmap import space
 from relmap.cli import main
 from relmap.dataset import Dataset, dump_problems
 
@@ -242,3 +243,10 @@ def test_bad_grid_is_usage_error(planted_paths, capsys):
     corpus, problems = planted_paths
     assert main(["sweep", problems, "--corpus", corpus,
                  "--k", "50:400"]) == 1
+
+
+def test_decomposition_over_budget_is_a_budget_refusal(planted_paths, monkeypatch, capsys):
+    corpus, problems = planted_paths
+    monkeypatch.setattr(space, "_DECOMPOSITION_BUDGET_BYTES", 10 ** 6)
+    assert main(["eval", problems, "--mode", "relational", "--corpus", corpus]) == 3
+    assert "budget refusal: decomposing n_r=" in capsys.readouterr().err

@@ -1,13 +1,16 @@
 import json
 import pickle
+import random
 import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_cooccurrences, scan_windows
+from oracles import batch_ingest, scan_cooccurrences, scan_windows
 from relmap import corpus as corpus_module
 from relmap.corpus import (CorpusIndex, cache_path, cached_index,
                            cooccurrence_counts, corpus_digest, ingest,
@@ -15,7 +18,7 @@ from relmap.corpus import (CorpusIndex, cache_path, cached_index,
 from relmap.errors import CorpusError
 from relmap.terms import DEFAULT_TOKENIZER, Term, TermPair, Tokenizer
 
-from conftest import occurrences, write_corpus
+from conftest import occurrences, token_texts, write_corpus
 
 
 def occ_key(occ):
@@ -79,6 +82,54 @@ def test_ingest_dir_reads_lexicographically(tmp_path):
     (sub / "c.txt").write_text("gamma")
     index = ingest_dir(tmp_path)
     assert [d[0] for d in doc_tokens(index)] == ["alpha", "beta", "gamma"]
+
+
+@given(st.lists(token_texts, max_size=5), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_ingest_equals_batch_oracle(file_texts, lowercase, strip_punctuation):
+    """Streamed ingest gives the batch design's ids, offsets, vocabulary and digest."""
+    tokenizer = Tokenizer(lowercase, strip_punctuation)
+    with tempfile.TemporaryDirectory() as root:
+        paths = [Path(root) / f"doc{i}.txt" for i in range(len(file_texts))]
+        for path, text in zip(paths, file_texts):
+            path.write_bytes(text.encode("utf-8"))
+        index = ingest(paths, tokenizer=tokenizer)
+        ids, offsets, vocab, digest = batch_ingest(paths, lowercase, strip_punctuation)
+    assert index.ids.dtype == np.int32 and index.doc_offsets.dtype == np.int64
+    assert index.ids.tolist() == ids.tolist()
+    assert index.doc_offsets.tolist() == offsets.tolist()
+    assert index.vocab == vocab
+    assert index.digest == digest
+    assert index.tokenizer == tokenizer
+
+
+def test_ingest_memory_is_one_file_of_tokens(tmp_path):
+    """20 files of 20k tokens over 500 words: the traced peak stays near one
+    file's tokens (about 1.2 MB as Python strings) plus the ids (1.6 MB, and
+    as much again while they are joined). Tokenizing every file first, as a
+    batch ingest does, holds all 400k tokens at once: over 25 MB."""
+    rng = random.Random(5)
+    words = ["".join(rng.choices("abcdefghij", k=rng.randint(3, 10))) for _ in range(500)]
+    paths = []
+    for i in range(20):
+        path = tmp_path / f"doc{i:02d}.txt"
+        path.write_text(" ".join(rng.choices(words, k=20_000)) + "\n", encoding="utf-8")
+        paths.append(path)
+    tracemalloc.start()
+    try:
+        index = ingest(paths)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert index.total_tokens == 400_000
+    assert peak_mb < 8, f"peak {peak_mb:.1f} MB"
+
+
+def test_postings_are_built_on_first_search(tmp_path):
+    index = write_corpus(tmp_path, ["the sun attracts the planet"])
+    assert "_order" not in vars(index) and "_bounds" not in vars(index)
+    assert occurrences(index, Term.parse("the")) == [(0, 0), (0, 3)]
+    assert "_order" in vars(index) and "_bounds" in vars(index)
 
 
 # --- phrase search ----------------------------------------------------------

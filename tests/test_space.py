@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from oracles import dense_svd, log_entropy_cell, ppmi_cell, sparse_svd
 from relmap.corpus import ingest
-from relmap.errors import ConfigError, TransformError
+from relmap.errors import BudgetError, ConfigError, TransformError
 from relmap.evaluation import mine_for_problems, space_from_stats
 from relmap.patterns import (build_frequency_matrix, build_pair_list,
                              mine_patterns, prune_rows, select_columns)
 from relmap.problems import MappingProblem
-from relmap.space import (build_space, build_space_from_matrix,
-                          transform_log_entropy, transform_ppmic, truncated_svd)
+from relmap.space import (_require_decomposition_budget, build_space,
+                          build_space_from_matrix, transform_log_entropy,
+                          transform_ppmic, truncated_svd)
 from relmap.terms import TermPair
 
 from conftest import write_corpus
@@ -164,6 +165,24 @@ def test_svd_pads_when_k_exceeds_dimension():
 def test_svd_rejects_bad_k():
     with pytest.raises(ConfigError):
         truncated_svd(np.eye(3), 0)
+
+
+def test_svd_refuses_a_gram_matrix_over_the_memory_budget():
+    """One nonzero per row: X is tiny, but its Gram matrix is n_r x n_r."""
+    n_r = 10_000
+    X = sp.csr_matrix((np.ones(n_r), (np.arange(n_r), np.zeros(n_r, dtype=np.int64))),
+                      shape=(n_r, 1))
+    with pytest.raises(BudgetError, match="n_r=10,000 .* 4,800,000,000 bytes"):
+        truncated_svd(X, 5)
+    rows = [TermPair.parse(f"a{i}", f"b{i}") for i in range(n_r)]
+    with pytest.raises(BudgetError, match="n_r=10,000"):
+        build_space_from_matrix(X, rows, k=5)
+
+
+def test_decomposition_budget_edge():
+    _require_decomposition_budget(9_128)
+    with pytest.raises(BudgetError, match="n_r=9,129"):
+        _require_decomposition_budget(9_129)
 
 
 def test_svd_beats_random_rank_k_competitors():

@@ -1,8 +1,16 @@
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relmap.terms import DEFAULT_TOKENIZER, Term, TermPair
+from oracles import tokenize_words
+from relmap.terms import DEFAULT_TOKENIZER, Term, TermPair, Tokenizer
+
+from conftest import WHITESPACE, token_texts
+
+TOKENIZERS = [Tokenizer(lowercase, strip) for lowercase in (True, False)
+              for strip in (True, False)]
 
 
 def test_tokenize_strips_and_lowercases():
@@ -38,6 +46,34 @@ def test_normalization_idempotent(text):
     toks = DEFAULT_TOKENIZER.tokenize(text)
     again = DEFAULT_TOKENIZER.tokenize(" ".join(toks))
     assert toks == again
+
+
+@given(token_texts)
+@settings(max_examples=300)
+def test_tokenize_equals_word_by_word_oracle(text):
+    for tokenizer in TOKENIZERS:
+        assert tokenizer.tokenize(text) == tokenize_words(
+            text, tokenizer.lowercase, tokenizer.strip_punctuation)
+
+
+def test_lowercasing_the_whole_text_keeps_token_bounds():
+    """Why `tokenize` may lowercase before it splits, checked over every code point.
+
+    Lowercasing maps each character on its own, except capital sigma,
+    whose form depends on the cased letters around it. So the text's
+    words lowercase as they would alone when no character lowercases to
+    whitespace or from it, and the sigma rule stops at whitespace.
+    """
+    for c in map(chr, range(sys.maxunicode + 1)):
+        low = c.lower()
+        if c.isspace():
+            assert low and low.isspace(), hex(ord(c))
+        else:
+            assert not any(map(str.isspace, low)), hex(ord(c))
+    for w in WHITESPACE:
+        for text in ("AΣ" + w + "B", "A" + w + "Σ", "A" + w + "ΣB", "AΣ'" + w + "'B"):
+            assert text.lower().split() == [word.lower() for word in text.split()], (
+                hex(ord(w)), text)
 
 
 def test_pair_requires_distinct_terms():
