@@ -14,27 +14,38 @@ concatenated into a single int32 array of token ids; `doc_offsets`
 (int64, one more entry than there are documents) marks where each
 starts, so document d spans global positions
 ``doc_offsets[d]:doc_offsets[d + 1]``. Token ids index a vocabulary in
-lexicographic order, and a term's token is looked up by bisection. The
-postings are CSR: the global positions sorted by (token id, position),
-with per-id bounds from a bincount. They are derived from the ids and
-built on the first search, so they are never stored, and an index that
-is only built and cached never sorts them.
+lexicographic order. The vocabulary is never decoded whole: it stays
+one "\\n"-joined UTF-8 byte array (tokens never contain whitespace), with
+the byte offset of each word built on first use. A term's token is
+looked up by bisection over those offsets, and the words of many ids
+are decoded in one pass. UTF-8 byte order is code-point order, so the
+bytes sort as the words do.
+
+Postings exist only for the terms a query names. One pass over the ids
+finds the positions of a whole batch of first tokens; each term's start
+positions are then kept on the index, so a term asked for again costs
+no pass. Beyond the vocabulary's bytes and offsets nothing is kept per
+vocabulary word, and an index that is only built and cached never
+searches.
 
 Ingest streams the files. Each file is read, hashed, tokenized and
 mapped to first-seen ids before the next one is read, so at any time
 memory holds the vocabulary, 4 bytes per token so far and one file's
 tokens, never a Python string per corpus token. The first-seen ids are
-renumbered by vocabulary rank at the end.
+renumbered by vocabulary rank at the end, and the sorted words are
+joined into the vocabulary's bytes once.
 
 Cache. `save_index` writes an uncompressed ``.npz`` holding the ids,
-the offsets, the vocabulary as one "\\n"-joined UTF-8 byte array
-(tokens never contain whitespace) and a JSON metadata string. The file
-name is a hash of the corpus content digest, the tokenizer settings and
-the format version, so an index built under other settings is never
-found. The file is written to a temporary name in the cache directory
-and renamed into place, so no reader sees a partial file. `load_index`
-reads it with ``allow_pickle=False`` and checks the format, the dtypes,
-the offsets and the id range before it returns anything.
+the offsets, the vocabulary's bytes as they are and a JSON metadata
+string. The file name is a hash of the corpus content digest, the
+tokenizer settings and the format version, so an index built under
+other settings is never found. The file is written to a temporary name
+in the cache directory and renamed into place, so no reader sees a
+partial file. `load_index` reads it with ``allow_pickle=False`` and
+checks the format, the dtypes, the offsets, the vocabulary and the id
+range before it returns anything. The vocabulary is checked on its
+bytes, a bounded number of words at a time: UTF-8 validity, the stated
+size, no empty word and strictly increasing order.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ import os
 import zipfile
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -68,7 +79,10 @@ MAX_POST = 1
 _X_BLOCK = 1 << 18
 
 _CACHE_FORMAT = "relmap-corpus-index-v2"
+# Words decoded at once when a loaded vocabulary is checked.
+_CHECK_WORDS = 1 << 14
 _EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -97,15 +111,101 @@ class PhraseOccurrence:
             raise ValueError("term spans overlap or are out of order")
 
 
+class Vocabulary:
+    """A sorted vocabulary kept as its "\\n"-joined UTF-8 bytes.
+
+    A read-only sequence of `size` words: `len`, item access, `find` (a
+    word's id by bisection, -1 if absent) and `words` (many words
+    decoded in one pass). No word is decoded until asked for; the byte
+    offsets of the words are found on first use.
+    """
+
+    def __init__(self, blob: np.ndarray, size: int):
+        blob.flags.writeable = False
+        self.blob = blob         # uint8, the words joined by b"\\n"
+        self.size = size
+
+    @classmethod
+    def from_sorted(cls, words: list[str]) -> "Vocabulary":
+        """The vocabulary of these words, given in increasing order.
+
+        An empty word, or one holding a newline, is refused with CorpusError.
+        """
+        blob = "\n".join(words).encode("utf-8")
+        if words and (not words[0] or blob.count(b"\n") != len(words) - 1):
+            raise CorpusError("a vocabulary word is empty or holds a newline")
+        return cls(np.frombuffer(blob, dtype=np.uint8), len(words))
+
+    @functools.cached_property
+    def _offsets(self) -> np.ndarray:
+        """Word i is blob[_offsets[i]:_offsets[i + 1] - 1]."""
+        breaks = np.flatnonzero(self.blob == ord("\n"))
+        if not (breaks.size == self.size - 1 if self.size else self.blob.size == 0):
+            raise ValueError("vocabulary is not of the stated size")
+        offsets = np.empty(breaks.size + 2, dtype=np.int64)
+        offsets[0], offsets[-1] = 0, self.blob.size + 1
+        np.add(breaks, 1, out=offsets[1:-1])
+        return offsets
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> str:
+        if not 0 <= i < self.size:
+            raise IndexError(f"word id {i} out of range")
+        a, b = self._offsets[i:i + 2].tolist()
+        return self.blob[a:b - 1].tobytes().decode("utf-8")
+
+    def words(self, ids) -> list[str]:
+        """The words with these ids, in their order, decoded in one pass."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if not ids.size:
+            return []
+        starts = self._offsets[ids]
+        sizes = self._offsets[ids + 1] - starts   # each word and the byte after it
+        first = np.cumsum(sizes) - sizes          # where each word goes in `raw`
+        # The byte after the last word lies past the blob; "clip" reads
+        # another, and every byte after a word is then set to a newline.
+        raw = self.blob.take(np.repeat(starts - first, sizes) + np.arange(int(sizes.sum())),
+                             mode="clip")
+        raw[first + sizes - 1] = ord("\n")
+        return raw[:-1].tobytes().decode("utf-8").split("\n")
+
+    def find(self, word: str) -> int:
+        """The id of `word`, or -1 when it is not in the vocabulary."""
+        i = bisect_left(self, word)
+        return i if i < self.size and self[i] == word else -1
+
+    def check(self) -> None:
+        """Raise ValueError unless the bytes hold `size` valid, non-empty UTF-8
+        words in strictly increasing order, looked at _CHECK_WORDS words at
+        a time."""
+        offsets = self._offsets
+        if self.size and offsets[1] == 1:  # in increasing order only the first can be empty
+            raise ValueError("vocabulary holds an empty word")
+        last = None
+        for a in range(0, self.size, _CHECK_WORDS):
+            b = min(a + _CHECK_WORDS, self.size)
+            raw = self.blob[offsets[a]:offsets[b] - 1].tobytes()
+            raw.decode("utf-8")  # a chunk ends at a word, so at a character
+            words = raw.split(b"\n")
+            if not ((last is None or last < words[0])
+                    and all(map(operator.lt, words, itertools.islice(words, 1, None)))):
+                raise ValueError("vocabulary is not strictly increasing")
+            last = words[-1]
+
+
 @dataclass(eq=False)
 class CorpusIndex:
     """Immutable token index: token ids, document offsets, sorted vocabulary."""
 
     ids: np.ndarray              # int32 token ids, all documents concatenated
     doc_offsets: np.ndarray      # int64, n_documents + 1 entries
-    vocab: list[str]             # lexicographically sorted
+    vocab: Vocabulary
     digest: str = ""
     tokenizer: Tokenizer = DEFAULT_TOKENIZER
+    # start positions of every term searched for so far
+    _found: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.ids.flags.writeable = False
@@ -118,7 +218,8 @@ class CorpusIndex:
 
         `documents` is consumed one document at a time, and only that
         document's ids are kept, so a generator of token lists holds
-        one document's tokens at a time.
+        one document's tokens at a time. An empty token, or one holding
+        a newline, is refused with CorpusError.
         """
         # Ids in order of first appearance, assigned without a Python loop.
         first_seen = defaultdict(itertools.count().__next__)
@@ -132,27 +233,18 @@ class CorpusIndex:
         seen = list(first_seen)
         del first_seen
         order = sorted(range(len(seen)), key=seen.__getitem__)
-        rank = np.empty(len(seen), dtype=np.int32)
-        rank[order] = np.arange(len(seen), dtype=np.int32)
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        words = list(map(seen.__getitem__, order))
+        del seen, order
+        vocab = Vocabulary.from_sorted(words)
+        del words
         offsets = np.zeros(len(parts), dtype=np.int64)
         np.cumsum([part.size for part in parts[1:]], dtype=np.int64, out=offsets[1:])
         ids = np.concatenate(parts)
         del parts
-        return cls(ids=rank[ids], doc_offsets=offsets,
-                   vocab=[seen[i] for i in order], digest=digest,
+        return cls(ids=rank[ids], doc_offsets=offsets, vocab=vocab, digest=digest,
                    tokenizer=tokenizer)
-
-    @functools.cached_property
-    def _order(self) -> np.ndarray:
-        """Postings: every global position, sorted by (token id, position)."""
-        return np.argsort(self.ids, kind="stable")
-
-    @functools.cached_property
-    def _bounds(self) -> np.ndarray:
-        """Token id t's postings are _order[_bounds[t]:_bounds[t + 1]]."""
-        bounds = np.zeros(len(self.vocab) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.ids, minlength=len(self.vocab)), out=bounds[1:])
-        return bounds
 
     @property
     def total_tokens(self) -> int:
@@ -162,23 +254,46 @@ class CorpusIndex:
     def n_documents(self) -> int:
         return int(self.doc_offsets.size) - 1
 
-    def _token_id(self, token: str) -> int:
-        i = bisect_left(self.vocab, token)
-        return i if i < len(self.vocab) and self.vocab[i] == token else -1
+    def _starts(self, terms: list[Term]) -> dict[Term, np.ndarray]:
+        """Sorted global start positions of each term's token run (read-only).
 
-    def _starts(self, term: Term) -> np.ndarray:
-        """Sorted global start positions of the term's token run."""
-        tids = [self._token_id(tok) for tok in term.tokens]
-        if min(tids) < 0:
-            return _EMPTY
-        pos = self._order[self._bounds[tids[0]]:self._bounds[tids[0] + 1]]
+        The first tokens of all terms not searched for before are found
+        in one pass over the ids, and every term's positions are kept.
+        """
+        found = self._found
+        tids = {term: [self.vocab.find(tok) for tok in term.tokens]
+                for term in dict.fromkeys(terms) if term not in found}
+        heads = self._positions(np.unique([t[0] for t in tids.values() if min(t) >= 0]))
+        for term, t in tids.items():
+            found[term] = self._runs(heads[t[0]], t) if min(t) >= 0 else _EMPTY
+        return {term: found[term] for term in terms}
+
+    def _positions(self, tids: np.ndarray) -> dict[int, np.ndarray]:
+        """Sorted global positions of each of these token ids, from one pass."""
+        if not tids.size:
+            return {}
+        wanted = np.zeros(len(self.vocab), dtype=bool)
+        wanted[tids] = True
+        pos = np.flatnonzero(wanted[self.ids])
+        tok = self.ids[pos]
+        order = np.argsort(tok, kind="stable")  # positions stay sorted per token
+        pos, tok = pos[order], tok[order]
+        pos.flags.writeable = False
+        lo = np.searchsorted(tok, tids, side="left").tolist()
+        hi = np.searchsorted(tok, tids, side="right").tolist()
+        return {t: pos[a:b] for t, a, b in zip(tids.tolist(), lo, hi)}
+
+    def _runs(self, pos: np.ndarray, tids: list[int]) -> np.ndarray:
+        """The positions in `pos`, where tids[0] occurs, that start the whole run."""
         if len(tids) == 1:
             return pos
         span = len(tids)
         pos = pos[pos + span <= self.ids.size]
         for k, tid in enumerate(tids[1:], 1):
             pos = pos[self.ids[pos + k] == tid]
-        return pos[pos + span <= self.doc_offsets[self._doc_of(pos) + 1]]
+        pos = pos[pos + span <= self.doc_offsets[self._doc_of(pos) + 1]]
+        pos.flags.writeable = False
+        return pos
 
     def _doc_of(self, pos: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.doc_offsets, pos, side="right") - 1
@@ -233,11 +348,7 @@ def _find_windows(index: CorpusIndex, pairs: list[TermPair]) -> tuple[np.ndarray
     y start) order. A y match starts 0-3 tokens after the x match ends
     and lies in the same document.
     """
-    starts: dict[Term, np.ndarray] = {}
-    for pair in pairs:
-        for term in (pair.x, pair.y):
-            if term not in starts:
-                starts[term] = index._starts(term)
+    starts = index._starts([term for pair in pairs for term in (pair.x, pair.y)])
     # Pairs are searched in blocks of about _X_BLOCK x occurrences, which
     # bounds the memory of the per-occurrence arrays.
     blocks, first, size = [], 0, 0
@@ -300,7 +411,7 @@ def search_phrases(index: CorpusIndex, pair: TermPair) -> list[PhraseOccurrence]
     y_len = len(pair.y.tokens)
     w_start = x_pos - pre
     w_end = y_pos + y_len + post
-    vocab = index.vocab
+    words = index.vocab.words
     ids = index.ids
     out = []
     for d, ds, ws, we, xp, yp, pr, po in zip(
@@ -310,7 +421,7 @@ def search_phrases(index: CorpusIndex, pair: TermPair) -> list[PhraseOccurrence]
         out.append(PhraseOccurrence(
             doc=d,
             start=ws - ds,
-            window=tuple(map(vocab.__getitem__, ids[ws:we].tolist())),
+            window=tuple(words(ids[ws:we])),
             x_span=(xp - ws, xp + x_len - ws),
             y_span=(yp - ws, yp + y_len - ws),
             pre=pr,
@@ -330,8 +441,8 @@ def cooccurrence_counts(index: CorpusIndex, a: Term, b: Term,
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    pos_a = index._starts(a)
-    pos_b = index._starts(b)
+    starts = index._starts([a, b])
+    pos_a, pos_b = starts[a], starts[b]
 
     def pairs(p: np.ndarray, q: np.ndarray) -> int:
         """Ordered (p, q) position pairs at most `window` apart in one document."""
@@ -364,9 +475,6 @@ def cache_path(cache_dir: str | Path, digest: str,
 def save_index(index: CorpusIndex, cache_dir: str | Path) -> Path:
     """Persist the index under its cache key; returns the file's path."""
     path = cache_path(cache_dir, index.digest, index.tokenizer)
-    blob = "\n".join(index.vocab).encode("utf-8")
-    if index.vocab and blob.count(b"\n") != len(index.vocab) - 1:
-        raise CorpusError("cannot cache an index whose vocabulary holds a newline")
     meta = {"format": _CACHE_FORMAT, "digest": index.digest,
             "tokenizer": dataclasses.asdict(index.tokenizer),
             "vocab_size": len(index.vocab)}
@@ -375,8 +483,7 @@ def save_index(index: CorpusIndex, cache_dir: str | Path) -> Path:
     try:
         with open(tmp, "xb") as fh:
             np.savez(fh, ids=index.ids, doc_offsets=index.doc_offsets,
-                     vocab=np.frombuffer(blob, dtype=np.uint8),
-                     meta=json.dumps(meta))
+                     vocab=index.vocab.blob, meta=json.dumps(meta))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -412,7 +519,7 @@ def load_index(path: str | Path) -> CorpusIndex:
              and all(isinstance(v, bool) for v in settings.values()),
              path, "bad tokenizer settings")
     digest, vocab_size = meta.get("digest"), meta.get("vocab_size")
-    _require(isinstance(digest, str) and type(vocab_size) is int,
+    _require(isinstance(digest, str) and type(vocab_size) is int and vocab_size >= 0,
              path, "bad metadata")
     _require(ids.dtype == np.int32 and ids.ndim == 1
              and offsets.dtype == np.int64 and offsets.ndim == 1
@@ -420,13 +527,11 @@ def load_index(path: str | Path) -> CorpusIndex:
     _require(offsets.size >= 1 and offsets[0] == 0 and offsets[-1] == ids.size
              and bool(np.all(offsets[1:] >= offsets[:-1])),
              path, "document offsets do not partition the tokens")
+    vocab = Vocabulary(blob, vocab_size)
     try:
-        vocab = blob.tobytes().decode("utf-8").split("\n") if vocab_size else []
-    except UnicodeDecodeError as exc:
+        vocab.check()
+    except ValueError as exc:  # UnicodeDecodeError included
         raise CorpusError(f"bad index cache {path}: {exc}") from exc
-    _require(len(vocab) == vocab_size
-             and all(map(operator.lt, vocab, itertools.islice(vocab, 1, None))),
-             path, "vocabulary is not a sorted list of the stated size")
     _require(ids.size == 0 or (int(ids.min()) >= 0 and int(ids.max()) < vocab_size),
              path, "token id out of vocabulary range")
     return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=vocab, digest=digest,

@@ -271,6 +271,30 @@ def _coherence_scorer(config: Config, space, index, problem):
                       f"attributional mode, not {config.mode!r}")
 
 
+class _PreparedOnce:
+    """A scorer that prepares one problem once and serves it to every trial.
+
+    Total mode searches the same full problem in each trial; the reduced
+    problems of internal mode differ per trial and are prepared as usual.
+    """
+
+    def __init__(self, scorer, problem: MappingProblem):
+        self.scorer = scorer
+        self.problem = problem
+        self.mode = scorer.mode
+        self._score = None
+
+    def prepare(self, problem: MappingProblem):
+        if problem is not self.problem:
+            return self.scorer.prepare(problem)
+        if self._score is None:
+            self._score = self.scorer.prepare(problem)
+        return self._score
+
+    def explain(self, problem: MappingProblem, perm: tuple[int, ...]):
+        return self.scorer.explain(problem, perm)
+
+
 def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int,
                          seed: int, config: Config,
                          index: Optional[CorpusIndex] = None,
@@ -309,7 +333,7 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
         rng = random.Random(f"{seed}:{problem.id}")
         trials = 1 if m_prime == problem.m else trials_per_problem
         internal_scores, total_scores = [], []
-        scorer = _coherence_scorer(config, space, index, problem)
+        scorer = _PreparedOnce(_coherence_scorer(config, space, index, problem), problem)
         for trial in range(trials):
             indices = sorted(rng.sample(range(problem.m), m_prime))
             fixed = {problem.source[i].text: problem.intended[problem.source[i].text]

@@ -210,7 +210,7 @@ def _alphabet(index: CorpusIndex, win: dict[str, np.ndarray]
             index.ids[win["y_end"][win["post"] > 0]]]
     seen += [index.ids[win["x_end"][win["mid"] > k] + k] for k in range(MAX_MID)]
     token_ids = np.unique(np.concatenate(seen))
-    words = [index.vocab[t] for t in token_ids.tolist()]   # sorted, as the vocabulary is
+    words = index.vocab.words(token_ids)   # sorted, as the vocabulary is
     added = [m for m in MARKERS if not _holds(words, m)]
     words = sorted(words + added)
     is_token = np.ones(len(words), dtype=bool)

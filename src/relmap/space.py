@@ -11,9 +11,10 @@ n_r x n_r Gram matrix X X^T (8 * n_r^2 bytes, whatever the column count),
 cut at a strict gap in the spectrum so that tied singular values never
 leave an arbitrary pick. Its memory grows as n_r^2, so a matrix with
 more rows than the decomposition budget allows is refused with
-BudgetError before the Gram matrix is formed. A row left at or below
-_WEAK_ROW_SHARE of the largest norm holds only rounding noise and is
-zeroed, not made a unit.
+BudgetError before the Gram matrix is formed. Without SVD the rows of X
+are normalized as a dense n_r x n_c array, and the same budget bounds
+that copy. A row left at or below _WEAK_ROW_SHARE of the largest norm
+holds only rounding noise and is zeroed, not made a unit.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ _TIE_SHARE = 1e-9
 _DECOMPOSITION_BYTES_PER_CELL = 48
 # Half of an 8 GB host, which admits n_r up to 9,128.
 _DECOMPOSITION_BUDGET_BYTES = 4 * 10 ** 9
+# Without SVD, the peak memory per cell of the dense n_r x n_c matrix: the
+# dense copy, and the quotient and masked result that normalize it
+# (24.1 bytes measured at 500 x 4000).
+_DENSE_BYTES_PER_CELL = 24
 
 PPMIC = "ppmic"
 LOG_ENTROPY = "logentropy"
@@ -131,6 +136,15 @@ def _require_decomposition_budget(n_r: int) -> None:
             f"budget of {_DECOMPOSITION_BUDGET_BYTES:,} bytes")
 
 
+def _require_dense_budget(n_r: int, n_c: int) -> None:
+    """Raise BudgetError when normalizing n_r x n_c dense rows would pass the budget."""
+    need = _DENSE_BYTES_PER_CELL * n_r * n_c
+    if need > _DECOMPOSITION_BUDGET_BYTES:
+        raise BudgetError(
+            f"densifying n_r={n_r:,} pair rows by n_c={n_c:,} columns without SVD needs "
+            f"about {need:,} bytes, over the budget of {_DECOMPOSITION_BUDGET_BYTES:,} bytes")
+
+
 def _normalize_rows(M: np.ndarray) -> np.ndarray:
     """Unit rows; rows at or below _WEAK_ROW_SHARE of the largest norm become zero."""
     norms = np.linalg.norm(M, axis=1)
@@ -196,13 +210,16 @@ def build_space_from_matrix(X, rows: list[TermPair], *,
     """Space from a weighted matrix, with or without SVD smoothing.
 
     k=None skips the decomposition entirely: similarities are then
-    cosines over the weighted matrix rows themselves.
+    cosines over the weighted matrix rows themselves, made dense, so a
+    matrix whose dense copy would pass the memory budget is refused with
+    BudgetError.
     """
     row_index = {pair: i for i, pair in enumerate(rows)}
     if len(row_index) != len(rows):
         raise DataError("duplicate pair rows in relation space")
     X = _as_csr(X)
     if k is None:
+        _require_dense_budget(*X.shape)
         space = RelationSpace(row_index=row_index, W=_normalize_rows(X.toarray()),
                               k=None, transform=transform,
                               provenance=provenance or {})

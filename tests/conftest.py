@@ -55,7 +55,7 @@ def column_ids(stats, patterns):
 
 def occurrences(index, term):
     """All (doc, start) positions where the term's token run occurs."""
-    pos = index._starts(term)
+    pos = index._starts([term])[term]
     doc = index._doc_of(pos)
     return list(zip(doc.tolist(), (pos - index.doc_offsets[doc]).tolist()))
 

@@ -4,7 +4,11 @@ Everything here is deliberately naive: plain scans, explicit loops, no
 shared code with the package beyond its public data types. The ingest
 references tokenize one word at a time and assign ids after every file
 is tokenized, the package's earlier batch design; the streamed ingest
-must give the same ids, offsets, vocabulary and digest. The search
+must give the same ids, offsets, vocabulary and digest. The lookup
+reference keeps the vocabulary as a list of strings and builds postings
+for every token id with a full stable argsort and a bincount, the
+package's earlier design; the byte-blob vocabulary and the per-query
+postings must find the same ids, words and start positions. The search
 references score and compare one mapping at a time, one Python call per
 mapping, as the slow reference for the package's block search core.
 The SVD references are the dense LAPACK and iterative `svds` backends,
@@ -22,6 +26,7 @@ import itertools
 import math
 import random
 import string
+from bisect import bisect_left
 from collections import defaultdict
 from pathlib import Path
 
@@ -80,6 +85,38 @@ def batch_ingest(paths, lowercase=True, strip_punctuation=True):
         documents.append(tokenize_words(raw.decode("utf-8"), lowercase,
                                         strip_punctuation))
     return (*batch_index(documents), hasher.hexdigest())
+
+
+class ListIndex:
+    """Term lookup over a list vocabulary and postings for every token id.
+
+    The postings are CSR: every position sorted by (token id, position),
+    with per-id bounds from a bincount.
+    """
+
+    def __init__(self, ids, doc_offsets, vocab):
+        self.ids, self.doc_offsets, self.vocab = ids, doc_offsets, vocab
+        self.order = np.argsort(ids, kind="stable")
+        self.bounds = np.zeros(len(vocab) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=len(vocab)), out=self.bounds[1:])
+
+    def token_id(self, token):
+        i = bisect_left(self.vocab, token)
+        return i if i < len(self.vocab) and self.vocab[i] == token else -1
+
+    def starts(self, tokens):
+        """Sorted global start positions of the token run, inside one document."""
+        tids = [self.token_id(tok) for tok in tokens]
+        if min(tids) < 0:
+            return np.zeros(0, dtype=np.int64)
+        pos = self.order[self.bounds[tids[0]]:self.bounds[tids[0] + 1]]
+        keep = []
+        for p in pos.tolist():
+            doc = int(np.searchsorted(self.doc_offsets, p, side="right")) - 1
+            end = p + len(tids)
+            if end <= self.doc_offsets[doc + 1] and self.ids[p:end].tolist() == tids:
+                keep.append(p)
+        return np.array(keep, dtype=np.int64)
 
 
 def scan_windows(documents, x_tokens, y_tokens,

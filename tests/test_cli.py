@@ -250,3 +250,11 @@ def test_decomposition_over_budget_is_a_budget_refusal(planted_paths, monkeypatc
     monkeypatch.setattr(space, "_DECOMPOSITION_BUDGET_BYTES", 10 ** 6)
     assert main(["eval", problems, "--mode", "relational", "--corpus", corpus]) == 3
     assert "budget refusal: decomposing n_r=" in capsys.readouterr().err
+
+
+def test_dense_copy_over_budget_is_a_budget_refusal(planted_paths, monkeypatch, capsys):
+    corpus, problems = planted_paths
+    monkeypatch.setattr(space, "_DECOMPOSITION_BUDGET_BYTES", 10 ** 6)
+    assert main(["eval", problems, "--mode", "relational", "--corpus", corpus,
+                 "--no-svd"]) == 3
+    assert "budget refusal: densifying n_r=" in capsys.readouterr().err

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_ingest, scan_cooccurrences, scan_windows
+from oracles import ListIndex, batch_index, batch_ingest, scan_cooccurrences, scan_windows
 from relmap import corpus as corpus_module
-from relmap.corpus import (CorpusIndex, cache_path, cached_index,
+from relmap.corpus import (CorpusIndex, _find_windows, cache_path, cached_index,
                            cooccurrence_counts, corpus_digest, ingest,
                            ingest_dir, load_index, save_index, search_phrases)
 from relmap.errors import CorpusError
@@ -39,7 +39,7 @@ def test_ingest_empty_list():
     index = ingest([])
     assert index.total_tokens == 0
     assert index.n_documents == 0
-    assert index.vocab == []
+    assert list(index.vocab) == []
     assert occurrences(index, Term.parse("sun")) == []
 
 
@@ -55,7 +55,7 @@ def test_ingest_twice_doubles_counts(tmp_path):
     once = write_corpus(tmp_path, [text])
     twice = write_corpus(tmp_path, [text, text], prefix="dup")
     assert twice.total_tokens == 2 * once.total_tokens
-    assert twice.vocab == once.vocab
+    assert list(twice.vocab) == list(once.vocab)
     for tok in once.vocab:
         term = Term((tok,))
         assert len(occurrences(twice, term)) == 2 * len(occurrences(once, term))
@@ -98,7 +98,7 @@ def test_ingest_equals_batch_oracle(file_texts, lowercase, strip_punctuation):
     assert index.ids.dtype == np.int32 and index.doc_offsets.dtype == np.int64
     assert index.ids.tolist() == ids.tolist()
     assert index.doc_offsets.tolist() == offsets.tolist()
-    assert index.vocab == vocab
+    assert list(index.vocab) == vocab
     assert index.digest == digest
     assert index.tokenizer == tokenizer
 
@@ -125,11 +125,101 @@ def test_ingest_memory_is_one_file_of_tokens(tmp_path):
     assert peak_mb < 8, f"peak {peak_mb:.1f} MB"
 
 
+def test_load_memory_holds_no_word_objects(tmp_path):
+    """200k distinct words, each a token once: loading the cached index and
+    one window search trace a peak under 9 MB (about 6 MB: the ids, the
+    vocabulary's 1.8 MB of bytes and its offsets). The words as a list of
+    strings take about 13 MB alone, and the old full postings 3 MB more."""
+    rng = random.Random(7)
+    words = [f"w{i:07d}" for i in range(200_000)]
+    rng.shuffle(words)
+    documents = [words[i:i + 10_000] + ["sun", "warms", "the", "planet"]
+                 for i in range(0, len(words), 10_000)]
+    path = save_index(CorpusIndex.from_token_lists(documents), tmp_path)
+    del words, documents
+    pairs = [TermPair.parse("sun", "planet"), TermPair.parse("warms", "planet")]
+    tracemalloc.start()
+    try:
+        index = load_index(path)
+        windows = _find_windows(index, pairs)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert len(index.vocab) == 200_004
+    assert windows[0].tolist() == [0] * 20 + [1] * 20
+    assert peak_mb < 9, f"peak {peak_mb:.1f} MB"
+
+
 def test_postings_are_built_on_first_search(tmp_path):
+    """Ingest finds no word offsets and no postings. A search keeps the
+    positions of the terms it names, and only those, and a term asked for
+    again is served from them."""
     index = write_corpus(tmp_path, ["the sun attracts the planet"])
-    assert "_order" not in vars(index) and "_bounds" not in vars(index)
-    assert occurrences(index, Term.parse("the")) == [(0, 0), (0, 3)]
-    assert "_order" in vars(index) and "_bounds" in vars(index)
+    assert "_offsets" not in vars(index.vocab)
+    loaded = load_index(save_index(index, tmp_path / "cache"))
+    the, sun = Term.parse("the"), Term.parse("sun")
+    for idx in (index, loaded):
+        assert idx._found == {}
+        assert occurrences(idx, the) == [(0, 0), (0, 3)]
+        assert set(idx._found) == {the}
+        kept = idx._found[the]
+        assert not kept.flags.writeable
+        starts = idx._starts([sun, the])
+        assert starts[the] is kept
+        assert starts[sun].tolist() == [1]
+        assert set(idx._found) == {the, sun}
+
+
+# Words over characters that sort differently by UTF-16 and by UTF-8, of
+# one to four UTF-8 bytes, with NUL and other control characters; words
+# are short, so many are prefixes of others.
+vocab_word = st.text(st.sampled_from(["a", "b", "\x00", "\x01", "\x7f", "\x80", "é", "\u07ff",
+                                      "\u0800", "中", "\uffff", "\U00010000", "😀"]),
+                     min_size=1, max_size=4)
+vocab_docs = st.lists(st.lists(vocab_word, max_size=12), max_size=4)
+
+
+@given(vocab_docs, st.lists(vocab_word, max_size=6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_blob_vocabulary_matches_list_oracle(documents, probes, data):
+    """Lookup, item access and bulk decoding agree with a list of the words,
+    before and after a cache round trip."""
+    ids, offsets, vocab = batch_index(documents)
+    ref = ListIndex(ids, offsets, vocab)
+    index = CorpusIndex.from_token_lists(documents)
+    with tempfile.TemporaryDirectory() as cache:
+        loaded = load_index(save_index(index, cache))
+    pick = data.draw(st.lists(st.integers(0, len(vocab) - 1), max_size=10)) if vocab else []
+    near = [w + "\x00" for w in vocab] + [w[:-1] for w in vocab if len(w) > 1]
+    for got in (index, loaded):
+        assert len(got.vocab) == len(vocab)
+        assert list(got.vocab) == vocab
+        assert [got.vocab[i] for i in range(len(vocab))] == vocab
+        assert got.vocab.words(pick) == [vocab[i] for i in pick]
+        assert got.vocab.words(np.array(pick, dtype=np.int32)) == [vocab[i] for i in pick]
+        for word in vocab + probes + near:
+            assert got.vocab.find(word) == ref.token_id(word)
+
+
+@given(vocab_docs, st.data())
+@settings(max_examples=150, deadline=None)
+def test_term_starts_match_argsort_postings(documents, data):
+    """The start positions found for a batch of terms equal those read from
+    postings over every token id, in any batch order and after a reload."""
+    ref = ListIndex(*batch_index(documents))
+    index = CorpusIndex.from_token_lists(documents)
+    words = ref.vocab + ["absent"]
+    terms = data.draw(st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=3)
+                               .map(lambda toks: Term(tuple(toks))), max_size=8))
+    with tempfile.TemporaryDirectory() as cache:
+        loaded = load_index(save_index(index, cache))
+    for got in (index, loaded):
+        first = got._starts(terms)
+        again = got._starts(terms[::-1])
+        for term in terms:
+            want = ref.starts(term.tokens).tolist()
+            assert first[term].tolist() == want
+            assert again[term].tolist() == want
 
 
 # --- phrase search ----------------------------------------------------------
@@ -372,7 +462,7 @@ def test_saved_index_gives_identical_windows(documents, x, y):
     index = CorpusIndex.from_token_lists(documents, digest="d" * 64)
     with tempfile.TemporaryDirectory() as cache:
         loaded = load_index(save_index(index, cache))
-    assert loaded.vocab == index.vocab
+    assert list(loaded.vocab) == list(index.vocab)
     assert loaded.ids.tolist() == index.ids.tolist()
     assert loaded.doc_offsets.tolist() == index.doc_offsets.tolist()
     assert (loaded.digest, loaded.tokenizer) == (index.digest, index.tokenizer)
@@ -388,7 +478,7 @@ def test_saved_empty_index_roundtrips(tmp_path):
         loaded = load_index(save_index(index, tmp_path / str(len(documents))))
         assert loaded.total_tokens == 0
         assert loaded.n_documents == len(documents)
-        assert loaded.vocab == []
+        assert list(loaded.vocab) == []
         assert search_phrases(loaded, TermPair.parse("x", "y")) == []
 
 
@@ -432,6 +522,13 @@ def _meta(arrays, **changes):
     return json.dumps(meta)
 
 
+def _vocab(arrays, words):
+    """A replacement vocabulary of these byte words, its size stated to match."""
+    return {"vocab": np.frombuffer(b"\n".join(words), np.uint8),
+            "meta": _meta(arrays, vocab_size=len(words))}
+
+
+# The saved vocabulary is a, planet, sun, the, warms.
 @pytest.mark.parametrize("corrupt", [
     lambda a: {"meta": _meta(a, format="relmap-corpus-index-v1")},
     lambda a: {"meta": _meta(a, tokenizer={"lowercase": True})},
@@ -449,15 +546,40 @@ def _meta(arrays, **changes):
     lambda a: {"vocab": np.frombuffer(b"\n".join(sorted(bytes(a["vocab"]).split(b"\n"),
                                                        reverse=True)), np.uint8)},
     lambda a: {"vocab": np.frombuffer(b"\xff" + bytes(a["vocab"]), np.uint8)},
+    lambda a: _vocab(a, [b"a", b"planet", b"planet", b"sun", b"the", b"warms"]),
+    lambda a: _vocab(a, [b"a", b"planet", b"sun", b"warms", b"warm"]),
+    lambda a: _vocab(a, [b"a", b"", b"planet", b"sun", b"the", b"warms"]),
+    lambda a: _vocab(a, [b"", b"a", b"planet", b"sun", b"the", b"warms"]),
+    lambda a: _vocab(a, [b"a", b"planet", b"sun", b"the", b"warms", b""]),
+    lambda a: {"vocab": np.frombuffer(bytes(a["vocab"]) + b"\n", np.uint8)},
+    lambda a: {"meta": _meta(a, vocab_size=-1)},
 ], ids=["format", "tokenizer-keys", "tokenizer-types", "vocab-size", "meta-type",
         "ids-dtype", "offsets-dtype", "vocab-dtype", "offsets-order", "offsets-start",
-        "offsets-end", "id-too-large", "id-negative", "vocab-unsorted", "vocab-utf8"])
+        "offsets-end", "id-too-large", "id-negative", "vocab-unsorted", "vocab-utf8",
+        "vocab-duplicate", "vocab-after-extension", "vocab-empty-word",
+        "vocab-empty-first-word", "vocab-empty-last-word", "vocab-trailing-newline",
+        "vocab-size-negative"])
 def test_load_checks_what_it_reads(tmp_path, corrupt):
     path, arrays = _saved_arrays(tmp_path)
     with open(path, "wb") as fh:
         np.savez(fh, **dict(arrays, **corrupt(arrays)))
     with pytest.raises(CorpusError, match=path.name):
         load_index(path)
+
+
+def test_load_checks_order_across_check_chunks(tmp_path, monkeypatch):
+    """Words checked two at a time: a disorder at any place is refused,
+    between two chunks too."""
+    monkeypatch.setattr(corpus_module, "_CHECK_WORDS", 2)
+    path, arrays = _saved_arrays(tmp_path)
+    words = bytes(arrays["vocab"]).split(b"\n")
+    load_index(path)
+    for i in range(len(words) - 1):
+        swapped = words[:i] + [words[i + 1], words[i]] + words[i + 2:]
+        with open(path, "wb") as fh:
+            np.savez(fh, **dict(arrays, **_vocab(arrays, swapped)))
+        with pytest.raises(CorpusError, match="not strictly increasing"):
+            load_index(path)
 
 
 def test_load_names_path_of_missing_array(tmp_path):
@@ -489,7 +611,7 @@ def test_cache_keys_on_tokenizer(tmp_path):
     index, hit = cached_index(files, cache)
     assert not hit
     assert index.tokenizer == DEFAULT_TOKENIZER
-    assert index.vocab == ["planet", "sun", "the", "warms"]
+    assert list(index.vocab) == ["planet", "sun", "the", "warms"]
     assert cached_index(files, cache)[1]
     # a file copied under the default key is refused, not served
     cache_path(cache, digest).write_bytes(foreign.read_bytes())
@@ -523,7 +645,8 @@ def test_failed_save_leaves_nothing(tmp_path, monkeypatch):
     assert list(cache.iterdir()) == []
 
 
-def test_save_refuses_newline_in_vocabulary(tmp_path):
-    index = CorpusIndex.from_token_lists([["a\nb"]])
+def test_index_refuses_newline_in_vocabulary():
     with pytest.raises(CorpusError, match="newline"):
-        save_index(index, tmp_path)
+        CorpusIndex.from_token_lists([["a", "a\nb"]])
+    with pytest.raises(CorpusError, match="empty"):
+        CorpusIndex.from_token_lists([["a"], [""]])

@@ -10,6 +10,7 @@ from relmap.errors import ConfigError, DataError
 from relmap.evaluation import (accuracy, coherence_experiment, run_batch,
                                sensitivity_sweep, solve_batch)
 from relmap.problems import Mapping
+from relmap.solver import RelationalScorer
 
 
 def mapping(pid, perm):
@@ -187,6 +188,29 @@ def test_coherence_attributional_modes_agree(planted_star):
                                   index=None, tie_policy="first")
     for row in report.rows:
         assert row.internal_accuracy == row.total_accuracy
+
+
+def test_coherence_prepares_each_full_problem_once(planted_star, monkeypatch):
+    """Total mode reuses one prepared grid per problem; each trial's reduced
+    problem is prepared on its own. The report is the same either way."""
+    data, index = planted_star
+    dataset, cfg = Dataset(data.problems[:2]), Config(mode="relational")
+    want = coherence_experiment(dataset, m_prime=3, trials_per_problem=4, seed=1,
+                                config=cfg, index=index)
+    prepared = []
+    real = RelationalScorer.prepare
+
+    def counting(self, problem):
+        prepared.append(problem.id)
+        return real(self, problem)
+
+    monkeypatch.setattr(RelationalScorer, "prepare", counting)
+    got = coherence_experiment(dataset, m_prime=3, trials_per_problem=4, seed=1,
+                               config=cfg, index=index)
+    assert got.to_tsv() == want.to_tsv()
+    for problem in dataset:
+        assert prepared.count(problem.id) == 1
+        assert prepared.count(f"{problem.id}#sub") == 4
 
 
 def test_coherence_report_layout(planted_star):
