@@ -54,9 +54,15 @@ class Config:
         return "pmi-ir" in (p.strip() for p in self.provider.split("+"))
 
     def summary(self) -> dict:
-        """Config echo for report sidecars (strings and numbers only)."""
+        """Config echo for report sidecars (strings and numbers only).
+
+        `cache_dir` is left out: a cache hit serves the index a miss
+        would build, so equal runs with and without it echo the same.
+        """
         out = {}
         for f in fields(self):
+            if f.name == "cache_dir":
+                continue
             value = getattr(self, f.name)
             out[f.name] = value if value is None or isinstance(
                 value, (str, int, float, bool)) else str(value)

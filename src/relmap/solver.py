@@ -44,21 +44,22 @@ minimum takes no walk when no grid cell is negative (it then cannot be
 below 0.0, and the shift is 0.0). Otherwise it is minus the maximum
 under the negated grids, found by a walk that skips every head whose
 bound cannot raise the running maximum, which starts at 0.0 since a
-positive minimum gives no shift. The sums of both channels come from
-one walk over every mapping, in enumeration order. The combined argmax
-is pruned too: each channel's head bound goes through the same
-monotone arithmetic as its probability and the combination, so it
-bounds every combined value under the head.
+positive minimum gives no shift. The sum takes no walk: each cell of
+a pair i < j is read by (m - 2)! mappings and each diagonal cell of a
+pair (i, i) by (m - 1)!, so it is a weighted sum of the cells less m!
+shifts, taken exactly on integers. The combined argmax is pruned too:
+each channel's head bound goes through the same monotone arithmetic as
+its probability and the combination, so it bounds every combined
+value under the head.
 
-Memory stays O(block) for any budget: the hybrid streams its scores
-rather than holding them, and the tie set is kept as compact integer
-rows. At m = 10 the full scan of 3,628,800 mappings takes about 0.42 s
-on one core of a 2-vCPU x86 host. On a planted problem, the pruned
-relational search takes 0.006-0.016 s there and scores 5,040 to 80,640
-rows, with the targets in intended, reversed or shuffled order; on a
-uniform-noise field nothing is pruned and the bounds add about 3%. A
-planted hybrid solve at m = 10 takes about 1.0-1.1 s there, most of it
-the sum walk.
+Memory stays O(block) for any budget: the hybrid holds no score per
+mapping, and the tie set is kept as compact integer rows. At m = 10
+the full scan of 3,628,800 mappings takes about 0.42 s on one core of
+a 2-vCPU x86 host. On a planted problem, the pruned relational search
+takes 0.006-0.016 s there and scores 5,040 to 80,640 rows, with the
+targets in intended, reversed or shuffled order; on a uniform-noise
+field nothing is pruned and the bounds add about 3%. A planted hybrid
+solve at m = 10 takes about 0.06-0.12 s there, most of it the shift walk.
 """
 
 from __future__ import annotations
@@ -444,23 +445,42 @@ def _shift(score_fn: _PairSum, m: int) -> float:
     return -top if top > 0 else 0.0
 
 
+def _units(values) -> int:
+    """The exact sum of the floats `values` in units of 2**-1074, of which each is a whole number."""
+    return sum(n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, values))
+
+
 class _Probability:
     """One channel's probability of a mapping: (score - shift) / total.
 
     `shift` is the minimum score when it is negative, else 0.0, and
-    `total` the shifted sum over all `count` mappings; when it is not
-    positive the field is degenerate and every mapping gets 1 / count.
-    `bound(head, free)` puts the score's head bounds through the same
-    arithmetic. Subtracting a constant and dividing by a positive one
-    are monotone in IEEE arithmetic, so it bounds the float probability
-    of every mapping under each head.
+    `total` the shifted sum over all `count` = m! mappings, exact on
+    integers and rounded once by the int division. Every float score
+    is within `margin` of its exact sum, so a total of at most count *
+    margin is rounding residue (a constant field of a value floats
+    cannot hold leaves one): the field is degenerate and every mapping
+    gets 1 / count. `bound(head, free)` puts the score's head bounds
+    through the same arithmetic. Subtracting a constant and dividing by
+    a positive one are monotone in IEEE arithmetic, so it bounds the
+    float probability of every mapping under each head.
     """
 
-    def __init__(self, score_fn: _PairSum, shift: float, total: float, count: int):
-        self.score_fn, self.shift, self.total, self.count = score_fn, shift, total, count
+    def __init__(self, score_fn: _PairSum, m: int):
+        self.score_fn = score_fn
+        self.shift = _shift(score_fn, m)
+        self.count = math.factorial(m)
+        own, eye = score_fn._i == score_fn._j, np.eye(m, dtype=bool)
+        # a cell of a pair i < j is read by the (m - 2)! mappings sending
+        # i and j onto its targets, one of a pair (i, i) by (m - 1)!
+        cells_ij = score_fn._cells[~own][:, ~eye].ravel().tolist()
+        cells_ii = score_fn._cells[own][:, eye].ravel().tolist()
+        exact = (math.factorial(m - 2) * _units(cells_ij) + math.factorial(m - 1) * _units(cells_ii)
+                 - self.count * _units([self.shift]))
+        self.total = exact / (1 << 1074)
+        self.uniform = self.total <= self.count * score_fn.margin
 
     def _scale(self, scores: np.ndarray) -> np.ndarray:
-        if self.total <= 0:
+        if self.uniform:
             return np.full(len(scores), 1.0 / self.count)
         return (scores - self.shift) / self.total
 
@@ -469,28 +489,6 @@ class _Probability:
 
     def bound(self, head: Sequence[int], free: Sequence[int]) -> np.ndarray:
         return self._scale(self.score_fn.bound(head, free))
-
-
-def _channel_probabilities(score_fns: Sequence[_PairSum], m: int) -> list[_Probability]:
-    """Each channel's probability over the m! mappings, from one walk over them.
-
-    Negative scores are shifted away by their minimum (`_shift`); when
-    none is negative the shift is 0.0, and x - 0.0 == x, signed zeros
-    included. The walk sums every channel's shifted scores from 0.0 in
-    enumeration order: `np.add.accumulate` adds strictly left to right,
-    carrying the running total from block to block. Memory stays
-    O(block).
-    """
-    shifts = [_shift(fn, m) for fn in score_fns]
-    totals = [0.0] * len(score_fns)
-    count = 0
-    for block in _mapping_blocks(m):
-        for k, (fn, shift) in enumerate(zip(score_fns, shifts)):
-            shifted = fn(block) - shift
-            totals[k] = float(np.add.accumulate(np.concatenate(([totals[k]], shifted)))[-1])
-        count += len(block)
-    return [_Probability(fn, shift, total, count)
-            for fn, shift, total in zip(score_fns, shifts, totals)]
 
 
 def solve_hybrid(problem: MappingProblem, space, provider, combine: str = "add",
@@ -511,9 +509,8 @@ def solve_hybrid(problem: MappingProblem, space, provider, combine: str = "add",
         raise DataError(f"unknown hybrid combination {combine!r}")
     started = time.perf_counter()
     _check_budget(problem.m, m_max)
-    prob_r, prob_a = _channel_probabilities(
-        [RelationalScorer(space).prepare(problem),
-         AttributionalScorer(provider).prepare(problem)], problem.m)
+    prob_r = _Probability(RelationalScorer(space).prepare(problem), problem.m)
+    prob_a = _Probability(AttributionalScorer(provider).prepare(problem), problem.m)
 
     def join(r: np.ndarray, a: np.ndarray) -> np.ndarray:
         return (r + a) / 2.0 if combine == "add" else r * a
@@ -606,7 +603,7 @@ def solve_constrained(problem: MappingProblem, fixed: dict[str, str], scorer,
         tie_count=found.tie_count,
         breakdown=scorer.explain(problem, perm),
         diagnostics={"mode": f"{scorer.mode}-total", "seed": seed,
-                     "n_mappings": found.n_mappings, "full_perm": list(perm),
-                     "elapsed": time.perf_counter() - started},
+                     "n_mappings": found.n_mappings, "n_scored": found.n_scored,
+                     "full_perm": list(perm), "elapsed": time.perf_counter() - started},
     )
 

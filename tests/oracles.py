@@ -11,6 +11,9 @@ package's earlier design; the byte-blob vocabulary and the per-query
 postings must find the same ids, words and start positions. The search
 references score and compare one mapping at a time, one Python call per
 mapping, as the slow reference for the package's block search core.
+The hybrid's probability reference totals a channel by counting the
+grid cells the enumerated mappings read, not by the package's closed
+form.
 The SVD references are the dense LAPACK and iterative `svds` backends,
 against which the package's one Gram eigendecomposition is checked. The
 pattern-mining reference takes its windows from `search_phrases` (itself
@@ -28,6 +31,7 @@ import random
 import string
 from bisect import bisect_left
 from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -428,8 +432,8 @@ def attributional_score(perm, table):
 
 # --- tuple-at-a-time search ---------------------------------------------------
 
-def relational_scorer(problem, space):
-    """score(perm) for one tuple: the double loop over nested-list sim_r grids."""
+def relational_grids(problem, space):
+    """{(i, j): the nested-list grid of sim_r at [a][b]} for the source pairs i < j."""
     m = problem.m
     src, tgt = problem.source, problem.target
     grids = {}
@@ -438,13 +442,23 @@ def relational_scorer(problem, space):
             p = TermPair(src[i], src[j])
             grids[(i, j)] = [[space.sim_r(p, TermPair(tgt[a], tgt[b])) if a != b else 0.0
                               for b in range(m)] for a in range(m)]
+    return grids
+
+
+def relational_scorer(problem, space):
+    """score(perm) for one tuple: the double loop over nested-list sim_r grids."""
+    grids = relational_grids(problem, space)
     return lambda perm: relational_score(perm, lambda i, j, a, b: grids[(i, j)][a][b])
 
 
-def attributional_scorer(problem, provider):
+def attributional_table(problem, provider):
     m = problem.m
-    table = [[provider.sim(problem.source[i], problem.target[j]) for j in range(m)]
-             for i in range(m)]
+    return [[provider.sim(problem.source[i], problem.target[j]) for j in range(m)]
+            for i in range(m)]
+
+
+def attributional_scorer(problem, provider):
+    table = attributional_table(problem, provider)
     return lambda perm: attributional_score(perm, table)
 
 
@@ -490,26 +504,43 @@ def constrained_perms(m, sub_src, sub_tgt):
             yield tuple(full[i] for i in range(m))
 
 
-def probabilities(scores):
+def probabilities(perms, scores, grids):
     """Shift negatives away, then normalize; degenerate fields become uniform.
 
-    The sum is a scalar loop from 0.0, as sum() was before Python 3.12.
+    `grids` maps each source pair (i, j) to the m x m grid a mapping
+    reads at [perm[i]][perm[j]]; a term of one source is a pair (i, i).
+    The total counts how often each cell is read over the enumerated
+    mappings (np.bincount), sums count x cell less one shift per mapping
+    in Fractions, and rounds once. Each score is a float sum within the
+    rounding margin of its exact value, so a total of at most the count
+    of mappings times that margin is residue, a degenerate field.
     """
     lo = min(scores)
-    shifted = [s - lo for s in scores] if lo < 0 else list(scores)
-    total = 0.0
-    for s in shifted:
-        total += s
-    if total <= 0:
-        return [1.0 / len(scores)] * len(scores)
-    return [s / total for s in shifted]
+    shift = lo if lo < 0 else 0.0
+    P = np.array(perms)
+    m = P.shape[1]
+    keys = list(grids)
+    cells = [v for key in keys for row in grids[key] for v in row]
+    reads = np.concatenate([k * m * m + P[:, i] * m + P[:, j]
+                            for k, (i, j) in enumerate(keys)])
+    counts = np.bincount(reads, minlength=len(cells)).tolist()
+    exact = sum((c * Fraction(v) for c, v in zip(counts, cells)), Fraction(0))
+    total = float(exact - len(perms) * Fraction(shift))
+    scale = sum(max(abs(v) for row in grids[key] for v in row) for key in keys)
+    margin = 2.0 * (len(keys) + 1) * np.finfo(np.float64).eps * scale
+    if total <= len(perms) * margin:
+        return [1.0 / len(perms)] * len(perms)
+    return [(s - shift) / total for s in scores]
 
 
 def hybrid_probabilities(problem, space, provider):
     """(perms, prob_r, prob_a) over the whole search space, as lists."""
-    perms = list(itertools.permutations(range(problem.m)))
-    rel_fn = relational_scorer(problem, space)
-    att_fn = attributional_scorer(problem, provider)
-    return (perms,
-            probabilities([rel_fn(p) for p in perms]),
-            probabilities([att_fn(p) for p in perms]))
+    m = problem.m
+    perms = list(itertools.permutations(range(m)))
+    grids = relational_grids(problem, space)
+    table = attributional_table(problem, provider)
+    diagonals = {(i, i): [[table[i][a] if a == b else 0.0 for b in range(m)]
+                          for a in range(m)] for i in range(m)}
+    rel = [relational_score(p, lambda i, j, a, b: grids[(i, j)][a][b]) for p in perms]
+    att = [attributional_score(p, table) for p in perms]
+    return perms, probabilities(perms, rel, grids), probabilities(perms, att, diagonals)

@@ -58,9 +58,7 @@ def test_eval_from_cache_matches_uncached(planted_paths, tmp_path):
         outputs.append((report.read_bytes(), sidecar))
     (cached_tsv, cached_json), (plain_tsv, plain_json) = outputs
     assert cached_tsv == plain_tsv
-    # the sidecar records the cache directory in its config, and only there
-    assert cached_json == plain_json.replace('"cache_dir": null',
-                                             f'"cache_dir": {json.dumps(cache)}')
+    assert cached_json == plain_json
 
 
 def test_index_missing_corpus_dir(tmp_path, capsys):

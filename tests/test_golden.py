@@ -6,6 +6,9 @@ tests pin every report and sidecar to that implementation's bytes. The
 solve fixtures' scores were written again when the relation space moved
 from an SVD to the Gram eigendecomposition, which moved them in the last
 digits (below 1e-14) and left every mapping and tie count as it was.
+The hybrid fixtures' scores were written again when each channel's
+total moved from a sum over every mapping to an exact closed form,
+which moved them in the last digits with the same mappings and ties.
 Regenerate them only for a change that means to alter an output:
 
     PYTHONPATH=src python tests/test_golden.py

@@ -187,21 +187,21 @@ def test_decomposition_budget_edge():
 
 def test_no_svd_refuses_a_dense_copy_over_the_memory_budget():
     """One nonzero per row: X is tiny and its Gram matrix within budget, but
-    its dense 1000 x 200,000 copy is not."""
-    n_r, n_c = 1000, 200_000
+    its dense 1000 x 300,000 copy is not."""
+    n_r, n_c = 1000, 300_000
     X = sp.csr_matrix((np.ones(n_r), (np.arange(n_r), np.arange(n_r) * 199)),
                       shape=(n_r, n_c))
     rows = [TermPair.parse(f"a{i}", f"b{i}") for i in range(n_r)]
     with pytest.raises(BudgetError,
-                       match="n_r=1,000 pair rows by n_c=200,000 .* 4,800,000,000 bytes"):
+                       match="n_r=1,000 pair rows by n_c=300,000 .* 4,800,000,000 bytes"):
         build_space_from_matrix(X, rows, k=None)
     assert build_space_from_matrix(X, rows, k=5).W.shape == (n_r, 5)
 
 
 def test_dense_budget_edge():
-    _require_dense_budget(1000, 166_666)
-    with pytest.raises(BudgetError, match="n_c=166,667"):
-        _require_dense_budget(1000, 166_667)
+    _require_dense_budget(1000, 250_000)
+    with pytest.raises(BudgetError, match="n_c=250,001"):
+        _require_dense_budget(1000, 250_001)
 
 
 def test_svd_beats_random_rank_k_competitors():
