@@ -28,6 +28,6 @@ from .solver import (AttributionalScorer, RelationalScorer, SolveResult,
                      solve, solve_constrained, solve_hybrid)
 from .space import (RelationSpace, build_space, build_space_from_matrix,
                     transform_log_entropy, transform_ppmic, truncated_svd)
-from .terms import Term, TermPair, Tokenizer
+from .terms import Term, TermPair, tokenize
 
 __version__ = "0.1.0"

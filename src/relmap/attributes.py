@@ -29,8 +29,6 @@ class PosSimilarity:
     warned about once and score 0 (unless identical).
     """
 
-    name = "pos"
-
     def __init__(self, tags: dict[str, str]):
         self.tags = dict(tags)
         self._warned: set[str] = set()
@@ -64,7 +62,6 @@ class PmiIrSimilarity:
             raise DataError(f"PMI window must be >= 1, got {window}")
         self.index = index
         self.window = window
-        self.name = f"pmi-ir(window={window})"
 
     def sim(self, a: Term, b: Term) -> float:
         count_a, count_b, count_ab = cooccurrence_counts(
@@ -78,8 +75,7 @@ class PmiIrSimilarity:
 class TableSimilarity:
     """Symmetric lookup over explicit (term, term) -> score entries."""
 
-    def __init__(self, entries: dict[tuple[str, str], float], name: str = "table"):
-        self.name = name
+    def __init__(self, entries: dict[tuple[str, str], float]):
         self._table: dict[tuple[str, str], float] = {}
         for (a, b), score in entries.items():
             self._table[(a, b)] = score
@@ -89,12 +85,12 @@ class TableSimilarity:
         return self._table.get((a.text, b.text), 0.0)
 
 
-def load_external_similarity(path: str | Path, name: str = "") -> TableSimilarity:
+def load_external_similarity(path: str | Path) -> TableSimilarity:
     """Provider from a UTF-8 file of `term_a<TAB>term_b<TAB>score` lines.
 
     Both orders are stored. A repeated pair keeps the last value and is
-    warned about; a malformed line, or a score that is NaN or infinite,
-    is a load error naming its number.
+    warned about; a malformed line, a term that does not normalize, or a
+    score that is NaN or infinite, is a load error naming its number.
     """
     p = Path(path)
     entries: dict[tuple[str, str], float] = {}
@@ -114,15 +110,17 @@ def load_external_similarity(path: str | Path, name: str = "") -> TableSimilarit
             raise DataError(f"{p}:{lineno}: bad score {parts[2]!r}") from exc
         if not math.isfinite(score):
             raise DataError(f"{p}:{lineno}: score {parts[2]!r} is not finite")
-        a = Term.parse(parts[0]).text
-        b = Term.parse(parts[1]).text
+        try:
+            a, b = Term.parse(parts[0]).text, Term.parse(parts[1]).text
+        except ValueError as exc:
+            raise DataError(f"{p}:{lineno}: bad term: {exc}") from exc
         key = (a, b)
         if key in entries or (b, a) in entries:
             logger.warning("%s:%d: duplicate pair %s/%s, keeping the last value",
                            p, lineno, a, b)
             entries.pop((b, a), None)
         entries[key] = score
-    return TableSimilarity(entries, name=name or p.stem)
+    return TableSimilarity(entries)
 
 
 class CombinedSimilarity:
@@ -131,7 +129,6 @@ class CombinedSimilarity:
     def __init__(self, base, pos):
         self.base = base
         self.pos = pos
-        self.name = f"{base.name}+{pos.name}"
 
     def sim(self, a: Term, b: Term) -> float:
         return self.base.sim(a, b) + self.pos.sim(a, b)

@@ -37,9 +37,10 @@ joined into the vocabulary's bytes once.
 
 Cache. `save_index` writes an uncompressed ``.npz`` holding the ids,
 the offsets, the vocabulary's bytes as they are and a JSON metadata
-string. The file name is a hash of the corpus content digest, the
-tokenizer settings and the format version, so an index built under
-other settings is never found. The file is written to a temporary name
+string. The file name is a hash of the corpus content digest and the
+format version. There is one tokenizer (`terms.tokenize`), and the
+format version stands for it, so an index written by another tokenizer
+or layout is never found. The file is written to a temporary name
 in the cache directory and renamed into place, so no reader sees a
 partial file. `load_index` reads it with ``allow_pickle=False`` and
 checks the format, the dtypes, the offsets, the vocabulary and the id
@@ -68,7 +69,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import CorpusError
-from .terms import DEFAULT_TOKENIZER, Term, TermPair, Tokenizer
+from .terms import Term, TermPair, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +79,9 @@ MAX_POST = 1
 
 _X_BLOCK = 1 << 18
 
-_CACHE_FORMAT = "relmap-corpus-index-v2"
+# The format tag also stands for the one tokenizer, which the cache key and
+# metadata do not otherwise name: any change to `terms.tokenize` must bump it.
+_CACHE_FORMAT = "relmap-corpus-index-v3"
 # Words decoded at once when a loaded vocabulary is checked.
 _CHECK_WORDS = 1 << 14
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -203,7 +206,6 @@ class CorpusIndex:
     doc_offsets: np.ndarray      # int64, n_documents + 1 entries
     vocab: Vocabulary
     digest: str = ""
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER
     # start positions of every term searched for so far
     _found: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -212,8 +214,8 @@ class CorpusIndex:
         self.doc_offsets.flags.writeable = False
 
     @classmethod
-    def from_token_lists(cls, documents: Iterable[list[str]], digest: str = "",
-                         tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> "CorpusIndex":
+    def from_token_lists(cls, documents: Iterable[list[str]],
+                         digest: str = "") -> "CorpusIndex":
         """Index tokenized documents, in the given order.
 
         `documents` is consumed one document at a time, and only that
@@ -243,8 +245,7 @@ class CorpusIndex:
         np.cumsum([part.size for part in parts[1:]], dtype=np.int64, out=offsets[1:])
         ids = np.concatenate(parts)
         del parts
-        return cls(ids=rank[ids], doc_offsets=offsets, vocab=vocab, digest=digest,
-                   tokenizer=tokenizer)
+        return cls(ids=rank[ids], doc_offsets=offsets, vocab=vocab, digest=digest)
 
     @property
     def total_tokens(self) -> int:
@@ -299,7 +300,7 @@ class CorpusIndex:
         return np.searchsorted(self.doc_offsets, pos, side="right") - 1
 
 
-def ingest(paths: list[str | Path], tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> CorpusIndex:
+def ingest(paths: list[str | Path]) -> CorpusIndex:
     """Build an index over the given files, in the given order.
 
     The files are streamed: each is read, hashed, tokenized and mapped
@@ -310,8 +311,7 @@ def ingest(paths: list[str | Path], tokenizer: Tokenizer = DEFAULT_TOKENIZER) ->
     """
     hasher = hashlib.sha256()
     index = CorpusIndex.from_token_lists(
-        (tokenizer.tokenize(_read_text(Path(path), hasher)) for path in paths),
-        tokenizer=tokenizer)
+        tokenize(_read_text(Path(path), hasher)) for path in paths)
     return dataclasses.replace(index, digest=hasher.hexdigest())
 
 
@@ -334,8 +334,8 @@ def corpus_files(corpus_dir: str | Path) -> list[Path]:
     return sorted(root.rglob("*.txt"), key=lambda p: p.as_posix())
 
 
-def ingest_dir(corpus_dir: str | Path, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> CorpusIndex:
-    return ingest(corpus_files(corpus_dir), tokenizer=tokenizer)
+def ingest_dir(corpus_dir: str | Path) -> CorpusIndex:
+    return ingest(corpus_files(corpus_dir))
 
 
 def _find_windows(index: CorpusIndex, pairs: list[TermPair]) -> tuple[np.ndarray, ...]:
@@ -464,19 +464,16 @@ def cooccurrence_counts(index: CorpusIndex, a: Term, b: Term,
 
 # --- persistence -----------------------------------------------------------
 
-def cache_path(cache_dir: str | Path, digest: str,
-               tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Path:
-    """Where the index of a corpus with this digest, tokenized so, is cached."""
-    key = json.dumps({"format": _CACHE_FORMAT, "digest": digest,
-                      "tokenizer": dataclasses.asdict(tokenizer)}, sort_keys=True)
+def cache_path(cache_dir: str | Path, digest: str) -> Path:
+    """Where the index of a corpus with this digest is cached."""
+    key = json.dumps({"format": _CACHE_FORMAT, "digest": digest}, sort_keys=True)
     return Path(cache_dir) / f"index-{hashlib.sha256(key.encode()).hexdigest()}.npz"
 
 
 def save_index(index: CorpusIndex, cache_dir: str | Path) -> Path:
     """Persist the index under its cache key; returns the file's path."""
-    path = cache_path(cache_dir, index.digest, index.tokenizer)
+    path = cache_path(cache_dir, index.digest)
     meta = {"format": _CACHE_FORMAT, "digest": index.digest,
-            "tokenizer": dataclasses.asdict(index.tokenizer),
             "vocab_size": len(index.vocab)}
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.stem}-{os.urandom(6).hex()}.tmp")
@@ -513,11 +510,6 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise CorpusError(f"cannot load index cache {path}: {exc}") from exc
     _require(isinstance(meta, dict) and meta.get("format") == _CACHE_FORMAT,
              path, "not a relmap index of this format")
-    settings = meta.get("tokenizer")
-    _require(isinstance(settings, dict)
-             and set(settings) == {f.name for f in dataclasses.fields(Tokenizer)}
-             and all(isinstance(v, bool) for v in settings.values()),
-             path, "bad tokenizer settings")
     digest, vocab_size = meta.get("digest"), meta.get("vocab_size")
     _require(isinstance(digest, str) and type(vocab_size) is int and vocab_size >= 0,
              path, "bad metadata")
@@ -534,8 +526,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise CorpusError(f"bad index cache {path}: {exc}") from exc
     _require(ids.size == 0 or (int(ids.min()) >= 0 and int(ids.max()) < vocab_size),
              path, "token id out of vocabulary range")
-    return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=vocab, digest=digest,
-                       tokenizer=Tokenizer(**settings))
+    return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=vocab, digest=digest)
 
 
 def corpus_digest(paths: list[str | Path]) -> str:
@@ -563,8 +554,8 @@ def cached_index(paths: list[str | Path],
     path = cache_path(cache_dir, digest)
     if path.exists():
         index = load_index(path)
-        if index.digest != digest or index.tokenizer != DEFAULT_TOKENIZER:
-            raise CorpusError(f"index cache {path} holds another corpus or tokenizer")
+        if index.digest != digest:
+            raise CorpusError(f"index cache {path} holds another corpus")
         return index, True
     index = ingest(paths)
     save_index(index, cache_dir)

@@ -276,7 +276,8 @@ def load_problems(path: str | Path | None = None) -> Dataset:
 
     The file may hold one problem object or a list of them; each object
     has fields id, source, target and optional pos, intended, agreement
-    and mnemonic. Multiword terms are single strings with spaces.
+    and mnemonic. Multiword terms are single strings with spaces. A
+    malformed entry raises DataError naming the file and the problem.
     """
     if path is None or path == "builtin":
         return builtin_dataset()
@@ -291,23 +292,43 @@ def load_problems(path: str | Path | None = None) -> Dataset:
         payload = [payload]
     if not isinstance(payload, list):
         raise DataError(f"{p}: expected a problem object or list of them")
-    problems = []
-    for entry in payload:
-        try:
-            problems.append(MappingProblem.build(
-                id=str(entry["id"]),
-                source=entry["source"],
-                target=entry["target"],
-                pos=entry.get("pos"),
-                intended=entry.get("intended"),
-                agreement=entry.get("agreement"),
-                mnemonic=entry.get("mnemonic", ""),
-            ))
-        except KeyError as exc:
-            raise DataError(f"{p}: problem entry missing field {exc.args[0]!r}") from exc
-    for problem in problems:
+    return Dataset([_problem_from_entry(p, entry) for entry in payload])
+
+
+def _problem_from_entry(p: Path, entry) -> MappingProblem:
+    """The problem of one entry of problem file `p`, its types checked first."""
+    if not isinstance(entry, dict):
+        raise DataError(f"{p}: problem entry {entry!r} is not an object")
+    for key in ("id", "source", "target"):
+        if key not in entry:
+            raise DataError(f"{p}: problem entry missing field {key!r}")
+    where = f"{p}: problem {entry['id']}"
+    for key in ("source", "target"):
+        terms = entry[key]
+        if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
+            raise DataError(f"{where}: {key} must be a list of term strings")
+    for key, kind, what in (("pos", str, "tags"), ("intended", str, "terms"),
+                            ("agreement", (int, float), "numbers")):
+        table = entry.get(key)
+        if table is not None and not (isinstance(table, dict) and all(
+                isinstance(v, kind) for v in table.values())):
+            raise DataError(f"{where}: {key} must map terms to {what}")
+    try:
+        problem = MappingProblem.build(
+            id=str(entry["id"]),
+            source=entry["source"],
+            target=entry["target"],
+            pos=entry.get("pos"),
+            intended=entry.get("intended"),
+            agreement=entry.get("agreement"),
+            mnemonic=entry.get("mnemonic", ""),
+        )
         _check_pos_consistency(problem)
-    return Dataset(problems)
+    except ValueError as exc:  # a term that does not normalize
+        raise DataError(f"{where}: {exc}") from exc
+    except DataError as exc:  # the message names the problem
+        raise DataError(f"{p}: {exc}") from exc
+    return problem
 
 
 def dump_problems(dataset: Dataset, path: str | Path) -> None:

@@ -55,20 +55,14 @@ def mine_for_problems(index: CorpusIndex, problems: list[MappingProblem],
 
 
 def space_from_stats(pairs: list, stats: pt.PatternStats, *, t: int, k: int,
-                     transform: str = sp.PPMIC, svd: bool = True,
-                     provenance: Optional[dict] = None
+                     transform: str = sp.PPMIC, svd: bool = True
                      ) -> tuple[sp.RelationSpace, dict]:
     """Prune, select columns, weight, smooth; also returns stage diagnostics."""
     rows = pt.prune_rows(pairs, stats.phrase_counts)
     diag = {"n_pairs": len(pairs), "n_r": len(rows)}
-    provenance = dict(provenance or {})
-    provenance["t"] = t
     if not rows:
         diag.update(n_c=0, f_density=0.0, x_density=0.0)
-        empty = sp.RelationSpace(row_index={}, W=np.zeros((0, 1)),
-                                 k=k if svd else None, transform=transform,
-                                 provenance=provenance)
-        return empty, diag
+        return sp.RelationSpace(row_index={}, W=np.zeros((0, 1))), diag
     cols = pt.select_columns(stats, t, len(rows))
     F = pt.build_frequency_matrix(rows, cols, stats)
     diag["n_c"] = len(cols)
@@ -80,9 +74,7 @@ def space_from_stats(pairs: list, stats: pt.PatternStats, *, t: int, k: int,
     else:
         raise ConfigError(f"unknown transform {transform!r}")
     diag["x_density"] = X.nnz / (X.shape[0] * X.shape[1]) if X.shape[1] else 0.0
-    space = sp.build_space_from_matrix(
-        X, rows, k=k if svd else None, transform=transform, provenance=provenance)
-    return space, diag
+    return sp.build_space_from_matrix(X, rows, k=k if svd else None), diag
 
 
 def build_space_for_problems(index: CorpusIndex, problems: list[MappingProblem],
@@ -91,7 +83,7 @@ def build_space_for_problems(index: CorpusIndex, problems: list[MappingProblem],
         index, problems, max_phrases_per_pair=config.max_phrases_per_pair)
     return space_from_stats(
         pairs, stats, t=config.t, k=config.k, transform=config.transform,
-        svd=config.svd, provenance={"corpus_digest": index.digest})
+        svd=config.svd)
 
 
 # --- providers --------------------------------------------------------------
@@ -312,6 +304,8 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
     """
     if m_prime < 2:
         raise ConfigError(f"m_prime must be >= 2, got {m_prime}")
+    if trials_per_problem < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials_per_problem}")
     config.validate()
     space = None
     diag: dict = {"mode": config.mode, "seed": seed, "m_prime": m_prime,
@@ -421,9 +415,7 @@ def sensitivity_sweep(dataset: Dataset, config: Config, index: CorpusIndex,
         k = overrides.get("k", config.k)
         svd = overrides.get("svd", config.svd)
         transform = overrides.get("transform", config.transform)
-        space, diag = space_from_stats(
-            pairs, stats, t=t, k=k, transform=transform, svd=svd,
-            provenance={"corpus_digest": index.digest})
+        space, diag = space_from_stats(pairs, stats, t=t, k=k, transform=transform, svd=svd)
         accs = []
         for problem in problems:
             result = solve(problem, RelationalScorer(space), config.seed,

@@ -3,8 +3,7 @@
 A pattern is a tuple of slots: literal words, the hole markers "X" and
 "Y" (exactly one of each, either order), and "*" which matches any
 single word. A literal equal to a marker string is that marker; the
-default tokenizer lowercases and strips punctuation, so it never emits
-one.
+tokenizer lowercases and strips punctuation, so it never emits one.
 
 From a retrieved window, the two term spans become X and Y and every
 remaining word is independently kept or wildcarded; the same is done

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .problems import MappingProblem
@@ -41,7 +41,6 @@ class PlantedConfig:
 class PlantedData:
     corpus_dir: Path
     problems: list[MappingProblem]
-    connectives: dict = field(default_factory=dict)
 
 
 def _word_factory(rng: random.Random, taken: set[str]):
@@ -80,15 +79,14 @@ def generate_planted_corpus(out_dir: str | Path,
     # Filler tokens are all distinct (the syllable words never contain
     # digits, so the two vocabularies cannot collide). A repeated filler
     # word would let two unrelated pairs share a context pattern, and a
-    # lucky pile-up of such patterns can outrank the planted connectives
-    # at the column-selection cutoff.
+    # lucky pile-up of such patterns can outrank the planted connective
+    # words at the column-selection cutoff.
     filler_counter = itertools.count()
 
     def filler() -> str:
         return f"fl{next(filler_counter)}"
 
     problems: list[MappingProblem] = []
-    connectives: dict[tuple[str, int, int], str] = {}
     sentences: list[list[str]] = []
 
     for p in range(cfg.n_problems):
@@ -106,7 +104,6 @@ def generate_planted_corpus(out_dir: str | Path,
             mnemonic=f"planted domain {p + 1}"))
         for i, j in _planted_pairs(cfg.m, cfg.pair_mode):
             conn = make_word()
-            connectives[(pid, i, j)] = conn
             count = rng.randint(*cfg.occurrences)
             for _ in range(count):
                 sentences.append([source[i], conn, source[j]])
@@ -127,4 +124,4 @@ def generate_planted_corpus(out_dir: str | Path,
         name = out / f"planted_{idx // per_file:0{width}d}.txt"
         name.write_text(" ".join(chunk) + "\n", encoding="utf-8")
 
-    return PlantedData(corpus_dir=out, problems=problems, connectives=connectives)
+    return PlantedData(corpus_dir=out, problems=problems)

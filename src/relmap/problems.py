@@ -48,6 +48,11 @@ class MappingProblem:
                     or len(set(mapped)) != len(mapped):
                 raise DataError(f"problem {self.id}: intended mapping is not a "
                                 f"bijection between source and target")
+        if self.agreement:
+            missing = [t.text for t in self.source if t.text not in self.agreement]
+            if missing:
+                raise DataError(f"problem {self.id}: agreement gives no value "
+                                f"for {', '.join(missing)}")
 
     @property
     def m(self) -> int:

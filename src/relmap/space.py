@@ -19,7 +19,7 @@ holds only rounding noise and is zeroed, not made a unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,6 @@ _DENSE_BYTES_PER_CELL = 16
 
 PPMIC = "ppmic"
 LOG_ENTROPY = "logentropy"
-TRANSFORMS = (PPMIC, LOG_ENTROPY)
 
 
 def _as_csr(matrix) -> sp.csr_matrix:
@@ -165,9 +164,6 @@ class RelationSpace:
 
     row_index: dict[TermPair, int]
     W: np.ndarray
-    k: Optional[int]                    # None when SVD was skipped
-    transform: str = PPMIC
-    provenance: dict = field(default_factory=dict)
 
     def sim_r(self, p: TermPair, q: TermPair) -> float:
         """Cosine of the two pair rows; zero if either pair has no row."""
@@ -196,19 +192,12 @@ class RelationSpace:
 
 
 def build_space(U_k: np.ndarray, sigma_k: np.ndarray,
-                row_index: dict[TermPair, int], *,
-                transform: str = PPMIC,
-                provenance: Optional[dict] = None) -> RelationSpace:
+                row_index: dict[TermPair, int]) -> RelationSpace:
     """Space over W = row-normalized U_k * diag(sigma_k); weak rows become zero."""
-    W = _normalize_rows(U_k * sigma_k[None, :])
-    return RelationSpace(row_index=dict(row_index), W=W, k=len(sigma_k),
-                         transform=transform, provenance=provenance or {})
+    return RelationSpace(row_index=dict(row_index), W=_normalize_rows(U_k * sigma_k[None, :]))
 
 
-def build_space_from_matrix(X, rows: list[TermPair], *,
-                            k: Optional[int],
-                            transform: str = PPMIC,
-                            provenance: Optional[dict] = None) -> RelationSpace:
+def build_space_from_matrix(X, rows: list[TermPair], *, k: Optional[int]) -> RelationSpace:
     """Space from a weighted matrix, with or without SVD smoothing.
 
     k=None skips the decomposition entirely: similarities are then
@@ -222,10 +211,6 @@ def build_space_from_matrix(X, rows: list[TermPair], *,
     X = _as_csr(X)
     if k is None:
         _require_dense_budget(*X.shape)
-        space = RelationSpace(row_index=row_index, W=_normalize_rows(X.toarray()),
-                              k=None, transform=transform,
-                              provenance=provenance or {})
-        return space
+        return RelationSpace(row_index=row_index, W=_normalize_rows(X.toarray()))
     u, s = truncated_svd(X, k)
-    return build_space(u, s, row_index, transform=transform,
-                       provenance=provenance or {})
+    return build_space(u, s, row_index)

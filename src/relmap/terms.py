@@ -1,26 +1,27 @@
-"""Terms, term pairs, and the tokenizer shared by corpus and queries.
+"""Terms, term pairs, and the one tokenizer shared by corpus and queries.
 
 A term is a short run of 1-4 normalized word tokens ("planet",
 "solar system"). Normalization is lowercasing plus stripping of
 leading/trailing punctuation, with whitespace as the only token
 separator; it is idempotent, so terms and corpus text can be
-normalized independently and still match.
+normalized independently and still match. There is one tokenizer, with
+no settings; the index cache's format tag (`corpus._CACHE_FORMAT`)
+stands for it, so a change to `tokenize` must bump that tag.
 """
 
 from __future__ import annotations
 
 import itertools
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_TERM_TOKENS = 4
 
 _PUNCT = string.punctuation + "‘’“”–—"
 
 
-@dataclass(frozen=True)
-class Tokenizer:
-    """Whitespace tokenizer with lowercasing and edge-punctuation stripping.
+def tokenize(text: str) -> list[str]:
+    """Whitespace tokens of `text`, lowercased, with edge punctuation stripped.
 
     The whole text is lowercased before it is split, so that the work
     per token runs in C calls, with no Python loop. That gives the
@@ -29,26 +30,14 @@ class Tokenizer:
     across whitespace (tests/test_terms.py checks both over every code
     point).
     """
-
-    lowercase: bool = True
-    strip_punctuation: bool = True
-
-    def tokenize(self, text: str) -> list[str]:
-        tokens = (text.lower() if self.lowercase else text).split()
-        if self.strip_punctuation:
-            return list(filter(None, map(str.strip, tokens, itertools.repeat(_PUNCT))))
-        return tokens
-
-
-DEFAULT_TOKENIZER = Tokenizer()
+    return list(filter(None, map(str.strip, text.lower().split(), itertools.repeat(_PUNCT))))
 
 
 @dataclass(frozen=True)
 class Term:
-    """A normalized vocabulary item; equality and hashing use tokens only."""
+    """A normalized vocabulary item: a run of 1-4 tokens."""
 
     tokens: tuple[str, ...]
-    surface: str = field(compare=False, default="")
 
     def __post_init__(self):
         if not self.tokens:
@@ -58,15 +47,13 @@ class Term:
         for tok in self.tokens:
             if not tok or any(ch.isspace() for ch in tok):
                 raise ValueError(f"bad token {tok!r} in term")
-        if not self.surface:
-            object.__setattr__(self, "surface", " ".join(self.tokens))
 
     @classmethod
-    def parse(cls, text: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> "Term":
-        toks = tokenizer.tokenize(text)
+    def parse(cls, text: str) -> "Term":
+        toks = tokenize(text)
         if not toks:
             raise ValueError(f"term {text!r} is empty after normalization")
-        return cls(tokens=tuple(toks), surface=text.strip())
+        return cls(tokens=tuple(toks))
 
     @property
     def text(self) -> str:

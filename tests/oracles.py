@@ -47,13 +47,11 @@ TIE_TOLERANCE = 1e-12
 PUNCTUATION = string.punctuation + "‘’“”–—"
 
 
-def tokenize_words(text, lowercase=True, strip_punctuation=True):
+def tokenize_words(text):
     """Split on whitespace, then lowercase and strip each word on its own."""
     out = []
     for raw in text.split():
-        tok = raw.lower() if lowercase else raw
-        if strip_punctuation:
-            tok = tok.strip(PUNCTUATION)
+        tok = raw.lower().strip(PUNCTUATION)
         if tok:
             out.append(tok)
     return out
@@ -79,15 +77,14 @@ def batch_index(documents):
     return rank[seen_ids], offsets, [seen[i] for i in order]
 
 
-def batch_ingest(paths, lowercase=True, strip_punctuation=True):
+def batch_ingest(paths):
     """(ids, offsets, vocab, digest): every file tokenized, then ids assigned."""
     hasher = hashlib.sha256()
     documents = []
     for path in paths:
         raw = Path(path).read_bytes()
         hasher.update(hashlib.sha256(raw).digest())
-        documents.append(tokenize_words(raw.decode("utf-8"), lowercase,
-                                        strip_punctuation))
+        documents.append(tokenize_words(raw.decode("utf-8")))
     return (*batch_index(documents), hasher.hexdigest())
 
 

@@ -133,6 +133,14 @@ def test_external_malformed_line_reports_number(tmp_path):
         load_external_similarity(path)
 
 
+@pytest.mark.parametrize("line", ["...\tc\t2", "c\t--\t2", "a b c d e\tc\t2"])
+def test_external_bad_term_reports_file_and_number(tmp_path, line):
+    path = tmp_path / "table.tsv"
+    path.write_text(f"a\tb\t1.0\n{line}\n", encoding="utf-8")
+    with pytest.raises(DataError, match="table.tsv:2: bad term"):
+        load_external_similarity(path)
+
+
 def test_external_bad_score_reports_number(tmp_path):
     path = tmp_path / "table.tsv"
     path.write_text("a\tb\tmuch\n", encoding="utf-8")

@@ -167,6 +167,23 @@ def test_coherence_command(planted_star, tmp_path):
     assert len(lines) == 1 + len(data.problems) + 1
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_coherence_without_trials_is_data_error(trials, capsys):
+    assert main(["coherence", "--builtin", "--mode", "attributional",
+                 "--trials", trials]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trials must be >= 1"), err
+
+
+def test_malformed_problem_file_is_data_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"id": "P", "source": "sun", "target": ["a", "b"]}),
+                    encoding="utf-8")
+    assert main(["solve", str(path), "--mode", "attributional"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.json" in err, err
+
+
 def test_sweep_k_range_rows(planted_paths, tmp_path):
     corpus, problems = planted_paths
     report = tmp_path / "sweep.tsv"

@@ -16,7 +16,7 @@ from relmap.corpus import (CorpusIndex, _find_windows, cache_path, cached_index,
                            cooccurrence_counts, corpus_digest, ingest,
                            ingest_dir, load_index, save_index, search_phrases)
 from relmap.errors import CorpusError
-from relmap.terms import DEFAULT_TOKENIZER, Term, TermPair, Tokenizer
+from relmap.terms import Term, TermPair
 
 from conftest import occurrences, token_texts, write_corpus
 
@@ -84,23 +84,21 @@ def test_ingest_dir_reads_lexicographically(tmp_path):
     assert [d[0] for d in doc_tokens(index)] == ["alpha", "beta", "gamma"]
 
 
-@given(st.lists(token_texts, max_size=5), st.booleans(), st.booleans())
+@given(st.lists(token_texts, max_size=5))
 @settings(max_examples=150, deadline=None)
-def test_ingest_equals_batch_oracle(file_texts, lowercase, strip_punctuation):
+def test_ingest_equals_batch_oracle(file_texts):
     """Streamed ingest gives the batch design's ids, offsets, vocabulary and digest."""
-    tokenizer = Tokenizer(lowercase, strip_punctuation)
     with tempfile.TemporaryDirectory() as root:
         paths = [Path(root) / f"doc{i}.txt" for i in range(len(file_texts))]
         for path, text in zip(paths, file_texts):
             path.write_bytes(text.encode("utf-8"))
-        index = ingest(paths, tokenizer=tokenizer)
-        ids, offsets, vocab, digest = batch_ingest(paths, lowercase, strip_punctuation)
+        index = ingest(paths)
+        ids, offsets, vocab, digest = batch_ingest(paths)
     assert index.ids.dtype == np.int32 and index.doc_offsets.dtype == np.int64
     assert index.ids.tolist() == ids.tolist()
     assert index.doc_offsets.tolist() == offsets.tolist()
     assert list(index.vocab) == vocab
     assert index.digest == digest
-    assert index.tokenizer == tokenizer
 
 
 def test_ingest_memory_is_one_file_of_tokens(tmp_path):
@@ -465,7 +463,7 @@ def test_saved_index_gives_identical_windows(documents, x, y):
     assert list(loaded.vocab) == list(index.vocab)
     assert loaded.ids.tolist() == index.ids.tolist()
     assert loaded.doc_offsets.tolist() == index.doc_offsets.tolist()
-    assert (loaded.digest, loaded.tokenizer) == (index.digest, index.tokenizer)
+    assert loaded.digest == index.digest
     assert doc_tokens(loaded) == documents
     if x != y:
         pair = TermPair(Term(x), Term(y))
@@ -530,9 +528,7 @@ def _vocab(arrays, words):
 
 # The saved vocabulary is a, planet, sun, the, warms.
 @pytest.mark.parametrize("corrupt", [
-    lambda a: {"meta": _meta(a, format="relmap-corpus-index-v1")},
-    lambda a: {"meta": _meta(a, tokenizer={"lowercase": True})},
-    lambda a: {"meta": _meta(a, tokenizer={"lowercase": 1, "strip_punctuation": 0})},
+    lambda a: {"meta": _meta(a, format="relmap-corpus-index-v2")},
     lambda a: {"meta": _meta(a, vocab_size=99)},
     lambda a: {"meta": "[1, 2]"},
     lambda a: {"ids": a["ids"].astype(np.int64)},
@@ -553,7 +549,7 @@ def _vocab(arrays, words):
     lambda a: _vocab(a, [b"a", b"planet", b"sun", b"the", b"warms", b""]),
     lambda a: {"vocab": np.frombuffer(bytes(a["vocab"]) + b"\n", np.uint8)},
     lambda a: {"meta": _meta(a, vocab_size=-1)},
-], ids=["format", "tokenizer-keys", "tokenizer-types", "vocab-size", "meta-type",
+], ids=["format", "vocab-size", "meta-type",
         "ids-dtype", "offsets-dtype", "vocab-dtype", "offsets-order", "offsets-start",
         "offsets-end", "id-too-large", "id-negative", "vocab-unsorted", "vocab-utf8",
         "vocab-duplicate", "vocab-after-extension", "vocab-empty-word",
@@ -600,22 +596,21 @@ def _files(tmp_path, texts):
     return paths
 
 
-def test_cache_keys_on_tokenizer(tmp_path):
+def test_cache_refuses_another_corpus_under_this_key(tmp_path):
     files = _files(tmp_path, ["The Sun warms the Planet"])
+    (tmp_path / "other").mkdir()
+    other = _files(tmp_path / "other", ["a moon"])
     cache = tmp_path / "cache"
-    raw = Tokenizer(lowercase=False)
-    foreign = save_index(ingest(files, tokenizer=raw), cache)
+    foreign = save_index(ingest(other), cache)
     digest = corpus_digest(files)
-    assert foreign == cache_path(cache, digest, raw)
     assert foreign != cache_path(cache, digest)
     index, hit = cached_index(files, cache)
     assert not hit
-    assert index.tokenizer == DEFAULT_TOKENIZER
     assert list(index.vocab) == ["planet", "sun", "the", "warms"]
     assert cached_index(files, cache)[1]
-    # a file copied under the default key is refused, not served
+    # a file copied under this corpus's key is refused, not served
     cache_path(cache, digest).write_bytes(foreign.read_bytes())
-    with pytest.raises(CorpusError, match="another corpus or tokenizer"):
+    with pytest.raises(CorpusError, match="another corpus"):
         cached_index(files, cache)
 
 

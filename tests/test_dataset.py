@@ -163,6 +163,34 @@ def test_load_rejects_non_bijective_intended(tmp_path):
         load_problems(path)
 
 
+GOOD = {"id": "P", "source": ["a", "b"], "target": ["c", "d"]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    (["x"], "'x' is not an object"),
+    (dict(GOOD, source=[1, 2]), "problem P: source must be a list of term strings"),
+    (dict(GOOD, source="ab"), "problem P: source must be a list of term strings"),
+    (dict(GOOD, target=None), "problem P: target must be a list of term strings"),
+    (dict(GOOD, intended=["a"]), "problem P: intended must map terms to terms"),
+    (dict(GOOD, intended={"a": 1, "b": 2}), "problem P: intended must map terms to terms"),
+    (dict(GOOD, pos=["NN"]), "problem P: pos must map terms to tags"),
+    (dict(GOOD, agreement={"a": "high"}), "problem P: agreement must map terms to numbers"),
+    (dict(GOOD, agreement={"a": 90.0}), "problem P: agreement gives no value for b"),
+    (dict(GOOD, intended={"a": "c", "b": "c"}), "problem P: intended mapping is not a"),
+    (dict(GOOD, source=["a", "..."]), "problem P: term '...' is empty after normalization"),
+    (dict(GOOD, source=["a", "a b c d e"]), "problem P: term .* exceeds 4 tokens"),
+    ({"source": ["a", "b"], "target": ["c", "d"]}, "missing field 'id'"),
+], ids=["entry-not-object", "term-not-string", "terms-a-string", "terms-null",
+        "intended-list", "intended-numbers", "pos-list", "agreement-strings",
+        "agreement-partial", "intended-not-bijective", "term-empty",
+        "term-too-long", "no-id"])
+def test_load_refuses_malformed_entry_naming_file(tmp_path, payload, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError, match=f"malformed.json: .*{message}"):
+        load_problems(path)
+
+
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         load_problems(tmp_path / "absent.json")

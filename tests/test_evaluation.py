@@ -159,6 +159,13 @@ def test_coherence_degenerate_subset_equal(planted_all):
         assert row.internal_accuracy == row.total_accuracy
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_coherence_refuses_no_trials(trials):
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        coherence_experiment(builtin_dataset(), m_prime=3, trials_per_problem=trials,
+                             seed=0, config=Config(mode="attributional"))
+
+
 def test_coherence_skips_oversized_subsets(planted_all, caplog):
     data, index = planted_all
     mixed = Dataset(data.problems[:2])

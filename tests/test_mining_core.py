@@ -25,7 +25,8 @@ from relmap.terms import Term, TermPair
 from conftest import column_ids, mined_counts
 
 # "a\x01" sorts after "a" but "a\x01 X" before "a X"; "X" and "*" equal the
-# marker strings, which a tokenizer that keeps case and punctuation emits.
+# marker strings, which `tokenize` never emits but an index built from
+# token lists may hold.
 # Terms come from the first four tokens, so most pairs have windows and
 # many patterns have several generating pairs.
 ALPHABET = ["a", "b", "a\x01", "c", "a\x00b", "b\x1b", "X", "*"]

@@ -379,7 +379,6 @@ def test_sim_range(tmp_path):
 def test_no_svd_equals_direct_cosines(tmp_path):
     X, rows = build_toy_space(tmp_path)
     space = build_space_from_matrix(X, rows, k=None)
-    assert space.k is None
     Xd = X.toarray()
     for i, p in enumerate(rows):
         for j, q in enumerate(rows):

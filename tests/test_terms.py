@@ -5,28 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import tokenize_words
-from relmap.terms import DEFAULT_TOKENIZER, Term, TermPair, Tokenizer
+from relmap.terms import Term, TermPair, tokenize
 
 from conftest import WHITESPACE, token_texts
 
-TOKENIZERS = [Tokenizer(lowercase, strip) for lowercase in (True, False)
-              for strip in (True, False)]
-
 
 def test_tokenize_strips_and_lowercases():
-    toks = DEFAULT_TOKENIZER.tokenize("The sun attracts the planet.")
+    toks = tokenize("The sun attracts the planet.")
     assert toks == ["the", "sun", "attracts", "the", "planet"]
 
 
 def test_tokenize_drops_pure_punctuation():
-    assert DEFAULT_TOKENIZER.tokenize("hello *** -- world!!") == ["hello", "world"]
+    assert tokenize("hello *** -- world!!") == ["hello", "world"]
 
 
 def test_term_parse_multiword():
     term = Term.parse("Solar  System")
     assert term.tokens == ("solar", "system")
     assert term.text == "solar system"
-    assert term.surface == "Solar  System"
 
 
 def test_term_equality_ignores_surface():
@@ -43,17 +39,15 @@ def test_term_rejects_empty_and_oversized():
 
 @given(st.text(max_size=40))
 def test_normalization_idempotent(text):
-    toks = DEFAULT_TOKENIZER.tokenize(text)
-    again = DEFAULT_TOKENIZER.tokenize(" ".join(toks))
+    toks = tokenize(text)
+    again = tokenize(" ".join(toks))
     assert toks == again
 
 
 @given(token_texts)
 @settings(max_examples=300)
 def test_tokenize_equals_word_by_word_oracle(text):
-    for tokenizer in TOKENIZERS:
-        assert tokenizer.tokenize(text) == tokenize_words(
-            text, tokenizer.lowercase, tokenizer.strip_punctuation)
+    assert tokenize(text) == tokenize_words(text)
 
 
 def test_lowercasing_the_whole_text_keeps_token_bounds():
