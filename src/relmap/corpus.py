@@ -28,6 +28,14 @@ no pass. Beyond the vocabulary's bytes and offsets nothing is kept per
 vocabulary word, and an index that is only built and cached never
 searches.
 
+Window search works on terms, not pairs. The starts of all the terms of
+a pair list are merged in position order, once each however many pairs
+name a term. For every start of a term that is some pair's x, one
+`searchsorted` finds the term starts in the 0-3 tokens after its run,
+inside its document. Each (x term, y term) hit is mapped to the pair
+slots with those terms through a sorted key array, and one stable sort
+by slot gives the windows in (pair, document, x start, y start) order.
+
 Ingest streams the files. Each file is read, hashed, tokenized and
 mapped to first-seen ids before the next one is read, so at any time
 memory holds the vocabulary, 4 bytes per token so far and one file's
@@ -46,7 +54,10 @@ partial file. `load_index` reads it with ``allow_pickle=False`` and
 checks the format, the dtypes, the offsets, the vocabulary and the id
 range before it returns anything. The vocabulary is checked on its
 bytes, a bounded number of words at a time: UTF-8 validity, the stated
-size, no empty word and strictly increasing order.
+size, no empty word and strictly increasing order. The order is settled
+for whole chunks at once on each word's first 8 bytes, read as one
+big-endian integer; only words whose first 8 bytes tie, and the words
+on each side of a chunk boundary, are compared as whole bytes.
 """
 
 from __future__ import annotations
@@ -57,7 +68,6 @@ import hashlib
 import itertools
 import json
 import logging
-import operator
 import os
 import zipfile
 from bisect import bisect_left
@@ -77,13 +87,14 @@ MAX_PRE = 1
 MAX_MID = 3
 MAX_POST = 1
 
-_X_BLOCK = 1 << 18
-
 # The format tag also stands for the one tokenizer, which the cache key and
 # metadata do not otherwise name: any change to `terms.tokenize` must bump it.
 _CACHE_FORMAT = "relmap-corpus-index-v3"
 # Words decoded at once when a loaded vocabulary is checked.
 _CHECK_WORDS = 1 << 14
+# _PREFIX_MASKS[k] keeps the first k of 8 big-endian bytes. A table, not a
+# shift: shifting a 64-bit integer by 64 bits is undefined.
+_PREFIX_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
 
@@ -156,8 +167,7 @@ class Vocabulary:
     def __getitem__(self, i: int) -> str:
         if not 0 <= i < self.size:
             raise IndexError(f"word id {i} out of range")
-        a, b = self._offsets[i:i + 2].tolist()
-        return self.blob[a:b - 1].tobytes().decode("utf-8")
+        return self._word_bytes(i).decode("utf-8")
 
     def words(self, ids) -> list[str]:
         """The words with these ids, in their order, decoded in one pass."""
@@ -182,20 +192,41 @@ class Vocabulary:
     def check(self) -> None:
         """Raise ValueError unless the bytes hold `size` valid, non-empty UTF-8
         words in strictly increasing order, looked at _CHECK_WORDS words at
-        a time."""
+        a time.
+
+        Neighbours are ordered by their first 8 bytes, read as big-endian
+        integers with the bytes past a word's end zeroed: a smaller prefix
+        makes a word the smaller one, a larger one refuses the order. Only
+        neighbours with equal prefixes, and the two words on each side of
+        a chunk boundary, are compared as whole bytes.
+        """
         offsets = self._offsets
         if self.size and offsets[1] == 1:  # in increasing order only the first can be empty
             raise ValueError("vocabulary holds an empty word")
+        word = self._word_bytes
         last = None
         for a in range(0, self.size, _CHECK_WORDS):
             b = min(a + _CHECK_WORDS, self.size)
-            raw = self.blob[offsets[a]:offsets[b] - 1].tobytes()
-            raw.decode("utf-8")  # a chunk ends at a word, so at a character
-            words = raw.split(b"\n")
-            if not ((last is None or last < words[0])
-                    and all(map(operator.lt, words, itertools.islice(words, 1, None)))):
+            raw = self.blob[offsets[a]:offsets[b] - 1]
+            str(raw, "utf-8")  # a chunk ends at a word, so at a character
+            # The chunk and 8 zero bytes, read as one 8-byte integer at
+            # every byte (strides of 1 byte); each word's own is its prefix.
+            padded = np.zeros(raw.size + 8, dtype=np.uint8)
+            padded[:raw.size] = raw
+            at = np.ndarray((raw.size + 1,), dtype=">u8", buffer=padded, strides=(1,))
+            prefix = at[offsets[a:b] - offsets[a]].astype(np.uint64)
+            prefix &= _PREFIX_MASKS[np.minimum(np.diff(offsets[a:b + 1]) - 1, 8)]
+            if (last is not None and not last < word(a)) or np.any(prefix[:-1] > prefix[1:]):
                 raise ValueError("vocabulary is not strictly increasing")
-            last = words[-1]
+            for i in (np.flatnonzero(prefix[:-1] == prefix[1:]) + a).tolist():
+                if not word(i) < word(i + 1):
+                    raise ValueError("vocabulary is not strictly increasing")
+            last = word(b - 1)
+
+    def _word_bytes(self, i: int) -> bytes:
+        """Word i's UTF-8 bytes."""
+        a, b = self._offsets[i:i + 2].tolist()
+        return self.blob[a:b - 1].tobytes()
 
 
 @dataclass(eq=False)
@@ -347,54 +378,75 @@ def _find_windows(index: CorpusIndex, pairs: list[TermPair]) -> tuple[np.ndarray
     trailing context words. Windows come in (pair, document, x start,
     y start) order. A y match starts 0-3 tokens after the x match ends
     and lies in the same document.
+
+    The search is by term (see the module docstring). A (x term, y term)
+    hit is a window of every pair slot with those terms, so a pair
+    listed twice is mined twice.
     """
     starts = index._starts([term for pair in pairs for term in (pair.x, pair.y)])
-    # Pairs are searched in blocks of about _X_BLOCK x occurrences, which
-    # bounds the memory of the per-occurrence arrays.
-    blocks, first, size = [], 0, 0
-    for i, pair in enumerate(pairs):
-        if size and size + starts[pair.x].size > _X_BLOCK:
-            blocks.append(_block_windows(index, pairs, starts, first, i))
-            first, size = i, 0
-        size += starts[pair.x].size
-    blocks.append(_block_windows(index, pairs, starts, first, len(pairs)))
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-
-def _block_windows(index: CorpusIndex, pairs: list[TermPair], starts: dict[Term, np.ndarray],
-                   first: int, stop: int) -> tuple[np.ndarray, ...]:
-    """`_find_windows` for pairs[first:stop]."""
-    block = pairs[first:stop]
-    xs = [starts[p.x] for p in block]
-    ys = [starts[p.y] for p in block]
-    n_x = np.array([a.size for a in xs], dtype=np.int64)
-    n_y = np.array([a.size for a in ys], dtype=np.int64)
-    x_len = np.repeat(np.array([len(p.x.tokens) for p in block], dtype=np.int64), n_x)
-    y_len = np.repeat(np.array([len(p.y.tokens) for p in block], dtype=np.int64), n_x)
-    owner = np.repeat(np.arange(len(block)), n_x)
-    x_pos = np.concatenate([_EMPTY, *xs])
-    # Each pair's y starts, offset into a key range of its own, so that
-    # one sorted array serves every pair of the block.
-    span = index.ids.size + MAX_MID + 1
-    base = owner * span
-    y_keys = np.concatenate([_EMPTY, *ys]) + np.repeat(np.arange(len(block)) * span, n_y)
+    code = {term: i for i, term in enumerate(starts)}
+    n = len(code)
+    length = np.array([len(term.tokens) for term in starts], dtype=np.int64)
+    # The starts of all the terms in position order; terms that start at
+    # one position stay in the order of `starts`.
+    pos = np.concatenate([_EMPTY, *starts.values()])
+    term = np.repeat(np.arange(n), [a.size for a in starts.values()])
+    order = np.argsort(pos, kind="stable")
+    pos, term = pos[order], term[order]
+    # The pair slots, sorted by their (x term, y term) key.
+    keys = np.array([code[p.x] * n + code[p.y] for p in pairs], dtype=np.int64)
+    slots = np.argsort(keys, kind="stable")
+    keys = keys[slots]
+    is_x = np.zeros(n, dtype=bool)
+    is_x[keys // n] = True
+    xi = np.flatnonzero(is_x[term])
+    x_pos = pos[xi]
+    x_end = x_pos + length[term[xi]]
     doc = index._doc_of(x_pos)
-    doc_start = index.doc_offsets[doc]
     doc_end = index.doc_offsets[doc + 1]
-    # Every y occurrence lies inside one document, so a y start in
-    # [x end, doc end - y_len] is a y in the same document as x.
-    lo = np.searchsorted(y_keys, base + x_pos + x_len, side="left")
-    hi = np.searchsorted(y_keys, base + np.minimum(x_pos + x_len + MAX_MID, doc_end - y_len),
-                         side="right")
-    n_hits = np.maximum(hi - lo, 0)
-    total = int(n_hits.sum())
-    xi = np.repeat(np.arange(x_pos.size), n_hits)
-    y_pos = (y_keys[lo[xi] + np.arange(total) - np.repeat(np.cumsum(n_hits) - n_hits, n_hits)]
-             - base[xi])
-    x_pos = x_pos[xi]
-    pre = np.minimum(MAX_PRE, x_pos - doc_start[xi])
-    post = np.minimum(MAX_POST, doc_end[xi] - (y_pos + y_len[xi]))
-    return first + owner[xi], doc[xi], x_pos, y_pos, pre, post
+    # Every term's run lies inside one document (`_runs`), so a y that
+    # starts before x's document ends also ends inside it.
+    lo = np.searchsorted(pos, x_end, side="left")
+    hi = np.searchsorted(pos, np.minimum(x_end + MAX_MID, doc_end - 1), side="right")
+    # (x start, term start) hits; each array is dropped once used, which
+    # keeps the peak memory near that of the hits and windows alone.
+    hit_x, hit_y = _expand(lo, np.maximum(hi - lo, 0))
+    del x_end, lo, hi
+    key = term[xi[hit_x]] * n + term[hit_y]
+    first = np.searchsorted(keys, key, side="left")
+    count = np.searchsorted(keys, key, side="right") - first
+    del key
+    win, slot = _expand(first, count)
+    del first, count
+    pair = slots[slot]
+    del slot
+    # Within a pair, hits come in (x start, y start) order, so one
+    # stable sort by pair gives the windows their order.
+    order = np.argsort(pair, kind="stable")
+    pair, win = pair[order], win[order]
+    del order
+    wy = hit_y[win]
+    y_pos = pos[wy]
+    y_end = y_pos + length[term[wy]]
+    del wy
+    wx = hit_x[win]
+    del hit_x, hit_y, win
+    x_pos, doc, doc_end = x_pos[wx], doc[wx], doc_end[wx]
+    del wx
+    pre = np.minimum(MAX_PRE, x_pos - index.doc_offsets[doc])
+    post = np.minimum(MAX_POST, doc_end - y_end)
+    return pair, doc, x_pos, y_pos, pre, post
+
+
+def _expand(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, first[i] + k) for each i and each k < count[i], in that order."""
+    owner = np.repeat(np.arange(first.size), count)
+    shift = first + count
+    shift -= np.cumsum(count)
+    at = np.repeat(shift, count)
+    del shift
+    at += np.arange(at.size)
+    return owner, at
 
 
 def search_phrases(index: CorpusIndex, pair: TermPair) -> list[PhraseOccurrence]:

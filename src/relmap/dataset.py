@@ -277,7 +277,8 @@ def load_problems(path: str | Path | None = None) -> Dataset:
     The file may hold one problem object or a list of them; each object
     has fields id, source, target and optional pos, intended, agreement
     and mnemonic. Multiword terms are single strings with spaces. A
-    malformed entry raises DataError naming the file and the problem.
+    malformed entry raises DataError naming the file and the problem, and
+    so does an id that two problems share.
     """
     if path is None or path == "builtin":
         return builtin_dataset()
@@ -292,7 +293,13 @@ def load_problems(path: str | Path | None = None) -> Dataset:
         payload = [payload]
     if not isinstance(payload, list):
         raise DataError(f"{p}: expected a problem object or list of them")
-    return Dataset([_problem_from_entry(p, entry) for entry in payload])
+    problems = [_problem_from_entry(p, entry) for entry in payload]
+    seen = set()
+    for problem in problems:
+        if problem.id in seen:
+            raise DataError(f"{p}: two problems have the id {problem.id!r}")
+        seen.add(problem.id)
+    return Dataset(problems)
 
 
 def _problem_from_entry(p: Path, entry) -> MappingProblem:

@@ -269,13 +269,11 @@ class RelationalScorer:
 
     def explain(self, problem: MappingProblem, perm: tuple[int, ...]):
         src, tgt = problem.source, problem.target
-        out = []
-        for i in range(problem.m):
-            for j in range(i + 1, problem.m):
-                p = TermPair(src[i], src[j])
-                q = TermPair(tgt[perm[i]], tgt[perm[j]])
-                out.append((f"{p.text} ~ {q.text}", self.space.sim_r(p, q)))
-        return out
+        pairs = [(i, j) for i in range(problem.m) for j in range(i + 1, problem.m)]
+        ps = [TermPair(src[i], src[j]) for i, j in pairs]
+        qs = [TermPair(tgt[perm[i]], tgt[perm[j]]) for i, j in pairs]
+        return [(f"{p.text} ~ {q.text}", sim)
+                for p, q, sim in zip(ps, qs, self.space.sim_pairs(ps, qs).tolist())]
 
 
 class AttributionalScorer:

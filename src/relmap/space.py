@@ -176,19 +176,30 @@ class RelationSpace:
     def sim_grid(self, ps: list[TermPair], qs: list[TermPair]) -> np.ndarray:
         """sim_r of every (p, q) as a len(ps) x len(qs) array.
 
-        Each pair's row is looked up once. Each cell is the dot product
-        sim_r takes, one vector pair at a time rather than a matrix
-        product, whose blocking could move a last bit.
+        Each pair's row is looked up once, and one `np.vecdot` takes the
+        dot product of every (p, q) whose pairs both have a row. For
+        float64 it calls the dot kernel that sim_r's `w @ v` calls, one
+        vector pair at a time, so each cell has sim_r's bits; a matrix
+        product's blocking could move a last bit. Other cells stay 0.0.
         """
+        rows_p, rows_q = self._rows(ps), self._rows(qs)
+        a, b = np.flatnonzero(rows_p >= 0), np.flatnonzero(rows_q >= 0)
         out = np.zeros((len(ps), len(qs)))
-        cols = [(b, self.W[r]) for b, r in enumerate(map(self.row_index.get, qs))
-                if r is not None]
-        for a, r in enumerate(map(self.row_index.get, ps)):
-            if r is not None:
-                w = self.W[r]
-                for b, v in cols:
-                    out[a, b] = float(w @ v)
+        out[np.ix_(a, b)] = np.vecdot(self.W[rows_p[a]][:, None, :],
+                                      self.W[rows_q[b]][None, :, :])
         return out
+
+    def sim_pairs(self, ps: list[TermPair], qs: list[TermPair]) -> np.ndarray:
+        """sim_r of each (ps[i], qs[i]), with sim_r's bits as in `sim_grid`."""
+        rows_p, rows_q = self._rows(ps), self._rows(qs)
+        both = np.flatnonzero((rows_p >= 0) & (rows_q >= 0))
+        out = np.zeros(len(ps))
+        out[both] = np.vecdot(self.W[rows_p[both]], self.W[rows_q[both]])
+        return out
+
+    def _rows(self, pairs: list[TermPair]) -> np.ndarray:
+        """The row of each pair, -1 for a pair without one."""
+        return np.array([self.row_index.get(p, -1) for p in pairs], dtype=np.int64)
 
 
 def build_space(U_k: np.ndarray, sigma_k: np.ndarray,

@@ -8,9 +8,13 @@ must give the same ids, offsets, vocabulary and digest. The lookup
 reference keeps the vocabulary as a list of strings and builds postings
 for every token id with a full stable argsort and a bincount, the
 package's earlier design; the byte-blob vocabulary and the per-query
-postings must find the same ids, words and start positions. The search
-references score and compare one mapping at a time, one Python call per
-mapping, as the slow reference for the package's block search core.
+postings must find the same ids, words and start positions. The
+vocabulary-check reference splits each chunk of the vocabulary's bytes
+into words and compares neighbours in Python, the package's earlier
+design; the prefix-compared check must accept and refuse the same
+vocabularies with the same message. The search references score and
+compare one mapping at a time, one Python call per mapping, as the slow
+reference for the package's block search core.
 The hybrid's probability reference totals a channel by counting the
 grid cells the enumerated mappings read, not by the package's closed
 form.
@@ -27,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import random
 import string
 from bisect import bisect_left
@@ -118,6 +123,25 @@ class ListIndex:
             if end <= self.doc_offsets[doc + 1] and self.ids[p:end].tolist() == tids:
                 keep.append(p)
         return np.array(keep, dtype=np.int64)
+
+
+def check_vocabulary(blob, size, chunk_words):
+    """Raise ValueError as `Vocabulary.check` must, by the earlier design:
+    each chunk of `chunk_words` words is decoded, split into bytes objects
+    and its neighbours compared in Python."""
+    words = blob.split(b"\n") if blob or size else []
+    if len(words) != size:
+        raise ValueError("vocabulary is not of the stated size")
+    if size and not words[0]:
+        raise ValueError("vocabulary holds an empty word")
+    last = None
+    for a in range(0, size, chunk_words):
+        part = words[a:a + chunk_words]
+        b"\n".join(part).decode("utf-8")
+        if not ((last is None or last < part[0])
+                and all(map(operator.lt, part, part[1:]))):
+            raise ValueError("vocabulary is not strictly increasing")
+        last = part[-1]
 
 
 def scan_windows(documents, x_tokens, y_tokens,

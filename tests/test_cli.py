@@ -184,6 +184,20 @@ def test_malformed_problem_file_is_data_error(tmp_path, capsys):
     assert err.startswith("error: ") and "bad.json" in err, err
 
 
+def test_duplicate_problem_id_is_data_error(planted_paths, tmp_path, capsys):
+    """Two problems with one id would share a sidecar tie count and the
+    coherence subsets; the file is refused before any work."""
+    corpus, problems = planted_paths
+    entries = json.loads(Path(problems).read_text(encoding="utf-8"))
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps([entries[0], entries[0]]), encoding="utf-8")
+    assert main(["eval", str(path), "--corpus", corpus, "--mode", "relational",
+                 "--report", str(tmp_path / "r.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "twice.json" in err and repr(entries[0]["id"]) in err, err
+    assert not (tmp_path / "r.tsv").exists()
+
+
 def test_sweep_k_range_rows(planted_paths, tmp_path):
     corpus, problems = planted_paths
     report = tmp_path / "sweep.tsv"

@@ -4,12 +4,14 @@ import random
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import ListIndex, batch_index, batch_ingest, scan_cooccurrences, scan_windows
 from relmap import corpus as corpus_module
 from relmap.corpus import (CorpusIndex, _find_windows, cache_path, cached_index,
@@ -146,6 +148,66 @@ def test_load_memory_holds_no_word_objects(tmp_path):
     assert len(index.vocab) == 200_004
     assert windows[0].tolist() == [0] * 20 + [1] * 20
     assert peak_mb < 9, f"peak {peak_mb:.1f} MB"
+
+
+def test_window_search_memory_on_dense_occurrences():
+    """20k tokens over four words, six terms and all 30 pairs of them:
+    80,956 windows (3.7 MB of output). The term-level search traces a
+    peak of 6.7 MB; the earlier search, in blocks of pairs with each
+    pair's own copy of its x starts, peaked at 14.0 MB (numpy 2.4)."""
+    rng = random.Random(3)
+    index = CorpusIndex.from_token_lists([rng.choices("abcd", k=5000) for _ in range(4)])
+    terms = [Term.parse(t) for t in ["a", "b", "c", "d", "a b", "c d"]]
+    pairs = [TermPair(x, y) for x in terms for y in terms if x != y]
+    tracemalloc.start()
+    try:
+        windows = _find_windows(index, pairs)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert windows[0].size == 80_956
+    assert peak_mb < 10, f"peak {peak_mb:.1f} MB"
+
+
+def test_window_search_shared_heads_repeated_pairs_and_document_ends():
+    """Terms with one first token as x and as y, a pair listed twice, and
+    runs that would cross a document end."""
+    index = CorpusIndex.from_token_lists([["a", "b", "a", "b"], ["a"], ["b", "a", "b"]])
+    a, ab, b = Term.parse("a"), Term.parse("a b"), Term.parse("b")
+    pairs = [TermPair(a, ab), TermPair(ab, a), TermPair(a, b), TermPair(a, ab)]
+    got = [w.tolist() for w in _find_windows(index, pairs)]
+    # "a b" at 4-5 crosses from document 1 into 2, so it is no start, and
+    # the "b" at 5 lies past the end of the "a" at 4.
+    assert got == [[0, 1, 2, 2, 2, 2, 3],   # pair slot
+                   [0, 0, 0, 0, 0, 2, 0],   # document
+                   [0, 0, 0, 0, 2, 6, 0],   # x start
+                   [2, 2, 1, 3, 3, 7, 2],   # y start
+                   [0, 0, 0, 0, 1, 1, 0],   # pre
+                   [0, 1, 1, 0, 0, 0, 0]]   # post
+
+
+shared_head = st.sampled_from([("a",), ("a", "b"), ("b",), ("b", "a"), ("a", "b", "c")])
+
+
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=10), max_size=4),
+       st.lists(st.tuples(shared_head, shared_head).filter(lambda xy: xy[0] != xy[1]),
+                max_size=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_window_search_matches_scan_per_pair(documents, xys, data):
+    """All pairs searched at once give each pair's brute-force windows, in
+    (pair, document, x start, y start) order; a pair listed twice gets its
+    windows twice."""
+    pairs = [TermPair(Term(x), Term(y)) for x, y in xys]
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    index = CorpusIndex.from_token_lists(documents)
+    got = _find_windows(index, pairs)
+    assert all(w.dtype == np.int64 for w in got)
+    starts = index.doc_offsets.tolist()
+    want = [(k, d, starts[d] + x, starts[d] + y, pre, post)
+            for k, pair in enumerate(pairs)
+            for d, x, y, pre, _mid, post in sorted(
+                scan_windows(documents, pair.x.tokens, pair.y.tokens))]
+    assert list(zip(*(w.tolist() for w in got))) == want
 
 
 def test_postings_are_built_on_first_search(tmp_path):
@@ -576,6 +638,78 @@ def test_load_checks_order_across_check_chunks(tmp_path, monkeypatch):
             np.savez(fh, **dict(arrays, **_vocab(arrays, swapped)))
         with pytest.raises(CorpusError, match="not strictly increasing"):
             load_index(path)
+
+
+# Words for the vocabulary check: NUL and control bytes; words of 8 bytes
+# or fewer that are prefixes of one another; long words that share 8 or
+# more leading bytes; and 2-, 3- and 4-byte characters across byte 8.
+WORD_HEADS = ["", "a", "abcdefg", "abcdefgh", "abcdefghij"]
+WORD_CHARS = ["a", "b", "\x00", "\x01", "\x1b", "é", "€", "😀"]
+TRICKY_WORDS = sorted([b"a", b"a\x00", b"a\x00\x00", b"a\x01", b"abcdefgh", b"abcdefgh\x00",
+                       b"abcdefghA", b"abcdefghB", b"abcdefghijA", b"abcdefghijB",
+                       "abcdefgé".encode(), "abcdefg€".encode(), "abcdefg😀".encode(),
+                       b"b\x1b"])
+
+
+def _vocabulary(words, size=None):
+    blob = b"\n".join(words)
+    return corpus_module.Vocabulary(np.frombuffer(blob, dtype=np.uint8),
+                                    len(words) if size is None else size)
+
+
+def _outcome(check):
+    try:
+        check()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def vocabularies(draw):
+    """(words, size): a sorted vocabulary, often with one defect."""
+    word = st.builds(lambda head, tail: (head + tail).encode("utf-8"),
+                     st.sampled_from(WORD_HEADS), st.text(WORD_CHARS, max_size=6))
+    words = sorted(set(draw(st.lists(word, max_size=40))))
+    defect = draw(st.sampled_from(["none", "swap", "duplicate", "empty", "invalid", "size"]))
+    if words and defect != "none":
+        i = draw(st.integers(0, len(words) - 1))
+        if defect == "swap" and i + 1 < len(words):
+            words[i], words[i + 1] = words[i + 1], words[i]
+        elif defect == "duplicate":
+            words.insert(i, words[i])
+        elif defect == "empty":
+            words.insert(i, b"")
+        elif defect == "invalid":
+            words[i] += draw(st.sampled_from([b"\xff", b"\xe2\x82"]))
+    size = len(words) + (draw(st.sampled_from([-1, 1])) if defect == "size" else 0)
+    return words, size
+
+
+@given(vocabularies(), st.sampled_from([1, 2, 3, 7, 1 << 14]))
+@settings(max_examples=500, deadline=None)
+def test_check_equals_chunked_reference(vocab, chunk):
+    """The prefix-compared check accepts and refuses as the earlier chunked
+    check does, with the same message, whatever the chunk size."""
+    words, size = vocab
+    with mock.patch.object(corpus_module, "_CHECK_WORDS", chunk):
+        got = _outcome(_vocabulary(words, size).check)
+    assert got == _outcome(lambda: oracles.check_vocabulary(b"\n".join(words), size, chunk))
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 1 << 14])
+def test_check_refuses_each_swap_duplicate_and_empty_word(chunk, monkeypatch):
+    """Each swapped or duplicated neighbour pair, and an empty word at each
+    place, is refused: inside a chunk, across a chunk boundary, and for
+    words that differ only past byte 8."""
+    monkeypatch.setattr(corpus_module, "_CHECK_WORDS", chunk)
+    words = TRICKY_WORDS
+    _vocabulary(words).check()
+    for i in range(len(words) - 1):
+        for bad in (words[:i] + [words[i + 1], words[i]] + words[i + 2:],
+                    words[:i + 1] + words[i:], words[:i + 1] + [b""] + words[i + 1:]):
+            with pytest.raises(ValueError, match="not strictly increasing"):
+                _vocabulary(bad).check()
 
 
 def test_load_names_path_of_missing_array(tmp_path):

@@ -180,10 +180,12 @@ GOOD = {"id": "P", "source": ["a", "b"], "target": ["c", "d"]}
     (dict(GOOD, source=["a", "..."]), "problem P: term '...' is empty after normalization"),
     (dict(GOOD, source=["a", "a b c d e"]), "problem P: term .* exceeds 4 tokens"),
     ({"source": ["a", "b"], "target": ["c", "d"]}, "missing field 'id'"),
+    ([GOOD, dict(GOOD, source=["x", "y"])], "two problems have the id 'P'"),
+    ([dict(GOOD, id=1), dict(GOOD, id="1")], "two problems have the id '1'"),
 ], ids=["entry-not-object", "term-not-string", "terms-a-string", "terms-null",
         "intended-list", "intended-numbers", "pos-list", "agreement-strings",
         "agreement-partial", "intended-not-bijective", "term-empty",
-        "term-too-long", "no-id"])
+        "term-too-long", "no-id", "duplicate-id", "duplicate-id-as-string"])
 def test_load_refuses_malformed_entry_naming_file(tmp_path, payload, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(payload), encoding="utf-8")

@@ -5,8 +5,6 @@ rows, the ordered column selection at several t and the frequency
 matrix (values and positions) must be identical.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,12 +64,10 @@ def assert_same_mining(index, pairs, cap):
     return stats
 
 
-@given(docs=documents, pairs=pairs_st, cap=caps, block=st.sampled_from([1, 3, 1 << 18]))
+@given(docs=documents, pairs=pairs_st, cap=caps)
 @settings(max_examples=300, deadline=None)
-def test_random_corpora_match_reference(docs, pairs, cap, block):
-    # Small blocks make the window search split the pairs into batches.
-    with mock.patch("relmap.corpus._X_BLOCK", block):
-        assert_same_mining(CorpusIndex.from_token_lists(docs), pairs, cap)
+def test_random_corpora_match_reference(docs, pairs, cap):
+    assert_same_mining(CorpusIndex.from_token_lists(docs), pairs, cap)
 
 
 @given(docs=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=60),

@@ -35,6 +35,9 @@ class SimTable:
     def sim_grid(self, ps, qs):
         return np.array([[self.sim_r(p, q) for q in qs] for p in ps]).reshape(len(ps), len(qs))
 
+    def sim_pairs(self, ps, qs):
+        return np.array([self.sim_r(p, q) for p, q in zip(ps, qs)])
+
 
 def random_relational_table(problem, rng):
     values = {}

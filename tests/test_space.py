@@ -13,6 +13,7 @@ from relmap.evaluation import mine_for_problems, space_from_stats
 from relmap.patterns import (build_frequency_matrix, build_pair_list,
                              mine_patterns, prune_rows, select_columns)
 from relmap.problems import MappingProblem
+from relmap.solver import RelationalScorer
 from relmap.space import (_require_decomposition_budget, _require_dense_budget,
                           build_space, build_space_from_matrix, transform_log_entropy,
                           transform_ppmic, truncated_svd)
@@ -243,6 +244,48 @@ def test_weak_row_is_zeroed():
     assert np.all(space.W[2:] == 0.0)
     assert space.sim_r(rows[2], rows[3]) == 0.0
     assert space.sim_r(rows[2], rows[0]) == 0.0
+
+
+TERMS = [f"t{i}" for i in range(6)]
+ALL_PAIRS = [TermPair.parse(a, b) for a in TERMS for b in TERMS if a != b]
+
+
+@st.composite
+def spaces(draw):
+    """A space over some of ALL_PAIRS; some rows weak enough to be zeroed."""
+    rows = draw(st.lists(st.sampled_from(ALL_PAIRS), unique=True, max_size=len(ALL_PAIRS)))
+    k = draw(st.integers(1, 320))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U = rng.standard_normal((len(rows), k))
+    weak = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    U[np.array(weak, dtype=bool)] *= 1e-9
+    space = build_space(U, rng.uniform(0.1, 10.0, size=k), {p: i for i, p in enumerate(rows)})
+    return space, rows
+
+
+@given(spaces(), st.lists(st.sampled_from(ALL_PAIRS), max_size=12),
+       st.lists(st.sampled_from(ALL_PAIRS), max_size=12), st.permutations(range(6)))
+@settings(max_examples=200, deadline=None)
+def test_grids_and_explain_have_sim_r_bits(drawn, ps, qs, perm):
+    """sim_grid, sim_pairs and explain equal sim_r cell by cell, to the bit,
+    over pairs without a row and rows zeroed as weak too."""
+    space, rows = drawn
+    grid = space.sim_grid(ps, qs)
+    assert grid.shape == (len(ps), len(qs))
+    for a, p in enumerate(ps):
+        for b, q in enumerate(qs):
+            assert grid[a, b].hex() == space.sim_r(p, q).hex()
+    n = min(len(ps), len(qs))
+    pairs = space.sim_pairs(ps[:n], qs[:n])
+    assert [v.hex() for v in pairs.tolist()] == [
+        space.sim_r(p, q).hex() for p, q in zip(ps, qs)]
+    problem = MappingProblem.build("P", TERMS, TERMS)
+    src, tgt = problem.source, problem.target
+    explained = RelationalScorer(space).explain(problem, tuple(perm))
+    want = [(TermPair(src[i], src[j]), TermPair(tgt[perm[i]], tgt[perm[j]]))
+            for i in range(6) for j in range(i + 1, 6)]
+    assert [label for label, _ in explained] == [f"{p.text} ~ {q.text}" for p, q in want]
+    assert [v.hex() for _, v in explained] == [space.sim_r(p, q).hex() for p, q in want]
 
 
 def test_decomposition_backends_agree(planted_all):
