@@ -24,8 +24,8 @@ from .patterns import (PatternStats, build_frequency_matrix, build_pair_list,
                        serialize_pattern)
 from .planted import PlantedConfig, PlantedData, generate_planted_corpus
 from .problems import Mapping, MappingProblem
-from .solver import (AttributionalScorer, RelationalScorer, SolveResult,
-                     solve, solve_constrained, solve_hybrid)
+from .solver import (AttributionalScorer, HybridScorer, RelationalScorer,
+                     SolveResult, solve, solve_constrained)
 from .space import (RelationSpace, build_space, build_space_from_matrix,
                     transform_log_entropy, transform_ppmic, truncated_svd)
 from .terms import Term, TermPair, tokenize

@@ -14,12 +14,13 @@ from pathlib import Path
 from typing import Optional
 
 from . import corpus as cp
-from .config import Config, load_config_file
+from .config import MODES, TRANSFORMS, Config, load_config_file
 from .dataset import load_problems
 from .errors import (BudgetError, ConfigError, CorpusError, DataError,
                      RelmapError, UsageError)
 from .evaluation import (build_space_for_problems, coherence_experiment,
                          run_batch, sensitivity_sweep, solve_one)
+from .solver import TIE_POLICIES
 
 logger = logging.getLogger(__name__)
 
@@ -50,22 +51,28 @@ def _parse_grid(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
-def _add_common(p: _Parser, *, matrix_flags: bool = True):
+def _not_in_sweep(value: str):
+    raise argparse.ArgumentTypeError("a sweep is relational and varies the relation space")
+
+
+def _add_common(p: _Parser, *, solve_flags: bool = True):
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--corpus", help="directory of .txt corpus files")
     p.add_argument("--cache", help="directory for the index cache")
-    p.add_argument("--mode", choices=("relational", "attributional",
-                                      "hybrid-add", "hybrid-mul"))
-    p.add_argument("--provider",
-                   help="pos | pmi-ir | external:PATH, optionally +pos")
-    if matrix_flags:
+    if solve_flags:
+        p.add_argument("--mode", choices=MODES)
+        p.add_argument("--provider",
+                       help="pos | pmi-ir | external:PATH, optionally +pos")
+        p.add_argument("--pmi-window", type=int, dest="pmi_window")
         p.add_argument("--k", type=int, help="SVD rank (default 300)")
         p.add_argument("--t", type=int, help="columns per row (default 20)")
-        p.add_argument("--transform", choices=("ppmic", "logentropy"))
+        p.add_argument("--transform", choices=TRANSFORMS)
         p.add_argument("--no-svd", action="store_true",
                        help="skip the SVD smoothing step")
+    else:  # refused with a reason, where an unknown flag would get none
+        for flag in ("--mode", "--provider", "--pmi-window"):
+            p.add_argument(flag, type=_not_in_sweep, help=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--pmi-window", type=int, dest="pmi_window")
     p.add_argument("--m-max", type=int, dest="m_max",
                    help="largest problem size to enumerate (default 10)")
 
@@ -104,35 +111,35 @@ def build_parser() -> _Parser:
     _add_common(p_coh)
     p_coh.add_argument("--m-prime", type=int, default=3, dest="m_prime")
     p_coh.add_argument("--trials", type=int, default=10)
-    p_coh.add_argument("--tie-policy", choices=("random", "first"),
+    p_coh.add_argument("--tie-policy", choices=TIE_POLICIES,
                        default="random", dest="tie_policy")
     p_coh.add_argument("--report", help="TSV output path (sidecar: PATH.json)")
 
     p_sweep = sub.add_parser("sweep", help="accuracy across parameter settings")
     _add_problem_source(p_sweep)
-    _add_common(p_sweep, matrix_flags=False)
+    _add_common(p_sweep, solve_flags=False)
     p_sweep.add_argument("--k", help="k values to sweep, N or start:stop:step")
     p_sweep.add_argument("--t", help="t values to sweep, N or start:stop:step")
     p_sweep.add_argument("--no-svd", action="store_true",
                          help="add a row with the SVD step dropped")
-    p_sweep.add_argument("--transform", choices=("ppmic", "logentropy"),
+    p_sweep.add_argument("--transform", choices=TRANSFORMS,
                          help="add a row using this transform")
     p_sweep.add_argument("--report", help="TSV output path (sidecar: PATH.json)")
     return parser
 
 
-def _config_from_args(args, *, matrix_flags: bool = True) -> Config:
+def _config_from_args(args, *, solve_flags: bool = True) -> Config:
     cfg = Config()
     if getattr(args, "config", None):
         cfg = load_config_file(args.config, cfg)
     keys = ["mode", "provider", "seed", "pmi_window", "m_max"]
-    if matrix_flags:
+    if solve_flags:
         keys += ["k", "t", "transform"]
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if matrix_flags and getattr(args, "no_svd", False):
+    if solve_flags and getattr(args, "no_svd", False):
         cfg.svd = False
     if getattr(args, "corpus", None):
         cfg.corpus_dir = args.corpus
@@ -238,8 +245,7 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from_args(args, matrix_flags=False)
-    cfg.mode = "relational"
+    cfg = _config_from_args(args, solve_flags=False)
     dataset = _load_dataset(args)
     index = _index_for(cfg)
     report = sensitivity_sweep(

@@ -49,9 +49,8 @@ class Config:
         return self
 
     def needs_corpus(self) -> bool:
-        if self.mode in ("relational", "hybrid-add", "hybrid-mul"):
-            return True
-        return "pmi-ir" in (p.strip() for p in self.provider.split("+"))
+        return (self.mode != "attributional"
+                or "pmi-ir" in (p.strip() for p in self.provider.split("+")))
 
     def summary(self) -> dict:
         """Config echo for report sidecars (strings and numbers only).

@@ -21,13 +21,13 @@ from . import patterns as pt
 from . import space as sp
 from .attributes import (CombinedSimilarity, PmiIrSimilarity, PosSimilarity,
                          load_external_similarity)
-from .config import Config
+from .config import TRANSFORMS, Config
 from .corpus import CorpusIndex
 from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .problems import Mapping, MappingProblem
-from .solver import (AttributionalScorer, RelationalScorer, SolveResult,
-                     solve, solve_constrained, solve_hybrid)
+from .solver import (AttributionalScorer, HybridScorer, RelationalScorer,
+                     SolveResult, solve, solve_constrained)
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ def mine_for_problems(index: CorpusIndex, problems: list[MappingProblem],
 
 
 def space_from_stats(pairs: list, stats: pt.PatternStats, *, t: int, k: int,
-                     transform: str = sp.PPMIC, svd: bool = True
+                     transform: str = "ppmic", svd: bool = True
                      ) -> tuple[sp.RelationSpace, dict]:
     """Prune, select columns, weight, smooth; also returns stage diagnostics."""
     rows = pt.prune_rows(pairs, stats.phrase_counts)
@@ -67,12 +67,9 @@ def space_from_stats(pairs: list, stats: pt.PatternStats, *, t: int, k: int,
     F = pt.build_frequency_matrix(rows, cols, stats)
     diag["n_c"] = len(cols)
     diag["f_density"] = F.nnz / (F.shape[0] * F.shape[1]) if F.shape[1] else 0.0
-    if transform == sp.PPMIC:
-        X = sp.transform_ppmic(F)
-    elif transform == sp.LOG_ENTROPY:
-        X, _kept = sp.transform_log_entropy(F)
-    else:
-        raise ConfigError(f"unknown transform {transform!r}")
+    if transform not in TRANSFORMS:
+        raise ConfigError(f"unknown transform {transform!r}; expected one of {TRANSFORMS}")
+    X = sp.transform_ppmic(F) if transform == "ppmic" else sp.transform_log_entropy(F)[0]
     diag["x_density"] = X.nnz / (X.shape[0] * X.shape[1]) if X.shape[1] else 0.0
     return sp.build_space_from_matrix(X, rows, k=k if svd else None), diag
 
@@ -168,20 +165,22 @@ class Report:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def solve_one(problem: MappingProblem, config: Config,
-               space: Optional[sp.RelationSpace],
-               index: Optional[CorpusIndex]) -> SolveResult:
+def make_scorer(config: Config, problem: MappingProblem,
+                space: Optional[sp.RelationSpace], index: Optional[CorpusIndex]):
+    """The scorer of `config.mode` for one problem, whose POS tags its provider reads."""
     if config.mode == "relational":
-        return solve(problem, RelationalScorer(space), config.seed,
-                     m_max=config.m_max)
-    if config.mode == "attributional":
-        provider = make_provider(config.provider, problem, index, config)
-        return solve(problem, AttributionalScorer(provider), config.seed,
-                     m_max=config.m_max)
+        return RelationalScorer(space)
     provider = make_provider(config.provider, problem, index, config)
-    combine = "add" if config.mode == "hybrid-add" else "multiply"
-    return solve_hybrid(problem, space, provider, combine, config.seed,
-                        m_max=config.m_max)
+    if config.mode == "attributional":
+        return AttributionalScorer(provider)
+    return HybridScorer(space, provider, "add" if config.mode == "hybrid-add" else "multiply")
+
+
+def solve_one(problem: MappingProblem, config: Config,
+              space: Optional[sp.RelationSpace],
+              index: Optional[CorpusIndex]) -> SolveResult:
+    return solve(problem, make_scorer(config, problem, space, index), config.seed,
+                 m_max=config.m_max)
 
 
 def solve_batch(dataset: Dataset, config: Config,
@@ -253,16 +252,6 @@ class CoherenceReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _coherence_scorer(config: Config, space, index, problem):
-    if config.mode == "relational":
-        return RelationalScorer(space)
-    if config.mode == "attributional":
-        return AttributionalScorer(make_provider(config.provider, problem,
-                                                 index, config))
-    raise ConfigError(f"coherence experiment supports relational or "
-                      f"attributional mode, not {config.mode!r}")
-
-
 class _PreparedOnce:
     """A scorer that prepares one problem once and serves it to every trial.
 
@@ -307,6 +296,9 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
     if trials_per_problem < 1:
         raise ConfigError(f"trials must be >= 1, got {trials_per_problem}")
     config.validate()
+    if config.mode not in ("relational", "attributional"):
+        raise ConfigError(f"coherence experiment supports relational or "
+                          f"attributional mode, not {config.mode!r}")
     space = None
     diag: dict = {"mode": config.mode, "seed": seed, "m_prime": m_prime,
                   "tie_policy": tie_policy}
@@ -327,7 +319,7 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
         rng = random.Random(f"{seed}:{problem.id}")
         trials = 1 if m_prime == problem.m else trials_per_problem
         internal_scores, total_scores = [], []
-        scorer = _PreparedOnce(_coherence_scorer(config, space, index, problem), problem)
+        scorer = _PreparedOnce(make_scorer(config, problem, space, index), problem)
         for trial in range(trials):
             indices = sorted(rng.sample(range(problem.m), m_prime))
             fixed = {problem.source[i].text: problem.intended[problem.source[i].text]
@@ -393,6 +385,8 @@ def sensitivity_sweep(dataset: Dataset, config: Config, index: CorpusIndex,
                       transform_grid: Optional[list[str]] = None) -> SweepReport:
     """One relational batch run per grid point, mining the corpus only once."""
     config.validate()
+    if config.mode != "relational":
+        raise ConfigError(f"a sweep is relational; it cannot run mode {config.mode!r}")
     problems = list(dataset)
     pairs, stats = mine_for_problems(
         index, problems, max_phrases_per_pair=config.max_phrases_per_pair)

@@ -5,10 +5,11 @@ the target-index permutation, the order of `itertools.permutations`.
 They come in blocks of up to 7! = 5040 rows, one (n, m) integer array
 per block: the first m - 7 positions, the block's head, are walked
 depth-first, and the last seven are filled from one precomputed table
-of the 7! permutations, indexed through the sorted remaining targets. A
-scorer's `prepare` returns a function that scores a whole block at
-once, adding the terms in the same order as a per-mapping loop, so
-every score is bit-identical to a scalar sum from 0.0.
+of the 7! permutations, indexed through the sorted remaining targets.
+Every mode, the hybrid included, is a scorer whose `prepare` returns a
+function that scores a whole block at once, adding the terms in the
+same order as a per-mapping loop, so every score is bit-identical to a
+scalar sum from 0.0.
 
 The search keeps a running best and the set of mappings tied with it.
 The tie rule is sequential, in enumeration order, with an absolute
@@ -79,21 +80,16 @@ from .problems import Mapping, MappingProblem
 from .terms import TermPair
 
 TIE_TOLERANCE = 1e-12
+TIE_POLICIES = ("random", "first")
 DEFAULT_M_MAX = 10
 BLOCK_TAIL = 7  # trailing positions filled from one table: blocks of 7! rows
 BLOCK_ROWS = math.factorial(BLOCK_TAIL)
 
-# scorer contract: prepare(problem) returns score(perms), which maps an
-# (n, m) block of target-index rows to n float64 scores, or one tuple to
-# a float, and has score.bound(head, free), the head bounds `solve`
-# prunes with (see _PairSum); explain(problem, perm) returns labeled
-# contributions that sum to the score.
-
-
-def _check_budget(m: int, m_max: int) -> None:
-    if m > m_max:
-        raise BudgetError(f"m={m} means {math.factorial(m):,} mappings, "
-                          f"over the budget of m <= {m_max}")
+# scorer contract: `mode` names it; prepare(problem) returns score(perms),
+# which maps an (n, m) block of target-index rows to n float64 scores, and
+# has score.bound(head, free), the head bounds the search prunes with;
+# explain(problem, perm) returns labeled contributions that sum to the
+# score. Scores are _PairSum sums, or the hybrid's _HybridScore of two.
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,6 +297,133 @@ class AttributionalScorer:
                 for i, j in enumerate(perm)]
 
 
+def _shift(score_fn: _PairSum, m: int) -> float:
+    """A channel's shift: its exact minimum score over all m! mappings if negative, else 0.0.
+
+    Without a negative cell every score is a sum of non-negative terms
+    from 0.0, so none is negative and no walk is needed. Otherwise the
+    shift is minus the largest score under the negated grids, floored at
+    0.0. Negation is exact under round-to-nearest, so each negated sum
+    is exactly the negated score. The walk skips a head when its bound
+    is at most the running top, which starts at the floor: no mapping
+    under it can raise the top.
+    """
+    if not (score_fn.grids < 0).any():
+        return 0.0
+    negated = _PairSum(-score_fn.grids, score_fn.pairs)
+    top = 0.0
+    for block in _perm_blocks(range(m), negated.bound,
+                              lambda upper: not upper <= top):  # a NaN bound prunes nothing
+        top = max(top, float(negated(block).max()))
+    return -top if top > 0 else 0.0
+
+
+def _units(values) -> int:
+    """The exact sum of the floats `values` in units of 2**-1074, of which each is a whole number."""
+    return sum(n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, values))
+
+
+class _Probability:
+    """One channel's probability of a mapping: (score - shift) / total.
+
+    `shift` is the minimum score when it is negative, else 0.0, and
+    `total` the shifted sum over all `count` = m! mappings, exact on
+    integers and rounded once by the int division. Every float score
+    is within `margin` of its exact sum, so a total of at most count *
+    margin is rounding residue (a constant field of a value floats
+    cannot hold leaves one): the field is degenerate and every mapping
+    gets 1 / count. `bound(head, free)` puts the score's head bounds
+    through the same arithmetic. Subtracting a constant and dividing by
+    a positive one are monotone in IEEE arithmetic, so it bounds the
+    float probability of every mapping under each head.
+    """
+
+    def __init__(self, score_fn: _PairSum, m: int):
+        self.score_fn = score_fn
+        self.shift = _shift(score_fn, m)
+        self.count = math.factorial(m)
+        own, eye = score_fn._i == score_fn._j, np.eye(m, dtype=bool)
+        # a cell of a pair i < j is read by the (m - 2)! mappings sending
+        # i and j onto its targets, one of a pair (i, i) by (m - 1)!
+        cells_ij = score_fn._cells[~own][:, ~eye].ravel().tolist()
+        cells_ii = score_fn._cells[own][:, eye].ravel().tolist()
+        exact = (math.factorial(m - 2) * _units(cells_ij) + math.factorial(m - 1) * _units(cells_ii)
+                 - self.count * _units([self.shift]))
+        self.total = exact / (1 << 1074)
+        self.uniform = self.total <= self.count * score_fn.margin
+
+    def _scale(self, scores: np.ndarray) -> np.ndarray:
+        if self.uniform:
+            return np.full(len(scores), 1.0 / self.count)
+        return (scores - self.shift) / self.total
+
+    def __call__(self, perms: np.ndarray) -> np.ndarray:
+        return self._scale(self.score_fn(perms))
+
+    def bound(self, head: Sequence[int], free: Sequence[int]) -> np.ndarray:
+        return self._scale(self.score_fn.bound(head, free))
+
+
+class _HybridScore:
+    """Two channel probabilities, averaged ("add") or multiplied per mapping.
+
+    The join is monotone in each probability (halving a sum, or
+    multiplying two non-negative factors), so joining the channels'
+    head bounds bounds every joined value under the head.
+    """
+
+    def __init__(self, relational: _Probability, attributional: _Probability, combine: str):
+        self.relational, self.attributional, self.combine = relational, attributional, combine
+
+    def _join(self, r: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return (r + a) / 2.0 if self.combine == "add" else r * a
+
+    def __call__(self, perms: np.ndarray) -> np.ndarray:
+        return self._join(self.relational(perms), self.attributional(perms))
+
+    def bound(self, head: Sequence[int], free: Sequence[int]) -> np.ndarray:
+        return self._join(self.relational.bound(head, free),
+                          self.attributional.bound(head, free))
+
+
+class HybridScorer:
+    """Relational and attributional probabilities, averaged ("add") or multiplied.
+
+    It keeps the channels of its last `prepare`, which `explain` reads.
+    """
+
+    def __init__(self, space, provider, combine: str = "add"):
+        if combine not in ("add", "multiply"):
+            raise DataError(f"unknown hybrid combination {combine!r}")
+        self.relational = RelationalScorer(space)
+        self.attributional = AttributionalScorer(provider)
+        self.combine = combine
+        self.mode = "hybrid-add" if combine == "add" else "hybrid-mul"
+        self._prepared: tuple = (None, None)  # the last problem prepared, and its score
+
+    def prepare(self, problem: MappingProblem) -> _HybridScore:
+        score = _HybridScore(_Probability(self.relational.prepare(problem), problem.m),
+                             _Probability(self.attributional.prepare(problem), problem.m),
+                             self.combine)
+        self._prepared = (problem, score)
+        return score
+
+    def probabilities(self, problem: MappingProblem, perm) -> tuple[float, float]:
+        """The relational and attributional probability of one mapping."""
+        last, score = self._prepared
+        if last is not problem:
+            score = self.prepare(problem)
+        row = np.array([perm], dtype=np.intp)
+        return float(score.relational(row)[0]), float(score.attributional(row)[0])
+
+    def explain(self, problem: MappingProblem, perm: tuple[int, ...]):
+        r, a = self.probabilities(problem, perm)
+        if self.combine == "add":
+            return [("relational probability / 2", r / 2.0),
+                    ("attributional probability / 2", a / 2.0)]
+        return [("relational x attributional probability", r * a)]
+
+
 @dataclass
 class SolveResult:
     problem: MappingProblem
@@ -401,18 +524,21 @@ def _argmax_blocks(score_fn, m: int, sub_src: Sequence[int] = (),
     return _Argmax(best, tied, n_mappings, n_scored)
 
 
-def solve(problem: MappingProblem, scorer, seed=0, *,
-          tie_policy: str = "random", m_max: int = DEFAULT_M_MAX) -> SolveResult:
-    """Best mapping under the scorer, ties broken per the policy."""
+def _solve(problem: MappingProblem, scorer, seed, tie_policy: str, m_max: int,
+           sub_src: Sequence[int] = (), sub_tgt: Sequence[int] = ()) -> SolveResult:
+    """The step every solve shares: budget check, prepare, argmax and the tie pick."""
     started = time.perf_counter()
-    _check_budget(problem.m, m_max)
+    if tie_policy not in TIE_POLICIES:
+        raise DataError(f"unknown tie policy {tie_policy!r}; expected one of {TIE_POLICIES}")
+    if problem.m > m_max:
+        raise BudgetError(f"m={problem.m} means {math.factorial(problem.m):,} mappings, "
+                          f"over the budget of m <= {m_max}")
     score_fn = scorer.prepare(problem)
-    found = _argmax_blocks(score_fn, problem.m, bound=score_fn.bound)
+    found = _argmax_blocks(score_fn, problem.m, sub_src, sub_tgt, score_fn.bound)
     perm = found.pick(seed, problem.id, tie_policy)
-    mapping = Mapping(problem_id=problem.id, perm=perm)
     return SolveResult(
         problem=problem,
-        mapping=mapping,
+        mapping=Mapping(problem_id=problem.id, perm=perm),
         score=found.best,
         tie_count=found.tie_count,
         breakdown=scorer.explain(problem, perm),
@@ -422,123 +548,10 @@ def solve(problem: MappingProblem, scorer, seed=0, *,
     )
 
 
-def _shift(score_fn: _PairSum, m: int) -> float:
-    """A channel's shift: its exact minimum score over all m! mappings if negative, else 0.0.
-
-    Without a negative cell every score is a sum of non-negative terms
-    from 0.0, so none is negative and no walk is needed. Otherwise the
-    shift is minus the largest score under the negated grids, floored at
-    0.0. Negation is exact under round-to-nearest, so each negated sum
-    is exactly the negated score. The walk skips a head when its bound
-    is at most the running top, which starts at the floor: no mapping
-    under it can raise the top.
-    """
-    if not (score_fn.grids < 0).any():
-        return 0.0
-    negated = _PairSum(-score_fn.grids, score_fn.pairs)
-    top = 0.0
-    for block in _perm_blocks(range(m), negated.bound,
-                              lambda upper: not upper <= top):  # a NaN bound prunes nothing
-        top = max(top, float(negated(block).max()))
-    return -top if top > 0 else 0.0
-
-
-def _units(values) -> int:
-    """The exact sum of the floats `values` in units of 2**-1074, of which each is a whole number."""
-    return sum(n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, values))
-
-
-class _Probability:
-    """One channel's probability of a mapping: (score - shift) / total.
-
-    `shift` is the minimum score when it is negative, else 0.0, and
-    `total` the shifted sum over all `count` = m! mappings, exact on
-    integers and rounded once by the int division. Every float score
-    is within `margin` of its exact sum, so a total of at most count *
-    margin is rounding residue (a constant field of a value floats
-    cannot hold leaves one): the field is degenerate and every mapping
-    gets 1 / count. `bound(head, free)` puts the score's head bounds
-    through the same arithmetic. Subtracting a constant and dividing by
-    a positive one are monotone in IEEE arithmetic, so it bounds the
-    float probability of every mapping under each head.
-    """
-
-    def __init__(self, score_fn: _PairSum, m: int):
-        self.score_fn = score_fn
-        self.shift = _shift(score_fn, m)
-        self.count = math.factorial(m)
-        own, eye = score_fn._i == score_fn._j, np.eye(m, dtype=bool)
-        # a cell of a pair i < j is read by the (m - 2)! mappings sending
-        # i and j onto its targets, one of a pair (i, i) by (m - 1)!
-        cells_ij = score_fn._cells[~own][:, ~eye].ravel().tolist()
-        cells_ii = score_fn._cells[own][:, eye].ravel().tolist()
-        exact = (math.factorial(m - 2) * _units(cells_ij) + math.factorial(m - 1) * _units(cells_ii)
-                 - self.count * _units([self.shift]))
-        self.total = exact / (1 << 1074)
-        self.uniform = self.total <= self.count * score_fn.margin
-
-    def _scale(self, scores: np.ndarray) -> np.ndarray:
-        if self.uniform:
-            return np.full(len(scores), 1.0 / self.count)
-        return (scores - self.shift) / self.total
-
-    def __call__(self, perms: np.ndarray) -> np.ndarray:
-        return self._scale(self.score_fn(perms))
-
-    def bound(self, head: Sequence[int], free: Sequence[int]) -> np.ndarray:
-        return self._scale(self.score_fn.bound(head, free))
-
-
-def solve_hybrid(problem: MappingProblem, space, provider, combine: str = "add",
-                 seed=0, *, tie_policy: str = "random",
-                 m_max: int = DEFAULT_M_MAX) -> SolveResult:
-    """Combine relational and attributional rankings through probabilities.
-
-    Each channel's scores over all m! mappings are normalized to a
-    probability distribution (after shifting if any score is negative);
-    "add" averages the two probabilities and "multiply" takes their
-    product, and the best combined value wins. The argmax skips heads
-    whose combined bound cannot reach the running best, as in `solve`:
-    the two probability bounds go through the same combination, which
-    is monotone in each (halving a sum, or multiplying two non-negative
-    factors), so it bounds every combined value under the head.
-    """
-    if combine not in ("add", "multiply"):
-        raise DataError(f"unknown hybrid combination {combine!r}")
-    started = time.perf_counter()
-    _check_budget(problem.m, m_max)
-    prob_r = _Probability(RelationalScorer(space).prepare(problem), problem.m)
-    prob_a = _Probability(AttributionalScorer(provider).prepare(problem), problem.m)
-
-    def join(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return (r + a) / 2.0 if combine == "add" else r * a
-
-    def combined(block: np.ndarray) -> np.ndarray:
-        return join(prob_r(block), prob_a(block))
-
-    def bound(head: Sequence[int], free: Sequence[int]) -> np.ndarray:
-        return join(prob_r.bound(head, free), prob_a.bound(head, free))
-
-    found = _argmax_blocks(combined, problem.m, bound=bound)
-    perm = found.pick(seed, problem.id, tie_policy)
-    winner = np.array([perm])
-    r, a = float(prob_r(winner)[0]), float(prob_a(winner)[0])
-    if combine == "add":
-        breakdown = [("relational probability / 2", r / 2.0),
-                     ("attributional probability / 2", a / 2.0)]
-    else:
-        breakdown = [("relational x attributional probability", r * a)]
-    return SolveResult(
-        problem=problem,
-        mapping=Mapping(problem_id=problem.id, perm=perm),
-        score=found.best,
-        tie_count=found.tie_count,
-        breakdown=breakdown,
-        diagnostics={"mode": f"hybrid-{'add' if combine == 'add' else 'mul'}",
-                     "seed": seed, "n_mappings": found.n_mappings,
-                     "n_scored": found.n_scored, "prob_r": r, "prob_a": a,
-                     "elapsed": time.perf_counter() - started},
-    )
+def solve(problem: MappingProblem, scorer, seed=0, *,
+          tie_policy: str = "random", m_max: int = DEFAULT_M_MAX) -> SolveResult:
+    """Best mapping under the scorer, ties broken per the policy."""
+    return _solve(problem, scorer, seed, tie_policy, m_max)
 
 
 def solve_constrained(problem: MappingProblem, fixed: dict[str, str], scorer,
@@ -586,22 +599,12 @@ def solve_constrained(problem: MappingProblem, fixed: dict[str, str], scorer,
         result.diagnostics["mode"] = f"{scorer.mode}-internal"
         return result
 
-    started = time.perf_counter()
-    _check_budget(problem.m, m_max)
-    score_fn = scorer.prepare(problem)
-    found = _argmax_blocks(score_fn, problem.m, sub_src, sub_tgt)
-    perm = found.pick(seed, problem.id, tie_policy)
+    result = _solve(problem, scorer, seed, tie_policy, m_max, sub_src, sub_tgt)
+    perm = result.mapping.perm
     # restrict the full winner to the subset, re-indexed into the reduced problem
     tgt_pos_in_reduced = {j: r for r, j in enumerate(sub_tgt)}
     sub_perm = tuple(tgt_pos_in_reduced[perm[i]] for i in sub_src)
-    return SolveResult(
-        problem=reduced,
-        mapping=Mapping(problem_id=reduced.id, perm=sub_perm),
-        score=found.best,
-        tie_count=found.tie_count,
-        breakdown=scorer.explain(problem, perm),
-        diagnostics={"mode": f"{scorer.mode}-total", "seed": seed,
-                     "n_mappings": found.n_mappings, "n_scored": found.n_scored,
-                     "full_perm": list(perm), "elapsed": time.perf_counter() - started},
-    )
+    result.diagnostics.update(mode=f"{scorer.mode}-total", full_perm=list(perm))
+    result.problem, result.mapping = reduced, Mapping(problem_id=reduced.id, perm=sub_perm)
+    return result
 

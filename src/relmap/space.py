@@ -42,9 +42,6 @@ _DECOMPOSITION_BUDGET_BYTES = 4 * 10 ** 9
 # norms (16.0 bytes under tracemalloc at 500 x 4000).
 _DENSE_BYTES_PER_CELL = 16
 
-PPMIC = "ppmic"
-LOG_ENTROPY = "logentropy"
-
 
 def _as_csr(matrix) -> sp.csr_matrix:
     if sp.issparse(matrix):

@@ -20,8 +20,8 @@ from relmap.evaluation import (accuracy, coherence_experiment, run_batch)
 from relmap.patterns import build_pair_list, serialize_pattern
 from relmap.planted import PlantedConfig, generate_planted_corpus
 from relmap.problems import MappingProblem
-from relmap.solver import (AttributionalScorer, RelationalScorer, solve,
-                           solve_constrained, solve_hybrid)
+from relmap.solver import (AttributionalScorer, HybridScorer, RelationalScorer,
+                           solve, solve_constrained)
 from relmap.space import transform_ppmic, truncated_svd
 from relmap.terms import TermPair
 from test_solver import SimTable
@@ -249,8 +249,8 @@ def test_hybrid_normalization():
         m = int(rng.integers(2, 6))
         problem = make_problem(m, pid=f"u{trial}")
         provider = random_attributional_provider(problem, rng)
-        hybrid = solve_hybrid(problem, SimTable({}), provider, "add",
-                              seed=trial)
+        hybrid = solve(problem, HybridScorer(SimTable({}), provider, "add"),
+                       seed=trial)
         att_best, att_tied = brute_force_best(
             m, AttributionalScorer(provider).prepare(problem))
         assert hybrid.mapping.perm in att_tied

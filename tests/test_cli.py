@@ -218,6 +218,32 @@ def test_sweep_with_no_svd_row(planted_paths, tmp_path):
     assert lines[1].startswith("dropping SVD\t")
 
 
+@pytest.mark.parametrize("flags", [["--mode", "attributional"], ["--provider", "pos"],
+                                   ["--pmi-window", "5"]])
+def test_sweep_takes_no_solve_flags(planted_paths, flags, capsys):
+    corpus, problems = planted_paths
+    assert main(["sweep", problems, "--corpus", corpus, "--k", "10", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {flags[0]}: a sweep is relational"), err
+    assert main(["sweep", "--help"]) == 0
+    assert flags[0] not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["attributional", "hybrid-add"])
+def test_sweep_refuses_a_configured_non_relational_mode(planted_paths, tmp_path, mode,
+                                                        capsys):
+    corpus, problems = planted_paths
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mode = {mode}\n", encoding="utf-8")
+    report = tmp_path / "sweep.tsv"
+    assert main(["sweep", problems, "--corpus", corpus, "--k", "10",
+                 "--config", str(cfg), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a sweep is relational"), err
+    assert repr(mode) in err
+    assert not report.exists()
+
+
 def test_config_file_and_flag_override(planted_paths, tmp_path):
     corpus, problems = planted_paths
     cfg = tmp_path / "run.cfg"

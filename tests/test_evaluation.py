@@ -166,6 +166,14 @@ def test_coherence_refuses_no_trials(trials):
                              seed=0, config=Config(mode="attributional"))
 
 
+@pytest.mark.parametrize("mode", ["hybrid-add", "hybrid-mul"])
+def test_coherence_refuses_hybrid_modes(planted_all, mode):
+    data, index = planted_all
+    with pytest.raises(ConfigError, match=f"attributional mode, not '{mode}'"):
+        coherence_experiment(Dataset(data.problems), m_prime=3, trials_per_problem=1,
+                             seed=0, config=Config(mode=mode), index=index)
+
+
 def test_coherence_skips_oversized_subsets(planted_all, caplog):
     data, index = planted_all
     mixed = Dataset(data.problems[:2])

@@ -6,9 +6,9 @@ the tolerance chain rule: scores 0.6e-12 apart, so that a score more than
 1e-12 above the running best resets the tie set and drops near-ties that
 joined it earlier. m = 8 spans eight blocks of 7! rows.
 
-`solve` and `solve_hybrid` skip every head whose bound cannot reach the
-running best, and the hybrid finds each channel's minimum with the same
-head bounds on the negated scores. The pruning tests use fields where
+`solve` skips, under every scorer, each head whose bound cannot reach
+the running best, and the hybrid finds each channel's minimum with the
+same head bounds on the negated scores. The pruning tests use fields where
 that happens: a strong planted mapping, in shuffled target order, with
 near-ties placed around the 1e-12 band of the eventual best. They check
 the pruned search against the oracle and against the unpruned core, and
@@ -27,14 +27,15 @@ from hypothesis import strategies as st
 
 from oracles import (argmax_with_ties, attributional_scorer, constrained_perms,
                      hybrid_probabilities, pick_tied, relational_scorer)
+from relmap import solver
 from relmap.attributes import TableSimilarity
 from relmap.config import Config
 from relmap.corpus import ingest_dir
 from relmap.evaluation import build_space_for_problems
 from relmap.planted import PlantedConfig, generate_planted_corpus
-from relmap.solver import (BLOCK_ROWS, AttributionalScorer, RelationalScorer,
+from relmap.solver import (BLOCK_ROWS, AttributionalScorer, HybridScorer, RelationalScorer,
                            _argmax_blocks, _mapping_blocks, _PairSum, _Probability,
-                           _shift, solve, solve_constrained, solve_hybrid)
+                           _shift, solve, solve_constrained)
 from test_solver import SimTable, make_problem
 
 FIELDS = ("random", "chain", "equal", "negative", "negative-equal", "negative-chain",
@@ -118,8 +119,8 @@ def test_hybrid_equals_oracle(seed, m, kind, policy, combine):
     problem = make_problem(m)
     space = relational_field(problem, kind, rng)
     provider = attributional_field(problem, rng.choice(FIELDS), rng)
-    result = solve_hybrid(problem, space, provider, combine, seed=seed,
-                          tie_policy=policy)
+    scorer = HybridScorer(space, provider, combine)
+    result = solve(problem, scorer, seed=seed, tie_policy=policy)
     perms, prob_r, prob_a = hybrid_probabilities(problem, space, provider)
     if combine == "add":
         combined = [(r + a) / 2.0 for r, a in zip(prob_r, prob_a)]
@@ -133,10 +134,35 @@ def test_hybrid_equals_oracle(seed, m, kind, policy, combine):
     assert result.tie_count == len(tied)
     assert result.mapping.perm == perm
     assert result.diagnostics["n_mappings"] == total
-    assert result.diagnostics["prob_r"].hex() == prob_r[idx].hex()
-    assert result.diagnostics["prob_a"].hex() == prob_a[idx].hex()
+    r, a = scorer.probabilities(problem, perm)
+    assert r.hex() == prob_r[idx].hex()
+    assert a.hex() == prob_a[idx].hex()
     if combine == "multiply":
         assert result.breakdown[0][1].hex() == combined[idx].hex()
+
+
+def test_hybrid_solve_builds_each_channel_once(monkeypatch):
+    """The winner's breakdown reads the channels the search built: one shift walk each."""
+    calls = {"_Probability": 0, "_shift": 0}
+
+    def counted(name):
+        original = getattr(solver, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name))
+    problem = make_problem(6)
+    rng = np.random.default_rng(6)
+    space = relational_field(problem, "negative", rng)
+    provider = attributional_field(problem, "negative", rng)
+    result = solve(problem, HybridScorer(space, provider, "multiply"), seed=6)
+    assert calls == {"_Probability": 2, "_shift": 2}
+    assert result.breakdown[0][1].hex() == result.score.hex()
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 7),
@@ -407,7 +433,8 @@ def unpruned_hybrid(problem, space, provider, combine):
 def test_pruned_hybrid_equals_unpruned_core_at_m9(seed, kind, policy, combine):
     problem = make_problem(9)
     space, provider = planted_hybrid_inputs(problem, kind, seed)
-    result = solve_hybrid(problem, space, provider, combine, seed=seed, tie_policy=policy)
+    result = solve(problem, HybridScorer(space, provider, combine), seed=seed,
+                   tie_policy=policy)
     full = unpruned_hybrid(problem, space, provider, combine)
     assert result.score.hex() == full.best.hex()
     assert result.tie_count == full.tie_count
@@ -424,7 +451,7 @@ def test_strong_signal_hybrid_prunes():
     """
     problem = make_problem(10)
     space, provider = planted_hybrid_inputs(problem, "planted", 10)
-    result = solve_hybrid(problem, space, provider, "add")
+    result = solve(problem, HybridScorer(space, provider, "add"))
     assert result.diagnostics["n_mappings"] == math.factorial(10)
     assert result.diagnostics["n_scored"] < math.factorial(10) // 10
 
@@ -514,7 +541,8 @@ def test_hybrid_memory_is_bounded_at_m9():
         rng = np.random.default_rng(9)
         space = relational_field(problem, kind, rng)
         provider = attributional_field(problem, kind, rng)
-        result, peak = traced_peak_mb(lambda: solve_hybrid(problem, space, provider, "add"))
+        result, peak = traced_peak_mb(
+            lambda: solve(problem, HybridScorer(space, provider, "add")))
         if kind == "negative-equal":
             assert result.tie_count == math.factorial(9)
         assert peak < MEMORY_CAP_MB, f"{kind}: peak {peak:.1f} MB"

@@ -11,8 +11,8 @@ from oracles import (all_permutations, attributional_score, brute_force_best,
 from relmap.attributes import TableSimilarity
 from relmap.errors import BudgetError, DataError
 from relmap.problems import MappingProblem
-from relmap.solver import (AttributionalScorer, RelationalScorer, _mapping_blocks,
-                           solve, solve_constrained, solve_hybrid)
+from relmap.solver import (AttributionalScorer, HybridScorer, RelationalScorer,
+                           _mapping_blocks, solve, solve_constrained)
 from relmap.terms import TermPair
 
 
@@ -93,7 +93,7 @@ def test_budget_is_configurable():
     problem, space, provider = make_problem(4), SimTable({}), TableSimilarity({})
     scorer = RelationalScorer(space)
     for search in (lambda: solve(problem, scorer, m_max=3),
-                   lambda: solve_hybrid(problem, space, provider, m_max=3),
+                   lambda: solve(problem, HybridScorer(space, provider), m_max=3),
                    lambda: solve_constrained(problem, {"s0": "t0", "s1": "t1"}, scorer,
                                              m_max=3)):
         with pytest.raises(BudgetError, match="over the budget of m <= 3"):
@@ -182,6 +182,19 @@ def test_solve_total_tie_is_seed_determined():
     assert len(picks) > 1  # different seeds explore the tied set
 
 
+def test_unknown_tie_policy_is_refused():
+    problem = make_problem(3)
+    scorer = RelationalScorer(SimTable({}))
+    searches = (lambda: solve(problem, scorer, tie_policy="frist"),
+                lambda: solve_constrained(problem, {"s0": "t0", "s1": "t1"}, scorer,
+                                          tie_policy="frist"),
+                lambda: solve_constrained(problem, {"s0": "t0", "s1": "t1"}, scorer,
+                                          mode="internal", tie_policy="frist"))
+    for search in searches:
+        with pytest.raises(DataError, match="unknown tie policy 'frist'"):
+            search()
+
+
 def test_solve_unique_argmax():
     problem = make_problem(3)
     values = {("s0:s1", "t0:t1"): 10.0}
@@ -254,12 +267,14 @@ def test_hybrid_m2_worked_arithmetic():
     table = SimTable({("s0:s1", "t0:t1"): 3.0, ("s0:s1", "t1:t0"): 1.0})
     provider = TableSimilarity({("s0", "t0"): 0.5, ("s1", "t1"): 0.5,
                                 ("s0", "t1"): 1.5, ("s1", "t0"): 1.5})
-    add = solve_hybrid(problem, table, provider, "add", seed=0)
+    add = solve(problem, HybridScorer(table, provider, "add"), seed=0)
     assert add.score == pytest.approx(0.5, abs=1e-12)
     assert add.tie_count == 2
-    mul = solve_hybrid(problem, table, provider, "multiply", seed=0)
+    mul = solve(problem, HybridScorer(table, provider, "multiply"), seed=0)
     assert mul.score == pytest.approx(0.1875, abs=1e-12)
     assert mul.tie_count == 2
+    with pytest.raises(DataError, match="unknown hybrid combination 'mean'"):
+        HybridScorer(table, provider, "mean")
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5))
@@ -288,7 +303,7 @@ def test_hybrid_uniform_relational_reduces_to_attributional():
     problem = make_problem(4)
     uniform = SimTable({})  # every mapping scores 0 -> uniform probabilities
     provider = random_attributional_provider(problem, rng)
-    hybrid = solve_hybrid(problem, uniform, provider, "add", seed=5)
+    hybrid = solve(problem, HybridScorer(uniform, provider, "add"), seed=5)
     att = solve(problem, AttributionalScorer(provider), seed=5)
     assert hybrid.mapping.perm == att.mapping.perm
     best, tied = brute_force_best(4, AttributionalScorer(provider).prepare(problem))
