@@ -6,15 +6,20 @@ W = row-normalized U_k * Sigma_k. The relational similarity of two
 term pairs is the dot product of their unit rows of W (their cosine);
 a pair without a row scores zero against everything.
 
-Only U_k * Sigma_k is used, so the one decomposition is an eigh of the
-n_r x n_r Gram matrix X X^T (8 * n_r^2 bytes, whatever the column count),
-cut at a strict gap in the spectrum so that tied singular values never
-leave an arbitrary pick. Its memory grows as n_r^2, so a matrix with
-more rows than the decomposition budget allows is refused with
-BudgetError before the Gram matrix is formed. Without SVD the rows of X
-are normalized as a dense n_r x n_c array, and the same budget bounds
-that copy. A row left at or below _WEAK_ROW_SHARE of the largest norm
-holds only rounding noise and is zeroed, not made a unit.
+Only U_k * Sigma_k is used, so the decomposition is of the n_r x n_r Gram
+matrix X X^T, cut at a strict gap in the spectrum so that tied singular
+values never leave an arbitrary pick. Two rows in different connected
+components of X (rows joined by a shared column) have a zero Gram cell,
+so X X^T is block-diagonal over the components and its eigenpairs are
+those of its blocks: one eigh per component, of its dense block, 8 bytes
+per cell whatever the column count. Rows in different components get U
+rows with disjoint supports, so their cosine is exactly 0.0. The memory
+budget still counts all n_r rows, so a matrix with more rows than it
+allows is refused with BudgetError before any block is formed. Without
+SVD the rows of X are normalized as a dense n_r x n_c array, and the
+same budget bounds that copy. A row left at or below _WEAK_ROW_SHARE of
+the largest norm holds only rounding noise and is zeroed, not made a
+unit.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ from .terms import TermPair
 _WEAK_ROW_SHARE = 1e-6
 # Singular values closer than this share of sigma_1 count as tied.
 _TIE_SHARE = 1e-9
-# The decomposition's peak memory per Gram cell, the Gram matrix included:
-# 41-46 bytes at n_r = 1000-4000 (x86-64, OpenBLAS, one thread).
+# The decomposition's peak memory per Gram cell, the Gram matrix included,
+# when X is one component, the worst case: 41-46 bytes at n_r = 1000-4000
+# (x86-64, OpenBLAS, one thread).
 _DECOMPOSITION_BYTES_PER_CELL = 48
 # Half of an 8 GB host, which admits n_r up to 9,128.
 _DECOMPOSITION_BUDGET_BYTES = 4 * 10 ** 9
@@ -108,19 +114,93 @@ def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
     Every column after the last strict gap at or below k, a strict gap
     being sigma_j - sigma_(j+1) > _TIE_SHARE * sigma_1 with sigma_(n+1) = 0,
     gets sigma = 0 and a zero U column; so does every column past n.
+
+    The Gram matrix X X^T is block-diagonal over the connected components
+    of `_components`, so its eigenpairs are those of its blocks: one eigh
+    per component of two or more rows, and (X X^T)[i, i] with the unit
+    vector e_i for a row alone. The spectrum lists them component by
+    component, in order of each component's smallest row, and a stable
+    sort puts it in descending order, so exact ties keep that order. Each
+    U column is then zero outside one component, and the cosine of two
+    rows in different components is exactly 0.0. When X is one component
+    its block is X X^T in row order, and U_k and sigma_k are the bits of a
+    single eigh of X X^T. The memory budget still counts all n rows.
     """
     if k < 1:
         raise ConfigError(f"svd rank k must be >= 1, got {k}")
     X = _as_csr(X)
-    _require_decomposition_budget(X.shape[0])
-    lam, vecs = np.linalg.eigh((X @ X.T).toarray())
-    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    n = X.shape[0]
+    _require_decomposition_budget(n)
+    # Spectrum: rows grouped by component. A row alone keeps its squared
+    # norm, (X X^T)[i, i], summed in X's order as the product X X^T sums
+    # it; the component at rows[a:b] puts its eigenvalues, descending, in
+    # lam[a:b] and its vectors in blocks[a].
+    label = _components(X)
+    rows = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[rows], prepend=-1))
+    ends = np.append(starts[1:], n)
+    X = X[rows]
+    lam = np.bincount(np.repeat(np.arange(n), np.diff(X.indptr)), weights=X.data ** 2,
+                      minlength=n)
+    blocks = {}
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        if b - a > 1:
+            block = X[a:b]
+            values, vectors = np.linalg.eigh((block @ block.T).toarray())
+            lam[a:b], blocks[a] = values[::-1], vectors[:, ::-1]
+    order = np.argsort(-lam, kind="stable")
+    s = np.sqrt(np.maximum(lam[order], 0.0))
+    # Cut at the last strict gap at or below k.
     gaps = s[:k] - np.append(s[1:], 0.0)[:k]
     strict = np.flatnonzero(gaps > _TIE_SHARE * s.max(initial=0.0))
     keep = strict[-1] + 1 if strict.size else 0
-    u = np.zeros((X.shape[0], k))
-    u[:, :keep] = vecs[:, ::-1][:, :keep]
+    # Scatter: kept column j is the vector at position order[j].
+    kept = order[:keep]
+    sizes = ends - starts
+    start = np.repeat(starts, sizes)[kept]
+    u = np.zeros((n, k))
+    alone = np.flatnonzero(np.repeat(sizes, sizes)[kept] == 1)
+    u[rows[kept[alone]], alone] = 1.0
+    for a, vectors in blocks.items():
+        cols = np.flatnonzero(start == a)
+        u[np.ix_(rows[a:a + len(vectors)], cols)] = vectors[:, kept[cols] - a]
     return u, np.pad(s[:keep], (0, k - keep))
+
+
+def _components(X: sp.csr_matrix) -> np.ndarray:
+    """Each row's connected component, labelled by its smallest row.
+
+    Two rows are joined when they share a column of X. Each round, every
+    tree root takes the smallest label found in any column its tree's
+    rows touch (min-label hooking), and pointer jumping then flattens the
+    trees. Every tree with a neighbour hooks or is hooked, so the trees of
+    a component at least halve each round: O(log n) rounds, each a few
+    whole-array passes over the nonzeros. A row with no nonzero is alone.
+    """
+    n = X.shape[0]
+    label = np.arange(n)
+    if X.nnz == 0:
+        return label
+    counts = np.diff(X.indptr)
+    by_col = np.argsort(X.indices, kind="stable")
+    row_of = np.repeat(np.arange(n), counts)[by_col]
+    cols = X.indices[by_col]
+    col_starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    col_sizes = np.diff(np.append(col_starts, cols.size))
+    rows = np.flatnonzero(counts)
+    row_starts = X.indptr[rows]
+    seen = np.empty(cols.size, dtype=np.int64)
+    while True:
+        seen[by_col] = np.repeat(np.minimum.reduceat(label[row_of], col_starts), col_sizes)
+        near = np.minimum.reduceat(seen, row_starts)
+        new = label.copy()
+        np.minimum.at(new, label[rows], near)
+        new[rows] = np.minimum(new[rows], near)
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def _require_decomposition_budget(n_r: int) -> None:

@@ -19,7 +19,10 @@ The hybrid's probability reference totals a channel by counting the
 grid cells the enumerated mappings read, not by the package's closed
 form.
 The SVD references are the dense LAPACK and iterative `svds` backends,
-against which the package's one Gram eigendecomposition is checked. The
+against which the package's Gram eigendecomposition is checked, and
+`truncated_svd_full`, one eigh of the whole Gram matrix, the package's
+earlier design; the decomposition one connected component at a time
+must keep the same spectrum, cut and cosines. The
 pattern-mining reference takes its windows from `search_phrases` (itself
 checked against `scan_windows`), builds string patterns and counts them
 in dicts; the package's integer-coded miner must give the same counts,
@@ -48,6 +51,7 @@ from relmap.errors import RelmapError
 from relmap.terms import TermPair
 
 TIE_TOLERANCE = 1e-12
+SVD_TIE_SHARE = 1e-9
 
 PUNCTUATION = string.punctuation + "‘’“”–—"
 
@@ -388,6 +392,25 @@ def dense_svd(X, k):
     kk = min(k, s.size)
     return (np.pad(u[:, :kk], ((0, 0), (0, k - kk))),
             np.pad(s[:kk], (0, k - kk)))
+
+
+def truncated_svd_full(X, k):
+    """(U_k, sigma_k) from one eigh of the whole n x n Gram matrix X X^T.
+
+    The same cut as the package: every column after the last strict gap
+    at or below k, sigma_j - sigma_(j+1) > SVD_TIE_SHARE * sigma_1 with
+    sigma_(n+1) = 0, gets sigma = 0 and a zero U column.
+    """
+    X = sp.csr_matrix(X, dtype=float)
+    X.eliminate_zeros()
+    lam, vecs = np.linalg.eigh((X @ X.T).toarray())
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    gaps = s[:k] - np.append(s[1:], 0.0)[:k]
+    strict = np.flatnonzero(gaps > SVD_TIE_SHARE * s.max(initial=0.0))
+    keep = strict[-1] + 1 if strict.size else 0
+    u = np.zeros((X.shape[0], k))
+    u[:, :keep] = vecs[:, ::-1][:, :keep]
+    return u, np.pad(s[:keep], (0, k - keep))
 
 
 def sparse_svd(X, k):

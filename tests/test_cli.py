@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -313,3 +316,25 @@ def test_dense_copy_over_budget_is_a_budget_refusal(planted_paths, monkeypatch, 
     assert main(["eval", problems, "--mode", "relational", "--corpus", corpus,
                  "--no-svd"]) == 3
     assert "budget refusal: densifying n_r=" in capsys.readouterr().err
+
+
+UNLOADED = ("scipy.sparse.csgraph", "scipy.linalg", "scipy.sparse.linalg")
+
+
+def test_cached_eval_loads_no_scipy_linalg_or_csgraph(planted_paths, tmp_path):
+    """The relation space finds its components and eigenpairs in numpy, so
+    importing the CLI and running a cached eval loads none of these modules.
+    Importing `scipy.sparse.csgraph` after `relmap.cli` loads 88 more modules
+    and adds about 10 MB of peak resident memory."""
+    corpus, problems = planted_paths
+    cache = str(tmp_path / "cache")
+    assert main(["index", "--corpus", corpus, "--cache", cache]) == 0
+    argv = ["eval", problems, "--mode", "relational", "--corpus", corpus, "--cache", cache,
+            "--report", str(tmp_path / "report.tsv")]
+    child = (f"import sys\nimport relmap.cli\nassert relmap.cli.main({argv!r}) == 0\n"
+             f"print([m for m in {UNLOADED!r} if m in sys.modules])")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

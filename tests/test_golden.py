@@ -9,6 +9,10 @@ digits (below 1e-14) and left every mapping and tie count as it was.
 The hybrid fixtures' scores were written again when each channel's
 total moved from a sum over every mapping to an exact closed form,
 which moved them in the last digits with the same mappings and ties.
+All three solve fixtures' scores were written again when the Gram
+matrix came to be decomposed one connected component at a time, which
+moved them in the last digits (below 1e-14) with the same mappings and
+ties; the eval, coherence and sweep fixtures kept their bytes.
 Regenerate them only for a change that means to alter an output:
 
     PYTHONPATH=src python tests/test_golden.py

@@ -407,6 +407,26 @@ def test_planted_m10_solve_equals_full_scan(planted_m10, order, policy):
     assert result.diagnostics["n_scored"] < math.factorial(10)
 
 
+def test_planted_grids_have_no_negative_cosine(tmp_path, monkeypatch):
+    """Rows in different components of the relation space have disjoint
+    supports in U, so their cosine is exactly 0.0, not rounding noise
+    around it: on the seed-0 m=10 problem every relational grid is
+    non-negative, at m=10 and m=9, and the relational channel's shift is
+    0.0 with no walk."""
+    data = generate_planted_corpus(tmp_path, PlantedConfig(n_problems=1, m=10, seed=0))
+    space, _ = build_space_for_problems(ingest_dir(data.corpus_dir), data.problems, Config())
+    problem = data.problems[0]
+
+    def no_walk(*args):
+        raise AssertionError("a shift walk")
+
+    monkeypatch.setattr(solver, "_perm_blocks", no_walk)
+    for sub in (problem, problem.restricted(list(range(9)), suffix="m9")):
+        score_fn = RelationalScorer(space).prepare(sub)
+        assert (score_fn.grids >= 0.0).all()
+        assert _shift(score_fn, sub.m) == 0.0
+
+
 def planted_hybrid_inputs(problem, kind, seed):
     """A relation space and a provider with the same planted mapping (see planted_scorers)."""
     relational, _ = planted_scorers(problem, kind, np.random.default_rng(seed), True)

@@ -1,12 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
-from oracles import dense_svd, log_entropy_cell, ppmi_cell, sparse_svd
+from oracles import (dense_svd, log_entropy_cell, ppmi_cell, sparse_svd,
+                     truncated_svd_full)
 from relmap.corpus import ingest
 from relmap.errors import BudgetError, ConfigError, TransformError
 from relmap.evaluation import mine_for_problems, space_from_stats
@@ -14,7 +17,7 @@ from relmap.patterns import (build_frequency_matrix, build_pair_list,
                              mine_patterns, prune_rows, select_columns)
 from relmap.problems import MappingProblem
 from relmap.solver import RelationalScorer
-from relmap.space import (_require_decomposition_budget, _require_dense_budget,
+from relmap.space import (_components, _require_decomposition_budget, _require_dense_budget,
                           build_space, build_space_from_matrix, transform_log_entropy,
                           transform_ppmic, truncated_svd)
 from relmap.terms import TermPair
@@ -224,6 +227,133 @@ def test_svd_sparse_path_matches_dense():
     dense_s = np.linalg.svd(X.toarray(), compute_uv=False)[:5]
     assert np.allclose(s, dense_s, rtol=1e-6, atol=1e-8)
     assert np.linalg.norm(u.T @ u - np.eye(5)) <= 1e-6
+
+
+# --- decomposition one connected component at a time -----------------------
+
+def csgraph_labels(X):
+    """Each row's smallest component-mate, from scipy's connected_components
+    on the bipartite graph of X's rows and columns, joined by its nonzeros."""
+    X = sp.csr_matrix(X)
+    n_r, n_c = X.shape
+    pattern = sp.csr_matrix((np.ones(X.nnz), X.indices, X.indptr), shape=X.shape)
+    _, comp = connected_components(sp.bmat([[sp.csr_matrix((n_r, n_r)), pattern],
+                                            [pattern.T, sp.csr_matrix((n_c, n_c))]]),
+                                   directed=False)
+    first = {}
+    return np.array([first.setdefault(g, i) for i, g in enumerate(comp[:n_r].tolist())])
+
+
+def shuffled_blocks(rng, blocks, n_zero, n_cols_extra=0):
+    """The blocks on the diagonal, n_zero zero rows, rows and columns shuffled."""
+    n_r = sum(b.shape[0] for b in blocks) + n_zero
+    n_c = sum(b.shape[1] for b in blocks) + n_cols_extra
+    X = np.zeros((n_r, n_c))
+    r = c = 0
+    for b in blocks:
+        X[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return sp.csr_matrix(X[rng.permutation(n_r)][:, rng.permutation(n_c)])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3]))
+@settings(max_examples=200, deadline=None)
+def test_components_match_csgraph(seed, n_r, n_c, density):
+    rng = np.random.default_rng(seed)
+    X = sp.random(n_r, n_c, density=density, random_state=rng, format="csr")
+    assert _components(X).tolist() == csgraph_labels(X).tolist()
+
+
+def test_components_of_empty_rows_singletons_and_permuted_blocks():
+    rng = np.random.default_rng(0)
+    assert _components(sp.csr_matrix((4, 3))).tolist() == [0, 1, 2, 3]
+    alone = sp.identity(50, format="csr")[rng.permutation(50)]
+    assert _components(alone).tolist() == list(range(50))
+    blocks = [rng.standard_normal((r, c)) for r, c in ((3, 4), (1, 2), (5, 1), (2, 2))]
+    X = shuffled_blocks(rng, blocks, n_zero=3, n_cols_extra=2)
+    labels = _components(X)
+    assert labels.tolist() == csgraph_labels(X).tolist()
+    assert sorted(np.bincount(labels)[np.unique(labels)].tolist()) == [1, 1, 1, 1, 2, 3, 5]
+
+
+def test_components_of_a_chain_at_the_budget_edge():
+    """9,128 rows, the most the decomposition budget admits, each sharing a
+    column with the next one in a random order: one component, found in a
+    few whole-array rounds, where one eigh of that size takes minutes."""
+    n_r = 9_128
+    order = np.random.default_rng(1).permutation(n_r)
+    rows = np.concatenate([order, order])
+    cols = np.concatenate([np.arange(n_r), np.arange(n_r) + 1])
+    X = sp.csr_matrix((np.ones(2 * n_r), (rows, cols)), shape=(n_r, n_r + 1))
+    start = time.perf_counter()
+    labels = _components(X)
+    assert time.perf_counter() - start < 1.0
+    assert not labels.any()
+    assert labels.tolist() == csgraph_labels(X).tolist()
+
+
+@st.composite
+def block_matrices(draw):
+    """X of dense blocks with chosen, well-separated singular values, some
+    blocks repeated over new columns (singular values tied exactly across
+    components), zero rows, and rows and columns shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = iter(rng.permutation(np.arange(4, 44)) / 4.0)
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        if blocks and draw(st.booleans()):
+            blocks.append(blocks[draw(st.integers(0, len(blocks) - 1))].copy())
+            continue
+        r = draw(st.integers(1, 5))
+        c = r + draw(st.integers(0, 3))
+        left, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        right, _ = np.linalg.qr(rng.standard_normal((c, r)))
+        blocks.append(left @ np.diag([next(pool) for _ in range(r)]) @ right.T)
+    return shuffled_blocks(rng, blocks, n_zero=draw(st.integers(0, 3)))
+
+
+@given(block_matrices())
+@settings(max_examples=150, deadline=None)
+def test_component_decomposition_matches_one_eigh(X):
+    """Against one eigh of the whole Gram matrix, at every k from 1 to past
+    n_r: below, at and above the rank, and inside a tie.
+
+    The whole eigh gives each zero row an eigenvalue of rounding noise, not
+    0: a sigma of up to about 1e-8 * sigma_1, which its cut can keep past
+    the rank. A zero row alone gives exactly 0. So the reference's columns
+    at or below NOISE * sigma_1 count as zero padding.
+    """
+    NOISE = 1e-6
+    n_r = X.shape[0]
+    rows = [TermPair.parse(f"a{i}", f"b{i}") for i in range(n_r)]
+    row_index = {p: i for i, p in enumerate(rows)}
+    for k in range(1, n_r + 3):
+        u, s = truncated_svd(X, k)
+        u_ref, s_ref = truncated_svd_full(X, k)
+        sigma_1 = s_ref.max(initial=0.0)
+        kept = int(np.count_nonzero(s_ref > NOISE * sigma_1))
+        assert np.count_nonzero(s) == kept
+        assert np.all(s[kept:] == 0.0) and np.all(u[:, kept:] == 0.0)
+        assert np.abs(s[:kept] - s_ref[:kept]).max(initial=0.0) <= 1e-12 * sigma_1
+        got = build_space(u, s, row_index).sim_grid(rows, rows)
+        want = build_space(u_ref, s_ref, row_index).sim_grid(rows, rows)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_one_component_keeps_the_bits_of_one_eigh(seed, n_r, n_c, k):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n_r, n_c)) * (rng.random((n_r, n_c)) < 0.3)
+    X[:, 0] = rng.uniform(0.5, 2.0, n_r)   # every row shares column 0
+    X = sp.csr_matrix(X)
+    assert not _components(X).any()
+    u, s = truncated_svd(X, k)
+    u_ref, s_ref = truncated_svd_full(X, k)
+    assert s.tobytes() == s_ref.tobytes()
+    assert u.tobytes() == u_ref.tobytes()
 
 
 def test_weak_row_is_zeroed():
