@@ -37,11 +37,18 @@ slots with those terms through a sorted key array, and one stable sort
 by slot gives the windows in (pair, document, x start, y start) order.
 
 Ingest streams the files. Each file is read, hashed, tokenized and
-mapped to first-seen ids before the next one is read, so at any time
-memory holds the vocabulary, 4 bytes per token so far and one file's
-tokens, never a Python string per corpus token. The first-seen ids are
-renumbered by vocabulary rank at the end, and the sorted words are
-joined into the vocabulary's bytes once.
+mapped to ids before the next one is read. Ids are first-seen ids in a
+batch dict that is flushed once it holds `_BATCH_WORDS` words; a flushed
+batch keeps only its words, as one "\\n"-joined UTF-8 byte string. So at
+any time memory holds one batch's dict, the distinct words' bytes (a
+word seen in several batches once per batch), 4 bytes per token so far
+and one file's tokens: never a Python string per corpus token or per
+vocabulary word. At the end the words of all batches are sorted once,
+in numpy, by most-significant-digit refinement on the 8-byte prefixes
+the cache check also reads (below). Copies of a word from several
+batches become one vocabulary word, the ids are renumbered by
+vocabulary rank, and the vocabulary's bytes are copied out a bounded
+number of words at a time.
 
 Cache. `save_index` writes an uncompressed ``.npz`` holding the ids,
 the offsets, the vocabulary's bytes as they are and a JSON metadata
@@ -92,6 +99,8 @@ MAX_POST = 1
 _CACHE_FORMAT = "relmap-corpus-index-v3"
 # Words decoded at once when a loaded vocabulary is checked.
 _CHECK_WORDS = 1 << 14
+# Words that ingest's first-seen dict holds before it is flushed.
+_BATCH_WORDS = 1 << 14
 # _PREFIX_MASKS[k] keeps the first k of 8 big-endian bytes. A table, not a
 # shift: shifting a 64-bit integer by 64 bits is undefined.
 _PREFIX_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
@@ -139,17 +148,6 @@ class Vocabulary:
         self.blob = blob         # uint8, the words joined by b"\\n"
         self.size = size
 
-    @classmethod
-    def from_sorted(cls, words: list[str]) -> "Vocabulary":
-        """The vocabulary of these words, given in increasing order.
-
-        An empty word, or one holding a newline, is refused with CorpusError.
-        """
-        blob = "\n".join(words).encode("utf-8")
-        if words and (not words[0] or blob.count(b"\n") != len(words) - 1):
-            raise CorpusError("a vocabulary word is empty or holds a newline")
-        return cls(np.frombuffer(blob, dtype=np.uint8), len(words))
-
     @functools.cached_property
     def _offsets(self) -> np.ndarray:
         """Word i is blob[_offsets[i]:_offsets[i + 1] - 1]."""
@@ -176,12 +174,10 @@ class Vocabulary:
             return []
         starts = self._offsets[ids]
         sizes = self._offsets[ids + 1] - starts   # each word and the byte after it
-        first = np.cumsum(sizes) - sizes          # where each word goes in `raw`
-        # The byte after the last word lies past the blob; "clip" reads
-        # another, and every byte after a word is then set to a newline.
-        raw = self.blob.take(np.repeat(starts - first, sizes) + np.arange(int(sizes.sum())),
-                             mode="clip")
-        raw[first + sizes - 1] = ord("\n")
+        # The byte after the last word lies past the blob, and `_gather`
+        # reads another; every byte after a word is then set to a newline.
+        raw = _gather(self.blob, starts, sizes)
+        raw[np.cumsum(sizes) - 1] = ord("\n")
         return raw[:-1].tobytes().decode("utf-8").split("\n")
 
     def find(self, word: str) -> int:
@@ -209,13 +205,9 @@ class Vocabulary:
             b = min(a + _CHECK_WORDS, self.size)
             raw = self.blob[offsets[a]:offsets[b] - 1]
             str(raw, "utf-8")  # a chunk ends at a word, so at a character
-            # The chunk and 8 zero bytes, read as one 8-byte integer at
-            # every byte (strides of 1 byte); each word's own is its prefix.
             padded = np.zeros(raw.size + 8, dtype=np.uint8)
             padded[:raw.size] = raw
-            at = np.ndarray((raw.size + 1,), dtype=">u8", buffer=padded, strides=(1,))
-            prefix = at[offsets[a:b] - offsets[a]].astype(np.uint64)
-            prefix &= _PREFIX_MASKS[np.minimum(np.diff(offsets[a:b + 1]) - 1, 8)]
+            prefix = _prefixes(padded, offsets[a:b] - offsets[a], np.diff(offsets[a:b + 1]) - 1)
             if (last is not None and not last < word(a)) or np.any(prefix[:-1] > prefix[1:]):
                 raise ValueError("vocabulary is not strictly increasing")
             for i in (np.flatnonzero(prefix[:-1] == prefix[1:]) + a).tolist():
@@ -227,6 +219,116 @@ class Vocabulary:
         """Word i's UTF-8 bytes."""
         a, b = self._offsets[i:i + 2].tolist()
         return self.blob[a:b - 1].tobytes()
+
+
+def _prefixes(padded: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The byte runs padded[s:s + n] of these starts and sizes, each as the
+    big-endian integer of its first 8 bytes, with the bytes past its end
+    zeroed. `padded` must hold 8 bytes from every start.
+    """
+    # One 8-byte integer at every byte (strides of 1 byte).
+    at = np.ndarray((padded.size - 7,), dtype=">u8", buffer=padded, strides=(1,))
+    prefix = at[starts].astype(np.uint64)
+    prefix &= _PREFIX_MASKS[np.minimum(sizes, 8)]
+    return prefix
+
+
+def _gather(blob: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The byte runs blob[s:s + n] of these starts and sizes, concatenated;
+    a byte past the blob's end reads as its last byte."""
+    first = np.cumsum(sizes) - sizes
+    return blob.take(np.repeat(starts - first, sizes) + np.arange(int(sizes.sum())),
+                     mode="clip")
+
+
+def _sorted_vocabulary(blob: np.ndarray, n: int) -> tuple[Vocabulary, np.ndarray]:
+    """The vocabulary of n words, and the id in it of each of them.
+
+    `blob` holds the words, in any order and maybe repeated, each
+    followed by a "\\n", then 8 * _BATCH_WORDS zero bytes. An empty
+    word, or one holding a newline, is refused with CorpusError. The
+    vocabulary's bytes are copied out _BATCH_WORDS words at a time, so
+    no index array covers every byte.
+    """
+    ends = np.flatnonzero(blob == ord("\n"))
+    if ends.size != n:
+        raise CorpusError("a vocabulary word is empty or holds a newline")
+    starts = np.zeros(n, dtype=np.int64)
+    starts[1:] = ends[:-1] + 1
+    sizes = ends - starts
+    del ends
+    if not sizes.all():
+        raise CorpusError("a vocabulary word is empty or holds a newline")
+    order, first = _sort_words(blob, starts, sizes)
+    distinct = first == np.arange(n)
+    del first
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.cumsum(distinct) - 1
+    words = order[distinct]  # the first copy of each vocabulary word, in order
+    del order, distinct
+    out = np.empty(int(sizes[words].sum()) + words.size, dtype=np.uint8)
+    at = 0
+    for a in range(0, words.size, _BATCH_WORDS):
+        w = words[a:a + _BATCH_WORDS]
+        raw = _gather(blob, starts[w], sizes[w] + 1)  # each word and its "\\n"
+        out[at:at + raw.size] = raw
+        at += raw.size
+    return Vocabulary(out[:-1], int(words.size)), rank
+
+
+def _sort_words(blob: np.ndarray, starts: np.ndarray,
+                sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The words blob[s:s + n] of these starts and sizes, sorted.
+
+    Returns `order`, the word indices by increasing word, equal words
+    next to each other, and `first`, for each place in `order` the first
+    place that holds the same word. `blob` must hold 8 * _BATCH_WORDS
+    bytes past every word's end.
+
+    Most-significant-digit refinement. A round reads k 8-byte prefixes
+    of each word still tied: _BATCH_WORDS // (words still tied), at
+    least 1 and no more than the longest of them needs. So a tie of few
+    long words, such as copies of one long word from several batches,
+    takes few rounds. A round sorts the words still tied, which share
+    their first `depth` bytes, by (the first place of their tie, their
+    next k prefixes, the bytes they have left clipped to 8k + 1). A
+    prefix is read as a big-endian integer with the bytes past the
+    word's end zeroed, so of two words with equal prefixes the one with
+    fewer bytes left is the one that begins the other, and equal keys
+    with 8k bytes left or fewer are equal words. Only ties with more
+    than 8k bytes left go on to the next round.
+    """
+    n = starts.size  # below 2**31: ingest numbers the words in int32
+    order = np.arange(n, dtype=np.int32)
+    first = np.zeros(n, dtype=np.int32)
+    live = order.copy()  # places still tied, with bytes left
+    depth = 0
+    while live.size:
+        words = order[live]
+        most = int(sizes[words].max()) - depth  # bytes left in the longest word
+        k = max(1, min(_BATCH_WORDS // live.size, -(-most // 8)))
+        # The smallest dtype sorts fastest: 8 bits when k is 1.
+        left = np.minimum(sizes[words] - depth, 8 * k + 1).astype(np.min_scalar_type(8 * k + 1))
+        step = np.arange(0, 8 * k, 8, dtype=left.dtype)[:, None]
+        # Prefix j holds clip(left - 8j, 0, 8) of a word's bytes; this
+        # form of it never goes below 0 in an unsigned dtype.
+        prefix = _prefixes(blob, starts[words] + depth + step,
+                           np.minimum(left, step + 8) - np.minimum(left, step))
+        # In the first round all words are one tie.
+        by = np.lexsort((left, *prefix[::-1], *((first[live],) if depth else ())))
+        # A tie holds the places live[i] of consecutive i, so its words
+        # stay in its places.
+        order[live] = words[by]
+        tie, left, prefix = first[live][by], left[by], prefix[:, by]
+        new = np.ones(live.size, dtype=bool)
+        new[1:] = ((tie[1:] != tie[:-1]) | (left[1:] != left[:-1])
+                   | (prefix[:, 1:] != prefix[:, :-1]).any(axis=0))
+        first[live] = np.maximum.accumulate(np.where(new, live, 0))
+        tied = ~new
+        tied[:-1] |= ~new[1:]
+        live = live[tied & (left > 8 * k)]
+        depth += 8 * k
+    return order, first
 
 
 @dataclass(eq=False)
@@ -251,27 +353,45 @@ class CorpusIndex:
 
         `documents` is consumed one document at a time, and only that
         document's ids are kept, so a generator of token lists holds
-        one document's tokens at a time. An empty token, or one holding
-        a newline, is refused with CorpusError.
+        one document's tokens at a time. Tokens get first-seen ids in a
+        batch dict, looked at every _BATCH_WORDS tokens and flushed once
+        it holds _BATCH_WORDS words (so it holds fewer than twice that);
+        a flushed batch keeps only its words, "\\n"-joined as UTF-8
+        bytes. So memory holds one batch's dict, the distinct words'
+        bytes and 4 bytes per token, never a Python string per
+        vocabulary word. The words of all batches are sorted once at the
+        end (`_sorted_vocabulary`), and the ids renumbered by vocabulary
+        rank. An empty token, or one holding a newline, is refused with
+        CorpusError.
         """
-        # Ids in order of first appearance, assigned without a Python loop.
-        first_seen = defaultdict(itertools.count().__next__)
-
-        def seen_ids(doc: list[str]) -> np.ndarray:
-            return np.fromiter(map(first_seen.__getitem__, doc), dtype=np.int32,
-                               count=len(doc))
-
-        # map() keeps no reference to a document once its ids are made.
-        parts = [np.zeros(0, dtype=np.int32), *map(seen_ids, documents)]
-        seen = list(first_seen)
-        del first_seen
-        order = sorted(range(len(seen)), key=seen.__getitem__)
-        rank = np.empty(len(order), dtype=np.int32)
-        rank[order] = np.arange(len(order), dtype=np.int32)
-        words = list(map(seen.__getitem__, order))
-        del seen, order
-        vocab = Vocabulary.from_sorted(words)
-        del words
+        batches = []
+        n_words = 0  # words in the flushed batches
+        seen = defaultdict(itertools.count().__next__)
+        parts = [np.zeros(0, dtype=np.int32)]
+        for doc in documents:
+            part = np.empty(len(doc), dtype=np.int32)
+            for a in range(0, len(doc), _BATCH_WORDS):
+                # Ids assigned without a Python loop, numbered on from the
+                # words of earlier batches.
+                chunk = part[a:a + _BATCH_WORDS]
+                chunk[:] = np.fromiter(map(seen.__getitem__, doc[a:a + _BATCH_WORDS]),
+                                       dtype=np.int32, count=chunk.size)
+                chunk += n_words
+                if len(seen) >= _BATCH_WORDS:
+                    batches.append("\n".join(seen).encode("utf-8"))
+                    n_words += len(seen)
+                    seen = defaultdict(itertools.count().__next__)
+            parts.append(part)
+            del doc  # before the next document is made
+        if seen:
+            batches.append("\n".join(seen).encode("utf-8"))
+            n_words += len(seen)
+        del seen
+        # The sort reads up to 8 * _BATCH_WORDS bytes past a word's end.
+        blob = np.frombuffer(b"\n".join([*batches, bytes(8 * _BATCH_WORDS)]), dtype=np.uint8)
+        del batches
+        vocab, rank = _sorted_vocabulary(blob, n_words)
+        del blob
         offsets = np.zeros(len(parts), dtype=np.int64)
         np.cumsum([part.size for part in parts[1:]], dtype=np.int64, out=offsets[1:])
         ids = np.concatenate(parts)
@@ -335,8 +455,9 @@ def ingest(paths: list[str | Path]) -> CorpusIndex:
     """Build an index over the given files, in the given order.
 
     The files are streamed: each is read, hashed, tokenized and mapped
-    to ids before the next is read, so memory holds the vocabulary,
-    4 bytes per token and one file's tokens. Files must be UTF-8 text;
+    to ids before the next is read, so memory holds one batch's dict,
+    the distinct words' bytes, 4 bytes per token and one file's tokens
+    (see `CorpusIndex.from_token_lists`). Files must be UTF-8 text;
     an unreadable or mis-encoded file raises CorpusError naming the
     path. An empty path list yields a valid empty index.
     """

@@ -3,8 +3,10 @@
 Everything here is deliberately naive: plain scans, explicit loops, no
 shared code with the package beyond its public data types. The ingest
 references tokenize one word at a time and assign ids after every file
-is tokenized, the package's earlier batch design; the streamed ingest
-must give the same ids, offsets, vocabulary and digest. The lookup
+is tokenized, from one first-seen dict over the whole corpus and a
+Python sort of its words, the package's earlier designs; the streamed
+ingest, with its flushed batch dicts and its numpy sort of the batches'
+words, must give the same ids, offsets, vocabulary and digest. The lookup
 reference keeps the vocabulary as a list of strings and builds postings
 for every token id with a full stable argsort and a bincount, the
 package's earlier design; the byte-blob vocabulary and the per-query
@@ -69,8 +71,9 @@ def tokenize_words(text):
 def batch_index(documents):
     """(ids, offsets, vocab) of token lists, with ids assigned after all are read.
 
-    Ids are first assigned in order of first appearance, then renumbered
-    by the token's rank in the sorted vocabulary.
+    Ids are first assigned in order of first appearance, in one dict
+    over all the tokens, then renumbered by the token's rank in the
+    vocabulary, sorted by Python's string order.
     """
     first_seen = defaultdict(itertools.count().__next__)
     n_tokens = sum(map(len, documents))

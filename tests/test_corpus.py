@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -124,6 +124,96 @@ def test_ingest_memory_is_one_file_of_tokens(tmp_path):
     assert index.total_tokens == 400_000
     assert peak_mb < 8, f"peak {peak_mb:.1f} MB"
 
+
+def test_ingest_memory_of_distinct_words(tmp_path):
+    """200k distinct words, each a token once, in 20 files, as in the
+    benchmark's planted corpora, whose filler words are all distinct: the
+    traced peak stays under 18 MB. It is 14.4 MB: the batches' bytes, the
+    sort's arrays of one entry per word and the ids. One first-seen dict
+    over the whole corpus and a Python sort of its words, the earlier
+    design (`oracles.batch_index`), traced 26.2 MB."""
+    rng = random.Random(7)
+    words = [f"w{i:07d}" for i in range(200_000)]
+    rng.shuffle(words)
+    paths = []
+    for i in range(20):
+        path = tmp_path / f"doc{i:02d}.txt"
+        path.write_text(" ".join(words[i * 10_000:(i + 1) * 10_000]) + "\n", encoding="utf-8")
+        paths.append(path)
+    del words
+    tracemalloc.start()
+    try:
+        index = ingest(paths)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert len(index.vocab) == 200_000
+    assert peak_mb < 18, f"peak {peak_mb:.1f} MB"
+
+
+# Words for the sort of the batches' words: stems of 7, 8, 15, 16 and 32
+# bytes, so that words tie on their first 8, 16 or 32 bytes; 2-, 3- and
+# 4-byte characters after them, which straddle byte 8 or 16; and NUL
+# endings, so that pairs such as "a" and "a\x00" are drawn.
+SORT_STEMS = ["", "a", "abcdefg", "abcdefgh", "abcdefghijklmno", "abcdefghijklmnop",
+              "abcdefgh" * 4]
+SORT_CHARS = ["a", "b", "\x00", "\x01", "é", "中", "😀"]
+stem_word = st.builds(lambda stem, tail: stem + tail, st.sampled_from(SORT_STEMS),
+                      st.text(SORT_CHARS, max_size=3)).filter(bool)
+sort_word = st.one_of(stem_word, stem_word.map(lambda word: word + "\x00"))
+
+
+@st.composite
+def sort_docs(draw):
+    """Documents over a few sort words, so that words repeat within and
+    across documents."""
+    words = draw(st.lists(sort_word, min_size=1, max_size=12))
+    return draw(st.lists(st.lists(st.sampled_from(words), max_size=12), max_size=4))
+
+
+@given(sort_docs(), st.sampled_from([1, 2, 3, 8, 1 << 14]))
+@example([["a\x00", "a", "a\x00"], ["a", "abcdefgh\x00", "abcdefgh"]], 1)
+@example([["abcdefghijklmnopé", "abcdefghijklmnop", "abcdefghijklmnop中"]], 2)
+@settings(max_examples=200, deadline=None)
+def test_index_equals_dict_oracle_on_sort_edge_cases(documents, batch_words):
+    """`from_token_lists` and `ingest` give the ids, offsets, vocabulary
+    bytes and digest of one first-seen dict and a Python sort, with the
+    batch dict flushed every 1-3 words (mid-document and between repeats
+    of a word), every 8 or not at all. `_BATCH_WORDS` also sets how many
+    8-byte prefixes a sort round reads: one a word at 1, several at 8 or
+    more."""
+    ids, offsets, vocab = batch_index(documents)
+    with tempfile.TemporaryDirectory() as root:
+        paths = [Path(root) / f"doc{i}.txt" for i in range(len(documents))]
+        for path, doc in zip(paths, documents):
+            path.write_bytes(" ".join(doc).encode("utf-8"))
+        with mock.patch.object(corpus_module, "_BATCH_WORDS", batch_words):
+            got = [CorpusIndex.from_token_lists(documents), ingest(paths)]
+        digest = batch_ingest(paths)[3]
+    for index in got:
+        assert index.ids.dtype == np.int32 and index.doc_offsets.dtype == np.int64
+        assert index.ids.tolist() == ids.tolist()
+        assert index.doc_offsets.tolist() == offsets.tolist()
+        assert len(index.vocab) == len(vocab)
+        assert bytes(index.vocab.blob) == "\n".join(vocab).encode("utf-8")
+    assert got[1].digest == digest
+
+
+def test_sort_of_long_tied_words_takes_few_rounds(monkeypatch):
+    """Two copies of a 1 MiB word, from two batches, tie on every prefix:
+    the sort tells them equal in 17 rounds (one over all words, then 16
+    of 8,192 prefixes), not in one round per 8 bytes (131,072)."""
+    rounds = []
+    prefixes = corpus_module._prefixes
+    monkeypatch.setattr(corpus_module, "_prefixes",
+                        lambda *args: rounds.append(1) or prefixes(*args))
+    long_word = "x" * (1 << 20)
+    index = CorpusIndex.from_token_lists(
+        [[long_word, *(f"w{i}" for i in range(1 << 14))], [long_word]])
+    assert len(index.vocab) == (1 << 14) + 1
+    assert index.ids[0] == index.ids[-1] == len(index.vocab) - 1
+    assert index.vocab[len(index.vocab) - 1] == long_word
+    assert len(rounds) == 17
 
 def test_load_memory_holds_no_word_objects(tmp_path):
     """200k distinct words, each a token once: loading the cached index and
@@ -779,3 +869,14 @@ def test_index_refuses_newline_in_vocabulary():
         CorpusIndex.from_token_lists([["a", "a\nb"]])
     with pytest.raises(CorpusError, match="empty"):
         CorpusIndex.from_token_lists([["a"], [""]])
+
+
+@pytest.mark.parametrize("batch_words", [1, 2, 1 << 14])
+@pytest.mark.parametrize("documents", [[["a", "b", "a\nb", "c"]], [["\n"]], [["a"], ["b", ""]],
+                                       [[""]], [["b", "a", "b"], ["", "a"]]])
+def test_index_refuses_bad_word_in_any_batch(documents, batch_words, monkeypatch):
+    """An empty word or one holding a newline is refused wherever the
+    batch dict was flushed."""
+    monkeypatch.setattr(corpus_module, "_BATCH_WORDS", batch_words)
+    with pytest.raises(CorpusError, match="a vocabulary word is empty or holds a newline"):
+        CorpusIndex.from_token_lists(documents)
