@@ -35,7 +35,7 @@ so would score below that best, where the full scan ignores it too:
 it neither joins nor resets the tie set, so by induction the best, the
 tie set and the seeded draw are those of the full scan. Scored blocks
 go through the same score function and tie replay. Total-mode
-coherence, whose blocks mix subset heads, enumerates in full.
+coherence takes the same walk, its subset placed first, and is pruned too.
 `n_mappings` in a result's diagnostics is the size of the search
 space, `n_scored` the rows actually scored.
 
@@ -65,6 +65,7 @@ solve at m = 10 takes about 0.06-0.12 s there, most of it the shift walk.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -93,72 +94,53 @@ BLOCK_ROWS = math.factorial(BLOCK_TAIL)
 
 
 @functools.lru_cache(maxsize=None)
-def _tail_table(k: int) -> np.ndarray:
-    """All k! permutations of range(k), lexicographically, one per column (read-only)."""
-    table = np.array(list(itertools.permutations(range(k))),
-                     dtype=np.intp).reshape(math.factorial(k), k).T.copy()
+def _tail_table(k: int, s: int) -> np.ndarray:
+    """Lexicographic permutations of range(k) putting range(s) first; one per column, read-only."""
+    table = np.array([a + b for a in itertools.permutations(range(s))
+                      for b in itertools.permutations(range(s, k))], dtype=np.intp).T.copy()
     table.setflags(write=False)
     return table
 
 
-def _perm_blocks(values: Sequence[int], bound=None, keep=None) -> Iterator[np.ndarray]:
-    """Permutations of the sorted `values`, lexicographically, in blocks.
+def _mapping_blocks(m: int, sub_src: Sequence[int] = (), sub_tgt: Sequence[int] = (),
+                    score=None, keep=None) -> Iterator[np.ndarray]:
+    """Mappings of m terms as blocks of rows (row[i] = target of source i).
 
-    The first k - 7 positions, a block's head, are walked depth-first,
-    each child in increasing order. With a bound, a head joins the walk
-    only if keep(u) holds for its bound u, so a rejected head is skipped
-    with every block under it; keep is asked when the walk reaches it.
-    A block is stored by columns, the layout the scorers read.
+    One depth-first walk places the sorted sources `sub_src`, then the
+    rest, drawing targets in increasing order from the remaining sorted
+    `sub_tgt` while subset sources remain, then from the others. So the
+    subset assignment is the major key (the first maximum has the first
+    maximal one), and with no subset the order is itertools.permutations'.
+    The last rest positions (at most 7), and the last subset ones while a
+    block stays within 7! rows, come from one table; blocks are stored by
+    columns, the layout the scorers read. With a score, a head joins the
+    walk only if keep(u), asked when the walk reaches it, holds for its
+    bound u from the score relabelled to walk order over all unplaced
+    targets (a superset of the allowed ones); else it and its blocks are skipped.
     """
-    k = len(values)
-    tail = _tail_table(min(k, BLOCK_TAIL))
-    n_head = k - len(tail)
+    rest_src = [i for i in range(m) if i not in sub_src]
+    order = np.array([*sub_src, *rest_src], dtype=np.intp)
+    r = min(len(rest_src), BLOCK_TAIL)
+    s = 0 if r < len(rest_src) else max(
+        n for n in range(len(sub_src) + 1) if math.factorial(n) * math.factorial(r) <= BLOCK_ROWS)
+    tail = _tail_table(s + r, s)
+    n_head, subset = m - len(tail), set(sub_tgt)
+    bound = None if score is None else score.relabel(order).bound
+    # a block's row for source i reads the walk's targets, head + free, at index[i]
+    index = np.vstack([np.tile(np.arange(n_head)[:, None], len(tail[0])), n_head + tail])
+    index = index[np.argsort(order)]
 
     def walk(head: tuple, free: tuple) -> Iterator[np.ndarray]:
-        if len(head) == n_head:
-            cols = np.empty((k, tail.shape[1]), dtype=np.intp)
-            cols[:n_head] = np.array(head, dtype=np.intp)[:, None]
-            np.take(np.array(free, dtype=np.intp), tail, out=cols[n_head:])
-            yield cols.T
+        d = len(head)
+        if d == n_head:
+            yield np.take(np.array(head + free, dtype=np.intp), index).T
             return
         bounds = None if bound is None else bound(head, free)
         for t, c in enumerate(free):
-            if bounds is None or keep(bounds[t]):
+            if (d >= len(sub_src) or c in subset) and (bounds is None or keep(bounds[t])):
                 yield from walk(head + (c,), free[:t] + free[t + 1:])
 
-    return walk((), tuple(values))
-
-
-def _mapping_blocks(m: int, sub_src: Sequence[int] = (),
-                    sub_tgt: Sequence[int] = (), bound=None,
-                    keep=None) -> Iterator[np.ndarray]:
-    """Mappings of m terms as blocks of rows (row[i] = target of source i).
-
-    With a subset constraint, only mappings sending the sorted source
-    indices `sub_src` onto the sorted target indices `sub_tgt` setwise,
-    with the subset assignment as the major key, so that the first
-    maximum under a decomposable score has the lexicographically first
-    maximal subset assignment. Without one, all m! mappings in the order
-    of `itertools.permutations(range(m))`, with heads pruned under
-    `bound` and `keep` as in `_perm_blocks`; a subset-constrained
-    enumeration is never pruned.
-    """
-    if not sub_src:
-        yield from _perm_blocks(range(m), bound, keep)
-        return
-    rest_src = [i for i in range(m) if i not in sub_src]
-    rest_tgt = [j for j in range(m) if j not in sub_tgt]
-    columns = np.argsort(list(sub_src) + rest_src)
-    # when the rest is short, several subset assignments share a block
-    per_head = math.factorial(len(rest_tgt))
-    heads_per_block = max(1, BLOCK_ROWS // per_head)
-    for heads in _perm_blocks(sub_tgt):
-        for start in range(0, len(heads), heads_per_block):
-            chunk = heads[start:start + heads_per_block]
-            for tails in _perm_blocks(rest_tgt):
-                block = np.hstack([np.repeat(chunk, len(tails), axis=0),
-                                   np.tile(tails, (len(chunk), 1))])
-                yield block[:, columns]
+    return walk((), tuple(sorted(range(m), key=lambda c: c not in subset)))  # subset first
 
 
 def _max_without(values: np.ndarray) -> np.ndarray:
@@ -209,6 +191,14 @@ class _PairSum:
         for grid, (i, j) in zip(self.grids, self.pairs):
             acc += grid.take(scaled[i] + cols[j])
         return acc
+
+    def relabel(self, order: np.ndarray) -> "_PairSum":
+        """Source order[d] renamed d; a pair whose sources swap has its grid transposed."""
+        rank = np.argsort(order)
+        i, j = rank[self._i], rank[self._j]
+        swapped = self._cells.transpose(0, 2, 1).reshape(self.grids.shape)
+        return _PairSum(np.where((i > j)[:, None], swapped, self.grids),
+                        zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
 
     def _by_depth(self, d: int) -> tuple[np.ndarray, ...]:
         """Pair indices by how they stand once sources 0..d are placed."""
@@ -312,8 +302,8 @@ def _shift(score_fn: _PairSum, m: int) -> float:
         return 0.0
     negated = _PairSum(-score_fn.grids, score_fn.pairs)
     top = 0.0
-    for block in _perm_blocks(range(m), negated.bound,
-                              lambda upper: not upper <= top):  # a NaN bound prunes nothing
+    for block in _mapping_blocks(m, (), (), negated,
+                                 lambda upper: not upper <= top):  # a NaN bound prunes nothing
         top = max(top, float(negated(block).max()))
     return -top if top > 0 else 0.0
 
@@ -363,6 +353,12 @@ class _Probability:
     def bound(self, head: Sequence[int], free: Sequence[int]) -> np.ndarray:
         return self._scale(self.score_fn.bound(head, free))
 
+    def relabel(self, order: np.ndarray) -> "_Probability":
+        """The same shift and total over the score relabelled to `order`."""
+        relabelled = copy.copy(self)
+        relabelled.score_fn = self.score_fn.relabel(order)
+        return relabelled
+
 
 class _HybridScore:
     """Two channel probabilities, averaged ("add") or multiplied per mapping.
@@ -384,6 +380,10 @@ class _HybridScore:
     def bound(self, head: Sequence[int], free: Sequence[int]) -> np.ndarray:
         return self._join(self.relational.bound(head, free),
                           self.attributional.bound(head, free))
+
+    def relabel(self, order: np.ndarray) -> "_HybridScore":
+        return _HybridScore(self.relational.relabel(order), self.attributional.relabel(order),
+                            self.combine)
 
 
 class HybridScorer:
@@ -490,15 +490,15 @@ class _Argmax:
 
 
 def _argmax_blocks(score_fn, m: int, sub_src: Sequence[int] = (),
-                   sub_tgt: Sequence[int] = (), bound=None) -> _Argmax:
+                   sub_tgt: Sequence[int] = (), prune: bool = False) -> _Argmax:
     """Best score and tie set over the mappings of `_mapping_blocks`, by the sequential tie rule.
 
     The running best never falls, so rows scoring below best - 1e-12
     can neither join the tie set nor reset it. When no remaining row
     exceeds best + 1e-12 they all join; otherwise the rule is replayed
-    over them alone. With a bound, the walk skips every head whose bound
-    is below the running best - 1e-12: all its mappings would be
-    ignored, so the outcome is that of the full enumeration.
+    over them alone. With `prune`, the walk skips every head whose bound
+    under `score_fn` is below the running best - 1e-12: all its mappings
+    would be ignored, so the outcome is that of the full enumeration.
     """
     best = -math.inf
     tied: list[np.ndarray] = []
@@ -507,7 +507,7 @@ def _argmax_blocks(score_fn, m: int, sub_src: Sequence[int] = (),
     def keep(upper: float) -> bool:
         return not upper < best - TIE_TOLERANCE  # a NaN bound prunes nothing
 
-    for block in _mapping_blocks(m, sub_src, sub_tgt, bound, keep):
+    for block in _mapping_blocks(m, sub_src, sub_tgt, score_fn if prune else None, keep):
         n_scored += len(block)
         scores = score_fn(block)
         candidates = np.flatnonzero(scores >= best - TIE_TOLERANCE)
@@ -534,7 +534,7 @@ def _solve(problem: MappingProblem, scorer, seed, tie_policy: str, m_max: int,
         raise BudgetError(f"m={problem.m} means {math.factorial(problem.m):,} mappings, "
                           f"over the budget of m <= {m_max}")
     score_fn = scorer.prepare(problem)
-    found = _argmax_blocks(score_fn, problem.m, sub_src, sub_tgt, score_fn.bound)
+    found = _argmax_blocks(score_fn, problem.m, sub_src, sub_tgt, prune=True)
     perm = found.pick(seed, problem.id, tie_policy)
     return SolveResult(
         problem=problem,
