@@ -10,9 +10,8 @@ hybrid scoring, and coherence experiments ride on the same machinery.
 from .attributes import (CombinedSimilarity, PmiIrSimilarity, PosSimilarity,
                          TableSimilarity, load_external_similarity)
 from .config import Config, load_config_file
-from .corpus import (CorpusIndex, PhraseOccurrence, cached_index,
-                     cooccurrence_counts, ingest, ingest_dir, load_index,
-                     save_index, search_phrases)
+from .corpus import (CorpusIndex, cached_index, cooccurrence_counts, ingest,
+                     ingest_dir, load_index, save_index)
 from .dataset import Dataset, builtin_dataset, dump_problems, load_problems
 from .errors import (BudgetError, ConfigError, CorpusError, DataError,
                      RelmapError, TransformError, UsageError)

@@ -108,32 +108,6 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class PhraseOccurrence:
-    """One corpus window matching the search template for a term pair.
-
-    Spans are token index ranges into `window` (half-open). `pre`, `mid`
-    and `post` count the words outside the two term spans.
-    """
-
-    doc: int
-    start: int                   # window start offset within the document
-    window: tuple[str, ...]
-    x_span: tuple[int, int]      # term x, relative to window
-    y_span: tuple[int, int]      # term y, relative to window
-    pre: int
-    mid: int
-    post: int
-
-    def __post_init__(self):
-        if not (0 <= self.pre <= MAX_PRE and 0 <= self.mid <= MAX_MID
-                and 0 <= self.post <= MAX_POST):
-            raise ValueError(f"window gaps out of template bounds: "
-                             f"pre={self.pre} mid={self.mid} post={self.post}")
-        if self.x_span[1] > self.y_span[0]:
-            raise ValueError("term spans overlap or are out of order")
-
-
 class Vocabulary:
     """A sorted vocabulary kept as its "\\n"-joined UTF-8 bytes.
 
@@ -568,40 +542,6 @@ def _expand(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     del shift
     at += np.arange(at.size)
     return owner, at
-
-
-def search_phrases(index: CorpusIndex, pair: TermPair) -> list[PhraseOccurrence]:
-    """Every window where pair.x is followed by pair.y within the template.
-
-    Absent terms simply yield an empty list. A y match must start 0-3
-    tokens after the x match ends and lie in the same document; up to
-    one token of leading and trailing context is included when the
-    document provides it. Results come in (document, x start, y start)
-    order.
-    """
-    _pair, doc, x_pos, y_pos, pre, post = _find_windows(index, [pair])
-    x_len = len(pair.x.tokens)
-    y_len = len(pair.y.tokens)
-    w_start = x_pos - pre
-    w_end = y_pos + y_len + post
-    words = index.vocab.words
-    ids = index.ids
-    out = []
-    for d, ds, ws, we, xp, yp, pr, po in zip(
-            doc.tolist(), index.doc_offsets[doc].tolist(), w_start.tolist(),
-            w_end.tolist(), x_pos.tolist(), y_pos.tolist(), pre.tolist(),
-            post.tolist()):
-        out.append(PhraseOccurrence(
-            doc=d,
-            start=ws - ds,
-            window=tuple(words(ids[ws:we])),
-            x_span=(xp - ws, xp + x_len - ws),
-            y_span=(yp - ws, yp + y_len - ws),
-            pre=pr,
-            mid=yp - xp - x_len,
-            post=po,
-        ))
-    return out
 
 
 def cooccurrence_counts(index: CorpusIndex, a: Term, b: Term,

@@ -60,7 +60,9 @@ a 2-vCPU x86 host. On a planted problem, the pruned relational search
 takes 0.006-0.016 s there and scores 5,040 to 80,640 rows, with the
 targets in intended, reversed or shuffled order; on a uniform-noise
 field nothing is pruned and the bounds add about 3%. A planted hybrid
-solve at m = 10 takes about 0.06-0.12 s there, most of it the shift walk.
+solve at m = 10, add or multiply, takes about 0.007-0.015 s there and
+scores one block of 5,040 rows; its grids hold no negative cell, so no
+shift walk runs.
 """
 
 from __future__ import annotations

@@ -7,19 +7,19 @@ term pairs is the dot product of their unit rows of W (their cosine);
 a pair without a row scores zero against everything.
 
 Only U_k * Sigma_k is used, so the decomposition is of the n_r x n_r Gram
-matrix X X^T, cut at a strict gap in the spectrum so that tied singular
-values never leave an arbitrary pick. Two rows in different connected
-components of X (rows joined by a shared column) have a zero Gram cell,
-so X X^T is block-diagonal over the components and its eigenpairs are
-those of its blocks: one eigh per component, of its dense block, 8 bytes
-per cell whatever the column count. Rows in different components get U
-rows with disjoint supports, so their cosine is exactly 0.0. The memory
-budget still counts all n_r rows, so a matrix with more rows than it
-allows is refused with BudgetError before any block is formed. Without
-SVD the rows of X are normalized as a dense n_r x n_c array, and the
-same budget bounds that copy. A row left at or below _WEAK_ROW_SHARE of
-the largest norm holds only rounding noise and is zeroed, not made a
-unit.
+matrix G = X X^T, cut at a strict gap in the spectrum so that tied
+singular values never leave an arbitrary pick. Two rows in different
+connected components of X (rows joined by a shared column) have a zero
+Gram cell, so G is block-diagonal over the components and its eigenpairs
+are those of its blocks: one eigh per component, of its dense block, 8
+bytes per cell whatever the column count. Rows in different components
+get U rows with disjoint supports, so their cosine is exactly 0.0.
+Without SVD the cosines come from G itself, G_ij / sqrt(G_ii G_jj), kept
+as one dense n_r x n_r matrix; cells across components are 0.0 there
+too. Either way the memory budget counts n_r^2 cells, so a matrix with
+more rows than it allows is refused with BudgetError before any n_r x n_r
+array is formed. A row left at or below _WEAK_ROW_SHARE of the largest
+norm holds only rounding noise and is zeroed, not made a unit.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ _TIE_SHARE = 1e-9
 _DECOMPOSITION_BYTES_PER_CELL = 48
 # Half of an 8 GB host, which admits n_r up to 9,128.
 _DECOMPOSITION_BUDGET_BYTES = 4 * 10 ** 9
-# Without SVD, the peak memory per cell of the dense n_r x n_c matrix: the
-# dense copy, normalized in place, and the squared temporary of its row
-# norms (16.0 bytes under tracemalloc at 500 x 4000).
-_DENSE_BYTES_PER_CELL = 16
 
 
 def _as_csr(matrix) -> sp.csr_matrix:
@@ -212,15 +208,6 @@ def _require_decomposition_budget(n_r: int) -> None:
             f"budget of {_DECOMPOSITION_BUDGET_BYTES:,} bytes")
 
 
-def _require_dense_budget(n_r: int, n_c: int) -> None:
-    """Raise BudgetError when normalizing n_r x n_c dense rows would pass the budget."""
-    need = _DENSE_BYTES_PER_CELL * n_r * n_c
-    if need > _DECOMPOSITION_BUDGET_BYTES:
-        raise BudgetError(
-            f"densifying n_r={n_r:,} pair rows by n_c={n_c:,} columns without SVD needs "
-            f"about {need:,} bytes, over the budget of {_DECOMPOSITION_BUDGET_BYTES:,} bytes")
-
-
 def _normalize_rows(M: np.ndarray) -> np.ndarray:
     """M with unit rows, in place; rows at or below _WEAK_ROW_SHARE of the largest norm become zero."""
     norms = np.linalg.norm(M, axis=1)
@@ -230,49 +217,79 @@ def _normalize_rows(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def _gram_cosines(X: sp.csr_matrix) -> np.ndarray:
+    """Every cosine of X's rows, G_ij / sqrt(G_ii G_jj) with G = X X^T.
+
+    G is one sparse product, so a cell sums only the columns its two rows
+    share, and rows in different components get exactly 0.0. A row whose
+    norm sqrt(G_ii) is at or below _WEAK_ROW_SHARE of the largest is
+    zeroed. The peak is the sparse G, 12 bytes per stored cell, beside
+    the dense result, 8 bytes per cell: 20.5 bytes per n_r^2 cell under
+    tracemalloc when X is one component, within the decomposition's 48.
+    """
+    G = X @ X.T
+    d = G.diagonal()
+    norms = np.sqrt(d)
+    strong = norms > _WEAK_ROW_SHARE * norms.max(initial=0.0)
+    cos = G.toarray()
+    del G
+    d = np.where(strong, d, 1.0)
+    scale = np.multiply.outer(d, d)
+    cos /= np.sqrt(scale, out=scale)
+    cos[~strong] = 0.0
+    cos[:, ~strong] = 0.0
+    return cos
+
+
 @dataclass
 class RelationSpace:
-    """Unit rows of the smoothed pair-pattern matrix, one per term pair.
+    """The relational similarity of the term pairs that have a row.
 
-    Immutable after construction; similarity queries are dot products
-    and are computed on demand rather than materializing the full
-    pairwise cosine matrix.
+    With SVD the space keeps W, the unit rows of the smoothed matrix, and
+    a query takes the dot products it needs; without it, `cosines` holds
+    the cosine of every two rows of the weighted matrix, and a query reads
+    cells. Immutable after construction.
     """
 
     row_index: dict[TermPair, int]
-    W: np.ndarray
+    W: Optional[np.ndarray] = None
+    cosines: Optional[np.ndarray] = None
 
     def sim_r(self, p: TermPair, q: TermPair) -> float:
         """Cosine of the two pair rows; zero if either pair has no row."""
-        i = self.row_index.get(p)
-        j = self.row_index.get(q)
-        if i is None or j is None:
-            return 0.0
-        return float(self.W[i] @ self.W[j])
+        return float(self.sim_pairs([p], [q])[0])
 
     def sim_grid(self, ps: list[TermPair], qs: list[TermPair]) -> np.ndarray:
         """sim_r of every (p, q) as a len(ps) x len(qs) array.
 
-        Each pair's row is looked up once, and one `np.vecdot` takes the
-        dot product of every (p, q) whose pairs both have a row. For
-        float64 it calls the dot kernel that sim_r's `w @ v` calls, one
-        vector pair at a time, so each cell has sim_r's bits; a matrix
-        product's blocking could move a last bit. Other cells stay 0.0.
+        Each pair's row is looked up once, and one lookup gives every
+        (p, q) whose pairs both have a row. Other cells stay 0.0.
         """
         rows_p, rows_q = self._rows(ps), self._rows(qs)
         a, b = np.flatnonzero(rows_p >= 0), np.flatnonzero(rows_q >= 0)
         out = np.zeros((len(ps), len(qs)))
-        out[np.ix_(a, b)] = np.vecdot(self.W[rows_p[a]][:, None, :],
-                                      self.W[rows_q[b]][None, :, :])
+        out[np.ix_(a, b)] = self._lookup(rows_p[a][:, None], rows_q[b][None, :])
         return out
 
     def sim_pairs(self, ps: list[TermPair], qs: list[TermPair]) -> np.ndarray:
-        """sim_r of each (ps[i], qs[i]), with sim_r's bits as in `sim_grid`."""
+        """sim_r of each (ps[i], qs[i]), from the lookup of `sim_grid`."""
         rows_p, rows_q = self._rows(ps), self._rows(qs)
         both = np.flatnonzero((rows_p >= 0) & (rows_q >= 0))
         out = np.zeros(len(ps))
-        out[both] = np.vecdot(self.W[rows_p[both]], self.W[rows_q[both]])
+        out[both] = self._lookup(rows_p[both], rows_q[both])
         return out
+
+    def _lookup(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The cosine of rows i and j, broadcast against each other.
+
+        Over W, one `np.vecdot` of the unit rows. For float64 it calls
+        the dot kernel that `W[i] @ W[j]` calls, one vector pair at a
+        time, so each cell has that scalar product's bits; a matrix
+        product's blocking could move a last bit.
+        """
+        if self.cosines is not None:
+            return self.cosines[i, j]
+        return np.vecdot(self.W[i], self.W[j])
 
     def _rows(self, pairs: list[TermPair]) -> np.ndarray:
         """The row of each pair, -1 for a pair without one."""
@@ -288,17 +305,17 @@ def build_space(U_k: np.ndarray, sigma_k: np.ndarray,
 def build_space_from_matrix(X, rows: list[TermPair], *, k: Optional[int]) -> RelationSpace:
     """Space from a weighted matrix, with or without SVD smoothing.
 
-    k=None skips the decomposition entirely: similarities are then
-    cosines over the weighted matrix rows themselves, made dense, so a
-    matrix whose dense copy would pass the memory budget is refused with
-    BudgetError.
+    k=None skips the decomposition: similarities are then the cosines of
+    the weighted matrix rows themselves, taken from its sparse Gram
+    matrix. Both ways form n_r x n_r cells, so both are refused with
+    BudgetError past the same budget on n_r.
     """
     row_index = {pair: i for i, pair in enumerate(rows)}
     if len(row_index) != len(rows):
         raise DataError("duplicate pair rows in relation space")
     X = _as_csr(X)
     if k is None:
-        _require_dense_budget(*X.shape)
-        return RelationSpace(row_index=row_index, W=_normalize_rows(X.toarray()))
+        _require_decomposition_budget(X.shape[0])
+        return RelationSpace(row_index=row_index, cosines=_gram_cosines(X))
     u, s = truncated_svd(X, k)
     return build_space(u, s, row_index)

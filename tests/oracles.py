@@ -24,11 +24,17 @@ The SVD references are the dense LAPACK and iterative `svds` backends,
 against which the package's Gram eigendecomposition is checked, and
 `truncated_svd_full`, one eigh of the whole Gram matrix, the package's
 earlier design; the decomposition one connected component at a time
-must keep the same spectrum, cut and cosines. The
-pattern-mining reference takes its windows from `search_phrases` (itself
-checked against `scan_windows`), builds string patterns and counts them
-in dicts; the package's integer-coded miner must give the same counts,
-columns and matrix.
+must keep the same spectrum, cut and cosines. The no-SVD reference,
+`dense_cosines`, normalizes a dense copy of X's rows, the package's
+earlier design; the cosines from the sparse Gram matrix must agree with
+it and zero the same weak rows. `scalar_sim_r` reads one cosine at a
+time, as the package's earlier `sim_r` did, against which the grid and
+pair lookups are checked to the bit. `search_phrases` spells out the
+package's windows for one pair as `PhraseOccurrence` objects, and is
+checked against `scan_windows`. The pattern-mining reference takes its
+windows from it, builds string patterns and counts them in dicts; the
+package's integer-coded miner must give the same counts, columns and
+matrix.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import random
 import string
 from bisect import bisect_left
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,12 +55,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
-from relmap.corpus import search_phrases
+from relmap.corpus import MAX_MID, MAX_POST, MAX_PRE, _find_windows
 from relmap.errors import RelmapError
 from relmap.terms import TermPair
 
 TIE_TOLERANCE = 1e-12
 SVD_TIE_SHARE = 1e-9
+WEAK_ROW_SHARE = 1e-6
 
 PUNCTUATION = string.punctuation + "‘’“”–—"
 
@@ -149,6 +157,67 @@ def check_vocabulary(blob, size, chunk_words):
                 and all(map(operator.lt, part, part[1:]))):
             raise ValueError("vocabulary is not strictly increasing")
         last = part[-1]
+
+
+@dataclass(frozen=True)
+class PhraseOccurrence:
+    """One corpus window matching the search template for a term pair.
+
+    Spans are token index ranges into `window` (half-open). `pre`, `mid`
+    and `post` count the words outside the two term spans.
+    """
+
+    doc: int
+    start: int                   # window start offset within the document
+    window: tuple[str, ...]
+    x_span: tuple[int, int]      # term x, relative to window
+    y_span: tuple[int, int]      # term y, relative to window
+    pre: int
+    mid: int
+    post: int
+
+    def __post_init__(self):
+        if not (0 <= self.pre <= MAX_PRE and 0 <= self.mid <= MAX_MID
+                and 0 <= self.post <= MAX_POST):
+            raise ValueError(f"window gaps out of template bounds: "
+                             f"pre={self.pre} mid={self.mid} post={self.post}")
+        if self.x_span[1] > self.y_span[0]:
+            raise ValueError("term spans overlap or are out of order")
+
+
+def search_phrases(index, pair):
+    """Every window where pair.x is followed by pair.y within the template,
+    found by the package's `_find_windows` and spelled out one by one.
+
+    Absent terms simply yield an empty list. A y match must start 0-3
+    tokens after the x match ends and lie in the same document; up to
+    one token of leading and trailing context is included when the
+    document provides it. Results come in (document, x start, y start)
+    order.
+    """
+    _pair, doc, x_pos, y_pos, pre, post = _find_windows(index, [pair])
+    x_len = len(pair.x.tokens)
+    y_len = len(pair.y.tokens)
+    w_start = x_pos - pre
+    w_end = y_pos + y_len + post
+    words = index.vocab.words
+    ids = index.ids
+    out = []
+    for d, ds, ws, we, xp, yp, pr, po in zip(
+            doc.tolist(), index.doc_offsets[doc].tolist(), w_start.tolist(),
+            w_end.tolist(), x_pos.tolist(), y_pos.tolist(), pre.tolist(),
+            post.tolist()):
+        out.append(PhraseOccurrence(
+            doc=d,
+            start=ws - ds,
+            window=tuple(words(ids[ws:we])),
+            x_span=(xp - ws, xp + x_len - ws),
+            y_span=(yp - ws, yp + y_len - ws),
+            pre=pr,
+            mid=yp - xp - x_len,
+            post=po,
+        ))
+    return out
 
 
 def scan_windows(documents, x_tokens, y_tokens,
@@ -426,6 +495,31 @@ def sparse_svd(X, k):
     u, s, _ = svds(X, k=k, v0=v0, which="LM")
     order = np.argsort(s)[::-1]
     return u[:, order], s[order]
+
+
+def dense_cosines(X):
+    """(cosines, weak) of X's rows from their dense copy, the package's
+    earlier no-SVD design: each row divided by its norm, a row at or below
+    WEAK_ROW_SHARE of the largest norm zeroed, then the dot product of
+    every two unit rows. `weak` marks the zeroed rows."""
+    M = X.toarray() if sp.issparse(X) else np.array(X, dtype=float)
+    norms = np.linalg.norm(M, axis=1)
+    weak = norms <= WEAK_ROW_SHARE * norms.max(initial=0.0)
+    M /= np.where(weak, 1.0, norms)[:, None]
+    M[weak] = 0.0
+    return M @ M.T, weak
+
+
+def scalar_sim_r(space, p, q):
+    """sim_r one pair at a time, the package's earlier body: the dot
+    product `W[i] @ W[j]` of two unit rows, or one cell of a no-SVD
+    space's cosines; 0.0 when either pair has no row."""
+    i, j = space.row_index.get(p), space.row_index.get(q)
+    if i is None or j is None:
+        return 0.0
+    if space.W is None:
+        return float(space.cosines[i][j])
+    return float(space.W[i] @ space.W[j])
 
 
 def all_permutations(m):

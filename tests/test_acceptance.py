@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import (brute_force_best, enumerate_pattern_strings,
+from oracles import (PhraseOccurrence, brute_force_best, enumerate_pattern_strings,
                      generate_patterns, hybrid_probabilities, ppmi_cell)
 from relmap.attributes import TableSimilarity
 from relmap.config import Config
-from relmap.corpus import PhraseOccurrence, ingest_dir
+from relmap.corpus import ingest_dir
 from relmap.dataset import Dataset, builtin_dataset
 from relmap.evaluation import (accuracy, coherence_experiment, run_batch)
 from relmap.patterns import build_pair_list, serialize_pattern

@@ -310,12 +310,13 @@ def test_decomposition_over_budget_is_a_budget_refusal(planted_paths, monkeypatc
     assert "budget refusal: decomposing n_r=" in capsys.readouterr().err
 
 
-def test_dense_copy_over_budget_is_a_budget_refusal(planted_paths, monkeypatch, capsys):
+def test_no_svd_over_budget_is_a_budget_refusal(planted_paths, monkeypatch, capsys):
+    """Without SVD the space still holds n_r x n_r cells, under the same budget."""
     corpus, problems = planted_paths
     monkeypatch.setattr(space, "_DECOMPOSITION_BUDGET_BYTES", 10 ** 6)
     assert main(["eval", problems, "--mode", "relational", "--corpus", corpus,
                  "--no-svd"]) == 3
-    assert "budget refusal: densifying n_r=" in capsys.readouterr().err
+    assert "budget refusal: decomposing n_r=" in capsys.readouterr().err
 
 
 UNLOADED = ("scipy.sparse.csgraph", "scipy.linalg", "scipy.sparse.linalg")

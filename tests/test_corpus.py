@@ -12,11 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import ListIndex, batch_index, batch_ingest, scan_cooccurrences, scan_windows
+from oracles import (ListIndex, batch_index, batch_ingest, scan_cooccurrences, scan_windows,
+                     search_phrases)
 from relmap import corpus as corpus_module
 from relmap.corpus import (CorpusIndex, _find_windows, cache_path, cached_index,
                            cooccurrence_counts, corpus_digest, ingest,
-                           ingest_dir, load_index, save_index, search_phrases)
+                           ingest_dir, load_index, save_index)
 from relmap.errors import CorpusError
 from relmap.terms import Term, TermPair
 

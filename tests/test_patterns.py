@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import (enumerate_pattern_strings, generate_patterns,
+from oracles import (PhraseOccurrence, enumerate_pattern_strings, generate_patterns,
                      is_template_shaped, swap_pattern)
-from relmap.corpus import CorpusIndex, PhraseOccurrence
+from relmap.corpus import CorpusIndex
 from relmap.dataset import builtin_dataset
 from relmap.errors import ConfigError, DataError, RelmapError
 from relmap.patterns import (build_frequency_matrix, build_pair_list,

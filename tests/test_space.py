@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from oracles import (dense_svd, log_entropy_cell, ppmi_cell, sparse_svd,
-                     truncated_svd_full)
+from oracles import (dense_cosines, dense_svd, log_entropy_cell, ppmi_cell, scalar_sim_r,
+                     sparse_svd, truncated_svd_full)
 from relmap.corpus import ingest
 from relmap.errors import BudgetError, ConfigError, TransformError
 from relmap.evaluation import mine_for_problems, space_from_stats
@@ -17,8 +18,8 @@ from relmap.patterns import (build_frequency_matrix, build_pair_list,
                              mine_patterns, prune_rows, select_columns)
 from relmap.problems import MappingProblem
 from relmap.solver import RelationalScorer
-from relmap.space import (_components, _require_decomposition_budget, _require_dense_budget,
-                          build_space, build_space_from_matrix, transform_log_entropy,
+from relmap.space import (_components, _require_decomposition_budget, build_space,
+                          build_space_from_matrix, transform_log_entropy,
                           transform_ppmic, truncated_svd)
 from relmap.terms import TermPair
 
@@ -189,23 +190,20 @@ def test_decomposition_budget_edge():
         _require_decomposition_budget(9_129)
 
 
-def test_no_svd_refuses_a_dense_copy_over_the_memory_budget():
-    """One nonzero per row: X is tiny and its Gram matrix within budget, but
-    its dense 1000 x 300,000 copy is not."""
-    n_r, n_c = 1000, 300_000
-    X = sp.csr_matrix((np.ones(n_r), (np.arange(n_r), np.arange(n_r) * 199)),
-                      shape=(n_r, n_c))
+def test_no_svd_refuses_a_cosine_matrix_over_the_memory_budget():
+    """Without SVD the same budget on n_r holds: 10,000 rows of one nonzero
+    each are refused before any 10,000 x 10,000 array (800 MB) is formed."""
+    n_r = 10_000
+    X = sp.csr_matrix((np.ones(n_r), (np.arange(n_r), np.arange(n_r))), shape=(n_r, n_r))
     rows = [TermPair.parse(f"a{i}", f"b{i}") for i in range(n_r)]
-    with pytest.raises(BudgetError,
-                       match="n_r=1,000 pair rows by n_c=300,000 .* 4,800,000,000 bytes"):
-        build_space_from_matrix(X, rows, k=None)
-    assert build_space_from_matrix(X, rows, k=5).W.shape == (n_r, 5)
-
-
-def test_dense_budget_edge():
-    _require_dense_budget(1000, 250_000)
-    with pytest.raises(BudgetError, match="n_c=250,001"):
-        _require_dense_budget(1000, 250_001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="n_r=10,000 .* 4,800,000,000 bytes"):
+            build_space_from_matrix(X, rows, k=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_r * n_r / 100
 
 
 def test_svd_beats_random_rank_k_competitors():
@@ -382,13 +380,19 @@ ALL_PAIRS = [TermPair.parse(a, b) for a in TERMS for b in TERMS if a != b]
 
 @st.composite
 def spaces(draw):
-    """A space over some of ALL_PAIRS; some rows weak enough to be zeroed."""
+    """A space over some of ALL_PAIRS, with SVD or without; some rows weak
+    enough to be zeroed."""
     rows = draw(st.lists(st.sampled_from(ALL_PAIRS), unique=True, max_size=len(ALL_PAIRS)))
-    k = draw(st.integers(1, 320))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    U = rng.standard_normal((len(rows), k))
-    weak = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
-    U[np.array(weak, dtype=bool)] *= 1e-9
+    weak = np.array(draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))),
+                    dtype=bool)
+    scale = np.where(weak, 1e-9, 1.0)
+    if draw(st.booleans()):
+        X = sp.random(len(rows), draw(st.integers(1, 40)), density=0.3, random_state=rng,
+                      data_rvs=rng.standard_normal)
+        return build_space_from_matrix(sp.diags(scale) @ X, rows, k=None), rows
+    k = draw(st.integers(1, 320))
+    U = rng.standard_normal((len(rows), k)) * scale[:, None]
     space = build_space(U, rng.uniform(0.1, 10.0, size=k), {p: i for i, p in enumerate(rows)})
     return space, rows
 
@@ -397,25 +401,27 @@ def spaces(draw):
        st.lists(st.sampled_from(ALL_PAIRS), max_size=12), st.permutations(range(6)))
 @settings(max_examples=200, deadline=None)
 def test_grids_and_explain_have_sim_r_bits(drawn, ps, qs, perm):
-    """sim_grid, sim_pairs and explain equal sim_r cell by cell, to the bit,
-    over pairs without a row and rows zeroed as weak too."""
+    """sim_grid, sim_pairs, sim_r and explain equal the scalar sim_r
+    reference cell by cell, to the bit, over pairs without a row and rows
+    zeroed as weak too, with SVD and without."""
     space, rows = drawn
     grid = space.sim_grid(ps, qs)
     assert grid.shape == (len(ps), len(qs))
     for a, p in enumerate(ps):
         for b, q in enumerate(qs):
-            assert grid[a, b].hex() == space.sim_r(p, q).hex()
+            assert grid[a, b].hex() == scalar_sim_r(space, p, q).hex()
+            assert space.sim_r(p, q).hex() == scalar_sim_r(space, p, q).hex()
     n = min(len(ps), len(qs))
     pairs = space.sim_pairs(ps[:n], qs[:n])
     assert [v.hex() for v in pairs.tolist()] == [
-        space.sim_r(p, q).hex() for p, q in zip(ps, qs)]
+        scalar_sim_r(space, p, q).hex() for p, q in zip(ps, qs)]
     problem = MappingProblem.build("P", TERMS, TERMS)
     src, tgt = problem.source, problem.target
     explained = RelationalScorer(space).explain(problem, tuple(perm))
     want = [(TermPair(src[i], src[j]), TermPair(tgt[perm[i]], tgt[perm[j]]))
             for i in range(6) for j in range(i + 1, 6)]
     assert [label for label, _ in explained] == [f"{p.text} ~ {q.text}" for p, q in want]
-    assert [v.hex() for _, v in explained] == [space.sim_r(p, q).hex() for p, q in want]
+    assert [v.hex() for _, v in explained] == [scalar_sim_r(space, p, q).hex() for p, q in want]
 
 
 def test_decomposition_backends_agree(planted_all):
@@ -558,6 +564,42 @@ def test_no_svd_equals_direct_cosines(tmp_path):
             ni, nj = np.linalg.norm(Xd[i]), np.linalg.norm(Xd[j])
             want = 0.0 if ni == 0 or nj == 0 else float(Xd[i] @ Xd[j] / (ni * nj))
             assert space.sim_r(p, q) == pytest.approx(want, abs=1e-12)
+
+
+@st.composite
+def gram_inputs(draw):
+    """A sparse X of one to four blocks on the diagonal, so of several
+    components, its rows scaled over 1e-4..1, with some rows zeroed, some
+    weak, and some duplicated, in shuffled order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = [sp.random(*rng.integers(1, 10, size=2), density=rng.uniform(0.1, 1.0),
+                        random_state=rng, data_rvs=lambda n: rng.uniform(-1.0, 1.0, n))
+              for _ in range(draw(st.integers(1, 4)))]
+    X = sp.block_diag(blocks, format="csr")
+    n = X.shape[0]
+    scale = 10.0 ** rng.uniform(-4.0, 0.0, n)
+    scale[rng.random(n) < 0.1] = 0.0
+    scale[rng.random(n) < 0.1] = 1e-9
+    X = (sp.diags(scale) @ X).tocsr()
+    X = X[rng.permutation(np.append(np.arange(n), rng.integers(0, n, rng.integers(0, 4))))]
+    return sp.csr_matrix(X)
+
+
+@given(gram_inputs())
+@settings(max_examples=300, deadline=None)
+def test_no_svd_cosines_match_the_dense_oracle(X):
+    """The cosines from the sparse Gram matrix are those of the dense
+    normalized rows to 2e-15, zero the same weak rows, and are exactly 0.0
+    across components."""
+    rows = [TermPair.parse(f"a{i}", f"b{i}") for i in range(X.shape[0])]
+    cos = build_space_from_matrix(X, rows, k=None).cosines
+    want, weak = dense_cosines(X)
+    assert np.abs(cos - want).max() <= 2e-15
+    assert np.all(cos == cos.T)
+    assert np.all(cos[weak] == 0.0)
+    assert np.all(np.diag(cos)[~weak] == 1.0)
+    labels = csgraph_labels(X)
+    assert np.all(cos[labels[:, None] != labels[None, :]] == 0.0)
 
 
 def test_empty_space_from_empty_corpus():
