@@ -180,16 +180,19 @@ def _index_for(cfg: Config) -> Optional[cp.CorpusIndex]:
 
 
 def _write(text: str, path: Optional[str]) -> None:
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_report(report, path: Optional[str]) -> None:
     _write(report.to_tsv(), path)
     if path:
-        Path(path + ".json").write_text(report.sidecar(), encoding="utf-8")
+        _write(report.sidecar(), path + ".json")
 
 
 def cmd_index(args) -> int:

@@ -10,6 +10,22 @@ from .errors import ConfigError
 
 MODES = ("relational", "attributional", "hybrid-add", "hybrid-mul")
 TRANSFORMS = ("ppmic", "logentropy")
+PROVIDERS = ("pos", "pmi-ir", "external")  # external names its table: external:PATH
+
+
+def provider_parts(spec: str) -> list[tuple[str, str]]:
+    """The (name, path) of each `+`-separated part of a provider spec.
+
+    Only an external part has a path, after its colon.
+    """
+    parts = []
+    for part in spec.split("+"):
+        name, colon, path = part.strip().partition(":")
+        if name not in PROVIDERS or bool(colon) != (name == "external"):
+            raise ConfigError(f"unknown provider {part.strip()!r}; expected "
+                              f"pos, pmi-ir or external:PATH, joined by +")
+        parts.append((name, path))
+    return parts
 
 
 @dataclass
@@ -35,6 +51,7 @@ class Config:
         if self.transform not in TRANSFORMS:
             raise ConfigError(f"unknown transform {self.transform!r}; "
                               f"expected one of {TRANSFORMS}")
+        provider_parts(self.provider)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.t < 1:
@@ -50,7 +67,7 @@ class Config:
 
     def needs_corpus(self) -> bool:
         return (self.mode != "attributional"
-                or "pmi-ir" in (p.strip() for p in self.provider.split("+")))
+                or any(name == "pmi-ir" for name, _ in provider_parts(self.provider)))
 
     def summary(self) -> dict:
         """Config echo for report sidecars (strings and numbers only).

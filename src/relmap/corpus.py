@@ -588,16 +588,19 @@ def save_index(index: CorpusIndex, cache_dir: str | Path) -> Path:
     path = cache_path(cache_dir, index.digest)
     meta = {"format": _CACHE_FORMAT, "digest": index.digest,
             "vocab_size": len(index.vocab)}
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.stem}-{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "xb") as fh:
-            np.savez(fh, ids=index.ids, doc_offsets=index.doc_offsets,
-                     vocab=index.vocab.blob, meta=json.dumps(meta))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "xb") as fh:
+                np.savez(fh, ids=index.ids, doc_offsets=index.doc_offsets,
+                         vocab=index.vocab.blob, meta=json.dumps(meta))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise CorpusError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return path
 
 

@@ -21,7 +21,7 @@ from . import patterns as pt
 from . import space as sp
 from .attributes import (CombinedSimilarity, PmiIrSimilarity, PosSimilarity,
                          load_external_similarity)
-from .config import TRANSFORMS, Config
+from .config import TRANSFORMS, Config, provider_parts
 from .corpus import CorpusIndex
 from .dataset import Dataset
 from .errors import ConfigError, DataError
@@ -94,21 +94,17 @@ def make_provider(spec: str, problem: MappingProblem,
     problem: the same word can be tagged differently in two problems)
     unless an explicit table is supplied.
     """
-    parts = spec.split("+")
     base: list = []
-    for part in parts:
-        part = part.strip()
-        if part == "pos":
+    for name, path in provider_parts(spec):
+        if name == "pos":
             base.append(PosSimilarity(pos_tags if pos_tags is not None
                                       else problem.pos_tags))
-        elif part == "pmi-ir":
+        elif name == "pmi-ir":
             if index is None:
                 raise ConfigError("provider pmi-ir needs a corpus index")
             base.append(PmiIrSimilarity(index, window=config.pmi_window))
-        elif part.startswith("external:"):
-            base.append(load_external_similarity(part.split(":", 1)[1]))
         else:
-            raise ConfigError(f"unknown provider {part!r}")
+            base.append(load_external_similarity(path))
     provider = base[0]
     for extra in base[1:]:
         provider = CombinedSimilarity(provider, extra)
@@ -257,6 +253,8 @@ class _PreparedOnce:
 
     Total mode searches the same full problem in each trial; the reduced
     problems of internal mode differ per trial and are prepared as usual.
+    Like every scorer it offers `mode` and `prepare`: a solve explains its
+    winner from the score `prepare` returned.
     """
 
     def __init__(self, scorer, problem: MappingProblem):
@@ -271,9 +269,6 @@ class _PreparedOnce:
         if self._score is None:
             self._score = self.scorer.prepare(problem)
         return self._score
-
-    def explain(self, problem: MappingProblem, perm: tuple[int, ...]):
-        return self.scorer.explain(problem, perm)
 
 
 def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int,

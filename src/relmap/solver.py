@@ -7,9 +7,11 @@ per block: the first m - 7 positions, the block's head, are walked
 depth-first, and the last seven are filled from one precomputed table
 of the 7! permutations, indexed through the sorted remaining targets.
 Every mode, the hybrid included, is a scorer whose `prepare` returns a
-function that scores a whole block at once, adding the terms in the
-same order as a per-mapping loop, so every score is bit-identical to a
-scalar sum from 0.0.
+score with `__call__`, `bound`, `relabel` and `explain`. Calling it
+scores a whole block at once, adding the terms in the same order as a
+per-mapping loop, so every score is bit-identical to a scalar sum from
+0.0. `explain` gives the winner's breakdown from the same grids, so its
+terms are the cells the search ranked, not a second lookup.
 
 The search keeps a running best and the set of mappings tied with it.
 The tie rule is sequential, in enumeration order, with an absolute
@@ -39,8 +41,8 @@ coherence takes the same walk, its subset placed first, and is pruned too.
 `n_mappings` in a result's diagnostics is the size of the search
 space, `n_scored` the rows actually scored.
 
-The hybrid normalizes each channel's scores to probabilities, which
-need the channel's minimum and its sum over all m! mappings. The
+The hybrid normalizes each channel's scores to a probability, which
+needs the channel's minimum and its sum over all m! mappings. The
 minimum takes no walk when no grid cell is negative (it then cannot be
 below 0.0, and the shift is 0.0). Otherwise it is minus the maximum
 under the negated grids, found by a walk that skips every head whose
@@ -90,9 +92,11 @@ BLOCK_ROWS = math.factorial(BLOCK_TAIL)
 
 # scorer contract: `mode` names it; prepare(problem) returns score(perms),
 # which maps an (n, m) block of target-index rows to n float64 scores, and
-# has score.bound(head, free), the head bounds the search prunes with;
-# explain(problem, perm) returns labeled contributions that sum to the
-# score. Scores are _PairSum sums, or the hybrid's _HybridScore of two.
+# has score.bound(head, free), the head bounds the search prunes with,
+# score.relabel(order), the score over sources renamed to walk order, and
+# score.explain(problem, perm), the labeled terms of one mapping's score.
+# Scores are _PairSum sums, or the hybrid's _HybridScore of two. A scorer
+# keeps no per-problem state.
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,6 +237,19 @@ class _PairSum:
         total = total + rows.max(axis=1).sum(axis=0)
         return total + self.margin
 
+    def explain(self, problem: MappingProblem, perm: Sequence[int]) -> list[tuple[str, float]]:
+        """The terms of perm's score, labeled, in the order the score adds them.
+
+        A pair (i, i) reads "s -> t", a pair i < j "x:y ~ a:b"; each value
+        is the grid cell the search read, so the values summed from 0.0
+        give the score's bits.
+        """
+        src, tgt, m = problem.source, problem.target, self.m
+        return [(f"{src[i].text} -> {tgt[perm[i]].text}" if i == j else
+                 f"{src[i].text}:{src[j].text} ~ {tgt[perm[i]].text}:{tgt[perm[j]].text}",
+                 float(grid[perm[i] * m + perm[j]]))
+                for grid, (i, j) in zip(self.grids, self.pairs)]
+
 
 class RelationalScorer:
     """Sum of pair similarities over all i < j, via a precomputed table."""
@@ -255,14 +272,6 @@ class RelationalScorer:
             [TermPair(tgt[a], tgt[b]) for a, b in cells])
         return _PairSum(grids, pairs)
 
-    def explain(self, problem: MappingProblem, perm: tuple[int, ...]):
-        src, tgt = problem.source, problem.target
-        pairs = [(i, j) for i in range(problem.m) for j in range(i + 1, problem.m)]
-        ps = [TermPair(src[i], src[j]) for i, j in pairs]
-        qs = [TermPair(tgt[perm[i]], tgt[perm[j]]) for i, j in pairs]
-        return [(f"{p.text} ~ {q.text}", sim)
-                for p, q, sim in zip(ps, qs, self.space.sim_pairs(ps, qs).tolist())]
-
 
 class AttributionalScorer:
     """Sum of term similarities between each source term and its image."""
@@ -282,11 +291,6 @@ class AttributionalScorer:
                 grids[i, a * m + a] = self.provider.sim(problem.source[i],
                                                         problem.target[a])
         return _PairSum(grids, [(i, i) for i in range(m)])
-
-    def explain(self, problem: MappingProblem, perm: tuple[int, ...]):
-        return [(f"{problem.source[i].text} -> {problem.target[j].text}",
-                 self.provider.sim(problem.source[i], problem.target[j]))
-                for i, j in enumerate(perm)]
 
 
 def _shift(score_fn: _PairSum, m: int) -> float:
@@ -363,7 +367,7 @@ class _Probability:
 
 
 class _HybridScore:
-    """Two channel probabilities, averaged ("add") or multiplied per mapping.
+    """Two channels' probability of a mapping, averaged ("add") or multiplied.
 
     The join is monotone in each probability (halving a sum, or
     multiplying two non-negative factors), so joining the channels'
@@ -387,12 +391,18 @@ class _HybridScore:
         return _HybridScore(self.relational.relabel(order), self.attributional.relabel(order),
                             self.combine)
 
+    def explain(self, problem: MappingProblem, perm: Sequence[int]) -> list[tuple[str, float]]:
+        """perm's joined value as the channel terms the join adds, or as one product."""
+        row = np.array([perm], dtype=np.intp)
+        r, a = float(self.relational(row)[0]), float(self.attributional(row)[0])
+        if self.combine == "add":
+            return [("relational probability / 2", r / 2.0),
+                    ("attributional probability / 2", a / 2.0)]
+        return [("relational x attributional probability", r * a)]
+
 
 class HybridScorer:
-    """Relational and attributional probabilities, averaged ("add") or multiplied.
-
-    It keeps the channels of its last `prepare`, which `explain` reads.
-    """
+    """The relational and attributional probability of a mapping, averaged ("add") or multiplied."""
 
     def __init__(self, space, provider, combine: str = "add"):
         if combine not in ("add", "multiply"):
@@ -401,29 +411,11 @@ class HybridScorer:
         self.attributional = AttributionalScorer(provider)
         self.combine = combine
         self.mode = "hybrid-add" if combine == "add" else "hybrid-mul"
-        self._prepared: tuple = (None, None)  # the last problem prepared, and its score
 
     def prepare(self, problem: MappingProblem) -> _HybridScore:
-        score = _HybridScore(_Probability(self.relational.prepare(problem), problem.m),
-                             _Probability(self.attributional.prepare(problem), problem.m),
-                             self.combine)
-        self._prepared = (problem, score)
-        return score
-
-    def probabilities(self, problem: MappingProblem, perm) -> tuple[float, float]:
-        """The relational and attributional probability of one mapping."""
-        last, score = self._prepared
-        if last is not problem:
-            score = self.prepare(problem)
-        row = np.array([perm], dtype=np.intp)
-        return float(score.relational(row)[0]), float(score.attributional(row)[0])
-
-    def explain(self, problem: MappingProblem, perm: tuple[int, ...]):
-        r, a = self.probabilities(problem, perm)
-        if self.combine == "add":
-            return [("relational probability / 2", r / 2.0),
-                    ("attributional probability / 2", a / 2.0)]
-        return [("relational x attributional probability", r * a)]
+        return _HybridScore(_Probability(self.relational.prepare(problem), problem.m),
+                            _Probability(self.attributional.prepare(problem), problem.m),
+                            self.combine)
 
 
 @dataclass
@@ -543,7 +535,7 @@ def _solve(problem: MappingProblem, scorer, seed, tie_policy: str, m_max: int,
         mapping=Mapping(problem_id=problem.id, perm=perm),
         score=found.best,
         tie_count=found.tie_count,
-        breakdown=scorer.explain(problem, perm),
+        breakdown=score_fn.explain(problem, perm),
         diagnostics={"mode": scorer.mode, "seed": seed,
                      "n_mappings": found.n_mappings, "n_scored": found.n_scored,
                      "elapsed": time.perf_counter() - started},

@@ -257,7 +257,7 @@ class RelationSpace:
 
     def sim_r(self, p: TermPair, q: TermPair) -> float:
         """Cosine of the two pair rows; zero if either pair has no row."""
-        return float(self.sim_pairs([p], [q])[0])
+        return float(self.sim_grid([p], [q])[0, 0])
 
     def sim_grid(self, ps: list[TermPair], qs: list[TermPair]) -> np.ndarray:
         """sim_r of every (p, q) as a len(ps) x len(qs) array.
@@ -269,14 +269,6 @@ class RelationSpace:
         a, b = np.flatnonzero(rows_p >= 0), np.flatnonzero(rows_q >= 0)
         out = np.zeros((len(ps), len(qs)))
         out[np.ix_(a, b)] = self._lookup(rows_p[a][:, None], rows_q[b][None, :])
-        return out
-
-    def sim_pairs(self, ps: list[TermPair], qs: list[TermPair]) -> np.ndarray:
-        """sim_r of each (ps[i], qs[i]), from the lookup of `sim_grid`."""
-        rows_p, rows_q = self._rows(ps), self._rows(qs)
-        both = np.flatnonzero((rows_p >= 0) & (rows_q >= 0))
-        out = np.zeros(len(ps))
-        out[both] = self._lookup(rows_p[both], rows_q[both])
         return out
 
     def _lookup(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from relmap import space
 from relmap.cli import main
+from relmap.config import MODES
 from relmap.dataset import Dataset, dump_problems
 
 
@@ -185,6 +186,34 @@ def test_malformed_problem_file_is_data_error(tmp_path, capsys):
     assert main(["solve", str(path), "--mode", "attributional"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad.json" in err, err
+
+
+@pytest.mark.parametrize("command", ["solve", "eval", "index"])
+def test_unwritable_output_path_is_data_error(tmp_path, capsys, command):
+    """An --out, --report or --cache path under a plain file is a data
+    error (exit 2) naming the path, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    target = str(blocker / "x")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("the sun warms the planet", encoding="utf-8")
+    argv = {"solve": ["solve", "--builtin", "--mode", "attributional", "--out", target],
+            "eval": ["eval", "--builtin", "--mode", "attributional", "--report", target],
+            "index": ["index", "--corpus", str(corpus), "--cache", target]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}"), err
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_unknown_provider_is_refused_before_the_corpus(tmp_path, capsys, mode):
+    """The provider spec is checked with the config, in every mode: a
+    missing corpus directory is never reached."""
+    assert main(["eval", "--builtin", "--mode", mode, "--provider", "pos+bogus",
+                 "--corpus", str(tmp_path / "none")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown provider 'bogus'"), err
 
 
 def test_duplicate_problem_id_is_data_error(planted_paths, tmp_path, capsys):

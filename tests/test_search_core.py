@@ -134,10 +134,15 @@ def test_hybrid_equals_oracle(seed, m, kind, policy, combine):
     assert result.tie_count == len(tied)
     assert result.mapping.perm == perm
     assert result.diagnostics["n_mappings"] == total
-    r, a = scorer.probabilities(problem, perm)
-    assert r.hex() == prob_r[idx].hex()
-    assert a.hex() == prob_a[idx].hex()
-    if combine == "multiply":
+    score = scorer.prepare(problem)
+    row = np.array([perm], dtype=np.intp)
+    assert score.relational(row)[0].hex() == prob_r[idx].hex()
+    assert score.attributional(row)[0].hex() == prob_a[idx].hex()
+    assert score.explain(problem, perm) == result.breakdown
+    if combine == "add":
+        assert [v.hex() for _, v in result.breakdown] == [
+            (prob_r[idx] / 2.0).hex(), (prob_a[idx] / 2.0).hex()]
+    else:
         assert result.breakdown[0][1].hex() == combined[idx].hex()
 
 
