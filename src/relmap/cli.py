@@ -64,17 +64,17 @@ def _add_common(p: _Parser, *, solve_flags: bool = True):
         p.add_argument("--provider",
                        help="pos | pmi-ir | external:PATH, optionally +pos")
         p.add_argument("--pmi-window", type=int, dest="pmi_window")
-        p.add_argument("--k", type=int, help="SVD rank (default 300)")
-        p.add_argument("--t", type=int, help="columns per row (default 20)")
+        p.add_argument("--k", type=int, help=f"SVD rank (default {Config.k})")
+        p.add_argument("--t", type=int, help=f"columns per row (default {Config.t})")
         p.add_argument("--transform", choices=TRANSFORMS)
         p.add_argument("--no-svd", action="store_true",
                        help="skip the SVD smoothing step")
     else:  # refused with a reason, where an unknown flag would get none
         for flag in ("--mode", "--provider", "--pmi-window"):
             p.add_argument(flag, type=_not_in_sweep, help=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
+    p.add_argument("--seed", type=int, help=f"random seed (default {Config.seed})")
     p.add_argument("--m-max", type=int, dest="m_max",
-                   help="largest problem size to enumerate (default 10)")
+                   help=f"largest problem size to enumerate (default {Config.m_max})")
 
 
 def _add_problem_source(p: _Parser):
@@ -212,9 +212,7 @@ def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     dataset = _load_dataset(args)
     index = _index_for(cfg)
-    space = None
-    if cfg.mode != "attributional":
-        space, _ = build_space_for_problems(index, list(dataset), cfg)
+    space, _ = build_space_for_problems(index, list(dataset), cfg)
     chunks = []
     refused = False
     for problem in dataset:

@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
+from .solver import DEFAULT_M_MAX
 
 MODES = ("relational", "attributional", "hybrid-add", "hybrid-mul")
 TRANSFORMS = ("ppmic", "logentropy")
@@ -42,7 +43,7 @@ class Config:
     provider: str = "pos"
     seed: int = 0
     pmi_window: int = 10
-    m_max: int = 10
+    m_max: int = DEFAULT_M_MAX
     max_phrases_per_pair: Optional[int] = None
 
     def validate(self) -> "Config":
@@ -91,7 +92,7 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 def _coerce(name: str, value: str, target_type, nullable: bool):
     value = value.strip()
-    if target_type is bool or name == "svd":
+    if target_type is bool:
         low = value.lower()
         if low in _BOOL_TRUE:
             return True

@@ -25,9 +25,8 @@ class BudgetError(RelmapError):
     """Work refused because it passes a budget.
 
     Either exhaustive enumeration, when m! exceeds the enumeration
-    budget, or the relation space's memory: the decomposition, when its
-    n_r x n_r Gram matrix would pass the memory budget, or, without SVD,
-    the dense n_r x n_c copy of the weighted matrix.
+    budget, or the relation space's memory, when its n_r x n_r Gram
+    matrix would pass the memory budget, with SVD or without.
     """
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -54,8 +54,7 @@ def mine_for_problems(index: CorpusIndex, problems: list[MappingProblem],
     return pairs, stats
 
 
-def space_from_stats(pairs: list, stats: pt.PatternStats, *, t: int, k: int,
-                     transform: str = "ppmic", svd: bool = True
+def space_from_stats(pairs: list, stats: pt.PatternStats, config: Config
                      ) -> tuple[sp.RelationSpace, dict]:
     """Prune, select columns, weight, smooth; also returns stage diagnostics."""
     rows = pt.prune_rows(pairs, stats.phrase_counts)
@@ -63,24 +62,28 @@ def space_from_stats(pairs: list, stats: pt.PatternStats, *, t: int, k: int,
     if not rows:
         diag.update(n_c=0, f_density=0.0, x_density=0.0)
         return sp.RelationSpace(row_index={}, W=np.zeros((0, 1))), diag
-    cols = pt.select_columns(stats, t, len(rows))
+    cols = pt.select_columns(stats, config.t, len(rows))
     F = pt.build_frequency_matrix(rows, cols, stats)
     diag["n_c"] = len(cols)
     diag["f_density"] = F.nnz / (F.shape[0] * F.shape[1]) if F.shape[1] else 0.0
-    if transform not in TRANSFORMS:
-        raise ConfigError(f"unknown transform {transform!r}; expected one of {TRANSFORMS}")
-    X = sp.transform_ppmic(F) if transform == "ppmic" else sp.transform_log_entropy(F)[0]
+    if config.transform not in TRANSFORMS:
+        raise ConfigError(f"unknown transform {config.transform!r}; expected one of {TRANSFORMS}")
+    X = (sp.transform_ppmic(F) if config.transform == "ppmic"
+         else sp.transform_log_entropy(F)[0])
     diag["x_density"] = X.nnz / (X.shape[0] * X.shape[1]) if X.shape[1] else 0.0
-    return sp.build_space_from_matrix(X, rows, k=k if svd else None), diag
+    return sp.build_space_from_matrix(X, rows, k=config.k if config.svd else None), diag
 
 
-def build_space_for_problems(index: CorpusIndex, problems: list[MappingProblem],
-                             config: Config) -> tuple[sp.RelationSpace, dict]:
+def build_space_for_problems(index: Optional[CorpusIndex], problems: list[MappingProblem],
+                             config: Config) -> tuple[Optional[sp.RelationSpace], dict]:
+    """The relation space `config.mode` solves with: none in attributional mode."""
+    if config.mode == "attributional":
+        return None, {}
+    if index is None:
+        raise ConfigError(f"mode {config.mode!r} needs an indexed corpus")
     pairs, stats = mine_for_problems(
         index, problems, max_phrases_per_pair=config.max_phrases_per_pair)
-    return space_from_stats(
-        pairs, stats, t=config.t, k=config.k, transform=config.transform,
-        svd=config.svd)
+    return space_from_stats(pairs, stats, config)
 
 
 # --- providers --------------------------------------------------------------
@@ -185,13 +188,9 @@ def solve_batch(dataset: Dataset, config: Config,
     """Solve every problem under one shared relation space; no accuracy."""
     config.validate()
     problems = list(dataset)
-    space: Optional[sp.RelationSpace] = None
-    diag: dict = {"mode": config.mode, "seed": config.seed}
-    if config.mode != "attributional":
-        if index is None:
-            raise ConfigError(f"mode {config.mode!r} needs an indexed corpus")
-        space, stage_diag = build_space_for_problems(index, problems, config)
-        diag.update(stage_diag)
+    space, diag = build_space_for_problems(index, problems, config)
+    diag.update(mode=config.mode, seed=config.seed)
+    if space is not None:
         diag["corpus_digest"] = index.digest
     results = [solve_one(p, config, space, index) for p in problems]
     diag["tie_counts"] = {r.problem.id: r.tie_count for r in results}
@@ -280,11 +279,11 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
     For each problem, `trials_per_problem` subsets of size m_prime are
     drawn (uniformly over the index subsets, without replacement inside
     a subset) and their intended images taken as the reduced target
-    side. Internal mode searches only the reduced problem; total mode
-    searches the full problem under the setwise subset constraint.
-    Accuracy is measured on the subproblem either way. m_prime == m
-    degenerates to a single full-size trial; larger m_prime skips the
-    problem with a warning.
+    side. Internal mode solves only the reduced problem; total mode
+    solves the full problem under the setwise subset constraint and is
+    scored by the subset's hits in its winner. Accuracy is measured on
+    the subproblem either way. m_prime == m degenerates to a single
+    full-size trial; larger m_prime skips the problem with a warning.
     """
     if m_prime < 2:
         raise ConfigError(f"m_prime must be >= 2, got {m_prime}")
@@ -294,17 +293,11 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
     if config.mode not in ("relational", "attributional"):
         raise ConfigError(f"coherence experiment supports relational or "
                           f"attributional mode, not {config.mode!r}")
-    space = None
-    diag: dict = {"mode": config.mode, "seed": seed, "m_prime": m_prime,
-                  "tie_policy": tie_policy}
     problems = [p for p in dataset if p.intended]
     if len(problems) != len(dataset):
         raise DataError("coherence experiment needs intended mappings")
-    if config.mode != "attributional":
-        if index is None:
-            raise ConfigError("relational coherence needs an indexed corpus")
-        space, stage_diag = build_space_for_problems(index, problems, config)
-        diag.update(stage_diag)
+    space, diag = build_space_for_problems(index, problems, config)
+    diag.update(mode=config.mode, seed=seed, m_prime=m_prime, tie_policy=tie_policy)
     rows = []
     for problem in problems:
         if m_prime > problem.m:
@@ -315,20 +308,17 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
         trials = 1 if m_prime == problem.m else trials_per_problem
         internal_scores, total_scores = [], []
         scorer = _PreparedOnce(make_scorer(config, problem, space, index), problem)
+        gold = problem.intended_mapping().perm
         for trial in range(trials):
-            indices = sorted(rng.sample(range(problem.m), m_prime))
-            fixed = {problem.source[i].text: problem.intended[problem.source[i].text]
-                     for i in indices}
-            gold = None
-            for mode, bucket in (("internal", internal_scores),
-                                 ("total", total_scores)):
-                result = solve_constrained(
-                    problem, fixed, scorer, mode=mode,
-                    seed=f"{seed}:{trial}", tie_policy=tie_policy,
-                    m_max=config.m_max)
-                if gold is None:
-                    gold = result.problem.intended_mapping()
-                bucket.append(accuracy(result.mapping, gold))
+            indices = rng.sample(range(problem.m), m_prime)
+            sub = problem.restricted(indices)
+            internal = solve(sub, scorer, f"{seed}:{trial}", tie_policy=tie_policy,
+                             m_max=config.m_max)
+            internal_scores.append(accuracy(internal.mapping, sub.intended_mapping()))
+            total = solve_constrained(problem, sub.intended, scorer, f"{seed}:{trial}",
+                                      tie_policy=tie_policy, m_max=config.m_max)
+            hits = sum(total.mapping.perm[i] == gold[i] for i in indices)
+            total_scores.append(100.0 * hits / m_prime)
         rows.append(CoherenceRow(
             problem_id=problem.id, trials=trials,
             internal_accuracy=sum(internal_scores) / len(internal_scores),
@@ -386,36 +376,21 @@ def sensitivity_sweep(dataset: Dataset, config: Config, index: CorpusIndex,
     pairs, stats = mine_for_problems(
         index, problems, max_phrases_per_pair=config.max_phrases_per_pair)
 
-    points: list[tuple[str, dict]] = []
-    for k in (k_grid or []):
-        points.append(("varying k", {"k": k}))
-    for t in (t_grid or []):
-        points.append(("varying t", {"t": t}))
+    points = [("varying k", replace(config, k=k)) for k in k_grid or []]
+    points += [("varying t", replace(config, t=t)) for t in t_grid or []]
     if include_no_svd:
-        points.append(("dropping SVD", {"svd": False}))
-    for transform in (transform_grid or []):
-        points.append((transform, {"transform": transform}))
-    if not points:
-        points.append(("baseline", {}))
+        points.append(("dropping SVD", replace(config, svd=False)))
+    points += [(transform, replace(config, transform=transform))
+               for transform in transform_grid or []]
 
     rows = []
-    for label, overrides in points:
-        t = overrides.get("t", config.t)
-        k = overrides.get("k", config.k)
-        svd = overrides.get("svd", config.svd)
-        transform = overrides.get("transform", config.transform)
-        space, diag = space_from_stats(pairs, stats, t=t, k=k, transform=transform, svd=svd)
-        accs = []
-        for problem in problems:
-            result = solve(problem, RelationalScorer(space), config.seed,
-                           m_max=config.m_max)
-            accs.append(accuracy(result.mapping, problem.intended_mapping()))
+    for label, point in points or [("baseline", config)]:
+        space, diag = space_from_stats(pairs, stats, point)
+        accs = [accuracy(solve_one(p, point, space, index).mapping, p.intended_mapping())
+                for p in problems]
         rows.append(SweepRow(
-            label=label,
-            k=k if svd else diag["n_r"],
-            t=t,
-            n_c=diag.get("n_c", 0),
-            accuracy=sum(accs) / len(accs) if accs else 0.0))
+            label=label, k=point.k if point.svd else diag["n_r"], t=point.t,
+            n_c=diag["n_c"], accuracy=sum(accs) / len(accs) if accs else 0.0))
     return SweepReport(rows=rows, metadata={
         "config": config.summary(), "corpus_digest": index.digest,
         "n_pairs": len(pairs)})

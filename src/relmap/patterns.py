@@ -76,7 +76,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import MAX_MID, MAX_POST, MAX_PRE, CorpusIndex, _find_windows
-from .errors import ConfigError, DataError, RelmapError
+from .errors import ConfigError, RelmapError
 from .problems import MappingProblem
 from .terms import TermPair
 
@@ -103,8 +103,6 @@ def build_pair_list(problems: Iterable[MappingProblem]) -> list[TermPair]:
     seen: dict[TermPair, None] = {}
     for problem in problems:
         for side in (problem.source, problem.target):
-            if len({t for t in side}) != len(side):
-                raise DataError(f"problem {problem.id}: duplicate terms in one side")
             for a in side:
                 for b in side:
                     if a != b:

@@ -22,7 +22,9 @@ The best never falls, so only rows within 1e-12 below it or higher can
 change the state; a block is filtered to those before the rule is
 replayed on them. One tied mapping is drawn with a seeded generator, so
 runs are reproducible; a "first" tie policy is also available for
-analyses where both search spaces must break ties identically.
+analyses where both search spaces must break ties identically. The
+result's score is the drawn mapping's own, which for a drawn near-tie
+is up to 1e-12 away from the running best.
 
 `solve` prunes that walk without changing its outcome. Both scores are
 sums over source pairs, so a head has a cheap upper bound: per pair,
@@ -533,7 +535,7 @@ def _solve(problem: MappingProblem, scorer, seed, tie_policy: str, m_max: int,
     return SolveResult(
         problem=problem,
         mapping=Mapping(problem_id=problem.id, perm=perm),
-        score=found.best,
+        score=float(score_fn(np.array([perm], dtype=np.intp))[0]),
         tie_count=found.tie_count,
         breakdown=score_fn.explain(problem, perm),
         diagnostics={"mode": scorer.mode, "seed": seed,
@@ -548,22 +550,16 @@ def solve(problem: MappingProblem, scorer, seed=0, *,
     return _solve(problem, scorer, seed, tie_policy, m_max)
 
 
-def solve_constrained(problem: MappingProblem, fixed: dict[str, str], scorer,
-                      mode: str = "total", seed=0, *,
+def solve_constrained(problem: MappingProblem, fixed: dict[str, str], scorer, seed=0, *,
                       tie_policy: str = "random",
                       m_max: int = DEFAULT_M_MAX) -> SolveResult:
-    """Solve a reduced problem, with or without the surrounding terms.
+    """Best mapping of the whole problem under a setwise subset constraint.
 
     `fixed` associates a subset of source terms with an equal-size
-    subset of target terms (by normalized text). In "internal" mode the
-    subsets are solved as a standalone problem; in "total" mode the
-    full problem is searched under the setwise constraint that the
-    subset maps onto its counterpart, and the returned result is the
-    restriction of the winner to the subset. Either way the result is a
-    mapping of the reduced problem, ready for accuracy scoring.
+    subset of target terms (by normalized text). Only mappings sending
+    the source subset onto the target subset, in any order, are
+    searched; the result is the whole problem's winner among them.
     """
-    if mode not in ("total", "internal"):
-        raise DataError(f"unknown coherence mode {mode!r}")
     src_index = {t.text: i for i, t in enumerate(problem.source)}
     tgt_index = {t.text: j for j, t in enumerate(problem.target)}
     try:
@@ -573,32 +569,4 @@ def solve_constrained(problem: MappingProblem, fixed: dict[str, str], scorer,
         raise DataError(f"constraint names unknown term {exc.args[0]!r}") from exc
     if len(set(fixed.values())) != len(fixed):
         raise DataError("constraint is not injective")
-
-    sub_intended = {}
-    if problem.intended and all(s in problem.intended for s in fixed):
-        restricted = {s: problem.intended[s] for s in fixed}
-        if set(restricted.values()) == set(fixed.values()):
-            sub_intended = restricted
-    reduced = MappingProblem(
-        id=f"{problem.id}#sub",
-        source=tuple(problem.source[i] for i in sub_src),
-        target=tuple(problem.target[j] for j in sub_tgt),
-        pos_tags=problem.pos_tags,
-        intended=sub_intended,
-        mnemonic=problem.mnemonic,
-    )
-
-    if mode == "internal":
-        result = solve(reduced, scorer, seed, tie_policy=tie_policy, m_max=m_max)
-        result.diagnostics["mode"] = f"{scorer.mode}-internal"
-        return result
-
-    result = _solve(problem, scorer, seed, tie_policy, m_max, sub_src, sub_tgt)
-    perm = result.mapping.perm
-    # restrict the full winner to the subset, re-indexed into the reduced problem
-    tgt_pos_in_reduced = {j: r for r, j in enumerate(sub_tgt)}
-    sub_perm = tuple(tgt_pos_in_reduced[perm[i]] for i in sub_src)
-    result.diagnostics.update(mode=f"{scorer.mode}-total", full_perm=list(perm))
-    result.problem, result.mapping = reduced, Mapping(problem_id=reduced.id, perm=sub_perm)
-    return result
-
+    return _solve(problem, scorer, seed, tie_policy, m_max, sub_src, sub_tgt)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -288,6 +289,22 @@ def test_sweep_transform_row(planted_dataset, planted_all):
                                index, transform_grid=["logentropy"])
     assert report.rows[0].label == "logentropy"
     assert report.rows[0].accuracy == 100.0
+
+
+def test_sweep_rows_equal_batch_runs(planted_star):
+    """Each sweep row is the eval of its own settings: the same accuracy and n_c."""
+    data, index = planted_star
+    dataset, base = Dataset(data.problems), Config(mode="relational", k=2)
+    report = sensitivity_sweep(dataset, base, index, k_grid=[1, 4, 40], t_grid=[1, 5],
+                               include_no_svd=True, transform_grid=["logentropy"])
+    points = [dict(k=1), dict(k=4), dict(k=40), dict(t=1), dict(t=5), dict(svd=False),
+              dict(transform="logentropy")]
+    assert len(report.rows) == len(points)
+    for row, overrides in zip(report.rows, points):
+        batch = run_batch(dataset, dataclasses.replace(base, **overrides), index)
+        assert row.accuracy == batch.average, overrides
+        assert row.n_c == batch.metadata["n_c"], overrides
+    assert len({row.accuracy for row in report.rows}) > 2
 
 
 def test_sweep_tsv_layout(planted_dataset, planted_all):

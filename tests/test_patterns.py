@@ -7,7 +7,7 @@ from oracles import (PhraseOccurrence, enumerate_pattern_strings, generate_patte
                      is_template_shaped, swap_pattern)
 from relmap.corpus import CorpusIndex
 from relmap.dataset import builtin_dataset
-from relmap.errors import ConfigError, DataError, RelmapError
+from relmap.errors import ConfigError, RelmapError
 from relmap.patterns import (build_frequency_matrix, build_pair_list,
                              mine_patterns, prune_rows, select_columns,
                              serialize_pattern)
@@ -131,18 +131,6 @@ def test_pair_list_dedups_across_problems():
     p2 = problem("p2", ["sun", "planet"], ["e", "f"])
     pairs = build_pair_list([p1, p2])
     assert len(pairs) == 6  # not 8: the two source sides coincide
-
-
-def test_pair_list_rejects_duplicate_terms():
-    bad = MappingProblem(id="bad",
-                         source=tuple(map(__import__("relmap").Term.parse,
-                                          ["a", "b"])),
-                         target=tuple(map(__import__("relmap").Term.parse,
-                                          ["c", "d"])))
-    object.__setattr__(bad, "source", bad.source + (bad.source[0],))
-    object.__setattr__(bad, "target", bad.target + (bad.target[0],))
-    with pytest.raises(DataError):
-        build_pair_list([bad])
 
 
 def test_pair_list_builtin_dataset_size():

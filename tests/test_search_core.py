@@ -80,6 +80,11 @@ def oracle_search(problem, perms, score_fn, seed, policy):
     return best, tied, total, pick_tied(tied, seed, problem.id, policy)
 
 
+def score_of(score_fn, perm):
+    """The block score of one mapping, the drawn mapping's own score."""
+    return float(score_fn(np.array([perm], dtype=np.intp))[0])
+
+
 CASES = dict(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 8),
              kind=st.sampled_from(FIELDS), policy=st.sampled_from(POLICIES))
 
@@ -99,9 +104,9 @@ def test_solve_equals_oracle(seed, m, kind, policy, relational):
         scorer = AttributionalScorer(provider)
         reference = attributional_scorer(problem, provider)
     result = solve(problem, scorer, seed=seed, tie_policy=policy)
-    best, tied, total, perm = oracle_search(
+    _, tied, total, perm = oracle_search(
         problem, itertools.permutations(range(m)), reference, seed, policy)
-    assert result.score.hex() == best.hex()
+    assert result.score.hex() == reference(perm).hex()
     assert result.tie_count == len(tied)
     assert result.mapping.perm == perm
     assert result.diagnostics["n_mappings"] == total
@@ -127,10 +132,10 @@ def test_hybrid_equals_oracle(seed, m, kind, policy, combine):
     else:
         combined = [r * a for r, a in zip(prob_r, prob_a)]
     by_perm = dict(zip(perms, combined))
-    best, tied, total, perm = oracle_search(problem, perms, by_perm.__getitem__,
+    _, tied, total, perm = oracle_search(problem, perms, by_perm.__getitem__,
                                             seed, policy)
     idx = perms.index(perm)
-    assert result.score.hex() == best.hex()
+    assert result.score.hex() == combined[idx].hex()
     assert result.tie_count == len(tied)
     assert result.mapping.perm == perm
     assert result.diagnostics["n_mappings"] == total
@@ -203,13 +208,12 @@ def test_constrained_total_equals_oracle(seed, m, kind, policy, relational):
         provider = attributional_field(problem, kind, rng)
         scorer = AttributionalScorer(provider)
         reference = attributional_scorer(problem, provider)
-    result = solve_constrained(problem, fixed, scorer, mode="total", seed=seed,
-                               tie_policy=policy)
-    best, tied, total, perm = oracle_search(
+    result = solve_constrained(problem, fixed, scorer, seed=seed, tie_policy=policy)
+    _, tied, total, perm = oracle_search(
         problem, constrained_perms(m, sub, sub_tgt), reference, seed, policy)
-    assert result.score.hex() == best.hex()
+    assert result.score.hex() == reference(perm).hex()
     assert result.tie_count == len(tied)
-    assert result.diagnostics["full_perm"] == list(perm)
+    assert result.mapping.perm == perm
     assert result.diagnostics["n_mappings"] == total == \
         math.factorial(size) * math.factorial(m - size)
     assert result.diagnostics["n_scored"] <= total
@@ -291,9 +295,9 @@ def test_pruned_solve_equals_oracle_at_m8(seed, kind, policy, relational):
     problem = make_problem(8)
     scorer, reference = planted_scorers(problem, kind, rng, relational)
     result = solve(problem, scorer, seed=seed, tie_policy=policy)
-    best, tied, total, perm = oracle_search(
+    _, tied, total, perm = oracle_search(
         problem, itertools.permutations(range(8)), reference, seed, policy)
-    assert result.score.hex() == best.hex()
+    assert result.score.hex() == reference(perm).hex()
     assert result.tie_count == len(tied)
     assert result.mapping.perm == perm
     assert result.diagnostics["n_mappings"] == total
@@ -437,9 +441,10 @@ def test_planted_m10_solve_equals_full_scan(planted_m10, order, policy):
     full = _argmax_blocks(score_fn, 10)
     pruned = _argmax_blocks(score_fn, 10, prune=True)
     assert rows_of(pruned) == rows_of(full)
-    assert result.score.hex() == pruned.best.hex() == full.best.hex()
+    assert pruned.best.hex() == full.best.hex()
     assert result.tie_count == full.tie_count
     assert result.mapping.perm == full.pick(2, problem.id, policy)
+    assert result.score.hex() == score_of(score_fn, result.mapping.perm).hex()
     assert result.diagnostics["n_mappings"] == full.n_scored == math.factorial(10)
     assert result.diagnostics["n_scored"] < math.factorial(10)
 
@@ -493,9 +498,10 @@ def test_pruned_hybrid_equals_unpruned_core_at_m9(seed, kind, policy, combine):
     result = solve(problem, HybridScorer(space, provider, combine), seed=seed,
                    tie_policy=policy)
     full = unpruned_hybrid(problem, space, provider, combine)
-    assert result.score.hex() == full.best.hex()
     assert result.tie_count == full.tie_count
     assert result.mapping.perm == full.pick(seed, problem.id, policy)
+    assert result.score.hex() == score_of(
+        HybridScorer(space, provider, combine).prepare(problem), result.mapping.perm).hex()
     assert result.diagnostics["n_mappings"] == full.n_scored == math.factorial(9)
     assert result.diagnostics["n_scored"] < full.n_scored
 
@@ -523,11 +529,12 @@ def test_pruned_total_equals_unpruned_core_at_m9(seed, kind, policy, mode, m_pri
     full = _argmax_blocks(score_fn, 9, sub_src, sub_tgt)
     pruned = _argmax_blocks(score_fn, 9, sub_src, sub_tgt, prune=True)
     result = solve_constrained(problem, {f"s{i}": f"t{image[i]}" for i in sub_src}, scorer,
-                               mode="total", seed=seed, tie_policy=policy)
-    assert result.score.hex() == pruned.best.hex() == full.best.hex()
+                               seed=seed, tie_policy=policy)
+    assert pruned.best.hex() == full.best.hex()
     assert rows_of(pruned) == rows_of(full)
     assert result.tie_count == full.tie_count
-    assert tuple(result.diagnostics["full_perm"]) == full.pick(seed, problem.id, policy)
+    assert result.mapping.perm == full.pick(seed, problem.id, policy)
+    assert result.score.hex() == score_of(score_fn, result.mapping.perm).hex()
     assert result.diagnostics["n_mappings"] == full.n_scored
     assert result.diagnostics["n_scored"] == pruned.n_scored
     if kind == "planted" and m_prime == 9:
@@ -543,11 +550,12 @@ def test_strong_signal_total_prunes(relational, sub_src):
     image = np.random.default_rng(10).permutation(10).tolist()  # planted_scorers' first draw
     scorer, _ = planted_scorers(problem, "planted", np.random.default_rng(10), relational)
     sub_tgt = sorted(image[i] for i in sub_src)
-    full = _argmax_blocks(scorer.prepare(problem), 10, sub_src, sub_tgt)
+    score_fn = scorer.prepare(problem)
+    full = _argmax_blocks(score_fn, 10, sub_src, sub_tgt)
     result = solve_constrained(problem, {f"s{i}": f"t{image[i]}" for i in sub_src}, scorer,
-                               mode="total", seed=0)
-    assert result.score.hex() == full.best.hex()
-    assert tuple(result.diagnostics["full_perm"]) == full.pick(0, problem.id, "random")
+                               seed=0)
+    assert result.mapping.perm == full.pick(0, problem.id, "random")
+    assert result.score.hex() == score_of(score_fn, result.mapping.perm).hex()
     assert result.diagnostics["n_mappings"] == full.n_scored
     assert result.diagnostics["n_scored"] < full.n_scored
 

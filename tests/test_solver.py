@@ -195,8 +195,7 @@ def test_unknown_tie_policy_is_refused():
     searches = (lambda: solve(problem, scorer, tie_policy="frist"),
                 lambda: solve_constrained(problem, {"s0": "t0", "s1": "t1"}, scorer,
                                           tie_policy="frist"),
-                lambda: solve_constrained(problem, {"s0": "t0", "s1": "t1"}, scorer,
-                                          mode="internal", tie_policy="frist"))
+                lambda: solve(problem.restricted([0, 1]), scorer, tie_policy="frist"))
     for search in searches:
         with pytest.raises(DataError, match="unknown tie policy 'frist'"):
             search()
@@ -334,8 +333,9 @@ def test_constrained_full_subset_equals_unconstrained():
     scorer = RelationalScorer(table)
     fixed = dict(problem.intended)
     full = solve(problem, scorer, seed=3)
-    for mode in ("total", "internal"):
-        constrained = solve_constrained(problem, fixed, scorer, mode=mode, seed=3)
+    total = solve_constrained(problem, fixed, scorer, seed=3)
+    internal = solve(problem.restricted(range(4)), scorer, seed=3)
+    for constrained in (total, internal):
         assert constrained.score == full.score
         assert constrained.diagnostics["n_mappings"] == math.factorial(4)
 
@@ -344,8 +344,8 @@ def test_constrained_search_space_sizes():
     problem = make_problem(5)
     scorer = RelationalScorer(SimTable({}))
     fixed = {f"s{i}": f"t{i}" for i in range(3)}
-    total = solve_constrained(problem, fixed, scorer, mode="total", seed=0)
-    internal = solve_constrained(problem, fixed, scorer, mode="internal", seed=0)
+    total = solve_constrained(problem, fixed, scorer, seed=0)
+    internal = solve(problem.restricted(range(3)), scorer, seed=0)
     # |P'| = m'! * (m - m')!
     assert total.diagnostics["n_mappings"] == math.factorial(3) * math.factorial(2)
     assert internal.diagnostics["n_mappings"] == math.factorial(3)
@@ -354,9 +354,11 @@ def test_constrained_search_space_sizes():
 def test_constrained_rejects_non_injective():
     problem = make_problem(3)
     scorer = RelationalScorer(SimTable({}))
-    for mode in ("total", "internal"):
-        with pytest.raises(DataError, match="constraint is not injective"):
-            solve_constrained(problem, {"s0": "t0", "s1": "t0"}, scorer, mode=mode)
+    with pytest.raises(DataError, match="constraint is not injective"):
+        solve_constrained(problem, {"s0": "t0", "s1": "t0"}, scorer)
+    # nor can an internal subproblem send two sources to one target
+    with pytest.raises(DataError, match="duplicate terms in target"):
+        MappingProblem.build(id="p#sub", source=["s0", "s1"], target=["t0", "t0"])
 
 
 def test_constrained_rejects_unknown_terms():
@@ -379,11 +381,10 @@ def test_attributional_total_equals_internal_with_first_policy(seed):
     size = int(rng.integers(2, m))
     subset = sorted(rng.choice(m, size=size, replace=False).tolist())
     fixed = {f"s{i}": f"t{i}" for i in subset}
-    total = solve_constrained(problem, fixed, scorer, mode="total",
-                              tie_policy="first")
-    internal = solve_constrained(problem, fixed, scorer, mode="internal",
-                                 tie_policy="first")
-    assert total.assignment() == internal.assignment()
+    total = solve_constrained(problem, fixed, scorer, tie_policy="first")
+    internal = solve(problem.restricted(subset), scorer, tie_policy="first")
+    assert {s: t for s, t in total.assignment().items() if s in fixed} == \
+        internal.assignment()
 
 
 def test_solve_result_serialization_deterministic():

@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from oracles import (dense_cosines, dense_svd, log_entropy_cell, ppmi_cell, scalar_sim_r,
                      sparse_svd, truncated_svd_full)
+from relmap.config import Config
 from relmap.corpus import ingest
 from relmap.errors import BudgetError, ConfigError, TransformError
 from relmap.evaluation import mine_for_problems, space_from_stats
@@ -602,6 +603,6 @@ def test_empty_space_from_empty_corpus():
     index = ingest([])
     prob = MappingProblem.build(id="e", source=["a", "b"], target=["c", "d"])
     pairs, stats = mine_for_problems(index, [prob])
-    space, diag = space_from_stats(pairs, stats, t=20, k=300)
+    space, diag = space_from_stats(pairs, stats, Config(t=20, k=300))
     assert diag["n_r"] == 0
     assert space.sim_r(TermPair.parse("a", "b"), TermPair.parse("c", "d")) == 0.0
