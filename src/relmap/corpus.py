@@ -321,8 +321,7 @@ class CorpusIndex:
         self.doc_offsets.flags.writeable = False
 
     @classmethod
-    def from_token_lists(cls, documents: Iterable[list[str]],
-                         digest: str = "") -> "CorpusIndex":
+    def from_token_lists(cls, documents: Iterable[list[str]]) -> "CorpusIndex":
         """Index tokenized documents, in the given order.
 
         `documents` is consumed one document at a time, and only that
@@ -370,7 +369,7 @@ class CorpusIndex:
         np.cumsum([part.size for part in parts[1:]], dtype=np.int64, out=offsets[1:])
         ids = np.concatenate(parts)
         del parts
-        return cls(ids=rank[ids], doc_offsets=offsets, vocab=vocab, digest=digest)
+        return cls(ids=rank[ids], doc_offsets=offsets, vocab=vocab)
 
     @property
     def total_tokens(self) -> int:

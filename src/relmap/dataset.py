@@ -234,32 +234,32 @@ class Dataset:
         raise DataError(f"no problem with id {pid!r}")
 
     def mean_agreement(self, problem: MappingProblem) -> float:
-        values = [problem.agreement[t.text] for t in problem.source]
-        return sum(values) / len(values)
+        return mean([problem.agreement[t.text] for t in problem.source])
 
     def human_average(self) -> float:
         """Unweighted mean over problems of the per-problem mean agreement."""
         per = [self.mean_agreement(p) for p in self.problems if p.agreement]
         if not per:
             raise DataError("dataset carries no agreement annotations")
-        return sum(per) / len(per)
+        return mean(per)
+
+
+def mean(values: list[float]) -> float:
+    """The values added left to right from 0.0, divided by their number.
+
+    From Python 3.12 the builtin `sum()` of floats is compensated; this
+    loop gives the bits of 3.10 and 3.11 on every version, so no report
+    depends on the Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def builtin_dataset() -> Dataset:
-    problems = [_build_problem(pid, mnemonic, rows)
-                for pid, (mnemonic, rows) in _ROWS.items()]
-    _validate_builtin(problems)
-    return Dataset(problems)
-
-
-def _validate_builtin(problems: list[MappingProblem]) -> None:
-    if len(problems) != 20:
-        raise DataError(f"builtin dataset must have 20 problems, got {len(problems)}")
-    science = sum(1 for p in problems if p.id.startswith("A"))
-    if science != 10 or len(problems) - science != 10:
-        raise DataError("builtin dataset must split 10 science / 10 metaphor")
-    for p in problems:
-        _check_pos_consistency(p)
+    return Dataset([_build_problem(pid, mnemonic, rows)
+                    for pid, (mnemonic, rows) in _ROWS.items()])
 
 
 def _check_pos_consistency(problem: MappingProblem) -> None:
@@ -280,15 +280,13 @@ def load_problems(path: str | Path | None = None) -> Dataset:
     malformed entry raises DataError naming the file and the problem, and
     so does an id that two problems share.
     """
-    if path is None or path == "builtin":
+    if path is None:
         return builtin_dataset()
     p = Path(path)
     try:
         payload = json.loads(p.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load problem file {p}: {exc}") from exc
-    if isinstance(payload, dict) and "problems" in payload:
-        payload = payload["problems"]
     if isinstance(payload, dict):
         payload = [payload]
     if not isinstance(payload, list):

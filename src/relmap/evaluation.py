@@ -23,7 +23,7 @@ from .attributes import (CombinedSimilarity, PmiIrSimilarity, PosSimilarity,
                          load_external_similarity)
 from .config import TRANSFORMS, Config, provider_parts
 from .corpus import CorpusIndex
-from .dataset import Dataset
+from .dataset import Dataset, mean
 from .errors import ConfigError, DataError
 from .problems import Mapping, MappingProblem
 from .solver import (AttributionalScorer, HybridScorer, RelationalScorer,
@@ -76,32 +76,33 @@ def space_from_stats(pairs: list, stats: pt.PatternStats, config: Config
 
 def build_space_for_problems(index: Optional[CorpusIndex], problems: list[MappingProblem],
                              config: Config) -> tuple[Optional[sp.RelationSpace], dict]:
-    """The relation space `config.mode` solves with: none in attributional mode."""
+    """The relation space `config.mode` solves with: none in attributional mode.
+
+    The diagnostics carry the digest of the corpus whenever one is given.
+    """
     if config.mode == "attributional":
-        return None, {}
+        return None, {} if index is None else {"corpus_digest": index.digest}
     if index is None:
         raise ConfigError(f"mode {config.mode!r} needs an indexed corpus")
     pairs, stats = mine_for_problems(
         index, problems, max_phrases_per_pair=config.max_phrases_per_pair)
-    return space_from_stats(pairs, stats, config)
+    space, diag = space_from_stats(pairs, stats, config)
+    return space, dict(diag, corpus_digest=index.digest)
 
 
 # --- providers --------------------------------------------------------------
 
 def make_provider(spec: str, problem: MappingProblem,
-                  index: Optional[CorpusIndex], config: Config,
-                  pos_tags: Optional[dict[str, str]] = None):
+                  index: Optional[CorpusIndex], config: Config):
     """Build the attributional provider named by a spec like "pmi-ir+pos".
 
     The POS component uses the problem's own tags (tags are scoped to a
-    problem: the same word can be tagged differently in two problems)
-    unless an explicit table is supplied.
+    problem: the same word can be tagged differently in two problems).
     """
     base: list = []
     for name, path in provider_parts(spec):
         if name == "pos":
-            base.append(PosSimilarity(pos_tags if pos_tags is not None
-                                      else problem.pos_tags))
+            base.append(PosSimilarity(problem.pos_tags))
         elif name == "pmi-ir":
             if index is None:
                 raise ConfigError("provider pmi-ir needs a corpus index")
@@ -138,8 +139,7 @@ class Report:
         metaphor = [r.accuracy for r in self.rows if r.problem_id.startswith("M")]
         if not science or not metaphor:
             return None
-        return {"science": sum(science) / len(science),
-                "metaphor": sum(metaphor) / len(metaphor)}
+        return {"science": mean(science), "metaphor": mean(metaphor)}
 
     def to_tsv(self) -> str:
         lines = ["mapping\tsource_target\tm\taccuracy\tagreement"]
@@ -148,7 +148,7 @@ class Report:
             lines.append(f"{r.problem_id}\t{r.mnemonic}\t{r.m}"
                          f"\t{r.accuracy:.1f}\t{agreement}")
         mean_agreement = [r.agreement for r in self.rows if r.agreement is not None]
-        avg_agr = (f"{sum(mean_agreement) / len(mean_agreement):.1f}"
+        avg_agr = (f"{mean(mean_agreement):.1f}"
                    if len(mean_agreement) == len(self.rows) and self.rows else "")
         lines.append(f"Average\t\t\t{self.average:.1f}\t{avg_agr}")
         return "\n".join(lines) + "\n"
@@ -190,8 +190,6 @@ def solve_batch(dataset: Dataset, config: Config,
     problems = list(dataset)
     space, diag = build_space_for_problems(index, problems, config)
     diag.update(mode=config.mode, seed=config.seed)
-    if space is not None:
-        diag["corpus_digest"] = index.digest
     results = [solve_one(p, config, space, index) for p in problems]
     diag["tie_counts"] = {r.problem.id: r.tie_count for r in results}
     return results, diag
@@ -209,7 +207,7 @@ def run_batch(dataset: Dataset, config: Config,
         rows.append(ReportRow(problem_id=problem.id, mnemonic=problem.mnemonic,
                               m=problem.m, accuracy=acc,
                               tie_count=result.tie_count, agreement=agreement))
-    average = sum(r.accuracy for r in rows) / len(rows) if rows else 0.0
+    average = mean([r.accuracy for r in rows]) if rows else 0.0
     diag["config"] = config.summary()
     return Report(rows=rows, average=average, metadata=diag)
 
@@ -321,16 +319,16 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
             total_scores.append(100.0 * hits / m_prime)
         rows.append(CoherenceRow(
             problem_id=problem.id, trials=trials,
-            internal_accuracy=sum(internal_scores) / len(internal_scores),
-            total_accuracy=sum(total_scores) / len(total_scores)))
+            internal_accuracy=mean(internal_scores),
+            total_accuracy=mean(total_scores)))
     if not rows:
         raise DataError("coherence experiment: every problem was skipped")
     diag["config"] = config.summary()
     diag["subproblems"] = sum(r.trials for r in rows)
     return CoherenceReport(
         rows=rows,
-        internal_average=sum(r.internal_accuracy for r in rows) / len(rows),
-        total_average=sum(r.total_accuracy for r in rows) / len(rows),
+        internal_average=mean([r.internal_accuracy for r in rows]),
+        total_average=mean([r.total_accuracy for r in rows]),
         metadata=diag)
 
 
@@ -390,7 +388,7 @@ def sensitivity_sweep(dataset: Dataset, config: Config, index: CorpusIndex,
                 for p in problems]
         rows.append(SweepRow(
             label=label, k=point.k if point.svd else diag["n_r"], t=point.t,
-            n_c=diag["n_c"], accuracy=sum(accs) / len(accs) if accs else 0.0))
+            n_c=diag["n_c"], accuracy=mean(accs) if accs else 0.0))
     return SweepReport(rows=rows, metadata={
         "config": config.summary(), "corpus_digest": index.digest,
         "n_pairs": len(pairs)})

@@ -23,6 +23,8 @@ from pathlib import Path
 from .problems import MappingProblem
 
 _SENTENCE_GAP = 4  # filler tokens between sentences; > max window gap
+_FILES = 40  # corpus files the tokens are split across
+_POS_CYCLE = ("NN", "VB", "JJ", "NNS", "VBG")  # the tags a domain's terms take in turn
 
 
 @dataclass
@@ -32,9 +34,7 @@ class PlantedConfig:
     pair_mode: str = "all"            # "all" or "star"
     occurrences: tuple[int, int] = (30, 60)
     target_tokens: int = 100_000
-    files: int = 40
     seed: int = 0
-    pos_cycle: tuple[str, ...] = ("NN", "VB", "JJ", "NNS", "VBG")
 
 
 @dataclass
@@ -94,7 +94,7 @@ def generate_planted_corpus(out_dir: str | Path,
         target = [make_word() for _ in range(cfg.m)]
         pos = {}
         for i in range(cfg.m):
-            tag = cfg.pos_cycle[i % len(cfg.pos_cycle)]
+            tag = _POS_CYCLE[i % len(_POS_CYCLE)]
             pos[source[i]] = tag
             pos[target[i]] = tag
         pid = f"P{p + 1}"
@@ -117,8 +117,8 @@ def generate_planted_corpus(out_dir: str | Path,
     while len(tokens) < cfg.target_tokens:
         tokens.append(filler())
 
-    per_file = max(1, len(tokens) // cfg.files + 1)
-    width = len(str(cfg.files))
+    per_file = max(1, len(tokens) // _FILES + 1)
+    width = len(str(_FILES))
     for idx in range(0, len(tokens), per_file):
         chunk = tokens[idx:idx + per_file]
         name = out / f"planted_{idx // per_file:0{width}d}.txt"

@@ -76,7 +76,6 @@ import functools
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -523,7 +522,6 @@ def _argmax_blocks(score_fn, m: int, sub_src: Sequence[int] = (),
 def _solve(problem: MappingProblem, scorer, seed, tie_policy: str, m_max: int,
            sub_src: Sequence[int] = (), sub_tgt: Sequence[int] = ()) -> SolveResult:
     """The step every solve shares: budget check, prepare, argmax and the tie pick."""
-    started = time.perf_counter()
     if tie_policy not in TIE_POLICIES:
         raise DataError(f"unknown tie policy {tie_policy!r}; expected one of {TIE_POLICIES}")
     if problem.m > m_max:
@@ -539,8 +537,7 @@ def _solve(problem: MappingProblem, scorer, seed, tie_policy: str, m_max: int,
         tie_count=found.tie_count,
         breakdown=score_fn.explain(problem, perm),
         diagnostics={"mode": scorer.mode, "seed": seed,
-                     "n_mappings": found.n_mappings, "n_scored": found.n_scored,
-                     "elapsed": time.perf_counter() - started},
+                     "n_mappings": found.n_mappings, "n_scored": found.n_scored},
     )
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from relmap import space
 from relmap.cli import main
-from relmap.config import MODES
-from relmap.dataset import Dataset, dump_problems
+from relmap.config import MODES, Config
+from relmap.dataset import Dataset, dump_problems, load_problems
+from relmap.evaluation import solve_batch
 
 
 @pytest.fixture()
@@ -124,6 +125,31 @@ def test_solve_budget_refusal_is_per_problem(tmp_path, capsys):
     text = out.read_text()
     assert "refused" in text and "big" in text
     assert "a\t->\t" in text  # the small problem was still solved
+
+
+def test_solve_external_table_plus_pos(tmp_path):
+    problems = tmp_path / "problems.json"
+    problems.write_text(json.dumps({
+        "id": "P", "source": ["sun", "planet", "orbits"],
+        "target": ["nucleus", "electron", "circles"],
+        "pos": {"sun": "NN", "planet": "NN", "orbits": "VBZ",
+                "nucleus": "NN", "electron": "NN", "circles": "VBZ"}}), encoding="utf-8")
+    table = tmp_path / "table.tsv"
+    # alone, the table would send sun to circles (5.0 + 1.5 against 2.0 + 1.5)
+    table.write_text("sun\tnucleus\t2.0\nplanet\telectron\t1.5\nsun\tcircles\t5.0\n",
+                     encoding="utf-8")
+    provider = f"external:{table}+pos"
+    out = tmp_path / "out.txt"
+    assert main(["solve", str(problems), "--mode", "attributional",
+                 "--provider", provider, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[:3] == [
+        "sun\t->\tnucleus", "planet\t->\telectron", "orbits\t->\tcircles"]
+    [result], _ = solve_batch(load_problems(problems),
+                              Config(mode="attributional", provider=provider))
+    # each term is the table's value plus the POS tag match (10.0)
+    assert result.breakdown == [("sun -> nucleus", 2.0 + 10.0),
+                                ("planet -> electron", 1.5 + 10.0),
+                                ("orbits -> circles", 0.0 + 10.0)]
 
 
 def test_eval_builtin_pos_report(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 import random
@@ -610,7 +611,7 @@ def test_digest_tracks_content(tmp_path):
 @given(small_docs, run, run)
 @settings(max_examples=60, deadline=None)
 def test_saved_index_gives_identical_windows(documents, x, y):
-    index = CorpusIndex.from_token_lists(documents, digest="d" * 64)
+    index = dataclasses.replace(CorpusIndex.from_token_lists(documents), digest="d" * 64)
     with tempfile.TemporaryDirectory() as cache:
         loaded = load_index(save_index(index, cache))
     assert list(loaded.vocab) == list(index.vocab)

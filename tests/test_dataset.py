@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from relmap.dataset import builtin_dataset, dump_problems, load_problems
+from relmap.dataset import builtin_dataset, dump_problems, load_problems, mean
 from relmap.errors import DataError
 from relmap.patterns import build_pair_list
 
@@ -40,6 +40,12 @@ def test_per_problem_agreement_averages():
 
 def test_overall_human_average():
     assert builtin_dataset().human_average() == pytest.approx(87.6, abs=0.1)
+
+
+def test_mean_adds_left_to_right_on_every_python_version():
+    # From Python 3.12, whose sum() of floats is compensated,
+    # sum([0.1] * 10) / 10 is 0.1; the reports keep the plain sum's bits.
+    assert mean([0.1] * 10) == 0.09999999999999999
 
 
 def test_solar_system_problem_content():
@@ -182,10 +188,14 @@ GOOD = {"id": "P", "source": ["a", "b"], "target": ["c", "d"]}
     ({"source": ["a", "b"], "target": ["c", "d"]}, "missing field 'id'"),
     ([GOOD, dict(GOOD, source=["x", "y"])], "two problems have the id 'P'"),
     ([dict(GOOD, id=1), dict(GOOD, id="1")], "two problems have the id '1'"),
+    (dict(GOOD, pos={"a": "NN", "b": "NN", "c": "VB", "d": "NN"},
+          intended={"a": "c", "b": "d"}), "problem P: intended pair a->c mixes POS tags"),
+    ({"problems": [GOOD]}, "missing field 'id'"),
 ], ids=["entry-not-object", "term-not-string", "terms-a-string", "terms-null",
         "intended-list", "intended-numbers", "pos-list", "agreement-strings",
         "agreement-partial", "intended-not-bijective", "term-empty",
-        "term-too-long", "no-id", "duplicate-id", "duplicate-id-as-string"])
+        "term-too-long", "no-id", "duplicate-id", "duplicate-id-as-string",
+        "intended-pos-mixed", "problems-envelope"])
 def test_load_refuses_malformed_entry_naming_file(tmp_path, payload, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(payload), encoding="utf-8")

@@ -12,7 +12,9 @@ which moved them in the last digits with the same mappings and ties.
 All three solve fixtures' scores were written again when the Gram
 matrix came to be decomposed one connected component at a time, which
 moved them in the last digits (below 1e-14) with the same mappings and
-ties; the eval, coherence and sweep fixtures kept their bytes.
+ties; the eval, coherence and sweep fixtures kept their bytes. The
+coherence sidecar was written again when it came to record the corpus
+digest, as the eval and sweep sidecars do; it gained that key alone.
 Regenerate them only for a change that means to alter an output:
 
     PYTHONPATH=src python tests/test_golden.py
