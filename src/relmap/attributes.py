@@ -88,14 +88,15 @@ class TableSimilarity:
 def load_external_similarity(path: str | Path) -> TableSimilarity:
     """Provider from a UTF-8 file of `term_a<TAB>term_b<TAB>score` lines.
 
-    Both orders are stored. A repeated pair keeps the last value and is
-    warned about; a malformed line, a term that does not normalize, or a
-    score that is NaN or infinite, is a load error naming its number.
+    A leading byte-order mark is skipped, and both orders are stored. A
+    repeated pair keeps the last value and is warned about; a malformed
+    line, a term that does not normalize, or a score that is NaN or
+    infinite, is a load error naming its number.
     """
     p = Path(path)
     entries: dict[tuple[str, str], float] = {}
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read similarity table {p}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):

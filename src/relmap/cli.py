@@ -56,10 +56,6 @@ def _parse_grid(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
-def _not_in_sweep(value: str):
-    raise argparse.ArgumentTypeError("a sweep is relational and varies the relation space")
-
-
 def _add_common(p: _Parser, *, solve_flags: bool = True):
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--corpus", help="directory of .txt corpus files")
@@ -74,9 +70,6 @@ def _add_common(p: _Parser, *, solve_flags: bool = True):
         p.add_argument("--transform", choices=TRANSFORMS)
         p.add_argument("--no-svd", action="store_true",
                        help="skip the SVD smoothing step")
-    else:  # refused with a reason, where an unknown flag would get none
-        for flag in ("--mode", "--provider", "--pmi-window"):
-            p.add_argument(flag, type=_not_in_sweep, help=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, help=f"random seed (default {Config.seed})")
     p.add_argument("--m-max", type=int, dest="m_max",
                    help=f"largest problem size to enumerate (default {Config.m_max})")
@@ -123,28 +116,27 @@ def build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="accuracy across parameter settings")
     _add_problem_source(p_sweep)
     _add_common(p_sweep, solve_flags=False)
-    p_sweep.add_argument("--k", help="k values to sweep, N or start:stop:step")
-    p_sweep.add_argument("--t", help="t values to sweep, N or start:stop:step")
-    p_sweep.add_argument("--no-svd", action="store_true",
+    p_sweep.add_argument("--k", type=_parse_grid, dest="k_grid",
+                         help="k values to sweep, N or start:stop:step")
+    p_sweep.add_argument("--t", type=_parse_grid, dest="t_grid",
+                         help="t values to sweep, N or start:stop:step")
+    p_sweep.add_argument("--no-svd", action="store_true", dest="no_svd_row",
                          help="add a row with the SVD step dropped")
-    p_sweep.add_argument("--transform", choices=TRANSFORMS,
+    p_sweep.add_argument("--transform", choices=TRANSFORMS, dest="transform_row",
                          help="add a row using this transform")
     p_sweep.add_argument("--report", help="TSV output path (sidecar: PATH.json)")
     return parser
 
 
-def _config_from_args(args, *, solve_flags: bool = True) -> Config:
+def _config_from_args(args) -> Config:
     cfg = Config()
     if getattr(args, "config", None):
         cfg = load_config_file(args.config, cfg)
-    keys = ["mode", "provider", "seed", "pmi_window", "m_max"]
-    if solve_flags:
-        keys += ["k", "t", "transform"]
-    for key in keys:
+    for key in ("mode", "provider", "seed", "pmi_window", "m_max", "k", "t", "transform"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if solve_flags and getattr(args, "no_svd", False):
+    if getattr(args, "no_svd", False):
         cfg.svd = False
     if getattr(args, "corpus", None):
         cfg.corpus_dir = args.corpus
@@ -243,23 +235,20 @@ def cmd_coherence(args) -> int:
     cfg = _config_from_args(args)
     dataset = _load_dataset(args)
     index = _index_for(cfg)
-    report = coherence_experiment(dataset, args.m_prime, args.trials,
-                                  cfg.seed, cfg, index,
+    report = coherence_experiment(dataset, args.m_prime, args.trials, cfg, index,
                                   tie_policy=args.tie_policy)
     _write_report(report, args.report)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from_args(args, solve_flags=False)
+    cfg = _config_from_args(args)
     dataset = _load_dataset(args)
     index = _index_for(cfg)
     report = sensitivity_sweep(
-        dataset, cfg, index,
-        k_grid=_parse_grid(args.k) if args.k else None,
-        t_grid=_parse_grid(args.t) if args.t else None,
-        include_no_svd=args.no_svd,
-        transform_grid=[args.transform] if args.transform else None)
+        dataset, cfg, index, k_grid=args.k_grid, t_grid=args.t_grid,
+        include_no_svd=args.no_svd_row,
+        transform_grid=[args.transform_row] if args.transform_row else None)
     _write_report(report, args.report)
     return EXIT_OK
 

@@ -73,12 +73,13 @@ class Config:
     def summary(self) -> dict:
         """Config echo for report sidecars (strings and numbers only).
 
-        `cache_dir` is left out: a cache hit serves the index a miss
-        would build, so equal runs with and without it echo the same.
+        `cache_dir` and `corpus_dir` are left out: a cache hit serves the
+        index a miss would build, and the sidecar names the corpus by its
+        digest, so equal runs echo the same wherever the files lie.
         """
         out = {}
         for f in fields(self):
-            if f.name == "cache_dir":
+            if f.name in ("cache_dir", "corpus_dir"):
                 continue
             value = getattr(self, f.name)
             out[f.name] = value if value is None or isinstance(
@@ -117,7 +118,7 @@ def load_config_file(path: str | Path, base: Optional[Config] = None) -> Config:
     cfg = base or Config()
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     known = {f.name: f for f in fields(Config)}

@@ -94,9 +94,10 @@ MAX_PRE = 1
 MAX_MID = 3
 MAX_POST = 1
 
-# The format tag also stands for the one tokenizer, which the cache key and
-# metadata do not otherwise name: any change to `terms.tokenize` must bump it.
-_CACHE_FORMAT = "relmap-corpus-index-v3"
+# The format tag also stands for the one tokenizer and for how a file is
+# decoded, which the cache key and metadata do not otherwise name: any change
+# to `terms.tokenize` or `_read_text` must bump it.
+_CACHE_FORMAT = "relmap-corpus-index-v4"
 # Words decoded at once when a loaded vocabulary is checked.
 _CHECK_WORDS = 1 << 14
 # Words that ingest's first-seen dict holds before it is flushed.
@@ -430,9 +431,10 @@ def ingest(paths: list[str | Path]) -> CorpusIndex:
     The files are streamed: each is read, hashed, tokenized and mapped
     to ids before the next is read, so memory holds one batch's dict,
     the distinct words' bytes, 4 bytes per token and one file's tokens
-    (see `CorpusIndex.from_token_lists`). Files must be UTF-8 text;
-    an unreadable or mis-encoded file raises CorpusError naming the
-    path. An empty path list yields a valid empty index.
+    (see `CorpusIndex.from_token_lists`). Files must be UTF-8 text,
+    whose leading byte-order mark is skipped; an unreadable or
+    mis-encoded file raises CorpusError naming the path. An empty path
+    list yields a valid empty index.
     """
     hasher = hashlib.sha256()
     index = CorpusIndex.from_token_lists(
@@ -441,10 +443,11 @@ def ingest(paths: list[str | Path]) -> CorpusIndex:
 
 
 def _read_text(path: Path, hasher) -> str:
-    """The file's UTF-8 text; the SHA-256 of its bytes goes into `hasher`."""
+    """The file's UTF-8 text, less a leading byte-order mark; the SHA-256 of
+    its bytes goes into `hasher`."""
     try:
         raw = path.read_bytes()
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot ingest {path}: {exc}") from exc
     hasher.update(hashlib.sha256(raw).digest())

@@ -284,7 +284,7 @@ def load_problems(path: str | Path | None = None) -> Dataset:
         return builtin_dataset()
     p = Path(path)
     try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
+        payload = json.loads(p.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load problem file {p}: {exc}") from exc
     if isinstance(payload, dict):

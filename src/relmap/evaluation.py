@@ -21,7 +21,7 @@ from . import patterns as pt
 from . import space as sp
 from .attributes import (CombinedSimilarity, PmiIrSimilarity, PosSimilarity,
                          load_external_similarity)
-from .config import TRANSFORMS, Config, provider_parts
+from .config import Config, provider_parts
 from .corpus import CorpusIndex
 from .dataset import Dataset, mean
 from .errors import ConfigError, DataError
@@ -47,16 +47,17 @@ def accuracy(predicted: Mapping, intended: Mapping) -> float:
 # --- relational pipeline ----------------------------------------------------
 
 def mine_for_problems(index: CorpusIndex, problems: list[MappingProblem],
-                      max_phrases_per_pair: Optional[int] = None
-                      ) -> tuple[list, pt.PatternStats]:
+                      config: Config) -> tuple[list, pt.PatternStats]:
     pairs = pt.build_pair_list(problems)
-    stats = pt.mine_patterns(index, pairs, max_phrases_per_pair=max_phrases_per_pair)
+    stats = pt.mine_patterns(index, pairs,
+                             max_phrases_per_pair=config.max_phrases_per_pair)
     return pairs, stats
 
 
 def space_from_stats(pairs: list, stats: pt.PatternStats, config: Config
                      ) -> tuple[sp.RelationSpace, dict]:
     """Prune, select columns, weight, smooth; also returns stage diagnostics."""
+    config.validate()
     rows = pt.prune_rows(pairs, stats.phrase_counts)
     diag = {"n_pairs": len(pairs), "n_r": len(rows)}
     if not rows:
@@ -66,8 +67,6 @@ def space_from_stats(pairs: list, stats: pt.PatternStats, config: Config
     F = pt.build_frequency_matrix(rows, cols, stats)
     diag["n_c"] = len(cols)
     diag["f_density"] = F.nnz / (F.shape[0] * F.shape[1]) if F.shape[1] else 0.0
-    if config.transform not in TRANSFORMS:
-        raise ConfigError(f"unknown transform {config.transform!r}; expected one of {TRANSFORMS}")
     X = (sp.transform_ppmic(F) if config.transform == "ppmic"
          else sp.transform_log_entropy(F)[0])
     diag["x_density"] = X.nnz / (X.shape[0] * X.shape[1]) if X.shape[1] else 0.0
@@ -84,23 +83,22 @@ def build_space_for_problems(index: Optional[CorpusIndex], problems: list[Mappin
         return None, {} if index is None else {"corpus_digest": index.digest}
     if index is None:
         raise ConfigError(f"mode {config.mode!r} needs an indexed corpus")
-    pairs, stats = mine_for_problems(
-        index, problems, max_phrases_per_pair=config.max_phrases_per_pair)
+    pairs, stats = mine_for_problems(index, problems, config)
     space, diag = space_from_stats(pairs, stats, config)
     return space, dict(diag, corpus_digest=index.digest)
 
 
 # --- providers --------------------------------------------------------------
 
-def make_provider(spec: str, problem: MappingProblem,
-                  index: Optional[CorpusIndex], config: Config):
-    """Build the attributional provider named by a spec like "pmi-ir+pos".
+def make_provider(problem: MappingProblem, index: Optional[CorpusIndex],
+                  config: Config):
+    """Build the attributional provider that `config.provider` names, like "pmi-ir+pos".
 
     The POS component uses the problem's own tags (tags are scoped to a
     problem: the same word can be tagged differently in two problems).
     """
     base: list = []
-    for name, path in provider_parts(spec):
+    for name, path in provider_parts(config.provider):
         if name == "pos":
             base.append(PosSimilarity(problem.pos_tags))
         elif name == "pmi-ir":
@@ -169,7 +167,7 @@ def make_scorer(config: Config, problem: MappingProblem,
     """The scorer of `config.mode` for one problem, whose POS tags its provider reads."""
     if config.mode == "relational":
         return RelationalScorer(space)
-    provider = make_provider(config.provider, problem, index, config)
+    provider = make_provider(problem, index, config)
     if config.mode == "attributional":
         return AttributionalScorer(provider)
     return HybridScorer(space, provider, "add" if config.mode == "hybrid-add" else "multiply")
@@ -269,8 +267,7 @@ class _PreparedOnce:
 
 
 def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int,
-                         seed: int, config: Config,
-                         index: Optional[CorpusIndex] = None,
+                         config: Config, index: Optional[CorpusIndex] = None,
                          tie_policy: str = "random") -> CoherenceReport:
     """Compare solving random subproblems in isolation vs inside the whole.
 
@@ -282,6 +279,7 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
     scored by the subset's hits in its winner. Accuracy is measured on
     the subproblem either way. m_prime == m degenerates to a single
     full-size trial; larger m_prime skips the problem with a warning.
+    The subset draws and every trial's solve are seeded by `config.seed`.
     """
     if m_prime < 2:
         raise ConfigError(f"m_prime must be >= 2, got {m_prime}")
@@ -295,14 +293,14 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
     if len(problems) != len(dataset):
         raise DataError("coherence experiment needs intended mappings")
     space, diag = build_space_for_problems(index, problems, config)
-    diag.update(mode=config.mode, seed=seed, m_prime=m_prime, tie_policy=tie_policy)
+    diag.update(mode=config.mode, seed=config.seed, m_prime=m_prime, tie_policy=tie_policy)
     rows = []
     for problem in problems:
         if m_prime > problem.m:
             logger.warning("skipping %s: m_prime=%d exceeds m=%d",
                            problem.id, m_prime, problem.m)
             continue
-        rng = random.Random(f"{seed}:{problem.id}")
+        rng = random.Random(f"{config.seed}:{problem.id}")
         trials = 1 if m_prime == problem.m else trials_per_problem
         internal_scores, total_scores = [], []
         scorer = _PreparedOnce(make_scorer(config, problem, space, index), problem)
@@ -310,10 +308,10 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
         for trial in range(trials):
             indices = rng.sample(range(problem.m), m_prime)
             sub = problem.restricted(indices)
-            internal = solve(sub, scorer, f"{seed}:{trial}", tie_policy=tie_policy,
+            internal = solve(sub, scorer, f"{config.seed}:{trial}", tie_policy=tie_policy,
                              m_max=config.m_max)
             internal_scores.append(accuracy(internal.mapping, sub.intended_mapping()))
-            total = solve_constrained(problem, sub.intended, scorer, f"{seed}:{trial}",
+            total = solve_constrained(problem, sub.intended, scorer, f"{config.seed}:{trial}",
                                       tie_policy=tie_policy, m_max=config.m_max)
             hits = sum(total.mapping.perm[i] == gold[i] for i in indices)
             total_scores.append(100.0 * hits / m_prime)
@@ -371,8 +369,7 @@ def sensitivity_sweep(dataset: Dataset, config: Config, index: CorpusIndex,
     if config.mode != "relational":
         raise ConfigError(f"a sweep is relational; it cannot run mode {config.mode!r}")
     problems = list(dataset)
-    pairs, stats = mine_for_problems(
-        index, problems, max_phrases_per_pair=config.max_phrases_per_pair)
+    pairs, stats = mine_for_problems(index, problems, config)
 
     points = [("varying k", replace(config, k=k)) for k in k_grid or []]
     points += [("varying t", replace(config, t=t)) for t in t_grid or []]

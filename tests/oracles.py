@@ -104,7 +104,7 @@ def batch_ingest(paths):
     for path in paths:
         raw = Path(path).read_bytes()
         hasher.update(hashlib.sha256(raw).digest())
-        documents.append(tokenize_words(raw.decode("utf-8")))
+        documents.append(tokenize_words(raw.decode("utf-8-sig")))
     return (*batch_index(documents), hasher.hexdigest())
 
 

@@ -191,8 +191,8 @@ def test_coherence_direction(planted_star):
     """Total coherence >= internal on planted 7-term problems, m'=3."""
     data, index = planted_star
     rel = coherence_experiment(Dataset(data.problems), m_prime=3,
-                               trials_per_problem=10, seed=9,
-                               config=Config(mode="relational"), index=index)
+                               trials_per_problem=10,
+                               config=Config(mode="relational", seed=9), index=index)
     assert rel.total_average >= rel.internal_average
     assert sum(r.trials for r in rel.rows) == 10 * len(data.problems)
     # attributional solving cannot benefit: with a deterministic

@@ -117,6 +117,12 @@ def test_external_symmetric_lookup(tmp_path):
     assert provider.sim(T("sun"), T("sun")) == 0.0
 
 
+def test_external_table_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "table.tsv"
+    path.write_bytes(b"\xef\xbb\xbfsun\tnucleus\t5.0\n")
+    assert load_external_similarity(path).sim(T("sun"), T("nucleus")) == 5.0
+
+
 def test_external_duplicate_last_wins(tmp_path, caplog):
     path = tmp_path / "table.tsv"
     path.write_text("a\tb\t1.0\nb\ta\t9.0\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,9 @@ import pytest
 
 from relmap import space
 from relmap.cli import main
-from relmap.config import MODES, Config
+from relmap.config import MODES, Config, load_config_file
 from relmap.dataset import Dataset, dump_problems, load_problems
-from relmap.evaluation import solve_batch
+from relmap.evaluation import coherence_experiment, solve_batch
 
 
 @pytest.fixture()
@@ -64,6 +65,38 @@ def test_eval_from_cache_matches_uncached(planted_paths, tmp_path):
     (cached_tsv, cached_json), (plain_tsv, plain_json) = outputs
     assert cached_tsv == plain_tsv
     assert cached_json == plain_json
+
+
+def test_eval_reports_the_same_bytes_wherever_the_corpus_lies(planted_paths, tmp_path):
+    """The sidecar names the corpus by its digest, so a copy at another path
+    reports the same TSV and sidecar byte for byte."""
+    corpus, problems = planted_paths
+    moved = tmp_path / "elsewhere" / "corpus"
+    shutil.copytree(corpus, moved)
+    outputs = []
+    for where, report in ((corpus, tmp_path / "here.tsv"), (moved, tmp_path / "moved.tsv")):
+        assert main(["eval", problems, "--mode", "relational", "--corpus", str(where),
+                     "--report", str(report)]) == 0
+        outputs.append((report.read_bytes(), Path(f"{report}.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_byte_order_marks_of_a_corpus_are_not_text(planted_paths, tmp_path):
+    """Each file starts with two terms of a problem, after a BOM in one copy:
+    both copies count the same co-occurrences, so they solve to the same bytes."""
+    corpus, problems = planted_paths
+    x, y = (t.text for t in next(iter(load_problems(problems))).source[:2])
+    head = f"{x} {y} ".encode("utf-8")
+    outputs = []
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        shutil.copytree(corpus, tmp_path / name)
+        for path in (tmp_path / name).rglob("*.txt"):
+            path.write_bytes(mark + head + path.read_bytes())
+        out = tmp_path / f"{name}.txt"
+        assert main(["solve", problems, "--mode", "attributional", "--provider", "pmi-ir",
+                     "--corpus", str(tmp_path / name), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_index_missing_corpus_dir(tmp_path, capsys):
@@ -197,6 +230,23 @@ def test_coherence_command(planted_star, tmp_path):
     assert len(lines) == 1 + len(data.problems) + 1
 
 
+def test_coherence_seed_is_the_configs(planted_star, tmp_path):
+    """The library run seeded by its Config writes what `--seed` writes."""
+    data, index = planted_star
+    problems = tmp_path / "problems.json"
+    dump_problems(Dataset(data.problems), problems)
+    report = tmp_path / "coh.tsv"
+    assert main(["coherence", str(problems), "--mode", "relational",
+                 "--corpus", str(data.corpus_dir), "--trials", "3", "--seed", "5",
+                 "--report", str(report)]) == 0
+    got = coherence_experiment(Dataset(data.problems), 3, 3,
+                               Config(mode="relational", seed=5), index)
+    sidecar = json.loads(got.sidecar())
+    assert sidecar["seed"] == sidecar["config"]["seed"] == 5
+    assert got.to_tsv() == report.read_text(encoding="utf-8")
+    assert got.sidecar() == Path(f"{report}.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_coherence_without_trials_is_data_error(trials, capsys):
     assert main(["coherence", "--builtin", "--mode", "attributional",
@@ -282,9 +332,21 @@ def test_sweep_takes_no_solve_flags(planted_paths, flags, capsys):
     corpus, problems = planted_paths
     assert main(["sweep", problems, "--corpus", corpus, "--k", "10", *flags]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"usage error: argument {flags[0]}: a sweep is relational"), err
+    assert err.startswith(f"usage error: unrecognized arguments: {flags[0]}"), err
     assert main(["sweep", "--help"]) == 0
     assert flags[0] not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, grid, message", [("--k", "0:20:10", "k must be >= 1, got 0"),
+                                                 ("--t", "0", "t must be >= 1, got 0")])
+def test_sweep_point_is_checked_like_a_config(planted_paths, tmp_path, flag, grid, message,
+                                              capsys):
+    corpus, problems = planted_paths
+    report = tmp_path / "sweep.tsv"
+    assert main(["sweep", problems, "--corpus", corpus, flag, grid,
+                 "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("mode", ["attributional", "hybrid-add"])
@@ -318,6 +380,12 @@ def test_config_file_and_flag_override(planted_paths, tmp_path):
                  "--report", str(report)]) == 0
     sidecar = json.loads((tmp_path / "r.tsv.json").read_text())
     assert sidecar["config"]["seed"] == 4
+
+
+def test_config_file_skips_a_leading_byte_order_mark(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfseed = 9\n")
+    assert load_config_file(cfg).seed == 9
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):

@@ -78,6 +78,21 @@ def test_ingest_non_utf8_names_path(tmp_path):
         ingest([bad])
 
 
+def test_ingest_skips_a_leading_byte_order_mark(tmp_path):
+    """A BOM is not text: the first word is indexed as itself, like the
+    oracle's, and the digest still hashes the file's raw bytes."""
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"sun attracts planet")
+    marked.write_bytes(b"\xef\xbb\xbfsun attracts planet")
+    want, got = ingest([plain]), ingest([marked])
+    assert got.vocab.find("sun") == want.vocab.find("sun") >= 0
+    assert list(got.vocab) == list(want.vocab)
+    assert got.ids.tolist() == want.ids.tolist()
+    assert got.digest == corpus_digest([marked]) != want.digest
+    ids, _, vocab, digest = batch_ingest([marked])
+    assert (ids.tolist(), vocab, digest) == (got.ids.tolist(), list(got.vocab), got.digest)
+
+
 def test_ingest_dir_reads_lexicographically(tmp_path):
     (tmp_path / "b.txt").write_text("beta")
     (tmp_path / "a.txt").write_text("alpha")

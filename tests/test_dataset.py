@@ -134,6 +134,13 @@ def test_load_single_problem_object(tmp_path):
     assert ds.by_id("x").m == 2
 
 
+def test_load_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "one.json"
+    entry = {"id": "x", "source": ["a", "b"], "target": ["c", "d"]}
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(entry).encode("utf-8"))
+    assert load_problems(path).by_id("x").m == 2
+
+
 def test_load_rejects_uneven_sides(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"id": "bad", "source": ["a", "b"],

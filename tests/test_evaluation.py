@@ -151,8 +151,8 @@ def test_relational_mode_requires_corpus():
 def test_coherence_degenerate_subset_equal(planted_all):
     data, index = planted_all
     report = coherence_experiment(Dataset(data.problems), m_prime=5,
-                                  trials_per_problem=3, seed=0,
-                                  config=Config(mode="relational"),
+                                  trials_per_problem=3,
+                                  config=Config(mode="relational", seed=0),
                                   index=index)
     # m' == m degenerates to one full-size trial per problem
     assert all(row.trials == 1 for row in report.rows)
@@ -164,7 +164,7 @@ def test_coherence_degenerate_subset_equal(planted_all):
 def test_coherence_refuses_no_trials(trials):
     with pytest.raises(ConfigError, match="trials must be >= 1"):
         coherence_experiment(builtin_dataset(), m_prime=3, trials_per_problem=trials,
-                             seed=0, config=Config(mode="attributional"))
+                             config=Config(mode="attributional", seed=0))
 
 
 @pytest.mark.parametrize("mode", ["hybrid-add", "hybrid-mul"])
@@ -172,7 +172,7 @@ def test_coherence_refuses_hybrid_modes(planted_all, mode):
     data, index = planted_all
     with pytest.raises(ConfigError, match=f"attributional mode, not '{mode}'"):
         coherence_experiment(Dataset(data.problems), m_prime=3, trials_per_problem=1,
-                             seed=0, config=Config(mode=mode), index=index)
+                             config=Config(mode=mode, seed=0), index=index)
 
 
 def test_coherence_skips_oversized_subsets(planted_all, caplog):
@@ -181,7 +181,7 @@ def test_coherence_skips_oversized_subsets(planted_all, caplog):
     with caplog.at_level("WARNING"):
         with pytest.raises(DataError):
             coherence_experiment(mixed, m_prime=6, trials_per_problem=2,
-                                 seed=0, config=Config(mode="relational"),
+                                 config=Config(mode="relational", seed=0),
                                  index=index)
     assert any("skipping" in rec.message for rec in caplog.records)
 
@@ -189,8 +189,8 @@ def test_coherence_skips_oversized_subsets(planted_all, caplog):
 def test_coherence_direction_on_star_problems(planted_star):
     data, index = planted_star
     report = coherence_experiment(Dataset(data.problems), m_prime=3,
-                                  trials_per_problem=10, seed=5,
-                                  config=Config(mode="relational"),
+                                  trials_per_problem=10,
+                                  config=Config(mode="relational", seed=5),
                                   index=index)
     assert report.total_average >= report.internal_average
     assert sum(r.trials for r in report.rows) == 10 * len(data.problems)
@@ -198,9 +198,9 @@ def test_coherence_direction_on_star_problems(planted_star):
 
 def test_coherence_attributional_modes_agree(planted_star):
     data, _ = planted_star
-    cfg = Config(mode="attributional", provider="pos")
+    cfg = Config(mode="attributional", provider="pos", seed=2)
     report = coherence_experiment(Dataset(data.problems), m_prime=3,
-                                  trials_per_problem=5, seed=2, config=cfg,
+                                  trials_per_problem=5, config=cfg,
                                   index=None, tie_policy="first")
     for row in report.rows:
         assert row.internal_accuracy == row.total_accuracy
@@ -210,8 +210,8 @@ def test_coherence_prepares_each_full_problem_once(planted_star, monkeypatch):
     """Total mode reuses one prepared grid per problem; each trial's reduced
     problem is prepared on its own. The report is the same either way."""
     data, index = planted_star
-    dataset, cfg = Dataset(data.problems[:2]), Config(mode="relational")
-    want = coherence_experiment(dataset, m_prime=3, trials_per_problem=4, seed=1,
+    dataset, cfg = Dataset(data.problems[:2]), Config(mode="relational", seed=1)
+    want = coherence_experiment(dataset, m_prime=3, trials_per_problem=4,
                                 config=cfg, index=index)
     prepared = []
     real = RelationalScorer.prepare
@@ -221,7 +221,7 @@ def test_coherence_prepares_each_full_problem_once(planted_star, monkeypatch):
         return real(self, problem)
 
     monkeypatch.setattr(RelationalScorer, "prepare", counting)
-    got = coherence_experiment(dataset, m_prime=3, trials_per_problem=4, seed=1,
+    got = coherence_experiment(dataset, m_prime=3, trials_per_problem=4,
                                config=cfg, index=index)
     assert got.to_tsv() == want.to_tsv()
     for problem in dataset:
@@ -232,8 +232,8 @@ def test_coherence_prepares_each_full_problem_once(planted_star, monkeypatch):
 def test_coherence_report_layout(planted_star):
     data, index = planted_star
     report = coherence_experiment(Dataset(data.problems[:2]), m_prime=3,
-                                  trials_per_problem=2, seed=1,
-                                  config=Config(mode="relational"),
+                                  trials_per_problem=2,
+                                  config=Config(mode="relational", seed=1),
                                   index=index)
     lines = report.to_tsv().splitlines()
     assert lines[0] == "mapping\ttrials\tinternal\ttotal"
@@ -332,9 +332,9 @@ def test_attributional_pos_keeps_tag_classes_together():
 
 
 def test_coherence_builtin_attributional_subproblem_count():
-    cfg = Config(mode="attributional", provider="pos")
+    cfg = Config(mode="attributional", provider="pos", seed=1)
     report = coherence_experiment(builtin_dataset(), m_prime=3,
-                                  trials_per_problem=10, seed=1, config=cfg)
+                                  trials_per_problem=10, config=cfg)
     assert report.metadata["subproblems"] == 200
     assert len(report.rows) == 20
 

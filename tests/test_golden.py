@@ -15,7 +15,10 @@ moved them in the last digits (below 1e-14) with the same mappings and
 ties; the eval, coherence and sweep fixtures kept their bytes. The
 coherence sidecar was written again when it came to record the corpus
 digest, as the eval and sweep sidecars do; it gained that key alone.
-Regenerate them only for a change that means to alter an output:
+The eval, coherence and sweep sidecars were written again when the
+config echo stopped recording the corpus directory, which the digest
+names; each lost that key alone. Regenerate them only for a change
+that means to alter an output:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -23,8 +26,6 @@ Each command runs in a child interpreter with one BLAS thread: the
 eigendecomposition's last bits, and so the printed scores, change with
 the thread count. A second run with two BLAS threads must give the same
 mappings, tie counts, accuracies and sidecars, with scores within 1e-12.
-Paths are relative to the input directory, because the coherence sidecar
-records the corpus directory as given.
 """
 
 import json

@@ -424,7 +424,7 @@ def test_grids_and_explain_have_sim_r_bits(drawn, ps, qs, perm):
 def test_decomposition_backends_agree(planted_all):
     """eigh, dense LAPACK and svds give the same sim_r on rows with signal."""
     data, index = planted_all
-    pairs, stats = mine_for_problems(index, data.problems)
+    pairs, stats = mine_for_problems(index, data.problems, Config())
     rows = prune_rows(pairs, stats.phrase_counts)
     F = build_frequency_matrix(rows, select_columns(stats, 20, len(rows)), stats)
     X = transform_ppmic(F)
@@ -602,7 +602,8 @@ def test_no_svd_cosines_match_the_dense_oracle(X):
 def test_empty_space_from_empty_corpus():
     index = ingest([])
     prob = MappingProblem.build(id="e", source=["a", "b"], target=["c", "d"])
-    pairs, stats = mine_for_problems(index, [prob])
-    space, diag = space_from_stats(pairs, stats, Config(t=20, k=300))
+    cfg = Config(t=20, k=300)
+    pairs, stats = mine_for_problems(index, [prob], cfg)
+    space, diag = space_from_stats(pairs, stats, cfg)
     assert diag["n_r"] == 0
     assert space.sim_r(TermPair.parse("a", "b"), TermPair.parse("c", "d")) == 0.0
