@@ -389,25 +389,26 @@ class CorpusIndex:
         found = self._found
         tids = {term: [self.vocab.find(tok) for tok in term.tokens]
                 for term in dict.fromkeys(terms) if term not in found}
-        heads = self._positions(np.unique([t[0] for t in tids.values() if min(t) >= 0]))
+        heads = self._positions(sorted({t[0] for t in tids.values() if min(t) >= 0}))
         for term, t in tids.items():
             found[term] = self._runs(heads[t[0]], t) if min(t) >= 0 else _EMPTY
         return {term: found[term] for term in terms}
 
-    def _positions(self, tids: np.ndarray) -> dict[int, np.ndarray]:
-        """Sorted global positions of each of these token ids, from one pass."""
-        if not tids.size:
+    def _positions(self, tids: list[int]) -> dict[int, np.ndarray]:
+        """Sorted global positions of each of these sorted, distinct token
+        ids, from one pass."""
+        if not tids:
             return {}
         wanted = np.zeros(len(self.vocab), dtype=bool)
         wanted[tids] = True
         pos = np.flatnonzero(wanted[self.ids])
         tok = self.ids[pos]
-        order = np.argsort(tok, kind="stable")  # positions stay sorted per token
+        order = _stable_argsort(tok)  # positions stay sorted per token
         pos, tok = pos[order], tok[order]
         pos.flags.writeable = False
         lo = np.searchsorted(tok, tids, side="left").tolist()
         hi = np.searchsorted(tok, tids, side="right").tolist()
-        return {t: pos[a:b] for t, a, b in zip(tids.tolist(), lo, hi)}
+        return {t: pos[a:b] for t, a, b in zip(tids, lo, hi)}
 
     def _runs(self, pos: np.ndarray, tids: list[int]) -> np.ndarray:
         """The positions in `pos`, where tids[0] occurs, that start the whole run."""
@@ -466,6 +467,49 @@ def ingest_dir(corpus_dir: str | Path) -> CorpusIndex:
     return ingest(corpus_files(corpus_dir))
 
 
+def _stable_argsort(*fields: np.ndarray) -> np.ndarray:
+    """The stable argsort of the records (fields[0][i], fields[1][i], ...)
+    of non-negative integers, fields[0] most significant, by `np.sort` of
+    plain uint64s: the order `np.lexsort(fields[::-1])` gives.
+
+    Let b be the bit length of n - 1. A pass sorts ``digit << b |
+    position`` by value, which is a stable argsort by the digit: equal
+    digits keep the order of their positions, and the low b bits of the
+    sorted values are the argsort. The bits that are zero in every record
+    are dropped, and the passes run least significant digit first, each
+    over as many of the bits left as fit beside the positions. One
+    n-sized digit is built at a time. At 400k elements a pass takes about
+    a tenth of the time of numpy's indirect stable sort.
+    """
+    n = fields[0].size
+    b = max(n - 1, 0).bit_length()
+    parts = []   # (field, its lowest used bit, its used width, its lowest record bit)
+    width = 0
+    for f in reversed(fields):
+        used = int(np.bitwise_or.reduce(f, initial=0))
+        low = (used & -used).bit_length() - 1 if used else 0
+        parts.append((f, low, used.bit_length() - low, width))
+        width += used.bit_length() - low
+    order = np.arange(n)
+    for lo in range(0, width, 64 - b):
+        hi = min(lo + 64 - b, width)
+        key = np.arange(n, dtype=np.uint64)
+        for f, low, size, at in parts:
+            a, z = max(lo, at), min(hi, at + size)
+            if a < z:
+                digit = (f.astype(np.uint64) if lo == 0
+                         else np.take(f, order).astype(np.uint64, copy=False))
+                digit >>= np.uint64(low + a - at)
+                digit &= np.uint64((1 << (z - a)) - 1)
+                digit <<= np.uint64(a - lo + b)
+                key |= digit
+                del digit
+        key.sort()
+        key &= np.uint64((1 << b) - 1)
+        order = key.view(np.int64) if lo == 0 else np.take(order, key.view(np.int64))
+    return order
+
+
 def _find_windows(index: CorpusIndex, pairs: list[TermPair]) -> tuple[np.ndarray, ...]:
     """Every template window of every pair, as arrays.
 
@@ -488,11 +532,11 @@ def _find_windows(index: CorpusIndex, pairs: list[TermPair]) -> tuple[np.ndarray
     # one position stay in the order of `starts`.
     pos = np.concatenate([_EMPTY, *starts.values()])
     term = np.repeat(np.arange(n), [a.size for a in starts.values()])
-    order = np.argsort(pos, kind="stable")
+    order = _stable_argsort(pos)
     pos, term = pos[order], term[order]
     # The pair slots, sorted by their (x term, y term) key.
     keys = np.array([code[p.x] * n + code[p.y] for p in pairs], dtype=np.int64)
-    slots = np.argsort(keys, kind="stable")
+    slots = _stable_argsort(keys)
     keys = keys[slots]
     is_x = np.zeros(n, dtype=bool)
     is_x[keys // n] = True
@@ -519,7 +563,7 @@ def _find_windows(index: CorpusIndex, pairs: list[TermPair]) -> tuple[np.ndarray
     del slot
     # Within a pair, hits come in (x start, y start) order, so one
     # stable sort by pair gives the windows their order.
-    order = np.argsort(pair, kind="stable")
+    order = _stable_argsort(pair)
     pair, win = pair[order], win[order]
     del order
     wy = hit_y[win]

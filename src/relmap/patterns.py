@@ -35,11 +35,20 @@ that is not whitespace: ("a", "X", "Y") comes before ("a\\x01", "X", "Y")
 as a tuple, but "a\\x01 X Y" comes before "a X Y" as a string, and the
 spaced pieces "a\\x01 " < "a " keep that order.
 
+The slot strings are sorted by sorting their token ids, since the
+vocabulary is sorted, and the pieces of the r-th string get the codes
+2r + 1 and 2r + 2 unless some string holds a character at or below
+U+0020; only then are the pieces sorted as strings (`_alphabet`).
+
 The codes of a pattern are packed most significant first into as few
 uint64 words as the code width needs, so that comparing the words
-compares the code tuples. All variants of all windows are sorted at
-once by (pattern words, pair) with `np.lexsort`; equal runs give the
-counts.
+compares the code tuples. The variants of all windows (`_variants`)
+are sorted at once by (pattern words, pair) with `corpus._stable_argsort`,
+a few passes of `np.sort` over plain uint64s, each sorting one digit of
+the record with the positions packed beside it. Equal runs give the
+counts. The pair must be part of the record: a window word equal to
+"X" or "Y" takes that marker's code, so two window shapes can give one
+pattern, and their variants lie apart.
 
 Array layout of `PatternStats`, for P distinct patterns and E nonzero
 (pair, pattern) entries:
@@ -75,7 +84,7 @@ from typing import Iterable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import MAX_MID, MAX_POST, MAX_PRE, CorpusIndex, _find_windows
+from .corpus import MAX_MID, MAX_POST, MAX_PRE, CorpusIndex, _find_windows, _stable_argsort
 from .errors import ConfigError, RelmapError
 from .problems import MappingProblem
 from .terms import TermPair
@@ -127,9 +136,16 @@ def _pack(codes: np.ndarray, bits: int) -> np.ndarray:
     """(n, MAX_SLOTS) codes -> (n_words, n) uint64 words, most significant first."""
     codes = codes.astype(np.uint64)
     words = np.zeros((-(-MAX_SLOTS * bits // 64), codes.shape[0]), dtype=np.uint64)
-    for slot, w, in_slot, in_word, mask in _segments(bits):
-        words[w] |= (codes[:, slot] >> in_slot & mask) << in_word
+    for slot in range(MAX_SLOTS):
+        _pack_slot(words, slot, codes[:, slot], bits)
     return words
+
+
+def _pack_slot(packed: np.ndarray, slot: int, codes: np.ndarray, bits: int) -> None:
+    """Or one slot's uint64 codes into (n_words, ...) packed words."""
+    for s, w, in_slot, in_word, mask in _segments(bits):
+        if s == slot:
+            packed[w] |= (codes >> in_slot & mask) << in_word
 
 
 def _unpack(words: np.ndarray, bits: int) -> np.ndarray:
@@ -196,27 +212,49 @@ def _window_arrays(index: CorpusIndex, pairs: list[TermPair], table: dict[TermPa
 
 
 def _alphabet(index: CorpusIndex, win: dict[str, np.ndarray]
-              ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """The slot strings and their codes, and the codes of the window tokens.
+              ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The slot strings, their codes, and each window's context words.
 
-    Returns the sorted slot strings, their (2, n) codes, the sorted ids
-    of the tokens seen in windows and those tokens' (2, n_tokens) codes.
-    Row 0 codes a string as a pattern's last slot, row 1 as an inner one.
+    Returns the sorted slot strings (the words seen in windows and the
+    markers), their (2, n) codes, row 0 coding a string as a pattern's
+    last slot and row 1 as an inner one, and a (2 + MAX_MID, n_windows)
+    array: the position in the slot strings of each window's pre word,
+    middle words and post word, 0 where the window has none.
+
+    The vocabulary is sorted, so ranking the seen ids ranks their words.
+    When no string holds a character at or below U+0020, each string w
+    has w < w + " " < the next string, so the codes interleave: the r-th
+    string's pieces are 2r + 1 and 2r + 2. Otherwise the pieces are
+    sorted as strings.
     """
-    seen = [index.ids[win["x"][win["pre"] > 0] - 1],
-            index.ids[win["y_end"][win["post"] > 0]]]
-    seen += [index.ids[win["x_end"][win["mid"] > k] + k] for k in range(MAX_MID)]
-    token_ids = np.unique(np.concatenate(seen))
-    words = index.vocab.words(token_ids)   # sorted, as the vocabulary is
+    has = [win["pre"] > 0, *(win["mid"] > k for k in range(MAX_MID)), win["post"] > 0]
+    at = [win["x"] - 1, *(win["x_end"] + k for k in range(MAX_MID)), win["y_end"]]
+    seen = np.concatenate([np.take(index.ids, a[h]) for h, a in zip(has, at)])
+    order = _stable_argsort(seen)
+    seen = np.take(seen, order)
+    new = np.diff(seen, prepend=-1) != 0
+    words = index.vocab.words(seen[new])
+    rank = np.empty(seen.size, dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
     added = [m for m in MARKERS if not _holds(words, m)]
-    words = sorted(words + added)
+    for m in added:
+        words.insert(bisect_left(words, m), m)
     is_token = np.ones(len(words), dtype=bool)
     is_token[[bisect_left(words, m) for m in added]] = False
-    pieces = words + [w + " " for w in words]
-    codes = np.empty(len(pieces), dtype=np.int64)
-    codes[sorted(range(len(pieces)), key=pieces.__getitem__)] = np.arange(1, len(pieces) + 1)
-    codes = codes.reshape(2, len(words))
-    return words, codes, token_ids, codes[:, is_token]
+    rank = np.flatnonzero(is_token)[rank]
+    context = np.zeros((len(has), win["x"].size), dtype=np.int64)
+    for row, h in zip(context, has):
+        row[h], rank = rank[:np.count_nonzero(h)], rank[np.count_nonzero(h):]
+    n = len(words)
+    # UTF-8 codes a character at or below U+0020 as that one byte alone.
+    if np.frombuffer("".join(words).encode(), dtype=np.uint8).min(initial=255) > ord(" "):
+        codes = np.arange(1, 2 * n + 1).reshape(n, 2).T.copy()
+    else:
+        pieces = words + [w + " " for w in words]
+        codes = np.empty(2 * n, dtype=np.int64)
+        codes[sorted(range(2 * n), key=pieces.__getitem__)] = np.arange(1, 2 * n + 1)
+        codes = codes.reshape(2, n)
+    return words, codes, context
 
 
 def _holds(words: list[str], word: str) -> bool:
@@ -224,15 +262,19 @@ def _holds(words: list[str], word: str) -> bool:
     return at < len(words) and words[at] == word
 
 
-def _variants(index: CorpusIndex, win: dict[str, np.ndarray], words: list[str],
-              codes: np.ndarray, token_ids: np.ndarray,
-              token_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _variants(win: dict[str, np.ndarray], words: list[str], codes: np.ndarray,
+              context: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Packed codes and pair ids of every distinct variant of every window.
 
     Windows are taken one shape (pre, mid, post) at a time, so that the
-    free slots sit at fixed columns. Direct variants go to the window's
-    pair; the exchanged ones, the same codes with X and Y swapped, to the
-    reversed pair.
+    free slots sit at fixed columns. Direct windows give variants to the
+    window's pair; exchanged ones, the same codes with X and Y swapped,
+    to the reversed pair. A shape's slot codes are packed one slot at a
+    time into (key word, window) arrays, both orientations side by side.
+    Each of the 2^f masks of its f free slots then writes one block of
+    variants straight into the output, so that each numpy loop runs over
+    the windows. The variants are in no particular order; `mine_patterns`
+    sorts them by (pattern, pair).
     """
     marker = {(m, last): int(codes[int(not last), bisect_left(words, m)])
               for m in MARKERS for last in (False, True)}
@@ -241,7 +283,10 @@ def _variants(index: CorpusIndex, win: dict[str, np.ndarray], words: list[str],
         x, y = marker[X_SLOT, last], marker[Y_SLOT, last]
         swap[x], swap[y] = y, x
     bits = int(codes.max()).bit_length()
-    keys, owners = [], []
+    n_words = -(-MAX_SLOTS * bits // 64)
+    # The codes of the slot strings by (row, orientation, string).
+    oriented = np.stack([codes, swap[codes]], axis=1).astype(np.uint64)
+    shapes = []
     for pre, mid, post in itertools.product(range(MAX_PRE + 1), range(MAX_MID + 1),
                                             range(MAX_POST + 1)):
         sel = np.flatnonzero((win["pre"] == pre) & (win["mid"] == mid)
@@ -249,36 +294,47 @@ def _variants(index: CorpusIndex, win: dict[str, np.ndarray], words: list[str],
         if not sel.size:
             continue
         n_slots = pre + mid + post + 2
-        free = ([(k, win["x"][sel] - pre + k) for k in range(pre)]
-                + [(pre + 1 + k, win["x_end"][sel] + k) for k in range(mid)]
-                + [(pre + mid + 2 + k, win["y_end"][sel] + k) for k in range(post)])
-        base = np.zeros((sel.size, MAX_SLOTS), dtype=np.int64)
+        # (column, context row) of each free slot
+        free = ([(0, 0)] * pre + [(pre + 1 + k, 1 + k) for k in range(mid)]
+                + [(n_slots - 1, 1 + MAX_MID)] * post)
+        packed = np.zeros((n_words, 2, sel.size), dtype=np.uint64)
         star = np.zeros(MAX_SLOTS, dtype=np.int64)
-        base[:, pre] = marker[X_SLOT, False]
-        base[:, pre + mid + 1] = marker[Y_SLOT, not post]
-        for col, pos in free:
+        literal = np.zeros(sel.size, dtype=np.uint8)   # the free slots holding "*"
+        for col, last, m in ((pre, False, X_SLOT), (pre + mid + 1, not post, Y_SLOT)):
+            _pack_slot(packed, col, np.array([[marker[m, last]], [swap[marker[m, last]]]],
+                                             dtype=np.uint64), bits)
+        for j, (col, row) in enumerate(free):
             last = col == n_slots - 1
-            token = np.searchsorted(token_ids, index.ids[pos])
-            base[:, col] = token_codes[int(not last), token]
             star[col] = marker[WILDCARD, last]
+            slot = np.take(oriented[int(not last)], np.take(context[row], sel), axis=1)
+            _pack_slot(packed, col, slot, bits)
+            literal |= (slot[0] == star[col]).astype(np.uint8) << j
+        owner = np.concatenate([np.take(win["pair"], sel), np.take(win["rev"], sel)])
         # Packing is bit concatenation, so a variant's key is the window's
         # key with the wildcarded fields cleared and filled with "*".
         masks = np.arange(1 << len(free))
-        cols = [col for col, _pos in free]
         wild = np.zeros((masks.size, MAX_SLOTS), dtype=bool)
-        wild[:, cols] = masks[:, None] >> np.arange(len(free)) & 1
-        hold = _pack(np.where(wild, 0, (1 << bits) - 1), bits)[:, None, :]
-        fill = _pack(np.where(wild, star, 0), bits)[:, None, :]
-        # A literal "*" kept and wildcarded gives one pattern, counted once.
-        literal = (base[:, cols] == star[cols]) @ (1 << np.arange(len(free)))
-        kept = (literal[:, None] & masks == 0).ravel()
-        for slots, owner in ((base, win["pair"]), (swap[base], win["rev"])):
-            variant = _pack(slots, bits)[:, :, None] & hold | fill
-            keys.append(variant.reshape(variant.shape[0], -1)[:, kept])
-            owners.append(np.repeat(owner[sel], masks.size)[kept])
-    n_words = -(-MAX_SLOTS * bits // 64)
-    return (np.concatenate(keys, axis=1) if keys else np.zeros((n_words, 0), np.uint64),
-            np.concatenate(owners) if owners else np.zeros(0, np.int32))
+        wild[:, [col for col, _row in free]] = masks[:, None] >> np.arange(len(free)) & 1
+        shapes.append((packed.reshape(n_words, -1), owner, np.tile(literal, 2),
+                       _pack(np.where(wild, 0, (1 << bits) - 1), bits),
+                       _pack(np.where(wild, star, 0), bits)))
+    # A literal "*" kept and wildcarded gives one pattern, counted once,
+    # under the masks that wildcard it.
+    size = sum(np.count_nonzero(literal & m == literal)
+               for _packed, _owner, literal, hold, _fill in shapes for m in range(hold.shape[1]))
+    keys = np.empty((n_words, size), dtype=np.uint64)
+    owners = np.empty(size, dtype=np.int32)
+    at = 0
+    for packed, owner, literal, hold, fill in shapes:
+        for m in range(hold.shape[1]):
+            kept = literal & m == literal
+            n = np.count_nonzero(kept)
+            block = keys[:, at:at + n]
+            np.bitwise_and(packed.compress(kept, axis=1), hold[:, m:m + 1], out=block)
+            block |= fill[:, m:m + 1]
+            owners[at:at + n] = owner.compress(kept)
+            at += n
+    return keys, owners
 
 
 def mine_patterns(index: CorpusIndex, pairs: list[TermPair],
@@ -295,23 +351,35 @@ def mine_patterns(index: CorpusIndex, pairs: list[TermPair],
     table = list(dict.fromkeys([*pairs, *(p.reversed() for p in pairs)]))
     win, phrase_counts = _window_arrays(
         index, pairs, {p: i for i, p in enumerate(table)}, max_phrases_per_pair)
-    words, codes, token_ids, token_codes = _alphabet(index, win)
-    keys, owner = _variants(index, win, words, codes, token_ids, token_codes)
-
-    order = np.lexsort((owner, *keys[::-1]))
-    keys, owner = keys[:, order], owner[order]
-    new_pattern = np.ones(owner.size, dtype=bool)
-    new_pattern[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    words, codes, context = _alphabet(index, win)
+    keys, owner = _variants(win, words, codes, context)
+    order = _stable_argsort(*keys, owner)
+    # The sorted keys are built one row at a time, only the distinct
+    # patterns' are kept, and each array is dropped once used, which keeps
+    # the peak memory near that of the variants.
+    owner = np.take(owner, order)
+    new_pattern = np.zeros(owner.size, dtype=bool)
+    new_pattern[:1] = True
+    for row in keys:
+        row = np.take(row, order)
+        new_pattern[1:] |= row[1:] != row[:-1]
+        del row
     new_entry = new_pattern.copy()
     new_entry[1:] |= owner[1:] != owner[:-1]
     entry = np.flatnonzero(new_entry)
     first = np.flatnonzero(new_pattern[entry])
+    del new_pattern, new_entry
+    keys = np.take(keys, np.take(order, entry[first]), axis=1)
+    del order
     starts = np.append(first, entry.size)
+    del first
+    entry_pair, entry_count = np.take(owner, entry), np.diff(entry, append=owner.size)
+    del owner, entry
+    n_pairs = np.diff(starts)
     return PatternStats(
-        pairs=table, phrase_counts=phrase_counts, words=words, codes=codes,
-        keys=keys[:, entry[first]], starts=starts, entry_pair=owner[entry],
-        entry_count=np.diff(entry, append=owner.size),
-        column_order=np.argsort(-np.diff(starts), kind="stable"))
+        pairs=table, phrase_counts=phrase_counts, words=words, codes=codes, keys=keys,
+        starts=starts, entry_pair=entry_pair, entry_count=entry_count,
+        column_order=_stable_argsort(n_pairs.max(initial=0) - n_pairs))
 
 
 def prune_rows(pairs: list[TermPair],
@@ -347,7 +415,8 @@ def build_frequency_matrix(rows: list[TermPair], cols: np.ndarray,
     ids = np.asarray(cols, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= len(stats.starts) - 1):
         raise RelmapError("frequency matrix column is not a mined pattern id")
-    if np.unique(ids).size != ids.size:
+    ordered = np.sort(ids)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise RelmapError("duplicate column ids in frequency matrix")
     row_of = np.full(len(stats.pairs), -1, dtype=np.int64)
     table = {pair: i for i, pair in enumerate(stats.pairs)}

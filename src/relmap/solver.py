@@ -19,12 +19,14 @@ tolerance of 1e-12: a score more than 1e-12 above the running best
 becomes the new best and resets the tie set, dropping the earlier
 near-ties; a score within 1e-12 of the running best joins the set.
 The best never falls, so only rows within 1e-12 below it or higher can
-change the state; a block is filtered to those before the rule is
-replayed on them. One tied mapping is drawn with a seeded generator, so
-runs are reproducible; a "first" tie policy is also available for
-analyses where both search spaces must break ties identically. The
-result's score is the drawn mapping's own, which for a drawn near-tie
-is up to 1e-12 away from the running best.
+change the state; a block is filtered to those, and to the rows that
+no earlier row of the block lies more than about 2e-12 above
+(`_unpassed`), before the rule is replayed on them. One tied mapping
+is drawn with a seeded generator, so runs are reproducible; a "first"
+tie policy is also available for analyses where both search spaces
+must break ties identically. The result's score is the drawn mapping's
+own, which for a drawn near-tie is up to 1e-12 away from the running
+best.
 
 `solve` prunes that walk without changing its outcome. Both scores are
 sums over source pairs, so a head has a cheap upper bound: per pair,
@@ -459,6 +461,34 @@ def _replay_ties(scores: list[float], best: float) -> tuple[float, list[int]]:
     return best, kept
 
 
+def _unpassed(scores: np.ndarray, best: float) -> np.ndarray:
+    """The positions of a block's candidate scores that `_replay_ties` may
+    not ignore, from the running best `best` before the block.
+
+    Write t for the tolerance, fl(.) for a rounded result and ε = 2^-53
+    for the unit roundoff, so |fl(x) - x| <= ε|x|. The replay's best B
+    only rises, and it is always `best` or a row, so |B| <= A, the
+    largest magnitude among `best` and the scores. B moves to a row s
+    when s > fl(B + t), and a row it does not move to has s <= fl(B + t)
+    <= B + t + ε(A + t). So when row k comes, B >= M - t - ε(A + t),
+    where M is the largest of `best` and the rows before k. The replay
+    ignores row k when r < fl(B - t), and fl(B - t) >= B - t - ε(A + t),
+    so it ignores every r < M - 2t - 2ε(A + t). A row below
+    fl(M - 4(t + εA)) is below that: the factor 4, not 2, covers the
+    rounding of the margin and of the subtraction. Such rows are dropped.
+    Once scores pass a few thousand, t is below one unit in the last
+    place, so the εA term is the one that counts there.
+    """
+    margin = 4 * (TIE_TOLERANCE + np.finfo(np.float64).epsneg * max(
+        abs(best) if math.isfinite(best) else 0.0, float(np.abs(scores).max(initial=0.0))))
+    if not math.isfinite(margin):
+        return np.arange(scores.size)
+    before = np.empty_like(scores)
+    before[:1] = best
+    np.maximum(np.maximum.accumulate(scores[:-1]), best, out=before[1:])
+    return np.flatnonzero(~(scores < before - margin))
+
+
 @dataclass
 class _Argmax:
     """Outcome of a block search: the best score and the rows tied with it."""
@@ -491,8 +521,9 @@ def _argmax_blocks(score_fn, m: int, sub_src: Sequence[int] = (),
     The running best never falls, so rows scoring below best - 1e-12
     can neither join the tie set nor reset it. When no remaining row
     exceeds best + 1e-12 they all join; otherwise the rule is replayed
-    over them alone. With `prune`, the walk skips every head whose bound
-    under `score_fn` is below the running best - 1e-12: all its mappings
+    over those that no earlier row has left behind (`_unpassed`). With
+    `prune`, the walk skips every head whose bound under `score_fn` is
+    below the running best - 1e-12: all its mappings
     would be ignored, so the outcome is that of the full enumeration.
     """
     best = -math.inf
@@ -513,8 +544,9 @@ def _argmax_blocks(score_fn, m: int, sub_src: Sequence[int] = (),
         if candidate_scores.max() <= best + TIE_TOLERANCE:
             tied.append(block[candidates].astype(compact))
             continue
-        best, kept = _replay_ties(candidate_scores.tolist(), best)
-        tied = [block[candidates[kept]].astype(compact)]
+        live = _unpassed(candidate_scores, best)
+        best, kept = _replay_ties(candidate_scores[live].tolist(), best)
+        tied = [block[candidates[live[kept]]].astype(compact)]
     n_mappings = math.factorial(len(sub_src)) * math.factorial(m - len(sub_src))
     return _Argmax(best, tied, n_mappings, n_scored)
 

@@ -17,8 +17,11 @@ coherence sidecar was written again when it came to record the corpus
 digest, as the eval and sweep sidecars do; it gained that key alone.
 The eval, coherence and sweep sidecars were written again when the
 config echo stopped recording the corpus directory, which the digest
-names; each lost that key alone. Regenerate them only for a change
-that means to alter an output:
+names; each lost that key alone. The control fixture
+(eval_control_m2) was written by the code that still sorted the slot
+strings' pieces as strings; it pins the serialized order of slot words
+that extend one another by characters below U+0020. Regenerate them
+only for a change that means to alter an output:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -38,6 +41,8 @@ import pytest
 
 from relmap.dataset import Dataset, dump_problems
 from relmap.planted import PlantedConfig, generate_planted_corpus
+from relmap.problems import MappingProblem
+from relmap.terms import Term
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,6 +62,16 @@ COMMANDS = {
     "sweep_m8.tsv": ["sweep", "problems_m8.json", "--k", "20:60:20", "--t", "5:25:10",
                      "--no-svd", "--transform", "logentropy", "--report", "{out}"],
 }
+# Slot words that extend one another by characters below U+0020:
+# "ab\x01c X Y" sorts before "ab X Y" as a string, though "ab" < "ab\x01c".
+# At --t 1 the four columns are the two wildcard patterns and the first
+# two, in serialized order, of four patterns with two generating pairs
+# each, so that order decides the mapping: a1:a2 shares "ab\x01c X Y"
+# with b2:b1 and "ab X Y" with b1:b2.
+CONTROL_DOCS = {"1.txt": "ab a1 a2", "2.txt": "ab b1 b2", "3.txt": "ab\x01c a1 a2",
+                "4.txt": "ab\x01c b2 b1", "5.txt": "a1 a2 ab\x1bz"}
+CONTROL = {"eval_control_m2.tsv": ["eval", "problems_control.json", "--mode", "relational",
+                                   "--t", "1", "--report", "{out}"]}
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCORE_TOLERANCE = 1e-12
 
@@ -72,10 +87,22 @@ def make_inputs(root: Path) -> Path:
     return root
 
 
+def make_control_inputs(root: Path) -> Path:
+    """The CONTROL_DOCS corpus, one line per file, and an m=2 problem over it."""
+    (root / "corpus").mkdir(parents=True)
+    for file_name, text in CONTROL_DOCS.items():
+        (root / "corpus" / file_name).write_text(text + "\n", encoding="utf-8")
+    terms = [Term.parse(t) for t in ("a1", "a2", "b1", "b2")]
+    dump_problems(Dataset([MappingProblem("C1", tuple(terms[:2]), tuple(terms[2:]),
+                                          intended={"a1": "b1", "a2": "b2"})]),
+                  root / "problems_control.json")
+    return root
+
+
 def run_command(name: str, inputs: Path, out_dir: Path,
                 blas_threads: int = 1) -> dict[str, bytes]:
     """Run one command; its output files (report and sidecar) by file name."""
-    argv = [a.format(out=out_dir / name) for a in COMMANDS[name]]
+    argv = [a.format(out=out_dir / name) for a in {**COMMANDS, **CONTROL}[name]]
     threads = str(blas_threads)
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0",
                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
@@ -100,6 +127,12 @@ def fixtures(name: str) -> dict[str, bytes]:
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_matches_golden_bytes(name, inputs, tmp_path):
     assert run_command(name, inputs, tmp_path) == fixtures(name)
+
+
+def test_control_character_words_keep_serialized_order(tmp_path):
+    inputs = make_control_inputs(tmp_path / "inputs")
+    for name in CONTROL:
+        assert run_command(name, inputs, tmp_path) == fixtures(name)
 
 
 def assert_same_but_scores(produced: str, expected: str) -> None:
@@ -133,9 +166,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         tmp_root = Path(tmp)
         made = make_inputs(tmp_root / "inputs")
-        for command in COMMANDS:
+        control = make_control_inputs(tmp_root / "control")
+        for command in [*COMMANDS, *CONTROL]:
             work = tmp_root / command
             work.mkdir()
-            for file_name, data in run_command(command, made, work).items():
+            inputs = control if command in CONTROL else made
+            for file_name, data in run_command(command, inputs, work).items():
                 (GOLDEN / file_name).write_bytes(data)
                 print(f"wrote {GOLDEN / file_name} ({len(data)} bytes)", file=sys.stderr)

@@ -613,6 +613,34 @@ def test_tie_chain_rule_across_blocks(pattern):
         assert found.tie_count == 7  # the reset dropped n - 7 earlier ties
 
 
+NEAR_TIES = st.tuples(st.integers(-20, 20), st.integers(-3, 3))
+
+
+@given(magnitude=st.one_of(st.sampled_from((0.0, 1.0, 4096.0, 1e4, 1e6)),
+                           st.floats(-15, 6).map(lambda e: 10.0 ** e)),
+       sign=st.sampled_from((1.0, -1.0)),
+       steps=st.lists(NEAR_TIES, min_size=1, max_size=40),
+       prior=st.one_of(st.none(), NEAR_TIES))
+@example(magnitude=10240.252842451815, sign=-1.0, steps=[(0, 0), (0, -1), (0, -2), (0, -1)],
+         prior=(0, -1))
+@example(magnitude=1e6, sign=1.0, steps=[(0, 0), (-20, 0), (-20, -3), (0, -2), (0, 1)],
+         prior=None)
+@settings(max_examples=500, deadline=None)
+def test_unpassed_rows_leave_the_tie_replay_unchanged(magnitude, sign, steps, prior):
+    """Rows k * 1e-13 plus u ulps from one magnitude, near-ties at the
+    tolerance and at the rounding: dropping the rows an earlier row has
+    left behind gives the replay's best and tied positions."""
+    base = sign * magnitude
+    ulp = abs(np.spacing(base))
+    scores = np.array([base + k * 1e-13 + u * ulp for k, u in steps])
+    best = -math.inf if prior is None else base + prior[0] * 1e-13 + prior[1] * ulp
+    want_best, want = solver._replay_ties(scores.tolist(), best)
+    live = solver._unpassed(scores, best)
+    got_best, kept = solver._replay_ties(scores[live].tolist(), best)
+    assert got_best == want_best
+    assert live[kept].tolist() == want
+
+
 # --- enumeration order ---------------------------------------------------------
 
 @pytest.mark.parametrize("m", range(1, 9))
