@@ -14,12 +14,16 @@ Gram cell, so G is block-diagonal over the components and its eigenpairs
 are those of its blocks: one eigh per component, of its dense block, 8
 bytes per cell whatever the column count. Rows in different components
 get U rows with disjoint supports, so their cosine is exactly 0.0.
-Without SVD the cosines come from G itself, G_ij / sqrt(G_ii G_jj), kept
-as one dense n_r x n_r matrix; cells across components are 0.0 there
-too. Either way the memory budget counts n_r^2 cells, so a matrix with
-more rows than it allows is refused with BudgetError before any n_r x n_r
-array is formed. A row left at or below _WEAK_ROW_SHARE of the largest
-norm holds only rounding noise and is zeroed, not made a unit.
+Only the k + 1 largest eigenvalues reach the cut, so a component whose
+Gershgorin row-sum bound lies below k + 1 eigenvalues already known is
+not decomposed at all; its eigenvalues could not have been kept, and the
+result keeps its bits. Without SVD the cosines come from G itself,
+G_ij / sqrt(G_ii G_jj), kept as one dense n_r x n_r matrix; cells across
+components are 0.0 there too. The memory budget counts the dense arrays:
+with SVD the largest component's Gram block and the n_r x k factors,
+without it all n_r^2 cells. An input past it is refused with BudgetError
+before any of them is formed. A row left at or below _WEAK_ROW_SHARE of
+the largest norm holds only rounding noise and is zeroed, not made a unit.
 """
 
 from __future__ import annotations
@@ -41,8 +45,14 @@ _TIE_SHARE = 1e-9
 # when X is one component, the worst case: 41-46 bytes at n_r = 1000-4000
 # (x86-64, OpenBLAS, one thread).
 _DECOMPOSITION_BYTES_PER_CELL = 48
-# Half of an 8 GB host, which admits n_r up to 9,128.
+# The n_r x k factors' bytes per cell: U_k, U_k * sigma_k and the squares
+# np.linalg.norm forms of it in build_space, 8 bytes each.
+_FACTOR_BYTES_PER_CELL = 24
+# Half of an 8 GB host, which admits one component of up to 9,128 rows
+# before the factors are counted.
 _DECOMPOSITION_BUDGET_BYTES = 4 * 10 ** 9
+# A bound must fall this share below the (k + 1)-th eigenvalue to skip.
+_BOUND_MARGIN = 1e-6
 
 
 def _as_csr(matrix) -> sp.csr_matrix:
@@ -120,30 +130,30 @@ def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
     U column is then zero outside one component, and the cosine of two
     rows in different components is exactly 0.0. When X is one component
     its block is X X^T in row order, and U_k and sigma_k are the bits of a
-    single eigh of X X^T. The memory budget still counts all n rows.
+    single eigh of X X^T.
+
+    Only the k + 1 largest eigenvalues, and the vectors of the kept ones,
+    reach the result. So when n > k, the components are decomposed in
+    descending order of a bound on their largest eigenvalue, and the rest
+    are skipped once a bound falls below the (k + 1)-th largest eigenvalue
+    known so far; see `_spectrum`. The result keeps the bits of an eigh
+    of every component. Which components are skipped depends on k: a
+    spectrum meant to be cut at several k must be taken at the largest.
+
+    The memory budget counts the largest component's Gram block and the
+    n x k factors; see `_require_decomposition_budget`.
     """
     if k < 1:
         raise ConfigError(f"svd rank k must be >= 1, got {k}")
     X = _as_csr(X)
     n = X.shape[0]
-    _require_decomposition_budget(n)
-    # Spectrum: rows grouped by component. A row alone keeps its squared
-    # norm, (X X^T)[i, i], summed in X's order as the product X X^T sums
-    # it; the component at rows[a:b] puts its eigenvalues, descending, in
-    # lam[a:b] and its vectors in blocks[a].
     label = _components(X)
     rows = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[rows], prepend=-1))
     ends = np.append(starts[1:], n)
-    X = X[rows]
-    lam = np.bincount(np.repeat(np.arange(n), np.diff(X.indptr)), weights=X.data ** 2,
-                      minlength=n)
-    blocks = {}
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        if b - a > 1:
-            block = X[a:b]
-            values, vectors = np.linalg.eigh((block @ block.T).toarray())
-            lam[a:b], blocks[a] = values[::-1], vectors[:, ::-1]
+    sizes = ends - starts
+    _require_decomposition_budget(n, k, int(sizes.max(initial=0)))
+    lam, blocks = _spectrum(X[rows], starts, sizes, k)
     order = np.argsort(-lam, kind="stable")
     s = np.sqrt(np.maximum(lam[order], 0.0))
     # Cut at the last strict gap at or below k.
@@ -152,7 +162,6 @@ def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
     keep = strict[-1] + 1 if strict.size else 0
     # Scatter: kept column j is the vector at position order[j].
     kept = order[:keep]
-    sizes = ends - starts
     start = np.repeat(starts, sizes)[kept]
     u = np.zeros((n, k))
     alone = np.flatnonzero(np.repeat(sizes, sizes)[kept] == 1)
@@ -161,6 +170,55 @@ def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
         cols = np.flatnonzero(start == a)
         u[np.ix_(rows[a:a + len(vectors)], cols)] = vectors[:, kept[cols] - a]
     return u, np.pad(s[:keep], (0, k - keep))
+
+
+def _spectrum(X: sp.csr_matrix, starts: np.ndarray, sizes: np.ndarray,
+              k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """(lam, blocks): the spectrum of X X^T, X's rows grouped by component.
+
+    The component of sizes[c] rows from row a = starts[c] puts its eigenvalues, descending, in
+    lam[a:a + sizes[c]] and its vectors in blocks[a]. A row alone keeps its squared
+    norm, (X X^T)[i, i], summed in X's order as the product X X^T sums
+    it. So does every row of a skipped component, which gets no block.
+
+    With n > k rows, a component's largest eigenvalue is at most its
+    largest row sum of |X| |X|^T (Gershgorin's bound on |X X^T|, taken in
+    O(nnz)). The components are decomposed in descending order of that
+    bound until it falls below the (k + 1)-th largest eigenvalue known
+    exactly, from the blocks decomposed and the rows alone. Every later
+    component's bound is no larger, so its eigenvalues, and its rows'
+    squared norms (each at most its largest eigenvalue), all lie below
+    k + 1 values that do not change: the first k + 1 places of the stable
+    descending order, sigma_1 and the cut are those of an eigh of every
+    component, and no kept column falls in a skipped component.
+    """
+    n = X.shape[0]
+    row_of = np.repeat(np.arange(n), np.diff(X.indptr))
+    lam = np.bincount(row_of, weights=X.data ** 2, minlength=n)
+    todo = np.flatnonzero(sizes > 1)
+    can_skip = n > k  # with n <= k every value is kept or cut
+    if can_skip:
+        mass = np.abs(X.data)
+        col_mass = np.bincount(X.indices, weights=mass, minlength=X.shape[1])
+        bound = np.maximum.reduceat(
+            np.bincount(row_of, weights=mass * col_mass[X.indices], minlength=n), starts)
+        todo = todo[np.argsort(-bound[todo], kind="stable")]
+        top = np.sort(lam[starts[sizes == 1]])[::-1][:k + 1]
+    blocks = {}
+    for c in todo.tolist():
+        # The margin covers the rounding of the bound and eigh's backward
+        # error, which can put a computed eigenvalue about b * eps *
+        # lambda_max above the true one: a skipped value must stay below
+        # top[k] as an eigh of its block would have computed it.
+        if can_skip and top.size > k and bound[c] * (1.0 + _BOUND_MARGIN) < top[k]:
+            break
+        a, b = int(starts[c]), int(starts[c] + sizes[c])
+        block = X[a:b]
+        values, vectors = np.linalg.eigh((block @ block.T).toarray())
+        lam[a:b], blocks[a] = values[::-1], vectors[:, ::-1]
+        if can_skip:
+            top = np.sort(np.concatenate((top, values)))[::-1][:k + 1]
+    return lam, blocks
 
 
 def _components(X: sp.csr_matrix) -> np.ndarray:
@@ -199,13 +257,23 @@ def _components(X: sp.csr_matrix) -> np.ndarray:
         label = new
 
 
-def _require_decomposition_budget(n_r: int) -> None:
-    """Raise BudgetError when decomposing n_r rows would pass the memory budget."""
-    need = _DECOMPOSITION_BYTES_PER_CELL * n_r * n_r
-    if need > _DECOMPOSITION_BUDGET_BYTES:
+def _require_decomposition_budget(n_r: int, k: int = 0, largest: Optional[int] = None) -> None:
+    """Raise BudgetError when the space's dense arrays would pass the memory budget.
+
+    They are the dense Gram block of the largest component, `largest`
+    rows (all n_r by default, as for the no-SVD cosines, one n_r x n_r
+    matrix), at _DECOMPOSITION_BYTES_PER_CELL per cell, and the n_r x k
+    factors at _FACTOR_BYTES_PER_CELL per cell.
+    """
+    largest = n_r if largest is None else largest
+    gram = _DECOMPOSITION_BYTES_PER_CELL * largest * largest
+    factors = _FACTOR_BYTES_PER_CELL * n_r * k
+    if gram + factors > _DECOMPOSITION_BUDGET_BYTES:
         raise BudgetError(
-            f"decomposing n_r={n_r:,} pair rows needs about {need:,} bytes, over the "
-            f"budget of {_DECOMPOSITION_BUDGET_BYTES:,} bytes")
+            f"decomposing n_r={n_r:,} pair rows at k={k:,} needs about {gram:,} bytes for "
+            f"the Gram block of the largest component ({largest:,} rows) and {factors:,} "
+            f"bytes for the n_r x k factors, over the budget of "
+            f"{_DECOMPOSITION_BUDGET_BYTES:,} bytes")
 
 
 def _normalize_rows(M: np.ndarray) -> np.ndarray:
@@ -299,8 +367,9 @@ def build_space_from_matrix(X, rows: list[TermPair], *, k: Optional[int]) -> Rel
 
     k=None skips the decomposition: similarities are then the cosines of
     the weighted matrix rows themselves, taken from its sparse Gram
-    matrix. Both ways form n_r x n_r cells, so both are refused with
-    BudgetError past the same budget on n_r.
+    matrix, n_r x n_r cells, refused with BudgetError past the budget on
+    n_r. With SVD the budget counts the largest component's Gram block and
+    the n_r x k factors instead.
     """
     row_index = {pair: i for i, pair in enumerate(rows)}
     if len(row_index) != len(rows):

@@ -24,7 +24,10 @@ The SVD references are the dense LAPACK and iterative `svds` backends,
 against which the package's Gram eigendecomposition is checked, and
 `truncated_svd_full`, one eigh of the whole Gram matrix, the package's
 earlier design; the decomposition one connected component at a time
-must keep the same spectrum, cut and cosines. The no-SVD reference,
+must keep the same spectrum, cut and cosines. `truncated_svd_every_component`
+runs that decomposition on every component, the design before the
+package skipped the components whose eigenvalues cannot reach the cut;
+the package must keep its bits. The no-SVD reference,
 `dense_cosines`, normalizes a dense copy of X's rows, the package's
 earlier design; the cosines from the sparse Gram matrix must agree with
 it and zero the same weak rows. `scalar_sim_r` reads one cosine at a
@@ -53,6 +56,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import svds
 
 from relmap.corpus import MAX_MID, MAX_POST, MAX_PRE, _find_windows
@@ -482,6 +486,52 @@ def truncated_svd_full(X, k):
     keep = strict[-1] + 1 if strict.size else 0
     u = np.zeros((X.shape[0], k))
     u[:, :keep] = vecs[:, ::-1][:, :keep]
+    return u, np.pad(s[:keep], (0, k - keep))
+
+
+def truncated_svd_every_component(X, k):
+    """(U_k, sigma_k) from one eigh of every component of two or more rows,
+    the package's design before it skipped components that cannot reach the
+    cut: the same layout, stable tie order and cut, so the package must keep
+    its bits. The components come from scipy's connected_components on the
+    bipartite graph of rows and columns, each labelled by its smallest row.
+    """
+    X = sp.csr_matrix(X, dtype=float)
+    X.eliminate_zeros()
+    n, n_c = X.shape
+    pattern = sp.csr_matrix((np.ones(X.nnz), X.indices, X.indptr), shape=X.shape)
+    _, comp = connected_components(sp.bmat([[sp.csr_matrix((n, n)), pattern],
+                                            [pattern.T, sp.csr_matrix((n_c, n_c))]]),
+                                   directed=False)
+    first = {}
+    label = np.array([first.setdefault(g, i) for i, g in enumerate(comp[:n].tolist())],
+                     dtype=np.int64)
+    rows = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[rows], prepend=-1))
+    ends = np.append(starts[1:], n)
+    X = X[rows]
+    lam = np.bincount(np.repeat(np.arange(n), np.diff(X.indptr)), weights=X.data ** 2,
+                      minlength=n)
+    blocks = {}
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        if b - a > 1:
+            block = X[a:b]
+            values, vectors = np.linalg.eigh((block @ block.T).toarray())
+            lam[a:b], blocks[a] = values[::-1], vectors[:, ::-1]
+    order = np.argsort(-lam, kind="stable")
+    s = np.sqrt(np.maximum(lam[order], 0.0))
+    gaps = s[:k] - np.append(s[1:], 0.0)[:k]
+    strict = np.flatnonzero(gaps > SVD_TIE_SHARE * s.max(initial=0.0))
+    keep = strict[-1] + 1 if strict.size else 0
+    kept = order[:keep]
+    sizes = ends - starts
+    start = np.repeat(starts, sizes)[kept]
+    u = np.zeros((n, k))
+    alone = np.flatnonzero(np.repeat(sizes, sizes)[kept] == 1)
+    u[rows[kept[alone]], alone] = 1.0
+    for a, vectors in blocks.items():
+        cols = np.flatnonzero(start == a)
+        u[np.ix_(rows[a:a + len(vectors)], cols)] = vectors[:, kept[cols] - a]
     return u, np.pad(s[:keep], (0, k - keep))
 
 

@@ -433,6 +433,16 @@ def test_decomposition_over_budget_is_a_budget_refusal(planted_paths, monkeypatc
     assert "budget refusal: decomposing n_r=" in capsys.readouterr().err
 
 
+def test_huge_k_is_a_budget_refusal(planted_paths, capsys):
+    """k has no upper bound of its own, but the n_r x k factors are counted:
+    at k = 10^9 they would take terabytes, so eval is refused by name."""
+    corpus, problems = planted_paths
+    assert main(["eval", problems, "--mode", "relational", "--corpus", corpus,
+                 "--k", "1000000000"]) == 3
+    err = capsys.readouterr().err
+    assert "budget refusal: decomposing n_r=" in err and "at k=1,000,000,000 " in err
+
+
 def test_no_svd_over_budget_is_a_budget_refusal(planted_paths, monkeypatch, capsys):
     """Without SVD the space still holds n_r x n_r cells, under the same budget."""
     corpus, problems = planted_paths

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from oracles import (dense_cosines, dense_svd, log_entropy_cell, ppmi_cell, scalar_sim_r,
-                     sparse_svd, truncated_svd_full)
+                     sparse_svd, truncated_svd_every_component, truncated_svd_full)
 from relmap.config import Config
 from relmap.corpus import ingest
 from relmap.errors import BudgetError, ConfigError, TransformError
@@ -277,8 +277,8 @@ def test_components_of_empty_rows_singletons_and_permuted_blocks():
 
 
 def test_components_of_a_chain_at_the_budget_edge():
-    """9,128 rows, the most the decomposition budget admits, each sharing a
-    column with the next one in a random order: one component, found in a
+    """9,128 rows, the most one component may have under the decomposition
+    budget, each sharing a column with the next one in a random order: one component, found in a
     few whole-array rounds, where one eigh of that size takes minutes."""
     n_r = 9_128
     order = np.random.default_rng(1).permutation(n_r)
@@ -295,32 +295,36 @@ def test_components_of_a_chain_at_the_budget_edge():
 def block_matrix(seed, plan, n_zero):
     """X of dense blocks with chosen, well-separated singular values, rows
     and columns shuffled. `plan` holds, per block, (rows, extra columns)
-    for a new block or ("copy", i) to repeat block i over new columns."""
+    or (rows, extra columns, scale) for a new block, its singular values
+    multiplied by scale, or ("copy", i) to repeat block i over new columns."""
     rng = np.random.default_rng(seed)
     pool = iter(rng.permutation(np.arange(4, 44)) / 4.0)
     blocks = []
-    for first, second in plan:
+    for first, second, *scale in plan:
         if first == "copy":
             blocks.append(blocks[second].copy())
             continue
         r, c = first, first + second
         left, _ = np.linalg.qr(rng.standard_normal((r, r)))
         right, _ = np.linalg.qr(rng.standard_normal((c, r)))
-        blocks.append(left @ np.diag([next(pool) for _ in range(r)]) @ right.T)
+        block = left @ np.diag([next(pool) for _ in range(r)]) @ right.T
+        blocks.append(block * scale[0] if scale else block)
     return shuffled_blocks(rng, blocks, n_zero=n_zero)
 
 
 @st.composite
-def block_matrices(draw):
+def block_matrices(draw, scales=(1.0,)):
     """`block_matrix` with some blocks repeated (singular values tied exactly
-    across components) and zero rows."""
+    across components) and zero rows. Each new block is scaled by one of
+    `scales`; a scale below 1 can put its whole spectrum below another's."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
     plan = []
     for _ in range(draw(st.integers(1, 4))):
         if plan and draw(st.booleans()):
             plan.append(("copy", draw(st.integers(0, len(plan) - 1))))
         else:
-            plan.append((draw(st.integers(1, 5)), draw(st.integers(0, 3))))
+            plan.append((draw(st.integers(1, 5)), draw(st.integers(0, 3)),
+                         draw(st.sampled_from(scales))))
     return block_matrix(seed, plan, draw(st.integers(0, 3)))
 
 
@@ -397,6 +401,101 @@ def test_one_component_keeps_the_bits_of_one_eigh(seed, n_r, n_c, k):
     u_ref, s_ref = truncated_svd_full(X, k)
     assert s.tobytes() == s_ref.tobytes()
     assert u.tobytes() == u_ref.tobytes()
+
+
+def near_tie_below_the_kth():
+    """Rows alone with squared norms 1, 1e-8 and 1e-12, and a 2-row block
+    whose largest eigenvalue, equal to its row-sum bound, lies 1e-5 below
+    1e-8, while its rows' squared norms are two thirds of that. At k = 2
+    sigma_2 = 1e-4 is tied with the block's sigma (5e-10 apart, within
+    1e-9 sigma_1), so the cut drops it; a block skipped against the k-th
+    value in place of the (k+1)-th would leave its squared norms as the
+    3rd value, a strict gap, and keep sigma_2."""
+    x = math.sqrt(1e-8 * (1 - 1e-5) / 3)
+    return sp.csr_matrix(np.array([[1.0, 0, 0, 0, 0, 0], [0, 1e-4, 0, 0, 0, 0],
+                                   [0, 0, 1e-6, 0, 0, 0], [0, 0, 0, x, x, 0],
+                                   [0, 0, 0, 0, x, x]]))
+
+
+@given(block_matrices(scales=(1.0, 1.0, 0.5, 0.1, 0.01)))
+@example(near_tie_below_the_kth())
+# A strong 5-row block, a scaled-down 4-row one, a row alone and a zero
+# row: the weak block is skipped at k = 1-4 and decomposed from k = 5.
+@example(block_matrix(7, [(5, 1, 1.0), (4, 2, 0.1), (1, 1, 0.5)], 1))
+# Two copies of a strong block and a weak one: the tie at the cut spans
+# two components, neither of which may be skipped.
+@example(block_matrix(11, [(3, 0, 1.0), ("copy", 0), (3, 1, 0.01)], 0))
+@settings(max_examples=200, deadline=None)
+def test_skipping_components_keeps_the_bits_of_every_eigh(X):
+    """The components whose eigenvalues cannot reach the cut are skipped,
+    and U_k and sigma_k keep the bits of an eigh of every component, at
+    every k from 1 to past n_r."""
+    for k in range(1, X.shape[0] + 3):
+        u, s = truncated_svd(X, k)
+        u_ref, s_ref = truncated_svd_every_component(X, k)
+        assert s.tobytes() == s_ref.tobytes()
+        assert u.tobytes() == u_ref.tobytes()
+
+
+def test_a_weak_component_below_the_cut_is_not_decomposed(monkeypatch):
+    """A strong 6-row block and a weak 6-row one: at k = 3 the weak block's
+    row-sum bound lies below the strong block's 4th eigenvalue, so one eigh
+    runs; at k = 12, n_r, nothing can be skipped."""
+    X = block_matrix(3, [(6, 2, 1.0), (6, 2, 0.01)], 0)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    u, s = truncated_svd(X, 3)
+    assert sizes == [6]
+    u_ref, s_ref = truncated_svd_every_component(X, 3)
+    assert (u.tobytes(), s.tobytes()) == (u_ref.tobytes(), s_ref.tobytes())
+    sizes.clear()
+    truncated_svd(X, 12)
+    assert sizes == [6, 6]
+
+
+def chain(n_r):
+    """n_r rows in one component: row i shares a column with row i + 1."""
+    rows = np.repeat(np.arange(n_r), 2)
+    return sp.csr_matrix((np.ones(2 * n_r), (rows, rows + np.tile([0, 1], n_r))),
+                         shape=(n_r, n_r + 1))
+
+
+def test_budget_counts_the_largest_component():
+    """A 9,129-row component is refused inside a larger X, before any
+    n_r x n_r or n_r x k array is formed; 10,000 rows in 2-row components
+    are not, and keep the bits of an eigh of every component."""
+    X = sp.block_diag([chain(9_129), sp.identity(871)], format="csr")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"n_r=10,000 pair rows at k=5 .* \(9,129 rows\)"):
+            truncated_svd(X, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10_000 * 10_000 / 100
+    rng = np.random.default_rng(0)
+    pairs = sp.block_diag([rng.uniform(0.5, 2.0, (2, 2)) for _ in range(5_000)], format="csr")
+    u, s = truncated_svd(pairs, 5)
+    u_ref, s_ref = truncated_svd_every_component(pairs, 5)
+    assert (u.tobytes(), s.tobytes()) == (u_ref.tobytes(), s_ref.tobytes())
+
+
+def test_budget_counts_the_factors():
+    """At a huge k the n_r x k factors alone pass the budget: refused by
+    name, before u is formed. At k = 300 they move the edge for X of one
+    component from 9,128 rows to 9,054."""
+    with pytest.raises(BudgetError,
+                       match="n_r=3 pair rows at k=1,000,000,000 .* 72,000,000,000 bytes"):
+        truncated_svd(np.eye(3), 10 ** 9)
+    with pytest.raises(BudgetError, match=r"\(9,128 rows\)"):
+        _require_decomposition_budget(9_128, 300, 9_128)
+    _require_decomposition_budget(9_054, 300, 9_054)
 
 
 def test_weak_row_is_zeroed():
