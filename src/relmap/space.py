@@ -176,10 +176,11 @@ def _spectrum(X: sp.csr_matrix, starts: np.ndarray, sizes: np.ndarray,
               k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """(lam, blocks): the spectrum of X X^T, X's rows grouped by component.
 
-    The component of sizes[c] rows from row a = starts[c] puts its eigenvalues, descending, in
-    lam[a:a + sizes[c]] and its vectors in blocks[a]. A row alone keeps its squared
-    norm, (X X^T)[i, i], summed in X's order as the product X X^T sums
-    it. So does every row of a skipped component, which gets no block.
+    Component c, the sizes[c] rows from row a = starts[c], puts its
+    eigenvalues, descending, in lam[a:a + sizes[c]] and its vectors in
+    blocks[a]. A row alone keeps its squared norm, (X X^T)[i, i], summed
+    in X's order as the product X X^T sums it. So does every row of a
+    skipped component, which gets no block.
 
     With n > k rows, a component's largest eigenvalue is at most its
     largest row sum of |X| |X|^T (Gershgorin's bound on |X X^T|, taken in
@@ -207,9 +208,9 @@ def _spectrum(X: sp.csr_matrix, starts: np.ndarray, sizes: np.ndarray,
     blocks = {}
     for c in todo.tolist():
         # The margin covers the rounding of the bound and eigh's backward
-        # error, which can put a computed eigenvalue about b * eps *
-        # lambda_max above the true one: a skipped value must stay below
-        # top[k] as an eigh of its block would have computed it.
+        # error, which can put a computed eigenvalue of a b-row block about
+        # b * eps * lambda_max above the true one: a skipped value must stay
+        # below top[k] as an eigh of its block would have computed it.
         if can_skip and top.size > k and bound[c] * (1.0 + _BOUND_MARGIN) < top[k]:
             break
         a, b = int(starts[c]), int(starts[c] + sizes[c])
