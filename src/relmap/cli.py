@@ -2,7 +2,7 @@
 
 All randomness flows from --seed, so any command is deterministic given
 its inputs and flags. Exit codes: 0 success, 1 usage error, 2 data or
-corpus error, 3 budget refusal (m, or the relation space's n_r x n_r cells).
+corpus error, 3 budget refusal (m, or the relation space's dense arrays).
 """
 
 from __future__ import annotations

@@ -25,8 +25,9 @@ class BudgetError(RelmapError):
     """Work refused because it passes a budget.
 
     Either exhaustive enumeration, when m! exceeds the enumeration
-    budget, or the relation space's memory, when its n_r x n_r Gram
-    matrix would pass the memory budget, with SVD or without.
+    budget, or the relation space's memory, when its dense arrays would
+    pass the memory budget: with SVD the largest component's Gram block
+    and the n_r x k factors, without it the n_r x n_r cosines.
     """
 
 

@@ -21,9 +21,12 @@ result keeps its bits. Without SVD the cosines come from G itself,
 G_ij / sqrt(G_ii G_jj), kept as one dense n_r x n_r matrix; cells across
 components are 0.0 there too. The memory budget counts the dense arrays:
 with SVD the largest component's Gram block and the n_r x k factors,
-without it all n_r^2 cells. An input past it is refused with BudgetError
-before any of them is formed. A row left at or below _WEAK_ROW_SHARE of
-the largest norm holds only rounding noise and is zeroed, not made a unit.
+without it all n_r^2 cells. Each block decomposed keeps only its first k
+vectors, the only ones a kept column can take, so its whole eigenvector
+matrix lives no longer than its eigh. An input past the budget is
+refused with BudgetError before any of these arrays is formed. A row
+left at or below _WEAK_ROW_SHARE of the largest norm holds only rounding
+noise and is zeroed, not made a unit.
 """
 
 from __future__ import annotations
@@ -45,11 +48,12 @@ _TIE_SHARE = 1e-9
 # when X is one component, the worst case: 41-46 bytes at n_r = 1000-4000
 # (x86-64, OpenBLAS, one thread).
 _DECOMPOSITION_BYTES_PER_CELL = 48
-# The n_r x k factors' bytes per cell: U_k, U_k * sigma_k and the squares
-# np.linalg.norm forms of it in build_space, 8 bytes each.
-_FACTOR_BYTES_PER_CELL = 24
+# The n_r x k arrays' bytes per cell, 8 bytes each: the first k vectors
+# kept of each block decomposed (at most n_r x k in all), U_k, U_k * sigma_k
+# and the squares np.linalg.norm forms of it in build_space.
+_FACTOR_BYTES_PER_CELL = 32
 # Half of an 8 GB host, which admits one component of up to 9,128 rows
-# before the factors are counted.
+# at k = 1.
 _DECOMPOSITION_BUDGET_BYTES = 4 * 10 ** 9
 # A bound must fall this share below the (k + 1)-th eigenvalue to skip.
 _BOUND_MARGIN = 1e-6
@@ -133,15 +137,17 @@ def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
     single eigh of X X^T.
 
     Only the k + 1 largest eigenvalues, and the vectors of the kept ones,
-    reach the result. So when n > k, the components are decomposed in
-    descending order of a bound on their largest eigenvalue, and the rest
-    are skipped once a bound falls below the (k + 1)-th largest eigenvalue
-    known so far; see `_spectrum`. The result keeps the bits of an eigh
-    of every component. Which components are skipped depends on k: a
-    spectrum meant to be cut at several k must be taken at the largest.
+    reach the result. So the components are decomposed in descending
+    order of a bound on their largest eigenvalue, and the rest are skipped
+    once a bound falls below the (k + 1)-th largest eigenvalue known so
+    far; with n <= k none is skipped. See `_spectrum`. The result keeps
+    the bits of an eigh of every component. Which components are skipped
+    depends on k: a spectrum meant to be cut at several k must be taken
+    at the largest.
 
     The memory budget counts the largest component's Gram block and the
-    n x k factors; see `_require_decomposition_budget`.
+    n x k arrays, each block's first k vectors among them; see
+    `_require_decomposition_budget`.
     """
     if k < 1:
         raise ConfigError(f"svd rank k must be >= 1, got {k}")
@@ -177,16 +183,19 @@ def _spectrum(X: sp.csr_matrix, starts: np.ndarray, sizes: np.ndarray,
     """(lam, blocks): the spectrum of X X^T, X's rows grouped by component.
 
     Component c, the sizes[c] rows from row a = starts[c], puts its
-    eigenvalues, descending, in lam[a:a + sizes[c]] and its vectors in
-    blocks[a]. A row alone keeps its squared norm, (X X^T)[i, i], summed
-    in X's order as the product X X^T sums it. So does every row of a
-    skipped component, which gets no block.
+    eigenvalues, descending, in lam[a:a + sizes[c]] and the vectors of the
+    first k in blocks[a]. A block's m-th value, from 0, comes after the m
+    before it in the stable descending order, so a kept column, one of the
+    first k there, never needs a later vector. A row alone keeps its
+    squared norm, (X X^T)[i, i], summed in X's order as the product X X^T
+    sums it. So does every row of a skipped component, which gets no block.
 
-    With n > k rows, a component's largest eigenvalue is at most its
-    largest row sum of |X| |X|^T (Gershgorin's bound on |X X^T|, taken in
-    O(nnz)). The components are decomposed in descending order of that
-    bound until it falls below the (k + 1)-th largest eigenvalue known
-    exactly, from the blocks decomposed and the rows alone. Every later
+    A component's largest eigenvalue is at most its largest row sum of
+    |X| |X|^T (Gershgorin's bound on |X X^T|, taken in O(nnz)). The
+    components are decomposed in descending order of that bound until it
+    falls below the (k + 1)-th largest eigenvalue known exactly, from the
+    blocks decomposed and the rows alone; with n <= k there is never a
+    (k + 1)-th, and every component is decomposed. Every later
     component's bound is no larger, so its eigenvalues, and its rows'
     squared norms (each at most its largest eigenvalue), all lie below
     k + 1 values that do not change: the first k + 1 places of the stable
@@ -196,30 +205,36 @@ def _spectrum(X: sp.csr_matrix, starts: np.ndarray, sizes: np.ndarray,
     n = X.shape[0]
     row_of = np.repeat(np.arange(n), np.diff(X.indptr))
     lam = np.bincount(row_of, weights=X.data ** 2, minlength=n)
+    mass = np.abs(X.data)
+    col_mass = np.bincount(X.indices, weights=mass, minlength=X.shape[1])
+    bound = np.maximum.reduceat(
+        np.bincount(row_of, weights=mass * col_mass[X.indices], minlength=n), starts)
     todo = np.flatnonzero(sizes > 1)
-    can_skip = n > k  # with n <= k every value is kept or cut
-    if can_skip:
-        mass = np.abs(X.data)
-        col_mass = np.bincount(X.indices, weights=mass, minlength=X.shape[1])
-        bound = np.maximum.reduceat(
-            np.bincount(row_of, weights=mass * col_mass[X.indices], minlength=n), starts)
-        todo = todo[np.argsort(-bound[todo], kind="stable")]
-        top = np.sort(lam[starts[sizes == 1]])[::-1][:k + 1]
+    todo = todo[np.argsort(-bound[todo], kind="stable")]
+    top = np.sort(lam[starts[sizes == 1]])[::-1][:k + 1]
     blocks = {}
     for c in todo.tolist():
         # The margin covers the rounding of the bound and eigh's backward
         # error, which can put a computed eigenvalue of a b-row block about
         # b * eps * lambda_max above the true one: a skipped value must stay
         # below top[k] as an eigh of its block would have computed it.
-        if can_skip and top.size > k and bound[c] * (1.0 + _BOUND_MARGIN) < top[k]:
+        if top.size > k and bound[c] * (1.0 + _BOUND_MARGIN) < top[k]:
             break
         a, b = int(starts[c]), int(starts[c] + sizes[c])
-        block = X[a:b]
-        values, vectors = np.linalg.eigh((block @ block.T).toarray())
-        lam[a:b], blocks[a] = values[::-1], vectors[:, ::-1]
-        if can_skip:
-            top = np.sort(np.concatenate((top, values)))[::-1][:k + 1]
+        lam[a:b], blocks[a] = _top_eigenpairs(X[a:b], k)
+        top = np.sort(np.concatenate((top, lam[a:b])))[::-1][:k + 1]
     return lam, blocks
+
+
+def _top_eigenpairs(block: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues of block block^T, descending, and the first k vectors.
+
+    The vectors are copied out, so eigh's whole b x b matrix is freed on
+    return and a block holds at most b x k cells while the rest are
+    decomposed.
+    """
+    values, vectors = np.linalg.eigh((block @ block.T).toarray())
+    return values[::-1], vectors[:, ::-1][:, :k].copy()
 
 
 def _components(X: sp.csr_matrix) -> np.ndarray:
@@ -258,15 +273,13 @@ def _components(X: sp.csr_matrix) -> np.ndarray:
         label = new
 
 
-def _require_decomposition_budget(n_r: int, k: int = 0, largest: Optional[int] = None) -> None:
-    """Raise BudgetError when the space's dense arrays would pass the memory budget.
+def _require_decomposition_budget(n_r: int, k: int, largest: int) -> None:
+    """Raise BudgetError when the decomposition's dense arrays would pass the memory budget.
 
     They are the dense Gram block of the largest component, `largest`
-    rows (all n_r by default, as for the no-SVD cosines, one n_r x n_r
-    matrix), at _DECOMPOSITION_BYTES_PER_CELL per cell, and the n_r x k
-    factors at _FACTOR_BYTES_PER_CELL per cell.
+    rows, at _DECOMPOSITION_BYTES_PER_CELL per cell, and the n_r x k
+    arrays at _FACTOR_BYTES_PER_CELL per cell.
     """
-    largest = n_r if largest is None else largest
     gram = _DECOMPOSITION_BYTES_PER_CELL * largest * largest
     factors = _FACTOR_BYTES_PER_CELL * n_r * k
     if gram + factors > _DECOMPOSITION_BUDGET_BYTES:
@@ -275,6 +288,15 @@ def _require_decomposition_budget(n_r: int, k: int = 0, largest: Optional[int] =
             f"the Gram block of the largest component ({largest:,} rows) and {factors:,} "
             f"bytes for the n_r x k factors, over the budget of "
             f"{_DECOMPOSITION_BUDGET_BYTES:,} bytes")
+
+
+def _require_cosine_budget(n_r: int) -> None:
+    """Raise BudgetError when the n_r x n_r cosines would pass the memory budget."""
+    need = _DECOMPOSITION_BYTES_PER_CELL * n_r * n_r
+    if need > _DECOMPOSITION_BUDGET_BYTES:
+        raise BudgetError(
+            f"the cosines of n_r={n_r:,} pair rows, n_r x n_r cells, need about {need:,} "
+            f"bytes, over the budget of {_DECOMPOSITION_BUDGET_BYTES:,} bytes")
 
 
 def _normalize_rows(M: np.ndarray) -> np.ndarray:
@@ -377,7 +399,7 @@ def build_space_from_matrix(X, rows: list[TermPair], *, k: Optional[int]) -> Rel
         raise DataError("duplicate pair rows in relation space")
     X = _as_csr(X)
     if k is None:
-        _require_decomposition_budget(X.shape[0])
+        _require_cosine_budget(X.shape[0])
         return RelationSpace(row_index=row_index, cosines=_gram_cosines(X))
     u, s = truncated_svd(X, k)
     return build_space(u, s, row_index)

@@ -449,7 +449,7 @@ def test_no_svd_over_budget_is_a_budget_refusal(planted_paths, monkeypatch, caps
     monkeypatch.setattr(space, "_DECOMPOSITION_BUDGET_BYTES", 10 ** 6)
     assert main(["eval", problems, "--mode", "relational", "--corpus", corpus,
                  "--no-svd"]) == 3
-    assert "budget refusal: decomposing n_r=" in capsys.readouterr().err
+    assert "budget refusal: the cosines of n_r=" in capsys.readouterr().err
 
 
 UNLOADED = ("scipy.sparse.csgraph", "scipy.linalg", "scipy.sparse.linalg")

@@ -19,8 +19,9 @@ from relmap.patterns import (build_frequency_matrix, build_pair_list,
                              mine_patterns, prune_rows, select_columns)
 from relmap.problems import MappingProblem
 from relmap.solver import RelationalScorer
-from relmap.space import (_components, _require_decomposition_budget, build_space,
-                          build_space_from_matrix, transform_log_entropy,
+from relmap.space import (_DECOMPOSITION_BYTES_PER_CELL, _FACTOR_BYTES_PER_CELL, _components,
+                          _require_cosine_budget, _require_decomposition_budget,
+                          build_space, build_space_from_matrix, transform_log_entropy,
                           transform_ppmic, truncated_svd)
 from relmap.terms import TermPair
 
@@ -186,9 +187,12 @@ def test_svd_refuses_a_gram_matrix_over_the_memory_budget():
 
 
 def test_decomposition_budget_edge():
-    _require_decomposition_budget(9_128)
+    _require_decomposition_budget(9_128, 1, 9_128)
     with pytest.raises(BudgetError, match="n_r=9,129"):
-        _require_decomposition_budget(9_129)
+        _require_decomposition_budget(9_129, 1, 9_129)
+    _require_cosine_budget(9_128)
+    with pytest.raises(BudgetError, match="cosines of n_r=9,129"):
+        _require_cosine_budget(9_129)
 
 
 def test_no_svd_refuses_a_cosine_matrix_over_the_memory_budget():
@@ -489,13 +493,44 @@ def test_budget_counts_the_largest_component():
 def test_budget_counts_the_factors():
     """At a huge k the n_r x k factors alone pass the budget: refused by
     name, before u is formed. At k = 300 they move the edge for X of one
-    component from 9,128 rows to 9,054."""
+    component from 9,128 rows to 9,029."""
     with pytest.raises(BudgetError,
-                       match="n_r=3 pair rows at k=1,000,000,000 .* 72,000,000,000 bytes"):
+                       match="n_r=3 pair rows at k=1,000,000,000 .* 96,000,000,000 bytes"):
         truncated_svd(np.eye(3), 10 ** 9)
-    with pytest.raises(BudgetError, match=r"\(9,128 rows\)"):
-        _require_decomposition_budget(9_128, 300, 9_128)
-    _require_decomposition_budget(9_054, 300, 9_054)
+    with pytest.raises(BudgetError, match=r"\(9,030 rows\)"):
+        _require_decomposition_budget(9_030, 300, 9_030)
+    _require_decomposition_budget(9_029, 300, 9_029)
+
+
+def test_decomposed_blocks_hold_no_more_than_the_budget_counts(monkeypatch):
+    """Twenty alike 400-row components, none of which can be skipped at
+    k = 10: each keeps only its first k vectors, so the traced peak stays
+    within what the budget counts, the largest Gram block and the n_r x k
+    arrays, where keeping every block's whole eigenvector matrix would
+    hold 25.6 MB."""
+    rng = np.random.default_rng(3)
+    block = rng.uniform(0.5, 2.0, (400, 8))
+    X = sp.block_diag([block * (1 + i / 1000) for i in range(20)], format="csr")
+    n_r, k = X.shape[0], 10
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    tracemalloc.start()
+    try:
+        u, s = truncated_svd(X, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [400] * 20
+    counted_bytes = _DECOMPOSITION_BYTES_PER_CELL * 400 ** 2 + _FACTOR_BYTES_PER_CELL * n_r * k
+    assert peak < counted_bytes < 8 * 20 * 400 ** 2
+    u_ref, s_ref = truncated_svd_every_component(X, k)
+    assert (u.tobytes(), s.tobytes()) == (u_ref.tobytes(), s_ref.tobytes())
 
 
 def test_weak_row_is_zeroed():
