@@ -36,35 +36,44 @@ inside its document. Each (x term, y term) hit is mapped to the pair
 slots with those terms through a sorted key array, and one stable sort
 by slot gives the windows in (pair, document, x start, y start) order.
 
-Ingest streams the files. Each file is read, hashed, tokenized and
-mapped to ids before the next one is read. Ids are first-seen ids in a
-batch dict that is flushed once it holds `_BATCH_WORDS` words; a flushed
-batch keeps only its words, as one "\\n"-joined UTF-8 byte string. So at
-any time memory holds one batch's dict, the distinct words' bytes (a
-word seen in several batches once per batch), 4 bytes per token so far
-and one file's tokens: never a Python string per corpus token or per
-vocabulary word. At the end the words of all batches are sorted once,
-in numpy, by most-significant-digit refinement on the 8-byte prefixes
-the cache check also reads (below). Copies of a word from several
-batches become one vocabulary word, the ids are renumbered by
-vocabulary rank, and the vocabulary's bytes are copied out a bounded
-number of words at a time.
+Ingest streams the files, and tokenizes an ASCII file by bytes. Each
+file is read, hashed and tokenized before the next one is read. An ASCII
+file's bytes are lowercased and classed through two tables indexed by
+byte (whitespace, edge punctuation, word byte); a token runs from the
+first word byte to the last of a run of bytes that are not whitespace,
+found for all tokens at once with `searchsorted`. Any other file, one
+that starts with a byte-order mark included, goes through
+`terms.tokenize`, and its tokens are joined by "\\n" as UTF-8 bytes.
+Either way a file becomes its bytes and the start and size of each
+token, and everything after that is one path. The tokens are sorted in
+batches of _BATCH_TOKENS, in numpy, by most-significant-digit refinement
+on the 8-byte prefixes the cache check also reads (below); a sorted
+batch keeps only its distinct words, as "\\n"-joined bytes, and its
+tokens' ranks among them. So at any time memory holds one file, the
+bytes and bounds of one batch's tokens and that batch's sort, the
+distinct words of the batches so far and 4 bytes per token: never a
+Python string per corpus token or per vocabulary word, except for the
+tokens of one file that is not ASCII. The words of several batches are
+sorted once more at the end, so that copies of a word from several
+batches become one vocabulary word, and each batch's ranks are mapped to
+vocabulary ids. Words are copied out of a sort _SORT_CHUNK at a time.
 
-Cache. `save_index` writes an uncompressed ``.npz`` holding the ids,
-the offsets, the vocabulary's bytes as they are and a JSON metadata
-string. The file name is a hash of the corpus content digest and the
-format version. There is one tokenizer (`terms.tokenize`), and the
-format version stands for it, so an index written by another tokenizer
-or layout is never found. The file is written to a temporary name
-in the cache directory and renamed into place, so no reader sees a
-partial file. `load_index` reads it with ``allow_pickle=False`` and
-checks the format, the dtypes, the offsets, the vocabulary and the id
-range before it returns anything. The vocabulary is checked on its
-bytes, a bounded number of words at a time: UTF-8 validity, the stated
-size, no empty word and strictly increasing order. The order is settled
-for whole chunks at once on each word's first 8 bytes, read as one
-big-endian integer; only words whose first 8 bytes tie, and the words
-on each side of a chunk boundary, are compared as whole bytes.
+Cache. `save_index` writes an uncompressed ``.npz`` holding the ids, the
+offsets, the vocabulary's bytes as they are and a JSON metadata string.
+The file name is a hash of the corpus content digest and the format
+version. There is one tokenization, `terms.tokenize`'s, taken by bytes
+for ASCII files, and the format version stands for it, so an index
+written by another tokenizer or layout is never found. The file is
+written to a temporary name in the cache directory and renamed into
+place, so no reader sees a partial file. `load_index` reads it with
+``allow_pickle=False`` and checks the format, the dtypes, the offsets,
+the vocabulary and the id range before it returns anything. The
+vocabulary is checked on its bytes, a bounded number of words at a time:
+UTF-8 validity, the stated size, no empty word and strictly increasing
+order. The order is settled for whole chunks at once on each word's
+first 8 bytes, read as one big-endian integer; only words whose first 8
+bytes tie, and the words on each side of a chunk boundary, are compared
+as whole bytes.
 """
 
 from __future__ import annotations
@@ -72,13 +81,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import os
 import zipfile
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -86,7 +93,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import CorpusError
-from .terms import Term, TermPair, tokenize
+from .terms import _PUNCT, Term, TermPair, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -94,19 +101,32 @@ MAX_PRE = 1
 MAX_MID = 3
 MAX_POST = 1
 
-# The format tag also stands for the one tokenizer and for how a file is
-# decoded, which the cache key and metadata do not otherwise name: any change
-# to `terms.tokenize` or `_read_text` must bump it.
+# The format tag also stands for the tokenization and for how a file is
+# decoded, which the cache key and metadata do not otherwise name. A file
+# takes one of two paths to its tokens (`_file_tokens`): the byte tokenizer
+# for ASCII (`_ascii_tokens` and its tables) or `terms.tokenize` for any
+# other text. Any change to the tokens of either path must bump it.
 _CACHE_FORMAT = "relmap-corpus-index-v4"
 # Words decoded at once when a loaded vocabulary is checked.
 _CHECK_WORDS = 1 << 14
-# Words that ingest's first-seen dict holds before it is flushed.
-_BATCH_WORDS = 1 << 14
+# Tokens that ingest sorts at once; the distinct words of several batches
+# are sorted again to make the vocabulary.
+_BATCH_TOKENS = 1 << 16
+# 8-byte prefixes a round of the word sort reads, beyond one a word, and
+# the words copied out of a sorted batch at once.
+_SORT_CHUNK = 1 << 14
 # _PREFIX_MASKS[k] keeps the first k of 8 big-endian bytes. A table, not a
 # shift: shifting a 64-bit integer by 64 bits is undefined.
 _PREFIX_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
+# The byte tokenizer's tables, read only at ASCII bytes: each byte's kind
+# (whitespace as `str.split` splits on it, edge punctuation as `tokenize`
+# strips it, or a word byte) and its lowercase.
+_SPACE, _EDGE, _WORD = 0, 1, 2
+_BYTE_KIND = np.array([_SPACE if chr(c).isspace() else _EDGE if chr(c) in _PUNCT else _WORD
+                       for c in range(128)], dtype=np.uint8)
+_LOWER = np.array([ord(chr(c).lower()) for c in range(128)], dtype=np.uint8)
 
 
 class Vocabulary:
@@ -216,39 +236,33 @@ def _gather(blob: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarr
                      mode="clip")
 
 
-def _sorted_vocabulary(blob: np.ndarray, n: int) -> tuple[Vocabulary, np.ndarray]:
-    """The vocabulary of n words, and the id in it of each of them.
+def _distinct_words(blob: np.ndarray, starts: np.ndarray,
+                    sizes: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """The distinct words among blob[s:s + n] of these starts and sizes,
+    sorted, how many there are, and the rank among them of each word.
 
-    `blob` holds the words, in any order and maybe repeated, each
-    followed by a "\\n", then 8 * _BATCH_WORDS zero bytes. An empty
-    word, or one holding a newline, is refused with CorpusError. The
-    vocabulary's bytes are copied out _BATCH_WORDS words at a time, so
-    no index array covers every byte.
+    The words come back as their UTF-8 bytes, each followed by a "\\n".
+    `blob` must hold 8 * _SORT_CHUNK bytes past every word's end. The
+    words are copied out _SORT_CHUNK at a time, so no index array covers
+    every byte.
     """
-    ends = np.flatnonzero(blob == ord("\n"))
-    if ends.size != n:
-        raise CorpusError("a vocabulary word is empty or holds a newline")
-    starts = np.zeros(n, dtype=np.int64)
-    starts[1:] = ends[:-1] + 1
-    sizes = ends - starts
-    del ends
-    if not sizes.all():
-        raise CorpusError("a vocabulary word is empty or holds a newline")
     order, first = _sort_words(blob, starts, sizes)
-    distinct = first == np.arange(n)
+    distinct = first == np.arange(starts.size)
     del first
-    rank = np.empty(n, dtype=np.int32)
+    rank = np.empty(starts.size, dtype=np.int32)
     rank[order] = np.cumsum(distinct) - 1
-    words = order[distinct]  # the first copy of each vocabulary word, in order
+    words = order[distinct]  # the first copy of each distinct word, in order
     del order, distinct
     out = np.empty(int(sizes[words].sum()) + words.size, dtype=np.uint8)
     at = 0
-    for a in range(0, words.size, _BATCH_WORDS):
-        w = words[a:a + _BATCH_WORDS]
-        raw = _gather(blob, starts[w], sizes[w] + 1)  # each word and its "\\n"
+    for a in range(0, words.size, _SORT_CHUNK):
+        w = words[a:a + _SORT_CHUNK]
+        size = sizes[w] + 1  # each word and the byte after it, made a "\\n"
+        raw = _gather(blob, starts[w], size)
+        raw[np.cumsum(size) - 1] = ord("\n")
         out[at:at + raw.size] = raw
         at += raw.size
-    return Vocabulary(out[:-1], int(words.size)), rank
+    return out, int(words.size), rank
 
 
 def _sort_words(blob: np.ndarray, starts: np.ndarray,
@@ -257,11 +271,11 @@ def _sort_words(blob: np.ndarray, starts: np.ndarray,
 
     Returns `order`, the word indices by increasing word, equal words
     next to each other, and `first`, for each place in `order` the first
-    place that holds the same word. `blob` must hold 8 * _BATCH_WORDS
+    place that holds the same word. `blob` must hold 8 * _SORT_CHUNK
     bytes past every word's end.
 
     Most-significant-digit refinement. A round reads k 8-byte prefixes
-    of each word still tied: _BATCH_WORDS // (words still tied), at
+    of each word still tied: _SORT_CHUNK // (words still tied), at
     least 1 and no more than the longest of them needs. So a tie of few
     long words, such as copies of one long word from several batches,
     takes few rounds. A round sorts the words still tied, which share
@@ -281,7 +295,7 @@ def _sort_words(blob: np.ndarray, starts: np.ndarray,
     while live.size:
         words = order[live]
         most = int(sizes[words].max()) - depth  # bytes left in the longest word
-        k = max(1, min(_BATCH_WORDS // live.size, -(-most // 8)))
+        k = max(1, min(_SORT_CHUNK // live.size, -(-most // 8)))
         # The smallest dtype sorts fastest: 8 bits when k is 1.
         left = np.minimum(sizes[words] - depth, 8 * k + 1).astype(np.min_scalar_type(8 * k + 1))
         step = np.arange(0, 8 * k, 8, dtype=left.dtype)[:, None]
@@ -325,52 +339,13 @@ class CorpusIndex:
     def from_token_lists(cls, documents: Iterable[list[str]]) -> "CorpusIndex":
         """Index tokenized documents, in the given order.
 
-        `documents` is consumed one document at a time, and only that
-        document's ids are kept, so a generator of token lists holds
-        one document's tokens at a time. Tokens get first-seen ids in a
-        batch dict, looked at every _BATCH_WORDS tokens and flushed once
-        it holds _BATCH_WORDS words (so it holds fewer than twice that);
-        a flushed batch keeps only its words, "\\n"-joined as UTF-8
-        bytes. So memory holds one batch's dict, the distinct words'
-        bytes and 4 bytes per token, never a Python string per
-        vocabulary word. The words of all batches are sorted once at the
-        end (`_sorted_vocabulary`), and the ids renumbered by vocabulary
-        rank. An empty token, or one holding a newline, is refused with
+        Each document's tokens are joined by "\\n" as UTF-8 bytes and
+        indexed as `ingest` indexes a file's tokens (`_index_tokens`), so
+        a generator of token lists holds one document's tokens at a time.
+        An empty token, or one holding a newline, is refused with
         CorpusError.
         """
-        batches = []
-        n_words = 0  # words in the flushed batches
-        seen = defaultdict(itertools.count().__next__)
-        parts = [np.zeros(0, dtype=np.int32)]
-        for doc in documents:
-            part = np.empty(len(doc), dtype=np.int32)
-            for a in range(0, len(doc), _BATCH_WORDS):
-                # Ids assigned without a Python loop, numbered on from the
-                # words of earlier batches.
-                chunk = part[a:a + _BATCH_WORDS]
-                chunk[:] = np.fromiter(map(seen.__getitem__, doc[a:a + _BATCH_WORDS]),
-                                       dtype=np.int32, count=chunk.size)
-                chunk += n_words
-                if len(seen) >= _BATCH_WORDS:
-                    batches.append("\n".join(seen).encode("utf-8"))
-                    n_words += len(seen)
-                    seen = defaultdict(itertools.count().__next__)
-            parts.append(part)
-            del doc  # before the next document is made
-        if seen:
-            batches.append("\n".join(seen).encode("utf-8"))
-            n_words += len(seen)
-        del seen
-        # The sort reads up to 8 * _BATCH_WORDS bytes past a word's end.
-        blob = np.frombuffer(b"\n".join([*batches, bytes(8 * _BATCH_WORDS)]), dtype=np.uint8)
-        del batches
-        vocab, rank = _sorted_vocabulary(blob, n_words)
-        del blob
-        offsets = np.zeros(len(parts), dtype=np.int64)
-        np.cumsum([part.size for part in parts[1:]], dtype=np.int64, out=offsets[1:])
-        ids = np.concatenate(parts)
-        del parts
-        return cls(ids=rank[ids], doc_offsets=offsets, vocab=vocab)
+        return _index_tokens(map(_joined_tokens, documents))
 
     @property
     def total_tokens(self) -> int:
@@ -429,30 +404,159 @@ class CorpusIndex:
 def ingest(paths: list[str | Path]) -> CorpusIndex:
     """Build an index over the given files, in the given order.
 
-    The files are streamed: each is read, hashed, tokenized and mapped
-    to ids before the next is read, so memory holds one batch's dict,
-    the distinct words' bytes, 4 bytes per token and one file's tokens
-    (see `CorpusIndex.from_token_lists`). Files must be UTF-8 text,
+    The files are streamed: each is read, hashed and tokenized before
+    the next is read (`_file_tokens`), and its tokens wait, as bytes, for
+    their batch to be sorted (`_index_tokens`). Files must be UTF-8 text,
     whose leading byte-order mark is skipped; an unreadable or
     mis-encoded file raises CorpusError naming the path. An empty path
     list yields a valid empty index.
     """
     hasher = hashlib.sha256()
-    index = CorpusIndex.from_token_lists(
-        tokenize(_read_text(Path(path), hasher)) for path in paths)
+    index = _index_tokens(_file_tokens(Path(path), hasher) for path in paths)
     return dataclasses.replace(index, digest=hasher.hexdigest())
 
 
-def _read_text(path: Path, hasher) -> str:
-    """The file's UTF-8 text, less a leading byte-order mark; the SHA-256 of
-    its bytes goes into `hasher`."""
+def _file_tokens(path: Path, hasher) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The file's tokens as (bytes, starts, sizes), `tokenize`'s tokens of
+    its UTF-8 text less a leading byte-order mark; the SHA-256 of its
+    bytes goes into `hasher`. An ASCII file is tokenized by bytes."""
     try:
         raw = path.read_bytes()
-        text = raw.decode("utf-8-sig")
+        text = None if raw.isascii() else raw.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot ingest {path}: {exc}") from exc
     hasher.update(hashlib.sha256(raw).digest())
-    return text
+    return _ascii_tokens(raw) if text is None else _joined_tokens(tokenize(text))
+
+
+def _ascii_tokens(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`tokenize`'s tokens of ASCII text, as (bytes, starts, sizes): token
+    i is the lowercased bytes[starts[i]:starts[i] + sizes[i]].
+
+    A token is a run of bytes that are not whitespace, less the edge
+    punctuation: it spans from its run's first word byte to its last, and
+    a run with no word byte gives none.
+    """
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    kind = _BYTE_KIND[codes]
+    runs = _run_edges(kind != _SPACE)
+    parts = _run_edges(kind == _WORD)  # runs of word bytes, each inside a run
+    del kind
+    part_starts = parts[0::2]
+    # Run j holds parts first[j]:first[j + 1], as no part starts between runs.
+    first = np.append(np.searchsorted(part_starts, runs[0::2]), part_starts.size)
+    del runs
+    keep = first[1:] > first[:-1]
+    starts = part_starts[first[:-1][keep]]
+    sizes = parts[1::2][first[1:][keep] - 1] - starts
+    return _LOWER[codes], starts, sizes
+
+
+def _run_edges(mask: np.ndarray) -> np.ndarray:
+    """Where each run of True in `mask` starts and ends, interleaved."""
+    padded = np.zeros(mask.size + 2, dtype=bool)
+    padded[1:-1] = mask
+    return np.flatnonzero(padded[1:] != padded[:-1])
+
+
+def _joined_tokens(tokens: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tokens as (bytes, starts, sizes), each token's UTF-8 bytes
+    followed by a "\\n"; an empty token, or one holding a newline, is
+    refused with CorpusError."""
+    data = np.frombuffer("\n".join([*tokens, ""]).encode("utf-8"), dtype=np.uint8)
+    return (data, *_word_bounds(data, len(tokens)))
+
+
+def _word_bounds(data: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and sizes of the n words in `data`, each followed by a
+    "\\n"; an empty word, or one holding a newline, is refused with
+    CorpusError."""
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.zeros(ends.size, dtype=np.int64)
+    starts[1:] = ends[:-1] + 1
+    sizes = ends - starts
+    if ends.size != n or not sizes.all():
+        raise CorpusError("a vocabulary word is empty or holds a newline")
+    return starts, sizes
+
+
+def _index_tokens(documents: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> CorpusIndex:
+    """The index of documents given as (bytes, starts, sizes) of their tokens.
+
+    The tokens are sorted in batches of up to _BATCH_TOKENS, each batch
+    once its last token has come and the documents before it are freed.
+    A sorted batch keeps only its distinct words, as bytes, and its
+    tokens' ranks among them. With one batch those words are the
+    vocabulary; the words of several are sorted again, and each batch's
+    ranks are mapped to vocabulary ids.
+    """
+    lengths = [0]
+    pending = []   # (bytes, starts, sizes) of the tokens not yet sorted
+    held = 0       # tokens in `pending`
+    batches = []   # (distinct words, how many, ranks) of each sorted batch
+    for data, starts, sizes in documents:
+        lengths.append(starts.size)
+        at = 0
+        while at < starts.size:
+            end = min(starts.size, at + _BATCH_TOKENS - held)
+            pending.append(_span(data, starts[at:end], sizes[at:end]))
+            held += end - at
+            at = end
+            if held == _BATCH_TOKENS:
+                batches.append(_sort_batch(pending))
+                held = 0
+        del data, starts, sizes  # before the next document is made
+    if held or not batches:
+        batches.append(_sort_batch(pending))
+    offsets = np.cumsum(lengths, dtype=np.int64)
+    if len(batches) == 1:
+        (words, n, ids), = batches
+        return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=Vocabulary(words[:-1], n))
+    # Each batch's words, "\\n"-joined, then the zeros the sort reads past them.
+    total = sum(words.size for words, _, _ in batches)
+    blob = np.zeros(total + 8 * _SORT_CHUNK, dtype=np.uint8)
+    at = 0
+    for i, (words, n, ids) in enumerate(batches):
+        blob[at:at + words.size] = words
+        at += words.size
+        batches[i] = (n, ids)  # the words are freed once copied
+    del words, ids
+    words, size, rank = _distinct_words(
+        blob, *_word_bounds(blob[:total], sum(n for n, _ in batches)))
+    del blob
+    ids = np.empty(offsets[-1], dtype=np.int32)
+    at = base = 0
+    for n, batch in batches:
+        np.take(rank, batch + base, out=ids[at:at + batch.size])
+        at += batch.size
+        base += n
+    return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=Vocabulary(words[:-1], size))
+
+
+def _span(data: np.ndarray, starts: np.ndarray,
+          sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bytes from the first of these words to the end of the last,
+    with the words' starts in them."""
+    a, b = int(starts[0]), int(starts[-1] + sizes[-1])
+    return data[a:b], starts - a, sizes
+
+
+def _sort_batch(pending: list) -> tuple[np.ndarray, int, np.ndarray]:
+    """The distinct words of the (bytes, starts, sizes) in `pending`, as
+    `_distinct_words` gives them, how many there are, and each word's rank
+    among them. `pending` is emptied before the sort."""
+    sizes = np.concatenate([_EMPTY, *(sizes for _, _, sizes in pending)])
+    # The bytes the sort reads past the last word's end are zeros.
+    blob = np.zeros(sum(data.size for data, _, _ in pending) + 8 * _SORT_CHUNK, dtype=np.uint8)
+    starts = np.empty(sizes.size, dtype=np.int64)
+    at = n = 0
+    for data, first, _ in pending:
+        blob[at:at + data.size] = data
+        np.add(first, at, out=starts[n:n + first.size])
+        at += data.size
+        n += first.size
+    pending.clear()
+    return _distinct_words(blob, starts, sizes)
 
 
 def corpus_files(corpus_dir: str | Path) -> list[Path]:

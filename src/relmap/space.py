@@ -31,7 +31,11 @@ noise and is zeroed, not made a unit.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -231,10 +235,50 @@ def _top_eigenpairs(block: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarra
 
     The vectors are copied out, so eigh's whole b x b matrix is freed on
     return and a block holds at most b x k cells while the rest are
-    decomposed.
+    decomposed. eigh runs at one BLAS thread (`_one_blas_thread`): from
+    about 300 rows on, a threaded eigh's last bits depend on the thread
+    count.
     """
-    values, vectors = np.linalg.eigh((block @ block.T).toarray())
+    gram = (block @ block.T).toarray()
+    with _one_blas_thread():
+        values, vectors = np.linalg.eigh(gram)
     return values[::-1], vectors[:, ::-1][:, :k].copy()
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The (get, set) calls of the thread count of the OpenBLAS that
+    numpy's wheel bundles: on Linux, `scipy_openblas_get_num_threads64_`
+    and `scipy_openblas_set_num_threads64_` of `libscipy_openblas64_` in
+    `numpy.libs`. None with any other BLAS or wheel layout."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's BLAS at one thread, then restore the
+    count it had. Where `_blas_thread_calls` finds none this does
+    nothing, and a threaded BLAS may change the last bits of what the
+    body computes."""
+    calls = _blas_thread_calls()
+    threads = calls[0]() if calls else 1
+    if threads != 1:
+        calls[1](1)
+    try:
+        yield
+    finally:
+        if threads != 1:
+            calls[1](threads)
 
 
 def _components(X: sp.csr_matrix) -> np.ndarray:

@@ -5,8 +5,9 @@ shared code with the package beyond its public data types. The ingest
 references tokenize one word at a time and assign ids after every file
 is tokenized, from one first-seen dict over the whole corpus and a
 Python sort of its words, the package's earlier designs; the streamed
-ingest, with its flushed batch dicts and its numpy sort of the batches'
-words, must give the same ids, offsets, vocabulary and digest. The lookup
+ingest, with its byte tokenizer for ASCII files and its numpy sort of
+batches of tokens, must give the same ids, offsets, vocabulary and
+digest. The lookup
 reference keeps the vocabulary as a list of strings and builds postings
 for every token id with a full stable argsort and a bincount, the
 package's earlier design; the byte-blob vocabulary and the per-query

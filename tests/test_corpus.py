@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import pickle
 import random
+import string
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -20,7 +22,8 @@ from relmap.corpus import (CorpusIndex, _find_windows, cache_path, cached_index,
                            cooccurrence_counts, corpus_digest, ingest,
                            ingest_dir, load_index, save_index)
 from relmap.errors import CorpusError
-from relmap.terms import Term, TermPair
+from relmap.planted import PlantedConfig, generate_planted_corpus
+from relmap.terms import Term, TermPair, tokenize
 
 from conftest import occurrences, token_texts, write_corpus
 
@@ -121,10 +124,11 @@ def test_ingest_equals_batch_oracle(file_texts):
 
 
 def test_ingest_memory_is_one_file_of_tokens(tmp_path):
-    """20 files of 20k tokens over 500 words: the traced peak stays near one
-    file's tokens (about 1.2 MB as Python strings) plus the ids (1.6 MB, and
-    as much again while they are joined). Tokenizing every file first, as a
-    batch ingest does, holds all 400k tokens at once: over 25 MB."""
+    """20 files of 20k tokens over 500 words: the traced peak stays under
+    8 MB. It is 6.2 MB: the tokens waiting for their batch, one batch of
+    65,536 tokens sorted, and the ids. Sorting all 400k tokens as one
+    batch traced 26.9 MB, and tokenizing every file first, as a batch
+    ingest does, holds all 400k tokens at once: over 25 MB."""
     rng = random.Random(5)
     words = ["".join(rng.choices("abcdefghij", k=rng.randint(3, 10))) for _ in range(500)]
     paths = []
@@ -145,10 +149,10 @@ def test_ingest_memory_is_one_file_of_tokens(tmp_path):
 def test_ingest_memory_of_distinct_words(tmp_path):
     """200k distinct words, each a token once, in 20 files, as in the
     benchmark's planted corpora, whose filler words are all distinct: the
-    traced peak stays under 18 MB. It is 14.4 MB: the batches' bytes, the
-    sort's arrays of one entry per word and the ids. One first-seen dict
-    over the whole corpus and a Python sort of its words, the earlier
-    design (`oracles.batch_index`), traced 26.2 MB."""
+    traced peak stays under 18 MB. It is 14.4 MB: the batches' words,
+    the sort of all of them (arrays of one entry per word) and the ids.
+    One first-seen dict over the whole corpus and a Python sort of its
+    words, the earlier design (`oracles.batch_index`), traced 26.2 MB."""
     rng = random.Random(7)
     words = [f"w{i:07d}" for i in range(200_000)]
     rng.shuffle(words)
@@ -166,6 +170,97 @@ def test_ingest_memory_of_distinct_words(tmp_path):
         tracemalloc.stop()
     assert len(index.vocab) == 200_000
     assert peak_mb < 18, f"peak {peak_mb:.1f} MB"
+
+
+def ingest_peak_mb(paths):
+    """The traced peak of ingesting these files, in MB."""
+    tracemalloc.start()
+    try:
+        ingest(paths)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_memory_grows_with_the_batch_not_the_corpus(tmp_path, monkeypatch):
+    """Files of 4,096 tokens over 500 words, sorted in batches of 16,384
+    tokens: a corpus of one batch and one of four trace peaks under one
+    cap of 2 MB (1.2 and 1.4 MB; the four-batch corpus adds its ids and
+    four batches' words). Sorting the four batches' tokens at once
+    traces 4.5 MB."""
+    rng = random.Random(11)
+    words = ["".join(rng.choices("abcdefghij", k=rng.randint(3, 10))) for _ in range(500)]
+    paths = []
+    for i in range(16):
+        path = tmp_path / f"doc{i:02d}.txt"
+        path.write_text(" ".join(rng.choices(words, k=4096)) + "\n", encoding="utf-8")
+        paths.append(path)
+    monkeypatch.setattr(corpus_module, "_BATCH_TOKENS", 1 << 14)
+    one, four = ingest_peak_mb(paths[:4]), ingest_peak_mb(paths)
+    assert one < 2 and four < 2, f"peaks {one:.1f} and {four:.1f} MB"
+
+
+# The ten ASCII bytes `str.split` splits on.
+ASCII_WHITESPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+ascii_text = st.lists(st.one_of(
+    st.text(st.sampled_from(["a", "Z", "q", "0", "\x00", "\x7f"]), min_size=1, max_size=4),
+    st.sampled_from(ASCII_WHITESPACE),
+    st.sampled_from(string.punctuation),
+    st.sampled_from(["\r\n", "Sun.", "--", "'o'", "A.B", "(x)y", "U.S.A."]),
+), max_size=30).map("".join)
+
+
+@given(ascii_text)
+@example("\x1cSun\x1d--\x1e'o'\x1f\r\nA.B. ...\x00\x7f!")
+@settings(max_examples=300, deadline=None)
+def test_byte_tokenizer_equals_tokenize(text):
+    """On ASCII text the byte tokenizer gives `tokenize`'s tokens: all ten
+    whitespace bytes split, every punctuation byte is stripped at a
+    token's edges and kept inside it, upper case is lowered, and NUL and
+    DEL are word bytes."""
+    data, starts, sizes = corpus_module._ascii_tokens(text.encode("ascii"))
+    got = [data[a:a + n].tobytes().decode("ascii")
+           for a, n in zip(starts.tolist(), sizes.tolist())]
+    assert got == tokenize(text)
+
+
+@given(st.lists(st.tuples(st.one_of(ascii_text, token_texts), st.booleans()), max_size=5),
+       st.sampled_from([1, 3, corpus_module._BATCH_TOKENS]))
+@settings(max_examples=150, deadline=None)
+def test_ingest_of_ascii_and_other_files_equals_batch_oracle(files, batch_tokens):
+    """Files tokenized by bytes (ASCII) and by `tokenize` (any other text,
+    or a byte-order mark before it) index as the batch design does, in
+    batches that mix the two."""
+    with tempfile.TemporaryDirectory() as root:
+        paths = [Path(root) / f"doc{i}.txt" for i in range(len(files))]
+        for path, (text, bom) in zip(paths, files):
+            path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+        with mock.patch.object(corpus_module, "_BATCH_TOKENS", batch_tokens):
+            index = ingest(paths)
+        ids, offsets, vocab, digest = batch_ingest(paths)
+    assert index.ids.tolist() == ids.tolist()
+    assert index.doc_offsets.tolist() == offsets.tolist()
+    assert list(index.vocab) == vocab
+    assert index.digest == digest
+
+
+# SHA-256 of the index arrays of the seed-0 planted corpus of 20k tokens
+# (5 problems, m = 5), as written before the byte tokenizer.
+PLANTED_INDEX_SHA256 = {
+    "ids": "9008a0e5ebd1d02cf0e7f16551c9cfc2c1a1468e3826d127dbbb9b28f861f377",
+    "doc_offsets": "1ee78e98b39a40da0e70985ed8020363d61c5ca56549e8c444a927e2f923dbaf",
+    "vocab": "141993f723d18849e4a0d3140e421bf1f9946c50defc330136b635eb0fc37a45",
+}
+
+
+def test_index_of_the_planted_corpus_keeps_its_bytes(tmp_path):
+    """The index arrays of a planted corpus keep their bytes: a tokenizer
+    that changed them would need a new `_CACHE_FORMAT`."""
+    generate_planted_corpus(tmp_path, PlantedConfig(target_tokens=20_000, seed=0))
+    index = ingest_dir(tmp_path)
+    arrays = {"ids": index.ids, "doc_offsets": index.doc_offsets, "vocab": index.vocab.blob}
+    assert {name: hashlib.sha256(a.tobytes()).hexdigest()
+            for name, a in arrays.items()} == PLANTED_INDEX_SHA256
 
 
 # Words for the sort of the batches' words: stems of 7, 8, 15, 16 and 32
@@ -188,23 +283,25 @@ def sort_docs(draw):
     return draw(st.lists(st.lists(st.sampled_from(words), max_size=12), max_size=4))
 
 
-@given(sort_docs(), st.sampled_from([1, 2, 3, 8, 1 << 14]))
-@example([["a\x00", "a", "a\x00"], ["a", "abcdefgh\x00", "abcdefgh"]], 1)
-@example([["abcdefghijklmnopé", "abcdefghijklmnop", "abcdefghijklmnop中"]], 2)
+@given(sort_docs(), st.sampled_from([1, 2, 3, 8, corpus_module._BATCH_TOKENS]),
+       st.sampled_from([1, 8, corpus_module._SORT_CHUNK]))
+@example([["a\x00", "a", "a\x00"], ["a", "abcdefgh\x00", "abcdefgh"]], 1, 1)
+@example([["abcdefghijklmnopé", "abcdefghijklmnop", "abcdefghijklmnop中"]], 2, 1)
 @settings(max_examples=200, deadline=None)
-def test_index_equals_dict_oracle_on_sort_edge_cases(documents, batch_words):
+def test_index_equals_dict_oracle_on_sort_edge_cases(documents, batch_tokens, sort_chunk):
     """`from_token_lists` and `ingest` give the ids, offsets, vocabulary
     bytes and digest of one first-seen dict and a Python sort, with the
-    batch dict flushed every 1-3 words (mid-document and between repeats
-    of a word), every 8 or not at all. `_BATCH_WORDS` also sets how many
-    8-byte prefixes a sort round reads: one a word at 1, several at 8 or
-    more."""
+    tokens sorted in batches of 1-3 tokens (batches that end mid-document
+    and between repeats of a word, whose words are then sorted again), of
+    8 or in one batch. `_SORT_CHUNK` sets how many 8-byte prefixes a sort
+    round reads: one a word at 1, several at 8 or more."""
     ids, offsets, vocab = batch_index(documents)
     with tempfile.TemporaryDirectory() as root:
         paths = [Path(root) / f"doc{i}.txt" for i in range(len(documents))]
         for path, doc in zip(paths, documents):
             path.write_bytes(" ".join(doc).encode("utf-8"))
-        with mock.patch.object(corpus_module, "_BATCH_WORDS", batch_words):
+        with mock.patch.object(corpus_module, "_BATCH_TOKENS", batch_tokens), \
+                mock.patch.object(corpus_module, "_SORT_CHUNK", sort_chunk):
             got = [CorpusIndex.from_token_lists(documents), ingest(paths)]
         digest = batch_ingest(paths)[3]
     for index in got:
@@ -217,9 +314,9 @@ def test_index_equals_dict_oracle_on_sort_edge_cases(documents, batch_words):
 
 
 def test_sort_of_long_tied_words_takes_few_rounds(monkeypatch):
-    """Two copies of a 1 MiB word, from two batches, tie on every prefix:
-    the sort tells them equal in 17 rounds (one over all words, then 16
-    of 8,192 prefixes), not in one round per 8 bytes (131,072)."""
+    """Two copies of a 1 MiB word, in one batch, tie on every prefix: the
+    sort tells them equal in 17 rounds (one over all words, then 16 of
+    8,192 prefixes), not in one round per 8 bytes (131,072)."""
     rounds = []
     prefixes = corpus_module._prefixes
     monkeypatch.setattr(corpus_module, "_prefixes",
@@ -888,12 +985,13 @@ def test_index_refuses_newline_in_vocabulary():
         CorpusIndex.from_token_lists([["a"], [""]])
 
 
-@pytest.mark.parametrize("batch_words", [1, 2, 1 << 14])
+@pytest.mark.parametrize("batch_tokens", [1, 2, 3, 8, 1 << 14, corpus_module._BATCH_TOKENS])
 @pytest.mark.parametrize("documents", [[["a", "b", "a\nb", "c"]], [["\n"]], [["a"], ["b", ""]],
                                        [[""]], [["b", "a", "b"], ["", "a"]]])
-def test_index_refuses_bad_word_in_any_batch(documents, batch_words, monkeypatch):
+def test_index_refuses_bad_word_in_any_batch(documents, batch_tokens, monkeypatch):
     """An empty word or one holding a newline is refused wherever the
-    batch dict was flushed."""
-    monkeypatch.setattr(corpus_module, "_BATCH_WORDS", batch_words)
+    batches of tokens end: after every 1, 2, 3 or 8 tokens, or in one
+    batch (16,384 tokens, or the default)."""
+    monkeypatch.setattr(corpus_module, "_BATCH_TOKENS", batch_tokens)
     with pytest.raises(CorpusError, match="a vocabulary word is empty or holds a newline"):
         CorpusIndex.from_token_lists(documents)

@@ -30,13 +30,13 @@ only for a change that means to alter an output:
 
     PYTHONPATH=src python tests/test_golden.py
 
-Each command runs in a child interpreter with one BLAS thread: the
-eigendecomposition's last bits, and so the printed scores, change with
-the thread count. A second run with two BLAS threads must give the same
-mappings, tie counts, accuracies and sidecars, with scores within 1e-12.
+Each command runs in a child interpreter with one BLAS thread. A second
+run with two BLAS threads must write the same bytes: the
+eigendecomposition runs at one thread whatever the count
+(`space._one_blas_thread`), and nothing else that reaches an output
+depends on it.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -80,7 +80,6 @@ CONTROL_DOCS = {"1.txt": "ab a1 a2", "2.txt": "ab b1 b2", "3.txt": "ab\x01c a1 a
 CONTROL = {"eval_control_m2.tsv": ["eval", "problems_control.json", "--mode", "relational",
                                    "--t", "1", "--report", "{out}"]}
 SRC = Path(__file__).resolve().parent.parent / "src"
-SCORE_TOLERANCE = 1e-12
 
 
 def make_inputs(root: Path) -> Path:
@@ -142,28 +141,10 @@ def test_control_character_words_keep_serialized_order(tmp_path):
         assert run_command(name, inputs, tmp_path) == fixtures(name)
 
 
-def assert_same_but_scores(produced: str, expected: str) -> None:
-    """Equal line by line, except a JSON line's "score", which may move by 1e-12."""
-    assert len(produced.splitlines()) == len(expected.splitlines())
-    for got, want in zip(produced.splitlines(), expected.splitlines()):
-        if not want.startswith("{"):
-            assert got == want
-            continue
-        got, want = json.loads(got), json.loads(want)
-        assert abs(got.pop("score") - want.pop("score")) <= SCORE_TOLERANCE
-        assert got == want
-
-
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_two_blas_threads_change_no_mapping(name, inputs, tmp_path):
-    produced = run_command(name, inputs, tmp_path, blas_threads=2)
-    expected = fixtures(name)
-    assert sorted(produced) == sorted(expected)
-    for file_name, want in expected.items():
-        if file_name.endswith(".json"):
-            assert json.loads(produced[file_name]) == json.loads(want)
-        else:
-            assert_same_but_scores(produced[file_name].decode(), want.decode())
+    """Two BLAS threads write the bytes one does: mappings, scores and sidecars."""
+    assert run_command(name, inputs, tmp_path, blas_threads=2) == fixtures(name)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +24,14 @@ from relmap.patterns import (build_frequency_matrix, build_pair_list,
 from relmap.problems import MappingProblem
 from relmap.solver import RelationalScorer
 from relmap.space import (_DECOMPOSITION_BYTES_PER_CELL, _FACTOR_BYTES_PER_CELL, _components,
-                          _require_cosine_budget, _require_decomposition_budget,
+                          _one_blas_thread, _require_cosine_budget, _require_decomposition_budget,
                           build_space, build_space_from_matrix, transform_log_entropy,
                           transform_ppmic, truncated_svd)
 from relmap.terms import TermPair
 
 from conftest import write_corpus
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def dense(matrix):
@@ -392,6 +398,31 @@ def test_component_decomposition_matches_one_eigh(X):
         assert np.all(np.abs(got - want) <= 2 * (turn[:, None] + turn[None, :]))
 
 
+# One component of 400 rows: a threaded eigh of its Gram block gives
+# other last bits at one BLAS thread and at two.
+SVD_BYTES = """
+import hashlib
+import numpy as np
+import scipy.sparse as sp
+from relmap.space import truncated_svd
+X = sp.csr_matrix(np.random.default_rng(3).random((400, 60)))
+u, s = truncated_svd(X, 50)
+print(hashlib.sha256(u.tobytes() + s.tobytes()).hexdigest())
+"""
+
+
+def test_truncated_svd_keeps_its_bytes_at_two_blas_threads():
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", SVD_BYTES], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out[threads] = proc.stdout
+    assert out["1"] == out["2"]
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 30),
        st.integers(1, 40))
 @settings(max_examples=100, deadline=None)
@@ -529,7 +560,8 @@ def test_decomposed_blocks_hold_no_more_than_the_budget_counts(monkeypatch):
     assert calls == [400] * 20
     counted_bytes = _DECOMPOSITION_BYTES_PER_CELL * 400 ** 2 + _FACTOR_BYTES_PER_CELL * n_r * k
     assert peak < counted_bytes < 8 * 20 * 400 ** 2
-    u_ref, s_ref = truncated_svd_every_component(X, k)
+    with _one_blas_thread():  # as the package runs each eigh
+        u_ref, s_ref = truncated_svd_every_component(X, k)
     assert (u.tobytes(), s.tobytes()) == (u_ref.tobytes(), s_ref.tobytes())
 
 
