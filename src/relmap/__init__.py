@@ -10,8 +10,8 @@ hybrid scoring, and coherence experiments ride on the same machinery.
 from .attributes import (CombinedSimilarity, PmiIrSimilarity, PosSimilarity,
                          TableSimilarity, load_external_similarity)
 from .config import Config, load_config_file
-from .corpus import (CorpusIndex, cached_index, cooccurrence_counts, ingest,
-                     ingest_dir, load_index, save_index)
+from .corpus import (CorpusIndex, cached_index, cooccurrence_counts, corpus_files,
+                     ingest, load_index, save_index)
 from .dataset import Dataset, builtin_dataset, dump_problems, load_problems
 from .errors import (BudgetError, ConfigError, CorpusError, DataError,
                      RelmapError, TransformError, UsageError)
@@ -19,8 +19,7 @@ from .evaluation import (CoherenceReport, Report, SweepReport, accuracy,
                          build_space_for_problems, coherence_experiment,
                          run_batch, sensitivity_sweep, solve_batch)
 from .patterns import (PatternStats, build_frequency_matrix, build_pair_list,
-                       mine_patterns, prune_rows, select_columns,
-                       serialize_pattern)
+                       mine_patterns, prune_rows, select_columns)
 from .planted import PlantedConfig, PlantedData, generate_planted_corpus
 from .problems import Mapping, MappingProblem
 from .solver import (AttributionalScorer, HybridScorer, RelationalScorer,

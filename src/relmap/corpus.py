@@ -73,7 +73,8 @@ UTF-8 validity, the stated size, no empty word and strictly increasing
 order. The order is settled for whole chunks at once on each word's
 first 8 bytes, read as one big-endian integer; only words whose first 8
 bytes tie, and the words on each side of a chunk boundary, are compared
-as whole bytes.
+as whole bytes. Last, no word may be a slot marker (`terms.MARKERS`):
+`tokenize` never emits one, and mining relies on that.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import CorpusError
-from .terms import _PUNCT, Term, TermPair, tokenize
+from .terms import _PUNCT, MARKERS, Term, TermPair, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -335,18 +336,6 @@ class CorpusIndex:
         self.ids.flags.writeable = False
         self.doc_offsets.flags.writeable = False
 
-    @classmethod
-    def from_token_lists(cls, documents: Iterable[list[str]]) -> "CorpusIndex":
-        """Index tokenized documents, in the given order.
-
-        Each document's tokens are joined by "\\n" as UTF-8 bytes and
-        indexed as `ingest` indexes a file's tokens (`_index_tokens`), so
-        a generator of token lists holds one document's tokens at a time.
-        An empty token, or one holding a newline, is refused with
-        CorpusError.
-        """
-        return _index_tokens(map(_joined_tokens, documents))
-
     @property
     def total_tokens(self) -> int:
         return int(self.ids.size)
@@ -565,10 +554,6 @@ def corpus_files(corpus_dir: str | Path) -> list[Path]:
     if not root.is_dir():
         raise CorpusError(f"corpus directory not found: {root}")
     return sorted(root.rglob("*.txt"), key=lambda p: p.as_posix())
-
-
-def ingest_dir(corpus_dir: str | Path) -> CorpusIndex:
-    return ingest(corpus_files(corpus_dir))
 
 
 def _stable_argsort(*fields: np.ndarray) -> np.ndarray:
@@ -792,6 +777,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise CorpusError(f"bad index cache {path}: {exc}") from exc
     _require(ids.size == 0 or (int(ids.min()) >= 0 and int(ids.max()) < vocab_size),
              path, "token id out of vocabulary range")
+    _require(all(vocab.find(m) < 0 for m in MARKERS), path, "vocabulary holds a slot marker")
     return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=vocab, digest=digest)
 
 

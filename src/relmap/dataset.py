@@ -217,7 +217,7 @@ def _build_problem(pid: str, mnemonic: str, rows) -> MappingProblem:
 
 @dataclass
 class Dataset:
-    """An ordered collection of mapping problems with validation helpers."""
+    """An ordered collection of mapping problems."""
 
     problems: list[MappingProblem]
 
@@ -227,21 +227,8 @@ class Dataset:
     def __len__(self):
         return len(self.problems)
 
-    def by_id(self, pid: str) -> MappingProblem:
-        for p in self.problems:
-            if p.id == pid:
-                return p
-        raise DataError(f"no problem with id {pid!r}")
-
     def mean_agreement(self, problem: MappingProblem) -> float:
         return mean([problem.agreement[t.text] for t in problem.source])
-
-    def human_average(self) -> float:
-        """Unweighted mean over problems of the per-problem mean agreement."""
-        per = [self.mean_agreement(p) for p in self.problems if p.agreement]
-        if not per:
-            raise DataError("dataset carries no agreement annotations")
-        return mean(per)
 
 
 def mean(values: list[float]) -> float:

@@ -2,8 +2,8 @@
 
 A pattern is a tuple of slots: literal words, the hole markers "X" and
 "Y" (exactly one of each, either order), and "*" which matches any
-single word. A literal equal to a marker string is that marker; the
-tokenizer lowercases and strips punctuation, so it never emits one.
+single word. No literal equals a marker: an index holds only
+`terms.tokenize`'s words, which it never emits.
 
 From a retrieved window, the two term spans become X and Y and every
 remaining word is independently kept or wildcarded; the same is done
@@ -46,9 +46,10 @@ compares the code tuples. The variants of all windows (`_variants`)
 are sorted at once by (pattern words, pair) with `corpus._stable_argsort`,
 a few passes of `np.sort` over plain uint64s, each sorting one digit of
 the record with the positions packed beside it. Equal runs give the
-counts. The pair must be part of the record: a window word equal to
-"X" or "Y" takes that marker's code, so two window shapes can give one
-pattern, and their variants lie apart.
+counts. The pair must be part of the record, because the variants of
+one (pattern, pair) entry can lie apart: a block's exchanged variants
+come in the order of their direct pairs, not of the reversed pairs'
+ids, and a pair listed twice repeats its windows.
 
 Array layout of `PatternStats`, for P distinct patterns and E nonzero
 (pair, pattern) entries:
@@ -87,20 +88,11 @@ import scipy.sparse as sp
 from .corpus import MAX_MID, MAX_POST, MAX_PRE, CorpusIndex, _find_windows, _stable_argsort
 from .errors import ConfigError, RelmapError
 from .problems import MappingProblem
-from .terms import TermPair
+from .terms import MARKERS, WILDCARD, X_SLOT, Y_SLOT, TermPair
 
 Pattern = tuple[str, ...]
 
-X_SLOT = "X"
-Y_SLOT = "Y"
-WILDCARD = "*"
-MARKERS = (X_SLOT, Y_SLOT, WILDCARD)
 MAX_SLOTS = MAX_PRE + 1 + MAX_MID + 1 + MAX_POST
-
-
-def serialize_pattern(pattern: Pattern) -> str:
-    """Canonical report form: slots joined by single spaces."""
-    return " ".join(pattern)
 
 
 def build_pair_list(problems: Iterable[MappingProblem]) -> list[TermPair]:
@@ -221,7 +213,8 @@ def _alphabet(index: CorpusIndex, win: dict[str, np.ndarray]
     array: the position in the slot strings of each window's pre word,
     middle words and post word, 0 where the window has none.
 
-    The vocabulary is sorted, so ranking the seen ids ranks their words.
+    The vocabulary is sorted, so ranking the seen ids ranks their words,
+    and no word equals a marker, so the markers are inserted among them.
     When no string holds a character at or below U+0020, each string w
     has w < w + " " < the next string, so the codes interleave: the r-th
     string's pieces are 2r + 1 and 2r + 2. Otherwise the pieces are
@@ -236,12 +229,10 @@ def _alphabet(index: CorpusIndex, win: dict[str, np.ndarray]
     words = index.vocab.words(seen[new])
     rank = np.empty(seen.size, dtype=np.int64)
     rank[order] = np.cumsum(new) - 1
-    added = [m for m in MARKERS if not _holds(words, m)]
-    for m in added:
-        words.insert(bisect_left(words, m), m)
-    is_token = np.ones(len(words), dtype=bool)
-    is_token[[bisect_left(words, m) for m in added]] = False
-    rank = np.flatnonzero(is_token)[rank]
+    for m in MARKERS:
+        at = bisect_left(words, m)
+        words.insert(at, m)
+        rank[rank >= at] += 1
     context = np.zeros((len(has), win["x"].size), dtype=np.int64)
     for row, h in zip(context, has):
         row[h], rank = rank[:np.count_nonzero(h)], rank[np.count_nonzero(h):]
@@ -255,11 +246,6 @@ def _alphabet(index: CorpusIndex, win: dict[str, np.ndarray]
         codes[sorted(range(2 * n), key=pieces.__getitem__)] = np.arange(1, 2 * n + 1)
         codes = codes.reshape(2, n)
     return words, codes, context
-
-
-def _holds(words: list[str], word: str) -> bool:
-    at = bisect_left(words, word)
-    return at < len(words) and words[at] == word
 
 
 def _variants(win: dict[str, np.ndarray], words: list[str], codes: np.ndarray,
@@ -299,40 +285,34 @@ def _variants(win: dict[str, np.ndarray], words: list[str], codes: np.ndarray,
                 + [(n_slots - 1, 1 + MAX_MID)] * post)
         packed = np.zeros((n_words, 2, sel.size), dtype=np.uint64)
         star = np.zeros(MAX_SLOTS, dtype=np.int64)
-        literal = np.zeros(sel.size, dtype=np.uint8)   # the free slots holding "*"
         for col, last, m in ((pre, False, X_SLOT), (pre + mid + 1, not post, Y_SLOT)):
             _pack_slot(packed, col, np.array([[marker[m, last]], [swap[marker[m, last]]]],
                                              dtype=np.uint64), bits)
-        for j, (col, row) in enumerate(free):
+        for col, row in free:
             last = col == n_slots - 1
             star[col] = marker[WILDCARD, last]
             slot = np.take(oriented[int(not last)], np.take(context[row], sel), axis=1)
             _pack_slot(packed, col, slot, bits)
-            literal |= (slot[0] == star[col]).astype(np.uint8) << j
         owner = np.concatenate([np.take(win["pair"], sel), np.take(win["rev"], sel)])
         # Packing is bit concatenation, so a variant's key is the window's
         # key with the wildcarded fields cleared and filled with "*".
         masks = np.arange(1 << len(free))
         wild = np.zeros((masks.size, MAX_SLOTS), dtype=bool)
         wild[:, [col for col, _row in free]] = masks[:, None] >> np.arange(len(free)) & 1
-        shapes.append((packed.reshape(n_words, -1), owner, np.tile(literal, 2),
+        shapes.append((packed.reshape(n_words, -1), owner,
                        _pack(np.where(wild, 0, (1 << bits) - 1), bits),
                        _pack(np.where(wild, star, 0), bits)))
-    # A literal "*" kept and wildcarded gives one pattern, counted once,
-    # under the masks that wildcard it.
-    size = sum(np.count_nonzero(literal & m == literal)
-               for _packed, _owner, literal, hold, _fill in shapes for m in range(hold.shape[1]))
+    size = sum(owner.size * hold.shape[1] for _packed, owner, hold, _fill in shapes)
     keys = np.empty((n_words, size), dtype=np.uint64)
     owners = np.empty(size, dtype=np.int32)
     at = 0
-    for packed, owner, literal, hold, fill in shapes:
+    for packed, owner, hold, fill in shapes:
+        n = owner.size
         for m in range(hold.shape[1]):
-            kept = literal & m == literal
-            n = np.count_nonzero(kept)
             block = keys[:, at:at + n]
-            np.bitwise_and(packed.compress(kept, axis=1), hold[:, m:m + 1], out=block)
+            np.bitwise_and(packed, hold[:, m:m + 1], out=block)
             block |= fill[:, m:m + 1]
-            owners[at:at + n] = owner.compress(kept)
+            owners[at:at + n] = owner
             at += n
     return keys, owners
 

@@ -19,6 +19,13 @@ MAX_TERM_TOKENS = 4
 
 _PUNCT = string.punctuation + "‘’“”–—"
 
+# The slot markers of a mined pattern, which `tokenize` never emits: it
+# lowercases, and "*" is edge punctuation. Mining relies on that.
+X_SLOT = "X"
+Y_SLOT = "Y"
+WILDCARD = "*"
+MARKERS = (X_SLOT, Y_SLOT, WILDCARD)
+
 
 def tokenize(text: str) -> list[str]:
     """Whitespace tokens of `text`, lowercased, with edge punctuation stripped.

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import PUNCTUATION
 
-from relmap.corpus import ingest, ingest_dir
+from relmap.corpus import _index_tokens, _joined_tokens, corpus_files, ingest
 from relmap.dataset import Dataset
 from relmap.patterns import build_frequency_matrix, select_columns
 from relmap.planted import PlantedConfig, generate_planted_corpus
@@ -35,6 +35,23 @@ def write_corpus(tmp_path, texts, prefix="doc"):
         p.write_text(text, encoding="utf-8")
         paths.append(p)
     return ingest(paths)
+
+
+def index_token_lists(documents):
+    """The index of tokenized documents, in the given order.
+
+    Each document's tokens are joined by "\\n" as UTF-8 bytes and indexed
+    as `ingest` indexes a file's tokens. An empty token, or one holding a
+    newline, is refused with CorpusError; nothing else is checked, so the
+    tokens need not be words `tokenize` could emit, but mining assumes
+    that none is a slot marker (`terms.MARKERS`).
+    """
+    return _index_tokens(map(_joined_tokens, documents))
+
+
+def problem_by_id(dataset, pid):
+    """The dataset's problem with this id."""
+    return next(p for p in dataset if p.id == pid)
 
 
 def mined_counts(stats, pairs):
@@ -65,7 +82,7 @@ def planted_all(tmp_path_factory):
     """Five m=5 problems with every index pair planted; ~100k tokens."""
     root = tmp_path_factory.mktemp("planted_all")
     data = generate_planted_corpus(root, PlantedConfig(seed=11))
-    index = ingest_dir(data.corpus_dir)
+    index = ingest(corpus_files(data.corpus_dir))
     return data, index
 
 
@@ -76,7 +93,7 @@ def planted_star(tmp_path_factory):
     data = generate_planted_corpus(
         root, PlantedConfig(n_problems=5, m=7, pair_mode="star",
                             target_tokens=60_000, seed=12))
-    index = ingest_dir(data.corpus_dir)
+    index = ingest(corpus_files(data.corpus_dir))
     return data, index
 
 

@@ -28,7 +28,9 @@ earlier design; the decomposition one connected component at a time
 must keep the same spectrum, cut and cosines. `truncated_svd_every_component`
 runs that decomposition on every component, the design before the
 package skipped the components whose eigenvalues cannot reach the cut;
-the package must keep its bits. The no-SVD reference,
+the package must keep its bits. Both run each eigh at one BLAS thread,
+as the package does, so that their bits do not depend on the thread
+count. The no-SVD reference,
 `dense_cosines`, normalizes a dense copy of X's rows, the package's
 earlier design; the cosines from the sparse Gram matrix must agree with
 it and zero the same weak rows. `scalar_sim_r` reads one cosine at a
@@ -62,6 +64,7 @@ from scipy.sparse.linalg import svds
 
 from relmap.corpus import MAX_MID, MAX_POST, MAX_PRE, _find_windows
 from relmap.errors import RelmapError
+from relmap.space import _one_blas_thread
 from relmap.terms import TermPair
 
 TIE_TOLERANCE = 1e-12
@@ -480,7 +483,8 @@ def truncated_svd_full(X, k):
     """
     X = sp.csr_matrix(X, dtype=float)
     X.eliminate_zeros()
-    lam, vecs = np.linalg.eigh((X @ X.T).toarray())
+    with _one_blas_thread():
+        lam, vecs = np.linalg.eigh((X @ X.T).toarray())
     s = np.sqrt(np.maximum(lam[::-1], 0.0))
     gaps = s[:k] - np.append(s[1:], 0.0)[:k]
     strict = np.flatnonzero(gaps > SVD_TIE_SHARE * s.max(initial=0.0))
@@ -517,7 +521,8 @@ def truncated_svd_every_component(X, k):
     for a, b in zip(starts.tolist(), ends.tolist()):
         if b - a > 1:
             block = X[a:b]
-            values, vectors = np.linalg.eigh((block @ block.T).toarray())
+            with _one_blas_thread():
+                values, vectors = np.linalg.eigh((block @ block.T).toarray())
             lam[a:b], blocks[a] = values[::-1], vectors[:, ::-1]
     order = np.argsort(-lam, kind="stable")
     s = np.sqrt(np.maximum(lam[order], 0.0))

@@ -14,10 +14,10 @@ from oracles import (PhraseOccurrence, brute_force_best, enumerate_pattern_strin
                      generate_patterns, hybrid_probabilities, ppmi_cell)
 from relmap.attributes import TableSimilarity
 from relmap.config import Config
-from relmap.corpus import ingest_dir
-from relmap.dataset import Dataset, builtin_dataset
+from relmap.corpus import corpus_files, ingest
+from relmap.dataset import Dataset, builtin_dataset, mean
 from relmap.evaluation import (accuracy, coherence_experiment, run_batch)
-from relmap.patterns import build_pair_list, serialize_pattern
+from relmap.patterns import build_pair_list
 from relmap.planted import PlantedConfig, generate_planted_corpus
 from relmap.problems import MappingProblem
 from relmap.solver import (AttributionalScorer, HybridScorer, RelationalScorer,
@@ -25,6 +25,8 @@ from relmap.solver import (AttributionalScorer, HybridScorer, RelationalScorer,
 from relmap.space import transform_ppmic, truncated_svd
 from relmap.terms import TermPair
 from test_solver import SimTable
+
+from conftest import problem_by_id
 
 
 def report(line):
@@ -153,14 +155,14 @@ def test_pattern_combinatorics():
         pair = TermPair.parse(" ".join(x_toks), " ".join(y_toks))
         pats = generate_patterns(occ, pair)
         assert len(pats) == 2 ** (n + 1), (trial, window)
-        assert ({serialize_pattern(p) for p in pats} ==
+        assert ({" ".join(p) for p in pats} ==
                 enumerate_pattern_strings(window, xs, ys))
     worked = PhraseOccurrence(
         doc=0, start=0,
         window=("a", "sun", "centered", "solar", "system", "illustrates"),
         x_span=(1, 2), y_span=(3, 5), pre=1, mid=1, post=1)
     pats = generate_patterns(worked, TermPair.parse("sun", "solar system"))
-    texts = {serialize_pattern(p) for p in pats}
+    texts = {" ".join(p) for p in pats}
     assert len(pats) == 16
     assert "a X centered Y illustrates" in texts
     report("pattern combinatorics: 200 random phrases hit 2^(n+1) exactly; "
@@ -174,7 +176,7 @@ def test_planted_end_to_end(tmp_path):
                                    PlantedConfig(n_problems=5, m=5,
                                                  target_tokens=100_000,
                                                  seed=2024))
-    index = ingest_dir(data.corpus_dir)
+    index = ingest(corpus_files(data.corpus_dir))
     assert 90_000 <= index.total_tokens <= 130_000
     reportout = run_batch(Dataset(data.problems), Config(mode="relational"),
                           index)
@@ -222,11 +224,11 @@ def test_dataset_fidelity():
              "A8": 8, "A9": 9, "A10": 5, "M1": 7, "M2": 7, "M3": 6, "M4": 7,
              "M5": 6, "M6": 7, "M7": 7, "M8": 5, "M9": 8, "M10": 6}
     for pid, m in sizes.items():
-        assert ds.by_id(pid).m == m
+        assert problem_by_id(ds, pid).m == m
     for p in ds:
         for src, tgt in p.intended.items():
             assert p.pos_tags[src] == p.pos_tags[tgt]
-    human = ds.human_average()
+    human = mean([row.agreement for row in run_batch(ds, Config(mode="attributional")).rows])
     assert human == pytest.approx(87.6, abs=0.1)
     assert len(build_pair_list(list(ds))) == 1694
     report(f"dataset fidelity: 20 problems, sizes match, POS-consistent "

@@ -11,7 +11,7 @@ from relmap.dataset import builtin_dataset
 from relmap.errors import DataError
 from relmap.terms import Term
 
-from conftest import write_corpus
+from conftest import problem_by_id, write_corpus
 
 
 def T(text):
@@ -21,7 +21,7 @@ def T(text):
 # --- POS similarity ---------------------------------------------------------
 
 def test_pos_values_from_solar_system_problem():
-    tags = builtin_dataset().by_id("A1").pos_tags
+    tags = problem_by_id(builtin_dataset(), "A1").pos_tags
     pos = PosSimilarity(tags)
     assert pos.sim(T("attracts"), T("attracts")) == 100.0
     assert pos.sim(T("sun"), T("nucleus")) == 10.0
@@ -47,7 +47,7 @@ def test_pos_missing_tag_scores_zero_with_warning(caplog):
 
 
 def test_pos_symmetry():
-    tags = builtin_dataset().by_id("A5").pos_tags
+    tags = problem_by_id(builtin_dataset(), "A5").pos_tags
     pos = PosSimilarity(tags)
     terms = [T(t) for t in tags]
     for a in terms:
@@ -165,7 +165,7 @@ def test_external_non_finite_score_reports_file_and_number(tmp_path, score):
 # --- combination ------------------------------------------------------------
 
 def test_combination_with_zero_base_equals_pos():
-    tags = builtin_dataset().by_id("A1").pos_tags
+    tags = problem_by_id(builtin_dataset(), "A1").pos_tags
     pos = PosSimilarity(tags)
     combined = CombinedSimilarity(TableSimilarity({}), pos)
     for a in ("sun", "planet", "attracts"):

@@ -9,9 +9,12 @@ import pytest
 
 from relmap import space
 from relmap.cli import main
+from relmap.corpus import corpus_digest, corpus_files, save_index
 from relmap.config import MODES, Config, load_config_file
 from relmap.dataset import Dataset, dump_problems, load_problems
 from relmap.evaluation import coherence_experiment, solve_batch
+
+from conftest import index_token_lists
 
 
 @pytest.fixture()
@@ -472,3 +475,36 @@ def test_cached_eval_loads_no_scipy_linalg_or_csgraph(planted_paths, tmp_path):
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_eval_refuses_cache_holding_a_slot_marker(tmp_path, capsys):
+    """A cached index whose vocabulary holds "X" is a data error (exit 2)
+    naming the cache file: no index `ingest` writes holds one."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("the sun warms the planet", encoding="utf-8")
+    index = index_token_lists([["the", "sun", "X", "the", "planet"]])
+    index.digest = corpus_digest(corpus_files(corpus))
+    path = save_index(index, tmp_path / "cache")
+    assert main(["eval", "--builtin", "--mode", "relational", "--corpus", str(corpus),
+                 "--cache", str(tmp_path / "cache")]) == 2
+    assert path.name in capsys.readouterr().err
+
+
+# The names perfbench/tracing.py wraps that the package no longer has.
+UNTRACED = {"relmap.corpus.search_phrases", "relmap.solver.solve_hybrid",
+            "relmap.solver.RelationalScorer.explain", "relmap.solver.AttributionalScorer.explain"}
+
+
+def test_traced_benchmark_starts():
+    """The benchmark's tracer installs over the package without error, and
+    every name it cannot find is one that is known to be gone."""
+    root = Path(__file__).resolve().parent.parent
+    child = ("import json, sys\nimport relmap.cli\nsys.path.insert(0, 'perfbench')\n"
+             "from tracing import Recorder\nrecorder = Recorder()\nrecorder.install()\n"
+             "print(json.dumps(recorder.missing))")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          cwd=root, timeout=300,
+                          env=dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout.splitlines()[-1])) <= UNTRACED

@@ -18,14 +18,13 @@ import oracles
 from oracles import (ListIndex, batch_index, batch_ingest, scan_cooccurrences, scan_windows,
                      search_phrases)
 from relmap import corpus as corpus_module
-from relmap.corpus import (CorpusIndex, _find_windows, cache_path, cached_index,
-                           cooccurrence_counts, corpus_digest, ingest,
-                           ingest_dir, load_index, save_index)
+from relmap.corpus import (_find_windows, cache_path, cached_index, cooccurrence_counts,
+                           corpus_digest, corpus_files, ingest, load_index, save_index)
 from relmap.errors import CorpusError
 from relmap.planted import PlantedConfig, generate_planted_corpus
-from relmap.terms import Term, TermPair, tokenize
+from relmap.terms import MARKERS, Term, TermPair, tokenize
 
-from conftest import occurrences, token_texts, write_corpus
+from conftest import index_token_lists, occurrences, token_texts, write_corpus
 
 
 def occ_key(occ):
@@ -102,7 +101,7 @@ def test_ingest_dir_reads_lexicographically(tmp_path):
     sub = tmp_path / "sub"
     sub.mkdir()
     (sub / "c.txt").write_text("gamma")
-    index = ingest_dir(tmp_path)
+    index = ingest(corpus_files(tmp_path))
     assert [d[0] for d in doc_tokens(index)] == ["alpha", "beta", "gamma"]
 
 
@@ -224,6 +223,33 @@ def test_byte_tokenizer_equals_tokenize(text):
     assert got == tokenize(text)
 
 
+# Text full of the slot markers: alone, doubled, around and inside words
+# and in brackets, between the bytes that split and strip tokens.
+marker_text = st.lists(st.one_of(
+    st.sampled_from(["X", "Y", "*", "**", "*a*", "(Y)", "X*Y", "'X'", "Y.", "*\x00*"]),
+    st.text(st.sampled_from(["X", "Y", "*", "a", "\x7f"]), min_size=1, max_size=4),
+    st.sampled_from(ASCII_WHITESPACE),
+    st.sampled_from(string.punctuation),
+    st.text(max_size=3),
+), max_size=30).map("".join)
+
+
+@given(marker_text)
+@example("X Y * ** *a* (Y)")
+@example("«X» Y\u2014*")
+@settings(max_examples=300, deadline=None)
+def test_no_token_is_a_slot_marker(text):
+    """Neither `tokenize` nor the byte tokenizer emits "X", "Y" or "*": both
+    lowercase, and "*" is edge punctuation. So no index that `ingest`
+    builds holds a slot marker."""
+    assert not set(tokenize(text)) & set(MARKERS)
+    if text.isascii():
+        data, starts, sizes = corpus_module._ascii_tokens(text.encode("ascii"))
+        got = {data[a:a + n].tobytes().decode("ascii")
+               for a, n in zip(starts.tolist(), sizes.tolist())}
+        assert not got & set(MARKERS)
+
+
 @given(st.lists(st.tuples(st.one_of(ascii_text, token_texts), st.booleans()), max_size=5),
        st.sampled_from([1, 3, corpus_module._BATCH_TOKENS]))
 @settings(max_examples=150, deadline=None)
@@ -257,7 +283,7 @@ def test_index_of_the_planted_corpus_keeps_its_bytes(tmp_path):
     """The index arrays of a planted corpus keep their bytes: a tokenizer
     that changed them would need a new `_CACHE_FORMAT`."""
     generate_planted_corpus(tmp_path, PlantedConfig(target_tokens=20_000, seed=0))
-    index = ingest_dir(tmp_path)
+    index = ingest(corpus_files(tmp_path))
     arrays = {"ids": index.ids, "doc_offsets": index.doc_offsets, "vocab": index.vocab.blob}
     assert {name: hashlib.sha256(a.tobytes()).hexdigest()
             for name, a in arrays.items()} == PLANTED_INDEX_SHA256
@@ -289,7 +315,7 @@ def sort_docs(draw):
 @example([["abcdefghijklmnopé", "abcdefghijklmnop", "abcdefghijklmnop中"]], 2, 1)
 @settings(max_examples=200, deadline=None)
 def test_index_equals_dict_oracle_on_sort_edge_cases(documents, batch_tokens, sort_chunk):
-    """`from_token_lists` and `ingest` give the ids, offsets, vocabulary
+    """`index_token_lists` and `ingest` give the ids, offsets, vocabulary
     bytes and digest of one first-seen dict and a Python sort, with the
     tokens sorted in batches of 1-3 tokens (batches that end mid-document
     and between repeats of a word, whose words are then sorted again), of
@@ -302,7 +328,7 @@ def test_index_equals_dict_oracle_on_sort_edge_cases(documents, batch_tokens, so
             path.write_bytes(" ".join(doc).encode("utf-8"))
         with mock.patch.object(corpus_module, "_BATCH_TOKENS", batch_tokens), \
                 mock.patch.object(corpus_module, "_SORT_CHUNK", sort_chunk):
-            got = [CorpusIndex.from_token_lists(documents), ingest(paths)]
+            got = [index_token_lists(documents), ingest(paths)]
         digest = batch_ingest(paths)[3]
     for index in got:
         assert index.ids.dtype == np.int32 and index.doc_offsets.dtype == np.int64
@@ -322,7 +348,7 @@ def test_sort_of_long_tied_words_takes_few_rounds(monkeypatch):
     monkeypatch.setattr(corpus_module, "_prefixes",
                         lambda *args: rounds.append(1) or prefixes(*args))
     long_word = "x" * (1 << 20)
-    index = CorpusIndex.from_token_lists(
+    index = index_token_lists(
         [[long_word, *(f"w{i}" for i in range(1 << 14))], [long_word]])
     assert len(index.vocab) == (1 << 14) + 1
     assert index.ids[0] == index.ids[-1] == len(index.vocab) - 1
@@ -339,7 +365,7 @@ def test_load_memory_holds_no_word_objects(tmp_path):
     rng.shuffle(words)
     documents = [words[i:i + 10_000] + ["sun", "warms", "the", "planet"]
                  for i in range(0, len(words), 10_000)]
-    path = save_index(CorpusIndex.from_token_lists(documents), tmp_path)
+    path = save_index(index_token_lists(documents), tmp_path)
     del words, documents
     pairs = [TermPair.parse("sun", "planet"), TermPair.parse("warms", "planet")]
     tracemalloc.start()
@@ -360,7 +386,7 @@ def test_window_search_memory_on_dense_occurrences():
     peak of 6.7 MB; the earlier search, in blocks of pairs with each
     pair's own copy of its x starts, peaked at 14.0 MB (numpy 2.4)."""
     rng = random.Random(3)
-    index = CorpusIndex.from_token_lists([rng.choices("abcd", k=5000) for _ in range(4)])
+    index = index_token_lists([rng.choices("abcd", k=5000) for _ in range(4)])
     terms = [Term.parse(t) for t in ["a", "b", "c", "d", "a b", "c d"]]
     pairs = [TermPair(x, y) for x in terms for y in terms if x != y]
     tracemalloc.start()
@@ -376,7 +402,7 @@ def test_window_search_memory_on_dense_occurrences():
 def test_window_search_shared_heads_repeated_pairs_and_document_ends():
     """Terms with one first token as x and as y, a pair listed twice, and
     runs that would cross a document end."""
-    index = CorpusIndex.from_token_lists([["a", "b", "a", "b"], ["a"], ["b", "a", "b"]])
+    index = index_token_lists([["a", "b", "a", "b"], ["a"], ["b", "a", "b"]])
     a, ab, b = Term.parse("a"), Term.parse("a b"), Term.parse("b")
     pairs = [TermPair(a, ab), TermPair(ab, a), TermPair(a, b), TermPair(a, ab)]
     got = [w.tolist() for w in _find_windows(index, pairs)]
@@ -403,7 +429,7 @@ def test_window_search_matches_scan_per_pair(documents, xys, data):
     windows twice."""
     pairs = [TermPair(Term(x), Term(y)) for x, y in xys]
     pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
-    index = CorpusIndex.from_token_lists(documents)
+    index = index_token_lists(documents)
     got = _find_windows(index, pairs)
     assert all(w.dtype == np.int64 for w in got)
     starts = index.doc_offsets.tolist()
@@ -450,7 +476,7 @@ def test_blob_vocabulary_matches_list_oracle(documents, probes, data):
     before and after a cache round trip."""
     ids, offsets, vocab = batch_index(documents)
     ref = ListIndex(ids, offsets, vocab)
-    index = CorpusIndex.from_token_lists(documents)
+    index = index_token_lists(documents)
     with tempfile.TemporaryDirectory() as cache:
         loaded = load_index(save_index(index, cache))
     pick = data.draw(st.lists(st.integers(0, len(vocab) - 1), max_size=10)) if vocab else []
@@ -471,7 +497,7 @@ def test_term_starts_match_argsort_postings(documents, data):
     """The start positions found for a batch of terms equal those read from
     postings over every token id, in any batch order and after a reload."""
     ref = ListIndex(*batch_index(documents))
-    index = CorpusIndex.from_token_lists(documents)
+    index = index_token_lists(documents)
     words = ref.vocab + ["absent"]
     terms = data.draw(st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=3)
                                .map(lambda toks: Term(tuple(toks))), max_size=8))
@@ -535,7 +561,7 @@ docs = st.lists(st.lists(token, max_size=12), max_size=3)
 @given(docs)
 @settings(max_examples=120)
 def test_search_matches_bruteforce_scan(documents):
-    index = CorpusIndex.from_token_lists(documents)
+    index = index_token_lists(documents)
     pair = TermPair.parse("x", "y")
     got = sorted(occ_key(o) for o in search_phrases(index, pair))
     want = sorted(scan_windows(documents, ("x",), ("y",)))
@@ -545,7 +571,7 @@ def test_search_matches_bruteforce_scan(documents):
 @given(docs)
 @settings(max_examples=80)
 def test_order_duality_covers_both_directions(documents):
-    index = CorpusIndex.from_token_lists(documents)
+    index = index_token_lists(documents)
     fwd = search_phrases(index, TermPair.parse("x", "y"))
     bwd = search_phrases(index, TermPair.parse("y", "x"))
     got = sorted([occ_key(o) for o in fwd] +
@@ -565,7 +591,7 @@ run = st.lists(small_token, min_size=1, max_size=3).map(tuple)
 def test_search_multiword_matches_scan_in_order(documents, x, y):
     if x == y:
         return
-    index = CorpusIndex.from_token_lists(documents)
+    index = index_token_lists(documents)
     occs = search_phrases(index, TermPair(Term(x), Term(y)))
     # same windows, and in the scanner's (document, x, y) order
     assert [occ_key(o) for o in occs] == scan_windows(documents, x, y)
@@ -581,7 +607,7 @@ def test_search_multiword_matches_scan_in_order(documents, x, y):
 def test_search_windows_at_document_edges():
     documents = [["x", "y"], ["x", "w", "w", "w", "y"], ["y", "x"], ["a", "x"],
                  ["y", "b"]]
-    index = CorpusIndex.from_token_lists(documents)
+    index = index_token_lists(documents)
     occs = search_phrases(index, TermPair.parse("x", "y"))
     assert [(o.doc, o.start, o.window, o.pre, o.post) for o in occs] == [
         (0, 0, ("x", "y"), 0, 0),
@@ -592,7 +618,7 @@ def test_search_windows_at_document_edges():
 
 
 def test_occurrences_of_multiword_term_stay_in_documents():
-    index = CorpusIndex.from_token_lists([["a", "solar"], ["system", "a"],
+    index = index_token_lists([["a", "solar"], ["system", "a"],
                                           ["the", "solar", "system"]])
     assert occurrences(index, Term.parse("solar system")) == [(2, 1)]
     assert occurrences(index, Term.parse("a")) == [(0, 0), (1, 1)]
@@ -631,7 +657,7 @@ def test_cooccurrence_outside_window(tmp_path):
        st.integers(min_value=1, max_value=6))
 @settings(max_examples=100)
 def test_cooccurrence_matches_scan(tokens, window):
-    index = CorpusIndex.from_token_lists([tokens])
+    index = index_token_lists([tokens])
     got = cooccurrence_counts(index, Term.parse("a"), Term.parse("b"), window)
     want = scan_cooccurrences([tokens], ("a",), ("b",), window)
     assert got == want
@@ -647,7 +673,7 @@ abcd_docs = st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=12
 @given(abcd_docs, ab_run, ab_run, st.integers(min_value=1, max_value=6))
 @settings(max_examples=150)
 def test_cooccurrence_multiword_matches_scan(documents, a, b, window):
-    index = CorpusIndex.from_token_lists(documents)
+    index = index_token_lists(documents)
     got = cooccurrence_counts(index, Term(a), Term(b), window)
     assert got == scan_cooccurrences(documents, a, b, window)
     assert all(type(v) is int for v in got)
@@ -658,7 +684,7 @@ def test_cooccurrence_multiword_matches_scan(documents, a, b, window):
 
 def test_cooccurrence_same_multiword_term():
     documents = [["solar", "system", "w", "solar", "system"], ["solar", "system"]]
-    index = CorpusIndex.from_token_lists(documents)
+    index = index_token_lists(documents)
     term = Term.parse("solar system")
     assert cooccurrence_counts(index, term, term, 3) == (3, 3, 1)
     assert cooccurrence_counts(index, term, term, 2) == (3, 3, 0)
@@ -666,7 +692,7 @@ def test_cooccurrence_same_multiword_term():
 
 def test_cooccurrence_terms_starting_at_one_token():
     # a at 0, 1, 2 and "a a" at 0, 1 make the position pairs {0,1}, {0,2}, {1,2}
-    index = CorpusIndex.from_token_lists([["a", "a", "a"]])
+    index = index_token_lists([["a", "a", "a"]])
     one, two = Term.parse("a"), Term.parse("a a")
     assert cooccurrence_counts(index, one, two, 5) == (3, 2, 3)
     assert cooccurrence_counts(index, two, one, 5) == (2, 3, 3)
@@ -723,7 +749,7 @@ def test_digest_tracks_content(tmp_path):
 @given(small_docs, run, run)
 @settings(max_examples=60, deadline=None)
 def test_saved_index_gives_identical_windows(documents, x, y):
-    index = dataclasses.replace(CorpusIndex.from_token_lists(documents), digest="d" * 64)
+    index = dataclasses.replace(index_token_lists(documents), digest="d" * 64)
     with tempfile.TemporaryDirectory() as cache:
         loaded = load_index(save_index(index, cache))
     assert list(loaded.vocab) == list(index.vocab)
@@ -738,7 +764,7 @@ def test_saved_index_gives_identical_windows(documents, x, y):
 
 def test_saved_empty_index_roundtrips(tmp_path):
     for documents in ([], [[]], [[], []]):
-        index = CorpusIndex.from_token_lists(documents)
+        index = index_token_lists(documents)
         loaded = load_index(save_index(index, tmp_path / str(len(documents))))
         assert loaded.total_tokens == 0
         assert loaded.n_documents == len(documents)
@@ -826,6 +852,15 @@ def test_load_checks_what_it_reads(tmp_path, corrupt):
     with open(path, "wb") as fh:
         np.savez(fh, **dict(arrays, **corrupt(arrays)))
     with pytest.raises(CorpusError, match=path.name):
+        load_index(path)
+
+
+@pytest.mark.parametrize("marker", MARKERS)
+def test_load_refuses_slot_marker_words(tmp_path, marker):
+    """`tokenize` never emits "X", "Y" or "*", and mining relies on that: a
+    cache whose vocabulary holds one is refused, naming the path."""
+    path = save_index(index_token_lists([["a", marker, "b"]]), tmp_path)
+    with pytest.raises(CorpusError, match=f"{path.name}.*slot marker"):
         load_index(path)
 
 
@@ -980,9 +1015,9 @@ def test_failed_save_leaves_nothing(tmp_path, monkeypatch):
 
 def test_index_refuses_newline_in_vocabulary():
     with pytest.raises(CorpusError, match="newline"):
-        CorpusIndex.from_token_lists([["a", "a\nb"]])
+        index_token_lists([["a", "a\nb"]])
     with pytest.raises(CorpusError, match="empty"):
-        CorpusIndex.from_token_lists([["a"], [""]])
+        index_token_lists([["a"], [""]])
 
 
 @pytest.mark.parametrize("batch_tokens", [1, 2, 3, 8, 1 << 14, corpus_module._BATCH_TOKENS])
@@ -994,4 +1029,4 @@ def test_index_refuses_bad_word_in_any_batch(documents, batch_tokens, monkeypatc
     batch (16,384 tokens, or the default)."""
     monkeypatch.setattr(corpus_module, "_BATCH_TOKENS", batch_tokens)
     with pytest.raises(CorpusError, match="a vocabulary word is empty or holds a newline"):
-        CorpusIndex.from_token_lists(documents)
+        index_token_lists(documents)

@@ -13,6 +13,8 @@ from relmap.evaluation import (accuracy, coherence_experiment, run_batch,
 from relmap.problems import Mapping
 from relmap.solver import RelationalScorer
 
+from conftest import problem_by_id
+
 
 def mapping(pid, perm):
     return Mapping(problem_id=pid, perm=tuple(perm))
@@ -320,7 +322,7 @@ def test_attributional_pos_keeps_tag_classes_together():
     # with the tag-based provider, sources can only map onto targets of
     # their own tag class whenever the class sizes allow it
     ds = builtin_dataset()
-    a1 = ds.by_id("A1")
+    a1 = problem_by_id(ds, "A1")
     cfg = Config(mode="attributional", provider="pos", seed=0)
     results, _ = solve_batch(Dataset([a1]), cfg)
     assignment = results[0].assignment()
@@ -369,11 +371,11 @@ gravity attracts the projectile toward earth and gravity attracts a planet .
 def test_builtin_relational_on_tiny_real_corpus(tmp_path):
     # most of the pair list is pruned; the survivors still build a space
     (tmp_path / "a1.txt").write_text(A1_CORPUS, encoding="utf-8")
-    from relmap.corpus import ingest_dir
+    from relmap.corpus import corpus_files
 
-    index = ingest_dir(tmp_path)
-    subset = Dataset([builtin_dataset().by_id("A1"),
-                      builtin_dataset().by_id("A6")])
+    index = ingest(corpus_files(tmp_path))
+    subset = Dataset([problem_by_id(builtin_dataset(), "A1"),
+                      problem_by_id(builtin_dataset(), "A6")])
     cfg = Config(mode="relational", seed=0)
     report = run_batch(subset, cfg, index)
     assert 0 < report.metadata["n_r"] < report.metadata["n_pairs"]

@@ -30,7 +30,7 @@ from oracles import (argmax_with_ties, attributional_scorer, constrained_perms,
 from relmap import solver
 from relmap.attributes import TableSimilarity
 from relmap.config import Config
-from relmap.corpus import ingest_dir
+from relmap.corpus import corpus_files, ingest
 from relmap.evaluation import build_space_for_problems
 from relmap.planted import PlantedConfig, generate_planted_corpus
 from relmap.solver import (BLOCK_ROWS, AttributionalScorer, HybridScorer, RelationalScorer,
@@ -421,7 +421,7 @@ def planted_m10(tmp_path_factory):
     root = tmp_path_factory.mktemp("planted_m10")
     data = generate_planted_corpus(root, PlantedConfig(n_problems=1, m=10,
                                                        target_tokens=20_000, seed=3))
-    space, _ = build_space_for_problems(ingest_dir(data.corpus_dir), data.problems,
+    space, _ = build_space_for_problems(ingest(corpus_files(data.corpus_dir)), data.problems,
                                         Config())
     return data.problems[0], space
 
@@ -456,7 +456,7 @@ def test_planted_grids_have_no_negative_cosine(tmp_path, monkeypatch):
     non-negative, at m=10 and m=9, and the relational channel's shift is
     0.0 with no walk."""
     data = generate_planted_corpus(tmp_path, PlantedConfig(n_problems=1, m=10, seed=0))
-    space, _ = build_space_for_problems(ingest_dir(data.corpus_dir), data.problems, Config())
+    space, _ = build_space_for_problems(ingest(corpus_files(data.corpus_dir)), data.problems, Config())
     problem = data.problems[0]
 
     def no_walk(*args):

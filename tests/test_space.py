@@ -24,9 +24,9 @@ from relmap.patterns import (build_frequency_matrix, build_pair_list,
 from relmap.problems import MappingProblem
 from relmap.solver import RelationalScorer
 from relmap.space import (_DECOMPOSITION_BYTES_PER_CELL, _FACTOR_BYTES_PER_CELL, _components,
-                          _one_blas_thread, _require_cosine_budget, _require_decomposition_budget,
-                          build_space, build_space_from_matrix, transform_log_entropy,
-                          transform_ppmic, truncated_svd)
+                          _require_cosine_budget, _require_decomposition_budget, build_space,
+                          build_space_from_matrix, transform_log_entropy, transform_ppmic,
+                          truncated_svd)
 from relmap.terms import TermPair
 
 from conftest import write_corpus
@@ -560,8 +560,7 @@ def test_decomposed_blocks_hold_no_more_than_the_budget_counts(monkeypatch):
     assert calls == [400] * 20
     counted_bytes = _DECOMPOSITION_BYTES_PER_CELL * 400 ** 2 + _FACTOR_BYTES_PER_CELL * n_r * k
     assert peak < counted_bytes < 8 * 20 * 400 ** 2
-    with _one_blas_thread():  # as the package runs each eigh
-        u_ref, s_ref = truncated_svd_every_component(X, k)
+    u_ref, s_ref = truncated_svd_every_component(X, k)
     assert (u.tobytes(), s.tobytes()) == (u_ref.tobytes(), s_ref.tobytes())
 
 

@@ -70,6 +70,14 @@ def test_lowercasing_the_whole_text_keeps_token_bounds():
                 hex(ord(w)), text)
 
 
+def test_no_character_lowercases_to_a_slot_marker():
+    """Why `tokenize` never emits "X" or "Y", checked over every code point:
+    no character lowercases to a string holding either."""
+    for c in map(chr, range(sys.maxunicode + 1)):
+        low = c.lower()
+        assert "X" not in low and "Y" not in low, hex(ord(c))
+
+
 def test_pair_requires_distinct_terms():
     with pytest.raises(ValueError):
         TermPair.parse("sun", "Sun")
