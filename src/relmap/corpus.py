@@ -41,22 +41,28 @@ file is read, hashed and tokenized before the next one is read. An ASCII
 file's bytes are lowercased and classed through two tables indexed by
 byte (whitespace, edge punctuation, word byte); a token runs from the
 first word byte to the last of a run of bytes that are not whitespace,
-found for all tokens at once with `searchsorted`. Any other file, one
-that starts with a byte-order mark included, goes through
-`terms.tokenize`, and its tokens are joined by "\\n" as UTF-8 bytes.
-Either way a file becomes its bytes and the start and size of each
-token, and everything after that is one path. The tokens are sorted in
-batches of _BATCH_TOKENS, in numpy, by most-significant-digit refinement
-on the 8-byte prefixes the cache check also reads (below); a sorted
-batch keeps only its distinct words, as "\\n"-joined bytes, and its
-tokens' ranks among them. So at any time memory holds one file, the
-bytes and bounds of one batch's tokens and that batch's sort, the
-distinct words of the batches so far and 4 bytes per token: never a
-Python string per corpus token or per vocabulary word, except for the
-tokens of one file that is not ASCII. The words of several batches are
-sorted once more at the end, so that copies of a word from several
-batches become one vocabulary word, and each batch's ranks are mapped to
-vocabulary ids. Words are copied out of a sort _SORT_CHUNK at a time.
+so it is the runs of word bytes joined across the runs of edge
+punctuation that lie between two of them, found for all tokens at once.
+Any other file, one that starts with a byte-order mark included, goes
+through `terms.tokenize`, and its tokens are joined by "\\n" as UTF-8
+bytes. Either way a file becomes its bytes and the start and size of
+each token, and everything after that is one path. The tokens are sorted
+in batches of _BATCH_TOKENS, in numpy. Each token's bytes become a key
+once: its first 8 bytes as one big-endian integer (the prefix the cache
+check also reads, below), its size, and its bytes past the 8th. A batch
+is sorted by value on (prefix, size clipped to 9), and only ties of
+words longer than 8 bytes are refined over the bytes past the 8th
+(`_sort_words`). A sorted batch keeps only its distinct words, as keys,
+and its tokens' ranks among them. So at any time memory holds one file,
+the bytes and bounds of one batch's tokens and that batch's sort, the
+keys of the distinct words of the batches so far and 4 bytes per token:
+never a Python string per corpus token or per vocabulary word, except
+for the tokens of one file that is not ASCII. At the end the keys of all
+batches are sorted by the same kernel, so that copies of a word from
+several batches become one vocabulary word, each batch's ranks are
+mapped to vocabulary ids, and the vocabulary's bytes are written once,
+from the prefixes and the bytes past the 8th, _SORT_CHUNK words at a
+time.
 
 Cache. `save_index` writes an uncompressed ``.npz`` holding the ids, the
 offsets, the vocabulary's bytes as they are and a JSON metadata string.
@@ -110,11 +116,11 @@ MAX_POST = 1
 _CACHE_FORMAT = "relmap-corpus-index-v4"
 # Words decoded at once when a loaded vocabulary is checked.
 _CHECK_WORDS = 1 << 14
-# Tokens that ingest sorts at once; the distinct words of several batches
-# are sorted again to make the vocabulary.
+# Tokens that ingest sorts at once; the distinct words of the batches, kept
+# as keys, are sorted again to make the vocabulary.
 _BATCH_TOKENS = 1 << 16
 # 8-byte prefixes a round of the word sort reads, beyond one a word, and
-# the words copied out of a sorted batch at once.
+# the words written into the vocabulary's bytes at once.
 _SORT_CHUNK = 1 << 14
 # _PREFIX_MASKS[k] keeps the first k of 8 big-endian bytes. A table, not a
 # shift: shifting a 64-bit integer by 64 bits is undefined.
@@ -232,67 +238,59 @@ def _prefixes(padded: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.n
 def _gather(blob: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The byte runs blob[s:s + n] of these starts and sizes, concatenated;
     a byte past the blob's end reads as its last byte."""
+    return blob.take(_runs(starts, sizes), mode="clip")
+
+
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions s, s + 1, ..., s + n - 1 of each of these starts and
+    sizes, concatenated."""
     first = np.cumsum(sizes) - sizes
-    return blob.take(np.repeat(starts - first, sizes) + np.arange(int(sizes.sum())),
-                     mode="clip")
+    return np.repeat(starts - first, sizes) + np.arange(int(sizes.sum()))
 
 
-def _distinct_words(blob: np.ndarray, starts: np.ndarray,
-                    sizes: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """The distinct words among blob[s:s + n] of these starts and sizes,
-    sorted, how many there are, and the rank among them of each word.
+def _sort_words(prefix: np.ndarray, sizes: np.ndarray, blob: np.ndarray,
+                tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Words given as keys, sorted.
 
-    The words come back as their UTF-8 bytes, each followed by a "\\n".
-    `blob` must hold 8 * _SORT_CHUNK bytes past every word's end. The
-    words are copied out _SORT_CHUNK at a time, so no index array covers
-    every byte.
-    """
-    order, first = _sort_words(blob, starts, sizes)
-    distinct = first == np.arange(starts.size)
-    del first
-    rank = np.empty(starts.size, dtype=np.int32)
-    rank[order] = np.cumsum(distinct) - 1
-    words = order[distinct]  # the first copy of each distinct word, in order
-    del order, distinct
-    out = np.empty(int(sizes[words].sum()) + words.size, dtype=np.uint8)
-    at = 0
-    for a in range(0, words.size, _SORT_CHUNK):
-        w = words[a:a + _SORT_CHUNK]
-        size = sizes[w] + 1  # each word and the byte after it, made a "\\n"
-        raw = _gather(blob, starts[w], size)
-        raw[np.cumsum(size) - 1] = ord("\n")
-        out[at:at + raw.size] = raw
-        at += raw.size
-    return out, int(words.size), rank
-
-
-def _sort_words(blob: np.ndarray, starts: np.ndarray,
-                sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The words blob[s:s + n] of these starts and sizes, sorted.
+    Word i is its first 8 bytes, prefix[i] (as `_prefixes` reads them),
+    its size, sizes[i], and its bytes past the 8th,
+    blob[tails[i]:tails[i] + sizes[i] - 8]. `blob` must hold
+    8 * _SORT_CHUNK bytes past the end of every word's bytes.
 
     Returns `order`, the word indices by increasing word, equal words
     next to each other, and `first`, for each place in `order` the first
-    place that holds the same word. `blob` must hold 8 * _SORT_CHUNK
-    bytes past every word's end.
+    place that holds the same word.
 
-    Most-significant-digit refinement. A round reads k 8-byte prefixes
-    of each word still tied: _SORT_CHUNK // (words still tied), at
-    least 1 and no more than the longest of them needs. So a tie of few
-    long words, such as copies of one long word from several batches,
-    takes few rounds. A round sorts the words still tied, which share
-    their first `depth` bytes, by (the first place of their tie, their
-    next k prefixes, the bytes they have left clipped to 8k + 1). A
-    prefix is read as a big-endian integer with the bytes past the
-    word's end zeroed, so of two words with equal prefixes the one with
-    fewer bytes left is the one that begins the other, and equal keys
-    with 8k bytes left or fewer are equal words. Only ties with more
+    The first round sorts all words by value on (prefix, min(size, 9)).
+    A prefix has the bytes past the word's end zeroed, so of two words
+    with equal prefixes the shorter is the one that begins the other,
+    and words of 8 bytes or fewer with equal keys are equal. Only ties
+    of longer words go on, to most-significant-digit refinement over the
+    bytes past their 8th. A round reads k 8-byte prefixes of each word
+    still tied: _SORT_CHUNK // (words still tied), at least 1 and no
+    more than the longest of them needs. So a tie of few long words,
+    such as copies of one long word from several batches, takes few
+    rounds. A round sorts the words still tied, which share their first
+    `depth` bytes, by (the first place of their tie, their next k
+    prefixes, the bytes they have left clipped to 8k + 1); equal keys
+    with 8k bytes left or fewer are equal words, and only ties with more
     than 8k bytes left go on to the next round.
     """
-    n = starts.size  # below 2**31: ingest numbers the words in int32
-    order = np.arange(n, dtype=np.int32)
-    first = np.zeros(n, dtype=np.int32)
-    live = order.copy()  # places still tied, with bytes left
-    depth = 0
+    n = prefix.size  # below 2**31: ingest numbers the words in int32
+    head = np.minimum(sizes, 9).astype(np.uint8)
+    order = np.lexsort((head, prefix))
+    head, key = head[order], prefix[order]
+    new = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    new[1:] |= head[1:] != head[:-1]
+    first = np.maximum.accumulate(np.where(new, np.arange(n, dtype=np.int32), 0))
+    tied = ~new
+    tied[:-1] |= ~new[1:]
+    del new
+    live = np.flatnonzero(tied & (head > 8))  # places still tied, with bytes left
+    del tied, head
+    depth = 8
     while live.size:
         words = order[live]
         most = int(sizes[words].max()) - depth  # bytes left in the longest word
@@ -302,23 +300,68 @@ def _sort_words(blob: np.ndarray, starts: np.ndarray,
         step = np.arange(0, 8 * k, 8, dtype=left.dtype)[:, None]
         # Prefix j holds clip(left - 8j, 0, 8) of a word's bytes; this
         # form of it never goes below 0 in an unsigned dtype.
-        prefix = _prefixes(blob, starts[words] + depth + step,
-                           np.minimum(left, step + 8) - np.minimum(left, step))
-        # In the first round all words are one tie.
-        by = np.lexsort((left, *prefix[::-1], *((first[live],) if depth else ())))
+        key = _prefixes(blob, tails[words] + (depth - 8) + step,
+                        np.minimum(left, step + 8) - np.minimum(left, step))
+        by = np.lexsort((left, *key[::-1], first[live]))
         # A tie holds the places live[i] of consecutive i, so its words
         # stay in its places.
         order[live] = words[by]
-        tie, left, prefix = first[live][by], left[by], prefix[:, by]
+        tie, left, key = first[live][by], left[by], key[:, by]
         new = np.ones(live.size, dtype=bool)
         new[1:] = ((tie[1:] != tie[:-1]) | (left[1:] != left[:-1])
-                   | (prefix[:, 1:] != prefix[:, :-1]).any(axis=0))
+                   | (key[:, 1:] != key[:, :-1]).any(axis=0))
         first[live] = np.maximum.accumulate(np.where(new, live, 0))
         tied = ~new
         tied[:-1] |= ~new[1:]
         live = live[tied & (left > 8 * k)]
         depth += 8 * k
     return order, first
+
+
+def _distinct_words(prefix: np.ndarray, sizes: np.ndarray, blob: np.ndarray,
+                    tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct words among these keys (as `_sort_words` reads them),
+    as the index of one copy of each, in increasing order, and the rank
+    among them of each word."""
+    order, first = _sort_words(prefix, sizes, blob, tails)
+    distinct = first == np.arange(prefix.size, dtype=np.int32)
+    del first
+    rank = np.empty(prefix.size, dtype=np.int32)
+    rank[order] = np.cumsum(distinct, dtype=np.int32) - 1
+    return order[distinct], rank
+
+
+def _vocabulary_bytes(words: np.ndarray, prefix: np.ndarray, sizes: np.ndarray,
+                      blob: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """The words of these indices among the keys (as `_sort_words` reads
+    them), in this order, each as its UTF-8 bytes followed by a "\\n",
+    written _SORT_CHUNK words at a time.
+
+    A word's first 8 bytes are or-ed in as one 8-byte integer, in four
+    passes, each over every fourth word: a word and its "\\n" take at
+    least 2 bytes, so the integers of one pass do not overlap, and the
+    bytes an integer holds past its word's end are zeros, which leave the
+    bytes of the words after it as they are.
+    """
+    out = np.zeros(int(sizes[words].sum(dtype=np.int64)) + words.size + 8, dtype=np.uint8)
+    # One native 8-byte integer at every byte (strides of 1 byte).
+    at = np.ndarray((out.size - 7,), dtype=np.uint64, buffer=out, strides=(1,))
+    end = 0
+    for a in range(0, words.size, _SORT_CHUNK):
+        w = words[a:a + _SORT_CHUNK]
+        size = sizes[w]
+        start = np.cumsum(size + 1, dtype=np.int64)
+        start += end - size - 1
+        end = int(start[-1] + size[-1]) + 1
+        out[start + size] = ord("\n")
+        # Stored big-endian, so that the integer's bytes in memory are the word's.
+        head = prefix[w].astype(">u8").view(np.uint64)
+        for r in range(4):
+            at[start[r::4]] |= head[r::4]
+        long = np.flatnonzero(size > 8)
+        more = size[long] - 8
+        out[_runs(start[long] + 8, more)] = _gather(blob, tails[w[long]], more)
+    return out[:-8]
 
 
 @dataclass(eq=False)
@@ -427,18 +470,21 @@ def _ascii_tokens(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a run with no word byte gives none.
     """
     codes = np.frombuffer(raw, dtype=np.uint8)
-    kind = _BYTE_KIND[codes]
-    runs = _run_edges(kind != _SPACE)
-    parts = _run_edges(kind == _WORD)  # runs of word bytes, each inside a run
+    kind = np.take(_BYTE_KIND, codes)
+    parts = _run_edges(kind == _WORD)  # runs of word bytes
+    edges = _run_edges(kind == _EDGE)  # runs of edge punctuation
+    # A run of edge punctuation with word bytes on both sides joins the
+    # parts on its two sides into one token; any other gap between two
+    # parts holds whitespace. At the file's ends `take` clips to the run's
+    # own first or last byte, which is no word byte.
+    a, b = edges[0::2], edges[1::2]
+    inner = (np.take(kind, a - 1, mode="clip") == _WORD) & (np.take(kind, b, mode="clip") == _WORD)
     del kind
-    part_starts = parts[0::2]
-    # Run j holds parts first[j]:first[j + 1], as no part starts between runs.
-    first = np.append(np.searchsorted(part_starts, runs[0::2]), part_starts.size)
-    del runs
-    keep = first[1:] > first[:-1]
-    starts = part_starts[first[:-1][keep]]
-    sizes = parts[1::2][first[1:][keep] - 1] - starts
-    return _LOWER[codes], starts, sizes
+    joined = np.zeros(codes.size + 1, dtype=bool)
+    joined[a[inner]] = joined[b[inner]] = True
+    starts = parts[0::2][~joined[parts[0::2]]]
+    sizes = parts[1::2][~joined[parts[1::2]]] - starts
+    return np.take(_LOWER, codes), starts, sizes
 
 
 def _run_edges(mask: np.ndarray) -> np.ndarray:
@@ -453,20 +499,13 @@ def _joined_tokens(tokens: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     followed by a "\\n"; an empty token, or one holding a newline, is
     refused with CorpusError."""
     data = np.frombuffer("\n".join([*tokens, ""]).encode("utf-8"), dtype=np.uint8)
-    return (data, *_word_bounds(data, len(tokens)))
-
-
-def _word_bounds(data: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The starts and sizes of the n words in `data`, each followed by a
-    "\\n"; an empty word, or one holding a newline, is refused with
-    CorpusError."""
     ends = np.flatnonzero(data == ord("\n"))
     starts = np.zeros(ends.size, dtype=np.int64)
     starts[1:] = ends[:-1] + 1
     sizes = ends - starts
-    if ends.size != n or not sizes.all():
+    if ends.size != len(tokens) or not sizes.all():
         raise CorpusError("a vocabulary word is empty or holds a newline")
-    return starts, sizes
+    return data, starts, sizes
 
 
 def _index_tokens(documents: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> CorpusIndex:
@@ -474,15 +513,17 @@ def _index_tokens(documents: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     The tokens are sorted in batches of up to _BATCH_TOKENS, each batch
     once its last token has come and the documents before it are freed.
-    A sorted batch keeps only its distinct words, as bytes, and its
-    tokens' ranks among them. With one batch those words are the
-    vocabulary; the words of several are sorted again, and each batch's
-    ranks are mapped to vocabulary ids.
+    A sorted batch keeps only its distinct words, as keys (`_sort_batch`),
+    and its tokens' ranks among them. The keys of all batches are then
+    sorted by the same kernel, `_sort_words`, which makes the copies of a
+    word from several batches one vocabulary word; each batch's ranks are
+    mapped to vocabulary ids, and the vocabulary's bytes are written once,
+    from the keys.
     """
     lengths = [0]
     pending = []   # (bytes, starts, sizes) of the tokens not yet sorted
     held = 0       # tokens in `pending`
-    batches = []   # (distinct words, how many, ranks) of each sorted batch
+    batches = []   # (prefixes, sizes, bytes past the 8th, ranks) of each sorted batch
     for data, starts, sizes in documents:
         lengths.append(starts.size)
         at = 0
@@ -498,28 +539,40 @@ def _index_tokens(documents: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
     if held or not batches:
         batches.append(_sort_batch(pending))
     offsets = np.cumsum(lengths, dtype=np.int64)
-    if len(batches) == 1:
-        (words, n, ids), = batches
-        return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=Vocabulary(words[:-1], n))
-    # Each batch's words, "\\n"-joined, then the zeros the sort reads past them.
-    total = sum(words.size for words, _, _ in batches)
-    blob = np.zeros(total + 8 * _SORT_CHUNK, dtype=np.uint8)
-    at = 0
-    for i, (words, n, ids) in enumerate(batches):
-        blob[at:at + words.size] = words
-        at += words.size
-        batches[i] = (n, ids)  # the words are freed once copied
-    del words, ids
-    words, size, rank = _distinct_words(
-        blob, *_word_bounds(blob[:total], sum(n for n, _ in batches)))
-    del blob
+    # Every batch's keys, one after another; each batch's are freed once
+    # copied. The bytes past the 8th are followed by the zeros the sort
+    # reads past them.
+    count = sum(prefix.size for prefix, _, _, _ in batches)
+    prefix = np.empty(count, dtype=np.uint64)
+    sizes = np.empty(count, dtype=np.int32)
+    blob = np.zeros(sum(tail.size for _, _, tail, _ in batches) + 8 * _SORT_CHUNK, dtype=np.uint8)
+    at = base = 0
+    for i, (p, size, tail, ranks) in enumerate(batches):
+        prefix[at:at + p.size] = p
+        sizes[at:at + p.size] = size
+        blob[base:base + tail.size] = tail
+        at += p.size
+        base += tail.size
+        batches[i] = (p.size, ranks)
+    del p, size, tail, ranks
+    # Where each word's bytes past the 8th start in `blob`; a word of 8
+    # bytes or fewer has none, and 0.
+    tails = np.zeros(count, dtype=np.int64)
+    long = np.flatnonzero(sizes > 8)
+    more = sizes[long] - 8
+    tails[long] = np.cumsum(more, dtype=np.int64) - more
+    del long, more
+    words, rank = _distinct_words(prefix, sizes, blob, tails)
     ids = np.empty(offsets[-1], dtype=np.int32)
     at = base = 0
-    for n, batch in batches:
+    for i, (n, batch) in enumerate(batches):
         np.take(rank, batch + base, out=ids[at:at + batch.size])
         at += batch.size
         base += n
-    return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=Vocabulary(words[:-1], size))
+        batches[i] = None
+    del rank, batch
+    vocab = _vocabulary_bytes(words, prefix, sizes, blob, tails)
+    return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=Vocabulary(vocab[:-1], words.size))
 
 
 def _span(data: np.ndarray, starts: np.ndarray,
@@ -530,10 +583,14 @@ def _span(data: np.ndarray, starts: np.ndarray,
     return data[a:b], starts - a, sizes
 
 
-def _sort_batch(pending: list) -> tuple[np.ndarray, int, np.ndarray]:
-    """The distinct words of the (bytes, starts, sizes) in `pending`, as
-    `_distinct_words` gives them, how many there are, and each word's rank
-    among them. `pending` is emptied before the sort."""
+def _sort_batch(pending: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct words of the (bytes, starts, sizes) in `pending`, in
+    increasing order, and each token's rank among them.
+
+    The words come back as keys: their 8-byte prefixes, their sizes (as
+    int32) and their bytes past the 8th, concatenated in their order.
+    `pending` is emptied before the sort.
+    """
     sizes = np.concatenate([_EMPTY, *(sizes for _, _, sizes in pending)])
     # The bytes the sort reads past the last word's end are zeros.
     blob = np.zeros(sum(data.size for data, _, _ in pending) + 8 * _SORT_CHUNK, dtype=np.uint8)
@@ -545,7 +602,13 @@ def _sort_batch(pending: list) -> tuple[np.ndarray, int, np.ndarray]:
         at += data.size
         n += first.size
     pending.clear()
-    return _distinct_words(blob, starts, sizes)
+    prefix = _prefixes(blob, starts, sizes)
+    starts += 8
+    words, rank = _distinct_words(prefix, sizes, blob, starts)
+    sizes = sizes[words]
+    long = np.flatnonzero(sizes > 8)
+    tail = _gather(blob, starts[words[long]], sizes[long] - 8)
+    return prefix[words], sizes.astype(np.int32), tail, rank
 
 
 def corpus_files(corpus_dir: str | Path) -> list[Path]:

@@ -124,9 +124,9 @@ def test_ingest_equals_batch_oracle(file_texts):
 
 def test_ingest_memory_is_one_file_of_tokens(tmp_path):
     """20 files of 20k tokens over 500 words: the traced peak stays under
-    8 MB. It is 6.2 MB: the tokens waiting for their batch, one batch of
+    8 MB. It is 5.5 MB: the tokens waiting for their batch, one batch of
     65,536 tokens sorted, and the ids. Sorting all 400k tokens as one
-    batch traced 26.9 MB, and tokenizing every file first, as a batch
+    batch traces 22.0 MB, and tokenizing every file first, as a batch
     ingest does, holds all 400k tokens at once: over 25 MB."""
     rng = random.Random(5)
     words = ["".join(rng.choices("abcdefghij", k=rng.randint(3, 10))) for _ in range(500)]
@@ -148,8 +148,9 @@ def test_ingest_memory_is_one_file_of_tokens(tmp_path):
 def test_ingest_memory_of_distinct_words(tmp_path):
     """200k distinct words, each a token once, in 20 files, as in the
     benchmark's planted corpora, whose filler words are all distinct: the
-    traced peak stays under 18 MB. It is 14.4 MB: the batches' words,
-    the sort of all of them (arrays of one entry per word) and the ids.
+    traced peak stays under 18 MB. It is 8.8 MB: the batches' words as
+    keys, the sort of all of them (arrays of one entry per word) and the
+    ids.
     One first-seen dict over the whole corpus and a Python sort of its
     words, the earlier design (`oracles.batch_index`), traced 26.2 MB."""
     rng = random.Random(7)
@@ -184,8 +185,8 @@ def ingest_peak_mb(paths):
 def test_ingest_memory_grows_with_the_batch_not_the_corpus(tmp_path, monkeypatch):
     """Files of 4,096 tokens over 500 words, sorted in batches of 16,384
     tokens: a corpus of one batch and one of four trace peaks under one
-    cap of 2 MB (1.2 and 1.4 MB; the four-batch corpus adds its ids and
-    four batches' words). Sorting the four batches' tokens at once
+    cap of 2 MB (1.15 and 1.35 MB; the four-batch corpus adds its ids and
+    four batches' keys). Sorting the four batches' tokens at once
     traces 4.5 MB."""
     rng = random.Random(11)
     words = ["".join(rng.choices("abcdefghij", k=rng.randint(3, 10))) for _ in range(500)]
@@ -279,14 +280,18 @@ PLANTED_INDEX_SHA256 = {
 }
 
 
-def test_index_of_the_planted_corpus_keeps_its_bytes(tmp_path):
+def test_index_of_the_planted_corpus_keeps_its_bytes(tmp_path, monkeypatch):
     """The index arrays of a planted corpus keep their bytes: a tokenizer
-    that changed them would need a new `_CACHE_FORMAT`."""
+    that changed them would need a new `_CACHE_FORMAT`. They do not
+    depend on the batch size: the corpus's 32,900 tokens are one batch of
+    the default size, and nine of 4,096 tokens, whose keys are merged."""
     generate_planted_corpus(tmp_path, PlantedConfig(target_tokens=20_000, seed=0))
-    index = ingest(corpus_files(tmp_path))
-    arrays = {"ids": index.ids, "doc_offsets": index.doc_offsets, "vocab": index.vocab.blob}
-    assert {name: hashlib.sha256(a.tobytes()).hexdigest()
-            for name, a in arrays.items()} == PLANTED_INDEX_SHA256
+    for batch_tokens in (corpus_module._BATCH_TOKENS, 4096):
+        monkeypatch.setattr(corpus_module, "_BATCH_TOKENS", batch_tokens)
+        index = ingest(corpus_files(tmp_path))
+        arrays = {"ids": index.ids, "doc_offsets": index.doc_offsets, "vocab": index.vocab.blob}
+        assert {name: hashlib.sha256(a.tobytes()).hexdigest()
+                for name, a in arrays.items()} == PLANTED_INDEX_SHA256
 
 
 # Words for the sort of the batches' words: stems of 7, 8, 15, 16 and 32
@@ -313,6 +318,17 @@ def sort_docs(draw):
        st.sampled_from([1, 8, corpus_module._SORT_CHUNK]))
 @example([["a\x00", "a", "a\x00"], ["a", "abcdefgh\x00", "abcdefgh"]], 1, 1)
 @example([["abcdefghijklmnopé", "abcdefghijklmnop", "abcdefghijklmnop中"]], 2, 1)
+# Each word of the cases below in a batch of its own: an 8-byte word and
+# that word with a "\x00" after it; a 9-byte word whose first 8 bytes are
+# an 8-byte word; a long word tied on 8 and 16 bytes, in three batches;
+# and characters of 2 and 3 bytes that straddle byte 8.
+@example([["abcdefgh\x00", "abcdefgh"], ["abcdefgh\x00"]], 1, 8)
+@example([["abcdefgha"], ["abcdefgh", "abcdefgha"]], 1, 8)
+@example([[SORT_STEMS[-1], "abcdefghabcdefghz"], [SORT_STEMS[-1]],
+          ["abcdefghabcdefgh", SORT_STEMS[-1]]], 1, 1)
+@example([[SORT_STEMS[-1], "abcdefghabcdefghz"], [SORT_STEMS[-1]],
+          ["abcdefghabcdefgh", SORT_STEMS[-1]]], 1, corpus_module._SORT_CHUNK)
+@example([["abcdefg中"], ["abcdefgé", "abcdefg"], ["abcdefg中a", "abcdefgé"]], 1, 1)
 @settings(max_examples=200, deadline=None)
 def test_index_equals_dict_oracle_on_sort_edge_cases(documents, batch_tokens, sort_chunk):
     """`index_token_lists` and `ingest` give the ids, offsets, vocabulary
