@@ -11,14 +11,14 @@ import argparse
 import ctypes
 import logging
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
 from . import corpus as cp
 from .config import MODES, TRANSFORMS, Config, load_config_file
 from .dataset import load_problems
-from .errors import (BudgetError, ConfigError, CorpusError, DataError,
-                     RelmapError, UsageError)
+from .errors import BudgetError, DataError, RelmapError, UsageError
 from .evaluation import (build_space_for_problems, coherence_experiment,
                          run_batch, sensitivity_sweep, solve_one)
 from .solver import TIE_POLICIES
@@ -58,8 +58,10 @@ def _parse_grid(text: str) -> list[int]:
 
 def _add_common(p: _Parser, *, solve_flags: bool = True):
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--corpus", help="directory of .txt corpus files")
-    p.add_argument("--cache", help="directory for the index cache")
+    p.add_argument("--corpus", dest="corpus_dir", metavar="CORPUS",
+                   help="directory of .txt corpus files")
+    p.add_argument("--cache", dest="cache_dir", metavar="CACHE",
+                   help="directory for the index cache")
     if solve_flags:
         p.add_argument("--mode", choices=MODES)
         p.add_argument("--provider",
@@ -68,7 +70,7 @@ def _add_common(p: _Parser, *, solve_flags: bool = True):
         p.add_argument("--k", type=int, help=f"SVD rank (default {Config.k})")
         p.add_argument("--t", type=int, help=f"columns per row (default {Config.t})")
         p.add_argument("--transform", choices=TRANSFORMS)
-        p.add_argument("--no-svd", action="store_true",
+        p.add_argument("--no-svd", action="store_false", dest="svd", default=None,
                        help="skip the SVD smoothing step")
     p.add_argument("--seed", type=int, help=f"random seed (default {Config.seed})")
     p.add_argument("--m-max", type=int, dest="m_max",
@@ -129,20 +131,10 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> Config:
-    cfg = Config()
-    if getattr(args, "config", None):
-        cfg = load_config_file(args.config, cfg)
-    for key in ("mode", "provider", "seed", "pmi_window", "m_max", "k", "t", "transform"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "no_svd", False):
-        cfg.svd = False
-    if getattr(args, "corpus", None):
-        cfg.corpus_dir = args.corpus
-    if getattr(args, "cache", None):
-        cfg.cache_dir = args.cache
-    return cfg.validate()
+    """The --config file (checked on its own), then the flags over it."""
+    cfg = load_config_file(args.config) if args.config else Config()
+    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(Config)
+                           if getattr(args, f.name, None) is not None})
 
 
 def _load_dataset(args):
@@ -293,7 +285,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DataError, CorpusError, ConfigError, RelmapError) as exc:
+    except RelmapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

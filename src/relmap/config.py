@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigError
 from .solver import DEFAULT_M_MAX
@@ -29,9 +29,9 @@ def provider_parts(spec: str) -> list[tuple[str, str]]:
     return parts
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
-    """Pipeline settings; the defaults are the baseline configuration."""
+    """Pipeline settings, frozen and checked when made; the defaults are the baseline."""
 
     corpus_dir: Optional[str] = None
     cache_dir: Optional[str] = None
@@ -46,7 +46,7 @@ class Config:
     m_max: int = DEFAULT_M_MAX
     max_phrases_per_pair: Optional[int] = None
 
-    def validate(self) -> "Config":
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.transform not in TRANSFORMS:
@@ -64,7 +64,6 @@ class Config:
         if self.max_phrases_per_pair is not None and self.max_phrases_per_pair < 1:
             raise ConfigError(f"max_phrases_per_pair must be >= 1 or none, "
                               f"got {self.max_phrases_per_pair}")
-        return self
 
     def needs_corpus(self) -> bool:
         return (self.mode != "attributional"
@@ -114,14 +113,17 @@ def _coerce(name: str, value: str, target_type, nullable: bool):
 
 
 def load_config_file(path: str | Path, base: Optional[Config] = None) -> Config:
-    """Apply `key = value` lines (with # comments) on top of a base config."""
-    cfg = base or Config()
+    """`base` (or the defaults) with a file's `key = value` lines (# comments).
+
+    A key takes its field's type, and `none` only if the field is Optional.
+    """
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
-    known = {f.name: f for f in fields(Config)}
+    hints = get_type_hints(Config)
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -130,12 +132,10 @@ def load_config_file(path: str | Path, base: Optional[Config] = None) -> Config:
             raise ConfigError(f"{p}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in known:
+        if key not in hints:
             raise ConfigError(f"{p}:{lineno}: unknown config key {key!r}")
-        current = getattr(cfg, key)
-        target = type(current) if current is not None else (
-            int if key in ("k", "t", "seed", "pmi_window", "m_max",
-                           "max_phrases_per_pair") else str)
-        # Only the keys that default to None (the optional ones) take none.
-        setattr(cfg, key, _coerce(key, value, target, known[key].default is None))
-    return cfg.validate()
+        # Optional[X] is Union[X, None]; any other hint has no args
+        types = [t for t in get_args(hints[key]) if t is not type(None)]
+        values[key] = _coerce(key, value, types[0] if types else hints[key],
+                              nullable=bool(types))
+    return replace(base or Config(), **values)

@@ -57,7 +57,6 @@ def mine_for_problems(index: CorpusIndex, problems: list[MappingProblem],
 def space_from_stats(pairs: list, stats: pt.PatternStats, config: Config
                      ) -> tuple[sp.RelationSpace, dict]:
     """Prune, select columns, weight, smooth; also returns stage diagnostics."""
-    config.validate()
     rows = pt.prune_rows(pairs, stats.phrase_counts)
     diag = {"n_pairs": len(pairs), "n_r": len(rows)}
     if not rows:
@@ -184,7 +183,6 @@ def solve_batch(dataset: Dataset, config: Config,
                 index: Optional[CorpusIndex] = None
                 ) -> tuple[list[SolveResult], dict]:
     """Solve every problem under one shared relation space; no accuracy."""
-    config.validate()
     problems = list(dataset)
     space, diag = build_space_for_problems(index, problems, config)
     diag.update(mode=config.mode, seed=config.seed)
@@ -285,7 +283,6 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
         raise ConfigError(f"m_prime must be >= 2, got {m_prime}")
     if trials_per_problem < 1:
         raise ConfigError(f"trials must be >= 1, got {trials_per_problem}")
-    config.validate()
     if config.mode not in ("relational", "attributional"):
         raise ConfigError(f"coherence experiment supports relational or "
                           f"attributional mode, not {config.mode!r}")
@@ -365,12 +362,8 @@ def sensitivity_sweep(dataset: Dataset, config: Config, index: CorpusIndex,
                       include_no_svd: bool = False,
                       transform_grid: Optional[list[str]] = None) -> SweepReport:
     """One relational batch run per grid point, mining the corpus only once."""
-    config.validate()
     if config.mode != "relational":
         raise ConfigError(f"a sweep is relational; it cannot run mode {config.mode!r}")
-    problems = list(dataset)
-    pairs, stats = mine_for_problems(index, problems, config)
-
     points = [("varying k", replace(config, k=k)) for k in k_grid or []]
     points += [("varying t", replace(config, t=t)) for t in t_grid or []]
     if include_no_svd:
@@ -378,6 +371,8 @@ def sensitivity_sweep(dataset: Dataset, config: Config, index: CorpusIndex,
     points += [(transform, replace(config, transform=transform))
                for transform in transform_grid or []]
 
+    problems = list(dataset)
+    pairs, stats = mine_for_problems(index, problems, config)
     rows = []
     for label, point in points or [("baseline", config)]:
         space, diag = space_from_stats(pairs, stats, point)

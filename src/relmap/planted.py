@@ -27,7 +27,7 @@ _FILES = 40  # corpus files the tokens are split across
 _POS_CYCLE = ("NN", "VB", "JJ", "NNS", "VBG")  # the tags a domain's terms take in turn
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantedConfig:
     n_problems: int = 5
     m: int = 5

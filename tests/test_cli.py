@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from relmap import space
+from relmap import evaluation, space
 from relmap.cli import main
 from relmap.corpus import corpus_digest, corpus_files, save_index
 from relmap.config import MODES, Config, load_config_file
@@ -350,6 +350,18 @@ def test_sweep_point_is_checked_like_a_config(planted_paths, tmp_path, flag, gri
                  "--report", str(report)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not report.exists()
+
+
+def test_sweep_point_is_refused_before_mining(planted_paths, monkeypatch, capsys):
+    """A grid point is a `Config`, checked when it is made: before any mining."""
+    corpus, problems = planted_paths
+
+    def mine(*args):
+        raise AssertionError("mined before every sweep point was checked")
+
+    monkeypatch.setattr(evaluation, "mine_for_problems", mine)
+    assert main(["sweep", problems, "--corpus", corpus, "--k", "0"]) == 2
+    assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("mode", ["attributional", "hybrid-add"])
