@@ -71,8 +71,8 @@ Array layout of `PatternStats`, for P distinct patterns and E nonzero
   order), computed once; `select_columns` takes a prefix of it.
 
 Matrix columns stay pattern ids from selection to F: `select_columns`
-returns ids and `build_frequency_matrix` takes them. `PatternStats.decode`
-is the one way to read a column as a pattern.
+returns ids and `build_frequency_matrix` takes them; a column's pattern
+is read from its packed codes in ``keys``.
 """
 
 from __future__ import annotations
@@ -83,14 +83,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import MAX_MID, MAX_POST, MAX_PRE, CorpusIndex, _find_windows, _stable_argsort
+from .csr import CSR, from_coo
 from .errors import ConfigError, RelmapError
 from .problems import MappingProblem
 from .terms import MARKERS, WILDCARD, X_SLOT, Y_SLOT, TermPair
-
-Pattern = tuple[str, ...]
 
 MAX_SLOTS = MAX_PRE + 1 + MAX_MID + 1 + MAX_POST
 
@@ -140,14 +138,6 @@ def _pack_slot(packed: np.ndarray, slot: int, codes: np.ndarray, bits: int) -> N
             packed[w] |= (codes >> in_slot & mask) << in_word
 
 
-def _unpack(words: np.ndarray, bits: int) -> np.ndarray:
-    """Inverse of `_pack`: (n_words, n) uint64 words -> (n, MAX_SLOTS) codes."""
-    codes = np.zeros((words.shape[1], MAX_SLOTS), dtype=np.uint64)
-    for slot, w, in_slot, in_word, mask in _segments(bits):
-        codes[:, slot] |= (words[w] >> in_word & mask) << in_slot
-    return codes.astype(np.int64)
-
-
 # --- statistics ---------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -166,21 +156,6 @@ class PatternStats:
     entry_pair: np.ndarray
     entry_count: np.ndarray
     column_order: np.ndarray
-
-    @property
-    def bits(self) -> int:
-        """Width of one slot code."""
-        return int(self.codes.max()).bit_length()
-
-    def decode(self, ids: np.ndarray) -> list[Pattern]:
-        """The patterns with these ids, as slot-string tuples."""
-        codes = _unpack(self.keys[:, ids], self.bits)
-        word_of = np.zeros(int(self.codes.max()) + 1, dtype=np.int64)
-        word_of[self.codes] = np.arange(len(self.words))
-        lengths = np.count_nonzero(codes, axis=1).tolist()
-        words = self.words
-        return [tuple(map(words.__getitem__, row[:n]))
-                for row, n in zip(word_of[codes].tolist(), lengths)]
 
 
 def _window_arrays(index: CorpusIndex, pairs: list[TermPair], table: dict[TermPair, int],
@@ -374,8 +349,7 @@ def select_columns(stats: PatternStats, t: int, n_r: int) -> np.ndarray:
 
     Ties are broken by ascending lexicographic serialization so the
     selection (and everything downstream) is reproducible. The order is
-    computed once at mining; this is an int64 prefix of it, and
-    `stats.decode` reads the selected columns as patterns.
+    computed once at mining; this is an int64 prefix of it.
     """
     if t <= 0:
         raise ConfigError(f"column factor t must be positive, got {t}")
@@ -383,12 +357,15 @@ def select_columns(stats: PatternStats, t: int, n_r: int) -> np.ndarray:
 
 
 def build_frequency_matrix(rows: list[TermPair], cols: np.ndarray,
-                           stats: PatternStats) -> sp.csr_matrix:
+                           stats: PatternStats) -> CSR:
     """Assemble the sparse pair-pattern frequency matrix from the records.
 
     `cols` holds pattern ids, as `select_columns` returns them. No corpus
     re-search happens here; entry (i, j) is the number of windows of
     pair i that reproduce pattern cols[j].
+
+    No cell is given twice, so none is summed: the entries of one pattern
+    are of distinct pairs, and rows and columns are distinct.
     """
     if len(set(rows)) != len(rows):
         raise RelmapError("duplicate row labels in frequency matrix")
@@ -409,5 +386,5 @@ def build_frequency_matrix(rows: list[TermPair], cols: np.ndarray,
     ii = row_of[stats.entry_pair[entry]]
     kept = ii >= 0
     data = stats.entry_count[entry[kept]].astype(np.float64)
-    return sp.csr_matrix((data, (ii[kept], np.repeat(np.arange(ids.size), n)[kept])),
-                         shape=(len(rows), ids.size))
+    return from_coo(ii[kept], np.repeat(np.arange(ids.size), n)[kept], data,
+                    (len(rows), ids.size))

@@ -39,8 +39,8 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR, columns, from_coo, gram
 from .errors import BudgetError, ConfigError, DataError, TransformError
 from .terms import TermPair
 
@@ -63,37 +63,40 @@ _DECOMPOSITION_BUDGET_BYTES = 4 * 10 ** 9
 _BOUND_MARGIN = 1e-6
 
 
-def _as_csr(matrix) -> sp.csr_matrix:
-    if sp.issparse(matrix):
-        out = matrix.tocsr().astype(np.float64)
+def _as_csr(matrix) -> CSR:
+    """A `CSR`, a dense array, or any sparse matrix with ``.tocsr()`` (such
+    as scipy's) as a `CSR` without stored zeros, which would poison the
+    log-based weights."""
+    if isinstance(matrix, CSR):
+        out = matrix
+    elif hasattr(matrix, "tocsr"):
+        m = matrix.tocsr()
+        out = from_coo(np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices,
+                       m.data, m.shape)
     else:
-        out = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
-    out.eliminate_zeros()  # stored zeros would poison the log-based weights
-    return out
+        a = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+        row, col = np.nonzero(a)
+        out = from_coo(row, col, a[row, col], a.shape)
+    return out.with_data(out.data)
 
 
-def transform_ppmic(F) -> sp.csr_matrix:
+def transform_ppmic(F) -> CSR:
     """Positive pointwise mutual information of each cell.
 
     Probabilities are ratios of frequency sums over the whole matrix;
     cells whose PMI is negative are zeroed, so density never grows.
     """
     F = _as_csr(F)
-    total = F.sum()
+    total = F.data.sum()
     if total <= 0:
         raise TransformError("cannot transform an all-zero frequency matrix")
-    row_sums = np.asarray(F.sum(axis=1)).ravel()
-    col_sums = np.asarray(F.sum(axis=0)).ravel()
-    out = F.tocoo(copy=True)
+    row_sums, col_sums = F.row_sums(), F.col_sums()
     with np.errstate(divide="ignore"):
-        pmi = np.log(out.data * total / (row_sums[out.row] * col_sums[out.col]))
-    out.data = np.where(pmi > 0, pmi, 0.0)
-    result = out.tocsr()
-    result.eliminate_zeros()
-    return result
+        pmi = np.log(F.data * total / (row_sums[F.row_ids()] * col_sums[F.indices]))
+    return F.with_data(np.where(pmi > 0, pmi, 0.0))
 
 
-def transform_log_entropy(F) -> tuple[sp.csr_matrix, np.ndarray]:
+def transform_log_entropy(F) -> tuple[CSR, np.ndarray]:
     """log(f+1) cells scaled by one minus the column's normalized entropy.
 
     Returns (X, kept_cols) where kept_cols are the original indices of
@@ -102,24 +105,20 @@ def transform_log_entropy(F) -> tuple[sp.csr_matrix, np.ndarray]:
     over every row is weighted to zero.
     """
     F = _as_csr(F)
-    total = F.sum()
-    if total <= 0:
+    if F.data.sum() <= 0:
         raise TransformError("cannot transform an all-zero frequency matrix")
     n_r = F.shape[0]
-    col_sums = np.asarray(F.sum(axis=0)).ravel()
+    col_sums = F.col_sums()
     kept = np.flatnonzero(col_sums > 0)
-    coo = F[:, kept].tocoo()
+    X = F.take_columns(kept)
     if n_r > 1:
-        q = coo.data / col_sums[kept][coo.col]
+        q = X.data / col_sums[kept][X.indices]
         ent = np.zeros(len(kept))
-        np.add.at(ent, coo.col, q * np.log(q))
+        np.add.at(ent, X.indices, q * np.log(q))
         weights = 1.0 + ent / np.log(n_r)
     else:
         weights = np.ones(len(kept))
-    data = np.log1p(coo.data) * weights[coo.col]
-    out = sp.csr_matrix((data, (coo.row, coo.col)), shape=coo.shape)
-    out.eliminate_zeros()
-    return out, kept
+    return X.with_data(np.log1p(X.data) * weights[X.indices]), kept
 
 
 def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +162,8 @@ def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
     ends = np.append(starts[1:], n)
     sizes = ends - starts
     _require_decomposition_budget(n, k, int(sizes.max(initial=0)))
-    lam, blocks = _spectrum(X[rows], starts, sizes, k)
+    X = X.take_rows(rows)   # grouped by component; the ungrouped copy is freed
+    lam, blocks = _spectrum(X, starts, sizes, k)
     order = np.argsort(-lam, kind="stable")
     s = np.sqrt(np.maximum(lam[order], 0.0))
     # Cut at the last strict gap at or below k.
@@ -182,7 +182,7 @@ def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
     return u, np.pad(s[:keep], (0, k - keep))
 
 
-def _spectrum(X: sp.csr_matrix, starts: np.ndarray, sizes: np.ndarray,
+def _spectrum(X: CSR, starts: np.ndarray, sizes: np.ndarray,
               k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """(lam, blocks): the spectrum of X X^T, X's rows grouped by component.
 
@@ -205,9 +205,13 @@ def _spectrum(X: sp.csr_matrix, starts: np.ndarray, sizes: np.ndarray,
     k + 1 values that do not change: the first k + 1 places of the stable
     descending order, sigma_1 and the cut are those of an eigh of every
     component, and no kept column falls in a skipped component.
+
+    A block's Gram matrix is formed from X's cells by column, sorted once
+    (`relmap.csr.gram`): the rows of a component share no column with any
+    other row.
     """
     n = X.shape[0]
-    row_of = np.repeat(np.arange(n), np.diff(X.indptr))
+    row_of = X.row_ids()
     lam = np.bincount(row_of, weights=X.data ** 2, minlength=n)
     mass = np.abs(X.data)
     col_mass = np.bincount(X.indices, weights=mass, minlength=X.shape[1])
@@ -217,6 +221,7 @@ def _spectrum(X: sp.csr_matrix, starts: np.ndarray, sizes: np.ndarray,
     todo = todo[np.argsort(-bound[todo], kind="stable")]
     top = np.sort(lam[starts[sizes == 1]])[::-1][:k + 1]
     blocks = {}
+    cols = columns(X) if todo.size else None
     for c in todo.tolist():
         # The margin covers the rounding of the bound and eigh's backward
         # error, which can put a computed eigenvalue of a b-row block about
@@ -225,13 +230,13 @@ def _spectrum(X: sp.csr_matrix, starts: np.ndarray, sizes: np.ndarray,
         if top.size > k and bound[c] * (1.0 + _BOUND_MARGIN) < top[k]:
             break
         a, b = int(starts[c]), int(starts[c] + sizes[c])
-        lam[a:b], blocks[a] = _top_eigenpairs(X[a:b], k)
+        lam[a:b], blocks[a] = _top_eigenpairs(gram(X, cols, a, b), k)
         top = np.sort(np.concatenate((top, lam[a:b])))[::-1][:k + 1]
     return lam, blocks
 
 
-def _top_eigenpairs(block: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues of block block^T, descending, and the first k vectors.
+def _top_eigenpairs(G: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues of a block's Gram matrix G, descending, and the first k vectors.
 
     The vectors are copied out, so eigh's whole b x b matrix is freed on
     return and a block holds at most b x k cells while the rest are
@@ -239,9 +244,8 @@ def _top_eigenpairs(block: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarra
     about 300 rows on, a threaded eigh's last bits depend on the thread
     count.
     """
-    gram = (block @ block.T).toarray()
     with _one_blas_thread():
-        values, vectors = np.linalg.eigh(gram)
+        values, vectors = np.linalg.eigh(G)
     return values[::-1], vectors[:, ::-1][:, :k].copy()
 
 
@@ -281,7 +285,7 @@ def _one_blas_thread():
             calls[1](threads)
 
 
-def _components(X: sp.csr_matrix) -> np.ndarray:
+def _components(X: CSR) -> np.ndarray:
     """Each row's connected component, labelled by its smallest row.
 
     Two rows are joined when they share a column of X. Each round, every
@@ -352,22 +356,21 @@ def _normalize_rows(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _gram_cosines(X: sp.csr_matrix) -> np.ndarray:
+def _gram_cosines(X: CSR) -> np.ndarray:
     """Every cosine of X's rows, G_ij / sqrt(G_ii G_jj) with G = X X^T.
 
-    G is one sparse product, so a cell sums only the columns its two rows
-    share, and rows in different components get exactly 0.0. A row whose
-    norm sqrt(G_ii) is at or below _WEAK_ROW_SHARE of the largest is
-    zeroed. The peak is the sparse G, 12 bytes per stored cell, beside
-    the dense result, 8 bytes per cell: 20.5 bytes per n_r^2 cell under
-    tracemalloc when X is one component, within the decomposition's 48.
+    G is formed from X's cells by column (`relmap.csr.gram`), so a cell
+    sums only the columns its two rows share, and rows in different
+    components get exactly 0.0. A row whose norm sqrt(G_ii) is at or below
+    _WEAK_ROW_SHARE of the largest is zeroed. The peak is a row chunk of
+    G's products beside the dense G: 20-22 bytes per n_r^2 cell under
+    tracemalloc when X is one component of 1,000-2,000 rows, within the
+    decomposition's 48.
     """
-    G = X @ X.T
-    d = G.diagonal()
+    cos = gram(X, columns(X), 0, X.shape[0])
+    d = np.diagonal(cos).copy()
     norms = np.sqrt(d)
     strong = norms > _WEAK_ROW_SHARE * norms.max(initial=0.0)
-    cos = G.toarray()
-    del G
     d = np.where(strong, d, 1.0)
     scale = np.multiply.outer(d, d)
     cos /= np.sqrt(scale, out=scale)
@@ -433,8 +436,8 @@ def build_space_from_matrix(X, rows: list[TermPair], *, k: Optional[int]) -> Rel
     """Space from a weighted matrix, with or without SVD smoothing.
 
     k=None skips the decomposition: similarities are then the cosines of
-    the weighted matrix rows themselves, taken from its sparse Gram
-    matrix, n_r x n_r cells, refused with BudgetError past the budget on
+    the weighted matrix rows themselves, taken from its Gram matrix,
+    formed from the cells the rows share, n_r x n_r cells, refused with BudgetError past the budget on
     n_r. With SVD the budget counts the largest component's Gram block and
     the n_r x k factors instead.
     """

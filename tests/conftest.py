@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import PUNCTUATION
+from oracles import PUNCTUATION, as_scipy, decode
 
 from relmap.corpus import _index_tokens, _joined_tokens, corpus_files, ingest
 from relmap.dataset import Dataset
@@ -57,16 +57,16 @@ def problem_by_id(dataset, pid):
 def mined_counts(stats, pairs):
     """{pair: {pattern: count}} of mined statistics, read through the matrix."""
     cols = select_columns(stats, t=max(1, len(stats.column_order)), n_r=1)
-    F = build_frequency_matrix(pairs, cols, stats)
-    patterns = stats.decode(cols)
+    F = as_scipy(build_frequency_matrix(pairs, cols, stats))
+    patterns = decode(stats, cols)
     return {pair: {patterns[j]: int(F[i, j]) for j in F[i].indices}
             for i, pair in enumerate(pairs)}
 
 
 def column_ids(stats, patterns):
-    """The ids of mined patterns given as slot tuples, looked up through decode."""
+    """The ids of mined patterns given as slot tuples, looked up through `oracles.decode`."""
     every = np.arange(len(stats.starts) - 1)
-    id_of = {pattern: i for i, pattern in zip(every.tolist(), stats.decode(every))}
+    id_of = {pattern: i for i, pattern in zip(every.tolist(), decode(stats, every))}
     return np.array([id_of[p] for p in patterns], dtype=np.int64)
 
 

@@ -40,7 +40,13 @@ package's windows for one pair as `PhraseOccurrence` objects, and is
 checked against `scan_windows`. The pattern-mining reference takes its
 windows from it, builds string patterns and counts them in dicts; the
 package's integer-coded miner must give the same counts, columns and
-matrix.
+matrix; `decode` reads the miner's packed column codes back as slot
+tuples, which only the tests need. The scipy.sparse references are the
+package's earlier F and X, held as scipy matrices: its `_as_csr`, both
+weightings and the no-SVD cosines from one sparse product, against which
+the numpy matrix of `relmap.csr` must give the same bytes; `as_scipy`
+turns that matrix into a scipy one, for the tests that index or densify
+it.
 """
 
 from __future__ import annotations
@@ -63,8 +69,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import svds
 
 from relmap.corpus import MAX_MID, MAX_POST, MAX_PRE, _find_windows
-from relmap.errors import RelmapError
-from relmap.space import _one_blas_thread
+from relmap.errors import RelmapError, TransformError
+from relmap.patterns import MAX_SLOTS, _segments
+from relmap.space import _WEAK_ROW_SHARE, _one_blas_thread
 from relmap.terms import TermPair
 
 TIE_TOLERANCE = 1e-12
@@ -434,6 +441,107 @@ def build_frequency_matrix(rows, cols, stats):
     return mat
 
 
+def unpack(words, bits):
+    """Inverse of `relmap.patterns._pack`: (n_words, n) uint64 words ->
+    (n, MAX_SLOTS) slot codes of `bits` bits each."""
+    codes = np.zeros((words.shape[1], MAX_SLOTS), dtype=np.uint64)
+    for slot, w, in_slot, in_word, mask in _segments(bits):
+        codes[:, slot] |= (words[w] >> in_word & mask) << in_slot
+    return codes.astype(np.int64)
+
+
+def decode(stats, ids):
+    """The patterns of these column ids of `PatternStats`, as slot-string
+    tuples, unpacked from their codes."""
+    bits = int(stats.codes.max()).bit_length()
+    codes = unpack(stats.keys[:, ids], bits)
+    word_of = np.zeros(int(stats.codes.max()) + 1, dtype=np.int64)
+    word_of[stats.codes] = np.arange(len(stats.words))
+    lengths = np.count_nonzero(codes, axis=1).tolist()
+    words = stats.words
+    return [tuple(map(words.__getitem__, row[:n]))
+            for row, n in zip(word_of[codes].tolist(), lengths)]
+
+
+# --- scipy.sparse references ------------------------------------------------
+
+def as_scipy(X):
+    """A `relmap.csr.CSR`, or anything scipy takes, as a scipy CSR matrix."""
+    if sp.issparse(X):
+        return X.tocsr()
+    if hasattr(X, "indptr"):
+        return sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+    return sp.csr_matrix(np.asarray(X, dtype=np.float64))
+
+
+def scipy_as_csr(matrix):
+    """The package's `_as_csr` as it was on scipy.sparse: float64, stored
+    zeros eliminated."""
+    if sp.issparse(matrix):
+        out = matrix.tocsr().astype(np.float64)
+    else:
+        out = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
+    out.eliminate_zeros()
+    return out
+
+
+def scipy_ppmic(F):
+    """`transform_ppmic` as it was on scipy.sparse."""
+    F = scipy_as_csr(F)
+    total = F.sum()
+    if total <= 0:
+        raise TransformError("cannot transform an all-zero frequency matrix")
+    row_sums = np.asarray(F.sum(axis=1)).ravel()
+    col_sums = np.asarray(F.sum(axis=0)).ravel()
+    out = F.tocoo(copy=True)
+    with np.errstate(divide="ignore"):
+        pmi = np.log(out.data * total / (row_sums[out.row] * col_sums[out.col]))
+    out.data = np.where(pmi > 0, pmi, 0.0)
+    result = out.tocsr()
+    result.eliminate_zeros()
+    return result
+
+
+def scipy_log_entropy(F):
+    """`transform_log_entropy` as it was on scipy.sparse."""
+    F = scipy_as_csr(F)
+    total = F.sum()
+    if total <= 0:
+        raise TransformError("cannot transform an all-zero frequency matrix")
+    n_r = F.shape[0]
+    col_sums = np.asarray(F.sum(axis=0)).ravel()
+    kept = np.flatnonzero(col_sums > 0)
+    coo = F[:, kept].tocoo()
+    if n_r > 1:
+        q = coo.data / col_sums[kept][coo.col]
+        ent = np.zeros(len(kept))
+        np.add.at(ent, coo.col, q * np.log(q))
+        weights = 1.0 + ent / np.log(n_r)
+    else:
+        weights = np.ones(len(kept))
+    data = np.log1p(coo.data) * weights[coo.col]
+    out = sp.csr_matrix((data, (coo.row, coo.col)), shape=coo.shape)
+    out.eliminate_zeros()
+    return out, kept
+
+
+def scipy_gram_cosines(X):
+    """The no-SVD cosines as they were on scipy.sparse, from one sparse
+    product X X^T."""
+    X = scipy_as_csr(X)
+    G = X @ X.T
+    d = G.diagonal()
+    norms = np.sqrt(d)
+    strong = norms > _WEAK_ROW_SHARE * norms.max(initial=0.0)
+    cos = G.toarray()
+    d = np.where(strong, d, 1.0)
+    scale = np.multiply.outer(d, d)
+    cos /= np.sqrt(scale, out=scale)
+    cos[~strong] = 0.0
+    cos[:, ~strong] = 0.0
+    return cos
+
+
 def ppmi_cell(F, i, j):
     """Scalar positive PMI of one cell, straight from the probability ratios."""
     total = sum(sum(row) for row in F)
@@ -467,7 +575,7 @@ def log_entropy_cell(F, i, j):
 
 def dense_svd(X, k):
     """(U_k, sigma_k) from LAPACK's full SVD, zero-padded past min(shape)."""
-    X = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=float)
+    X = as_scipy(X).toarray()
     u, s, _ = np.linalg.svd(X, full_matrices=False)
     kk = min(k, s.size)
     return (np.pad(u[:, :kk], ((0, 0), (0, k - kk))),
@@ -481,7 +589,7 @@ def truncated_svd_full(X, k):
     at or below k, sigma_j - sigma_(j+1) > SVD_TIE_SHARE * sigma_1 with
     sigma_(n+1) = 0, gets sigma = 0 and a zero U column.
     """
-    X = sp.csr_matrix(X, dtype=float)
+    X = sp.csr_matrix(as_scipy(X), dtype=float)
     X.eliminate_zeros()
     with _one_blas_thread():
         lam, vecs = np.linalg.eigh((X @ X.T).toarray())
@@ -501,7 +609,7 @@ def truncated_svd_every_component(X, k):
     its bits. The components come from scipy's connected_components on the
     bipartite graph of rows and columns, each labelled by its smallest row.
     """
-    X = sp.csr_matrix(X, dtype=float)
+    X = sp.csr_matrix(as_scipy(X), dtype=float)
     X.eliminate_zeros()
     n, n_c = X.shape
     pattern = sp.csr_matrix((np.ones(X.nnz), X.indices, X.indptr), shape=X.shape)
@@ -546,7 +654,7 @@ def sparse_svd(X, k):
 
     Needs 1 <= k < min(X.shape).
     """
-    X = sp.csr_matrix(X, dtype=float)
+    X = sp.csr_matrix(as_scipy(X), dtype=float)
     v0 = np.random.default_rng(0).standard_normal(min(X.shape))
     u, s, _ = svds(X, k=k, v0=v0, which="LM")
     order = np.argsort(s)[::-1]
@@ -558,7 +666,7 @@ def dense_cosines(X):
     earlier no-SVD design: each row divided by its norm, a row at or below
     WEAK_ROW_SHARE of the largest norm zeroed, then the dot product of
     every two unit rows. `weak` marks the zeroed rows."""
-    M = X.toarray() if sp.issparse(X) else np.array(X, dtype=float)
+    M = as_scipy(X).toarray()
     norms = np.linalg.norm(M, axis=1)
     weak = norms <= WEAK_ROW_SHARE * norms.max(initial=0.0)
     M /= np.where(weak, 1.0, norms)[:, None]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import (PhraseOccurrence, brute_force_best, enumerate_pattern_strings,
+from oracles import (PhraseOccurrence, as_scipy, brute_force_best, enumerate_pattern_strings,
                      generate_patterns, hybrid_probabilities, ppmi_cell)
 from relmap.attributes import TableSimilarity
 from relmap.config import Config
@@ -92,7 +92,7 @@ def test_ppmic_conformance():
         F = rng.integers(0, 6, size=(20, 50)).astype(float)
         if F.sum() == 0:
             F[0, 0] = 1.0
-        out = transform_ppmic(F).toarray()
+        out = as_scipy(transform_ppmic(F)).toarray()
         rows = F.tolist()
         for i in range(20):
             for j in range(50):

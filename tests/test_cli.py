@@ -489,6 +489,36 @@ def test_cached_eval_loads_no_scipy_linalg_or_csgraph(planted_paths, tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_every_command_runs_with_scipy_blocked(planted_paths, tmp_path):
+    """scipy is a test dependency only: with its import blocked, the CLI
+    imports, indexes, evaluates with and without SVD, solves at k = 20 and
+    sweeps the log-entropy weighting, and loads no scipy module."""
+    corpus, problems = planted_paths
+    cache, out = str(tmp_path / "cache"), str(tmp_path / "out")
+    commands = [
+        ["index", "--corpus", corpus, "--cache", cache],
+        ["eval", problems, "--mode", "relational", "--corpus", corpus, "--cache", cache,
+         "--report", out + "-eval.tsv"],
+        ["eval", problems, "--mode", "relational", "--corpus", corpus, "--cache", cache,
+         "--no-svd", "--report", out + "-nosvd.tsv"],
+        ["solve", problems, "--mode", "relational", "--corpus", corpus, "--cache", cache,
+         "--k", "20", "--out", out + "-k20.txt"],
+        ["sweep", problems, "--corpus", corpus, "--cache", cache, "--k", "10:20:10",
+         "--t", "10", "--transform", "logentropy", "--report", out + "-sweep.tsv"],
+    ]
+    child = ("import sys\nsys.modules['scipy'] = None\nimport relmap.cli\n"
+             f"for argv in {commands!r}:\n    assert relmap.cli.main(argv) == 0, argv\n"
+             "del sys.modules['scipy']\n"
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    for suffix in ("-eval.tsv", "-nosvd.tsv", "-k20.txt", "-sweep.tsv"):
+        assert Path(out + suffix).stat().st_size > 0
+
+
 def test_eval_refuses_cache_holding_a_slot_marker(tmp_path, capsys):
     """A cached index whose vocabulary holds "X" is a data error (exit 2)
     naming the cache file: no index `ingest` writes holds one."""

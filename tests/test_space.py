@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from oracles import (dense_cosines, dense_svd, log_entropy_cell, ppmi_cell, scalar_sim_r,
-                     sparse_svd, truncated_svd_every_component, truncated_svd_full)
+from oracles import (as_scipy, dense_cosines, dense_svd, log_entropy_cell, ppmi_cell,
+                     scalar_sim_r, sparse_svd, truncated_svd_every_component,
+                     truncated_svd_full)
 from relmap.config import Config
 from relmap.corpus import ingest
 from relmap.errors import BudgetError, ConfigError, TransformError
@@ -23,10 +24,10 @@ from relmap.patterns import (build_frequency_matrix, build_pair_list,
                              mine_patterns, prune_rows, select_columns)
 from relmap.problems import MappingProblem
 from relmap.solver import RelationalScorer
-from relmap.space import (_DECOMPOSITION_BYTES_PER_CELL, _FACTOR_BYTES_PER_CELL, _components,
-                          _require_cosine_budget, _require_decomposition_budget, build_space,
-                          build_space_from_matrix, transform_log_entropy, transform_ppmic,
-                          truncated_svd)
+from relmap.space import (_DECOMPOSITION_BYTES_PER_CELL, _FACTOR_BYTES_PER_CELL, _as_csr,
+                          _components, _gram_cosines, _require_cosine_budget,
+                          _require_decomposition_budget, build_space, build_space_from_matrix,
+                          transform_log_entropy, transform_ppmic, truncated_svd)
 from relmap.terms import TermPair
 
 from conftest import write_corpus
@@ -35,7 +36,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def dense(matrix):
-    return matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
+    return as_scipy(matrix).toarray()
 
 
 # --- PPMI transform ---------------------------------------------------------
@@ -215,6 +216,26 @@ def test_no_svd_refuses_a_cosine_matrix_over_the_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n_r * n_r / 100
+
+
+def test_no_svd_cosines_peak_within_the_budget_per_cell():
+    """X of one component, 1,000 rows that all share column 0: the cosines
+    and the Gram products formed for them peak within the bytes per n_r^2
+    cell that the budget counts."""
+    rng = np.random.default_rng(0)
+    n_r, n_c = 1_000, 200
+    X = rng.uniform(0.5, 2.0, (n_r, n_c)) * (rng.random((n_r, n_c)) < 0.2)
+    X[:, 0] = 1.0
+    X = _as_csr(X)
+    assert not _components(X).any()
+    tracemalloc.start()
+    try:
+        cos = _gram_cosines(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cos.shape == (n_r, n_r)
+    assert peak < _DECOMPOSITION_BYTES_PER_CELL * n_r * n_r
 
 
 def test_svd_beats_random_rank_k_competitors():
@@ -637,7 +658,7 @@ def test_decomposition_backends_agree(planted_all):
     rows = prune_rows(pairs, stats.phrase_counts)
     F = build_frequency_matrix(rows, select_columns(stats, 20, len(rows)), stats)
     X = transform_ppmic(F)
-    s = np.linalg.svd(X.toarray(), compute_uv=False)
+    s = np.linalg.svd(dense(X), compute_uv=False)
     for k in (20, 100):
         assert s[k - 1] - s[k] > 1e-3 * s[0]   # a unique rank-k space
         space = build_space_from_matrix(X, rows, k=k)
@@ -715,7 +736,7 @@ def test_sim_matches_dense_cosine_oracle(tmp_path):
     X, rows = build_toy_space(tmp_path)
     for k in (2, 4):
         space = build_space_from_matrix(X, rows, k=k)
-        Xd = X.toarray()
+        Xd = dense(X)
         u, s, vt = np.linalg.svd(Xd, full_matrices=False)
         proj = u[:, :k] * s[:k]
         for i, p in enumerate(rows):
@@ -730,7 +751,7 @@ def test_sim_matches_dense_cosine_oracle(tmp_path):
 
 def test_tied_boundary_cuts_at_last_gap(tmp_path):
     X, rows = build_toy_space(tmp_path)
-    s = np.linalg.svd(X.toarray(), compute_uv=False)
+    s = np.linalg.svd(dense(X), compute_uv=False)
     assert s[2] - s[3] <= 1e-9 * s[0] < s[1] - s[2]
     u, sigma = truncated_svd(X, 3)
     assert sigma[2] == 0.0 and np.all(u[:, 2] == 0.0)
@@ -764,7 +785,7 @@ def test_sim_range(tmp_path):
 def test_no_svd_equals_direct_cosines(tmp_path):
     X, rows = build_toy_space(tmp_path)
     space = build_space_from_matrix(X, rows, k=None)
-    Xd = X.toarray()
+    Xd = dense(X)
     for i, p in enumerate(rows):
         for j, q in enumerate(rows):
             ni, nj = np.linalg.norm(Xd[i]), np.linalg.norm(Xd[j])
