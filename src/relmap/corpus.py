@@ -14,19 +14,20 @@ concatenated into a single int32 array of token ids; `doc_offsets`
 (int64, one more entry than there are documents) marks where each
 starts, so document d spans global positions
 ``doc_offsets[d]:doc_offsets[d + 1]``. Token ids index a vocabulary in
-lexicographic order. The vocabulary is never decoded whole: it stays
-one "\\n"-joined UTF-8 byte array (tokens never contain whitespace), with
-the byte offset of each word built on first use. A term's token is
-looked up by bisection over those offsets, and the words of many ids
-are decoded in one pass. UTF-8 byte order is code-point order, so the
-bytes sort as the words do.
+lexicographic order. The vocabulary is kept as the keys ingest sorts
+its words by (`Vocabulary`): each word's first 8 bytes as one big-endian
+uint64 with the bytes past its end zeroed, its size as int32, and its
+bytes past the 8th, concatenated in word order. UTF-8 byte order is
+code-point order, so the keys sort as the words do. The vocabulary is
+never decoded whole: the terms of a query are looked up at once by one
+`searchsorted` over the prefixes, and the words of many ids are decoded
+in one pass.
 
 Postings exist only for the terms a query names. One pass over the ids
 finds the positions of a whole batch of first tokens; each term's start
 positions are then kept on the index, so a term asked for again costs
-no pass. Beyond the vocabulary's bytes and offsets nothing is kept per
-vocabulary word, and an index that is only built and cached never
-searches.
+no pass. Beyond the vocabulary's keys nothing is kept per vocabulary
+word, and an index that is only built and cached never searches.
 
 Window search works on terms, not pairs. The starts of all the terms of
 a pair list are merged in position order, once each however many pairs
@@ -38,49 +39,52 @@ by slot gives the windows in (pair, document, x start, y start) order.
 
 Ingest streams the files, and tokenizes an ASCII file by bytes. Each
 file is read, hashed and tokenized before the next one is read. An ASCII
-file's bytes are lowercased and classed through two tables indexed by
-byte (whitespace, edge punctuation, word byte); a token runs from the
-first word byte to the last of a run of bytes that are not whitespace,
-so it is the runs of word bytes joined across the runs of edge
-punctuation that lie between two of them, found for all tokens at once.
-Any other file, one that starts with a byte-order mark included, goes
-through `terms.tokenize`, and its tokens are joined by "\\n" as UTF-8
-bytes. Either way a file becomes its bytes and the start and size of
-each token, and everything after that is one path. The tokens are sorted
-in batches of _BATCH_TOKENS, in numpy. Each token's bytes become a key
-once: its first 8 bytes as one big-endian integer (the prefix the cache
-check also reads, below), its size, and its bytes past the 8th. A batch
-is sorted by value on (prefix, size clipped to 9), and only ties of
-words longer than 8 bytes are refined over the bytes past the 8th
-(`_sort_words`). A sorted batch keeps only its distinct words, as keys,
-and its tokens' ranks among them. So at any time memory holds one file,
-the bytes and bounds of one batch's tokens and that batch's sort, the
-keys of the distinct words of the batches so far and 4 bytes per token:
-never a Python string per corpus token or per vocabulary word, except
-for the tokens of one file that is not ASCII. At the end the keys of all
-batches are sorted by the same kernel, so that copies of a word from
-several batches become one vocabulary word, each batch's ranks are
-mapped to vocabulary ids, and the vocabulary's bytes are written once,
-from the prefixes and the bytes past the 8th, _SORT_CHUNK words at a
-time.
+file's bytes are classed through a table indexed by byte (whitespace,
+edge punctuation, word byte) and lowercased, both by `bytes` methods; a
+token runs from the first word byte to the last of a run of bytes that
+are not whitespace, so it is the runs of word bytes joined across the
+runs of edge punctuation that lie between two of them, found for all
+tokens at once. Any other file, one that starts with a byte-order mark
+included, goes through `terms.tokenize`, and its tokens are joined by
+"\\n" as UTF-8 bytes. Either way a file becomes its bytes and the start
+and size of each token, and everything after that is one path. The
+tokens are sorted in batches of _BATCH_TOKENS, in numpy. Each token's
+bytes become a key once: its prefix, its size, and its bytes past the
+8th. A batch is sorted by value on (prefix, size clipped to 9), and only
+ties of words longer than 8 bytes are refined over the bytes past the
+8th (`_sort_words`). A sorted batch keeps only its distinct words, as
+keys, and its tokens' ranks among them. So at any time memory holds one
+file, the bytes and bounds of one batch's tokens and that batch's sort,
+the keys of the distinct words of the batches so far and 4 bytes per
+token: never a Python string per corpus token or per vocabulary word,
+except for the tokens of one file that is not ASCII. At the end the keys
+of all batches are sorted by the same kernel, so that copies of a word
+from several batches become one vocabulary word, each batch's ranks are
+mapped to vocabulary ids, and the keys of the distinct words are the
+vocabulary.
 
-Cache. `save_index` writes an uncompressed ``.npz`` holding the ids, the
-offsets, the vocabulary's bytes as they are and a JSON metadata string.
-The file name is a hash of the corpus content digest and the format
-version. There is one tokenization, `terms.tokenize`'s, taken by bytes
-for ASCII files, and the format version stands for it, so an index
-written by another tokenizer or layout is never found. The file is
-written to a temporary name in the cache directory and renamed into
-place, so no reader sees a partial file. `load_index` reads it with
-``allow_pickle=False`` and checks the format, the dtypes, the offsets,
-the vocabulary and the id range before it returns anything. The
-vocabulary is checked on its bytes, a bounded number of words at a time:
-UTF-8 validity, the stated size, no empty word and strictly increasing
-order. The order is settled for whole chunks at once on each word's
-first 8 bytes, read as one big-endian integer; only words whose first 8
-bytes tie, and the words on each side of a chunk boundary, are compared
-as whole bytes. Last, no word may be a slot marker (`terms.MARKERS`):
-`tokenize` never emits one, and mining relies on that.
+Cache. `save_index` writes one directory per cache key, holding
+``ids.npy``, ``doc_offsets.npy``, ``prefix.npy``, ``sizes.npy``,
+``tails.npy`` and ``meta.json``: the format, the corpus digest, the
+vocabulary's size and the CRC-32 of each array's bytes. The directory
+name is a hash of the corpus content digest and the format version.
+There is one tokenization, `terms.tokenize`'s, taken by bytes for ASCII
+files, and the format version stands for it, so an index written by
+another tokenizer or layout is never found; the ``.npz`` files of
+format v4 and before are never opened. The directory is written under a
+temporary name in the cache directory and renamed into place, so no
+reader sees a partial index. `load_index` maps each array read-only
+(``mmap_mode="r"``, ``allow_pickle=False``), so nothing is copied or
+unpickled, and checks the format, the dtypes, every array's CRC-32, the
+offsets, the vocabulary and the id range before it returns anything.
+The vocabulary is checked on its keys, a bounded number of words at a
+time (`Vocabulary.check`): consistent keys, no empty word, valid UTF-8
+without whitespace, decoding only the words that are not printable
+ASCII, and strictly increasing order, settled on (prefix, size clipped
+to 9) for whole chunks at once, with the bytes past the 8th compared
+only where two long words tie on it. Last, no word may be a slot marker
+(`terms.MARKERS`): `tokenize` never emits one, nor whitespace, and
+mining relies on both.
 """
 
 from __future__ import annotations
@@ -91,11 +95,13 @@ import hashlib
 import json
 import logging
 import os
-import zipfile
+import re
+import shutil
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -113,9 +119,11 @@ MAX_POST = 1
 # takes one of two paths to its tokens (`_file_tokens`): the byte tokenizer
 # for ASCII (`_ascii_tokens` and its tables) or `terms.tokenize` for any
 # other text. Any change to the tokens of either path must bump it.
-_CACHE_FORMAT = "relmap-corpus-index-v4"
-# Words decoded at once when a loaded vocabulary is checked.
-_CHECK_WORDS = 1 << 14
+_CACHE_FORMAT = "relmap-corpus-index-v5"
+# The arrays of a cached index, each one `.npy` file.
+_ARRAYS = ("ids", "doc_offsets", "prefix", "sizes", "tails")
+# Words whose keys are checked at once when a loaded vocabulary is checked.
+_CHECK_WORDS = 1 << 16
 # Tokens that ingest sorts at once; the distinct words of the batches, kept
 # as keys, are sorted again to make the vocabulary.
 _BATCH_TOKENS = 1 << 16
@@ -125,102 +133,194 @@ _SORT_CHUNK = 1 << 14
 # _PREFIX_MASKS[k] keeps the first k of 8 big-endian bytes. A table, not a
 # shift: shifting a 64-bit integer by 64 bits is undefined.
 _PREFIX_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
+_PAST_MASKS = ~_PREFIX_MASKS
+# Eight bytes of one value, for the vocabulary check: "A", which pads a
+# word's prefix; "!", the lowest byte that is neither whitespace nor a
+# control character; and each byte's top bit.
+_FILL, _BANG, _HIGH = (np.uint64(int.from_bytes(bytes([c]) * 8, "big"))
+                       for c in (0x41, 0x21, 0x80))
+_WHITESPACE = re.compile(r"\s")
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
-# The byte tokenizer's tables, read only at ASCII bytes: each byte's kind
-# (whitespace as `str.split` splits on it, edge punctuation as `tokenize`
-# strips it, or a word byte) and its lowercase.
+# The byte tokenizer's table for `bytes.translate`, read only at ASCII
+# bytes: each byte's kind (whitespace as `str.split` splits on it, edge
+# punctuation as `tokenize` strips it, or a word byte).
 _SPACE, _EDGE, _WORD = 0, 1, 2
-_BYTE_KIND = np.array([_SPACE if chr(c).isspace() else _EDGE if chr(c) in _PUNCT else _WORD
-                       for c in range(128)], dtype=np.uint8)
-_LOWER = np.array([ord(chr(c).lower()) for c in range(128)], dtype=np.uint8)
+_BYTE_KIND = bytes(_SPACE if chr(c).isspace() else _EDGE if chr(c) in _PUNCT else _WORD
+                   for c in range(256))
 
 
 class Vocabulary:
-    """A sorted vocabulary kept as its "\\n"-joined UTF-8 bytes.
+    """A sorted vocabulary kept as ingest's keys.
 
-    A read-only sequence of `size` words: `len`, item access, `find` (a
-    word's id by bisection, -1 if absent) and `words` (many words
-    decoded in one pass). No word is decoded until asked for; the byte
-    offsets of the words are found on first use.
+    Word i is three keys: prefix[i], its first 8 bytes as one big-endian
+    integer with the bytes past its end zeroed (as `_prefixes` reads
+    them); sizes[i], its size in bytes; and its bytes past the 8th, which
+    follow those of the words before it in `tails`. A read-only sequence
+    of its words: `len`, item access, `find` and `locate` (many words
+    placed by one `searchsorted` over the prefixes) and `words` (many
+    words decoded in one pass). No word is decoded until asked for.
+
+    Words that share a prefix sort by their size clipped to 9, then by
+    their bytes past the 8th: a prefix pads a word with zeros, so of two
+    such words the shorter begins the other, and two of 9 bytes or more
+    begin with the same 8 bytes.
     """
 
-    def __init__(self, blob: np.ndarray, size: int):
-        blob.flags.writeable = False
-        self.blob = blob         # uint8, the words joined by b"\\n"
-        self.size = size
+    def __init__(self, prefix: np.ndarray, sizes: np.ndarray, tails: np.ndarray):
+        for keys in (prefix, sizes, tails):
+            keys.flags.writeable = False
+        self.prefix = prefix     # uint64
+        self.sizes = sizes       # int32
+        self.tails = tails       # uint8
 
     @functools.cached_property
-    def _offsets(self) -> np.ndarray:
-        """Word i is blob[_offsets[i]:_offsets[i + 1] - 1]."""
-        breaks = np.flatnonzero(self.blob == ord("\n"))
-        if not (breaks.size == self.size - 1 if self.size else self.blob.size == 0):
-            raise ValueError("vocabulary is not of the stated size")
-        offsets = np.empty(breaks.size + 2, dtype=np.int64)
-        offsets[0], offsets[-1] = 0, self.blob.size + 1
-        np.add(breaks, 1, out=offsets[1:-1])
-        return offsets
+    def _tail_starts(self) -> np.ndarray:
+        """Word i's bytes past the 8th are tails[_tail_starts[i]:_tail_starts[i + 1]]."""
+        starts = np.zeros(self.sizes.size + 1, dtype=np.int64)
+        np.cumsum(np.maximum(self.sizes, 8) - 8, dtype=np.int64, out=starts[1:])
+        return starts
 
     def __len__(self) -> int:
-        return self.size
+        return int(self.prefix.size)
 
     def __getitem__(self, i: int) -> str:
-        if not 0 <= i < self.size:
+        if not 0 <= i < len(self):
             raise IndexError(f"word id {i} out of range")
-        return self._word_bytes(i).decode("utf-8")
+        return self.words([i])[0]
 
     def words(self, ids) -> list[str]:
         """The words with these ids, in their order, decoded in one pass."""
         ids = np.asarray(ids, dtype=np.int64)
         if not ids.size:
             return []
-        starts = self._offsets[ids]
-        sizes = self._offsets[ids + 1] - starts   # each word and the byte after it
-        # The byte after the last word lies past the blob, and `_gather`
-        # reads another; every byte after a word is then set to a newline.
-        raw = _gather(self.blob, starts, sizes)
-        raw[np.cumsum(sizes) - 1] = ord("\n")
-        return raw[:-1].tobytes().decode("utf-8").split("\n")
+        return self.joined(ids, ord("\n"))[:-1].tobytes().decode("utf-8").split("\n")
 
-    def find(self, word: str) -> int:
-        """The id of `word`, or -1 when it is not in the vocabulary."""
-        i = bisect_left(self, word)
-        return i if i < self.size and self[i] == word else -1
+    def find(self, words: Sequence[str]) -> np.ndarray:
+        """The id of each word, -1 for one not in the vocabulary."""
+        below, found = self.locate(words)
+        return np.where(found, below, -1)
+
+    def locate(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """For each word, the number of vocabulary words below it, and
+        whether the next one is that word.
+
+        One `searchsorted` places all the words' prefixes; only the
+        vocabulary words that share a word's prefix are compared on their
+        other keys.
+        """
+        raw = [word.encode("utf-8") for word in words]
+        prefix = np.array([int.from_bytes(b[:8].ljust(8, b"\0"), "big") for b in raw],
+                          dtype=np.uint64)
+        lo = np.searchsorted(self.prefix, prefix, side="left").tolist()
+        hi = np.searchsorted(self.prefix, prefix, side="right").tolist()
+        below, found = [], []
+        for b, a, z in zip(raw, lo, hi):
+            key = (min(len(b), 9), b[8:])
+            i = a + bisect_left(range(a, z), key, key=self._tie_key)
+            below.append(i)
+            found.append(i < z and self._tie_key(i) == key)
+        return np.array(below, dtype=np.int64), np.array(found, dtype=bool)
+
+    def _tie_key(self, i: int) -> tuple[int, bytes]:
+        """How word i sorts among the words that share its prefix."""
+        size = int(self.sizes[i])
+        if size <= 8:
+            return size, b""
+        a = int(self._tail_starts[i])
+        return 9, self.tails[a:a + size - 8].tobytes()
+
+    def joined(self, ids: np.ndarray, sep: int) -> np.ndarray:
+        """The UTF-8 bytes of the words with these ids, each followed by the byte `sep`."""
+        size = self.sizes[ids].astype(np.int64)
+        end = np.cumsum(size + 1)
+        start = end - size - 1
+        out = np.full(int(end[-1]) if end.size else 0, sep, dtype=np.uint8)
+        head = np.minimum(size, 8)
+        first = self.prefix[ids].astype(">u8").view(np.uint8).reshape(-1, 8)
+        out[_runs(start, head)] = first[np.arange(8) < head[:, None]]
+        long = np.flatnonzero(size > 8)
+        if long.size:
+            more = size[long] - 8
+            out[_runs(start[long] + 8, more)] = _gather(self.tails, self._tail_starts[ids[long]],
+                                                       more)
+        return out
 
     def check(self) -> None:
-        """Raise ValueError unless the bytes hold `size` valid, non-empty UTF-8
-        words in strictly increasing order, looked at _CHECK_WORDS words at
-        a time.
+        """Raise ValueError unless the keys hold distinct, non-empty, valid
+        UTF-8 words without whitespace, in strictly increasing order,
+        looked at _CHECK_WORDS words at a time.
 
-        Neighbours are ordered by their first 8 bytes, read as big-endian
-        integers with the bytes past a word's end zeroed: a smaller prefix
-        makes a word the smaller one, a larger one refuses the order. Only
-        neighbours with equal prefixes, and the two words on each side of
-        a chunk boundary, are compared as whole bytes.
+        The keys must agree: as many sizes as prefixes, no byte of a prefix
+        past its word's end, and as many bytes in `tails` as the sizes ask
+        for. Each word's prefix, padded past its end with "A", is read as
+        8 bytes at once: a word none of whose bytes lies below "!" or above
+        DEL is ASCII without whitespace; only the others are decoded.
+        Neighbours are ordered on (prefix, size clipped to 9) for a whole
+        chunk at once, and only two words of 9 bytes or more that tie on
+        it have their bytes past the 8th compared. The last pair of a
+        chunk is its last word and the next chunk's first.
         """
-        offsets = self._offsets
-        if self.size and offsets[1] == 1:  # in increasing order only the first can be empty
+        n = len(self)
+        if self.sizes.size != n:
+            raise ValueError("vocabulary is not of the stated size")
+        if n and self.sizes.min() < 1:
             raise ValueError("vocabulary holds an empty word")
-        word = self._word_bytes
-        last = None
-        for a in range(0, self.size, _CHECK_WORDS):
-            b = min(a + _CHECK_WORDS, self.size)
-            raw = self.blob[offsets[a]:offsets[b] - 1]
-            str(raw, "utf-8")  # a chunk ends at a word, so at a character
-            padded = np.zeros(raw.size + 8, dtype=np.uint8)
-            padded[:raw.size] = raw
-            prefix = _prefixes(padded, offsets[a:b] - offsets[a], np.diff(offsets[a:b + 1]) - 1)
-            if (last is not None and not last < word(a)) or np.any(prefix[:-1] > prefix[1:]):
+        base = 0  # bytes past the 8th of the words before the chunk
+        for a in range(0, n, _CHECK_WORDS):
+            b = min(a + _CHECK_WORDS, n)
+            prefix, size = self.prefix[a:b + 1], self.sizes[a:b + 1]
+            more = np.maximum(size, 8) - 8
+            ends = np.zeros(more.size, dtype=np.int64)
+            if np.any(more):  # most chunks of most corpora have no word past 8 bytes
+                np.cumsum(more, dtype=np.int64, out=ends)
+            ends += base
+            starts = ends - more
+            if ends[-1] > self.tails.size:
+                raise ValueError("vocabulary's bytes past the 8th do not match its sizes")
+            past = np.take(_PAST_MASKS, np.minimum(size, 8))
+            if np.any(prefix & past):
+                raise ValueError("vocabulary key has bytes past its word's end")
+            # In `padded - _BANG` the lowest byte below "!" borrows, which sets
+            # its top bit; a byte from 0x80 up has it set already.
+            padded = prefix | past & _FILL
+            odd = np.flatnonzero(((padded - _BANG | padded) & _HIGH)[:b - a])
+            tail = self.tails[base:ends[b - a - 1]]
+            odd_tail = np.flatnonzero(tail - np.uint8(ord("!")) > 0x7f - ord("!"))
+            if odd_tail.size:
+                odd_tail = np.searchsorted(ends[:b - a], odd_tail + base, side="right")
+                odd = np.union1d(odd, odd_tail)
+            if odd.size:
+                text = self.joined(odd + a, 0).tobytes().decode("utf-8")
+                if _WHITESPACE.search(text):
+                    raise ValueError("vocabulary holds a word with whitespace")
+            base = int(ends[b - a - 1])
+            if np.any(prefix[1:] < prefix[:-1]):
                 raise ValueError("vocabulary is not strictly increasing")
-            for i in (np.flatnonzero(prefix[:-1] == prefix[1:]) + a).tolist():
-                if not word(i) < word(i + 1):
-                    raise ValueError("vocabulary is not strictly increasing")
-            last = word(b - 1)
+            same = np.flatnonzero(prefix[1:] == prefix[:-1])
+            lo, hi = np.minimum(size[same], 9), np.minimum(size[same + 1], 9)
+            if np.any((lo > hi) | (lo == hi) & (lo < 9)) or not self._tails_increase(
+                    same[lo == hi], starts, more):
+                raise ValueError("vocabulary is not strictly increasing")
+        if base != self.tails.size:
+            raise ValueError("vocabulary's bytes past the 8th do not match its sizes")
 
-    def _word_bytes(self, i: int) -> bytes:
-        """Word i's UTF-8 bytes."""
-        a, b = self._offsets[i:i + 2].tolist()
-        return self.blob[a:b - 1].tobytes()
+    def _tails_increase(self, i: np.ndarray, starts: np.ndarray, more: np.ndarray) -> bool:
+        """Whether, for each i, the bytes past the 8th of the i-th word of
+        a chunk, which start at starts[i] and number more[i], sort below
+        those of the word after it: at the first byte where they differ,
+        or else by size."""
+        if not i.size:
+            return True
+        n = np.minimum(more[i], more[i + 1]).astype(np.int64)
+        x = _gather(self.tails, starts[i], n)
+        y = _gather(self.tails, starts[i + 1], n)
+        first = np.cumsum(n) - n
+        differ = np.append(np.flatnonzero(x != y), x.size)
+        at = differ[np.searchsorted(differ, first)]
+        has = at < first + n
+        at = np.minimum(at, x.size - 1)
+        return bool(np.all(np.where(has, x[at] < y[at], more[i] < more[i + 1])))
 
 
 def _prefixes(padded: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -331,37 +431,20 @@ def _distinct_words(prefix: np.ndarray, sizes: np.ndarray, blob: np.ndarray,
     return order[distinct], rank
 
 
-def _vocabulary_bytes(words: np.ndarray, prefix: np.ndarray, sizes: np.ndarray,
-                      blob: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """The words of these indices among the keys (as `_sort_words` reads
-    them), in this order, each as its UTF-8 bytes followed by a "\\n",
-    written _SORT_CHUNK words at a time.
-
-    A word's first 8 bytes are or-ed in as one 8-byte integer, in four
-    passes, each over every fourth word: a word and its "\\n" take at
-    least 2 bytes, so the integers of one pass do not overlap, and the
-    bytes an integer holds past its word's end are zeros, which leave the
-    bytes of the words after it as they are.
-    """
-    out = np.zeros(int(sizes[words].sum(dtype=np.int64)) + words.size + 8, dtype=np.uint8)
-    # One native 8-byte integer at every byte (strides of 1 byte).
-    at = np.ndarray((out.size - 7,), dtype=np.uint64, buffer=out, strides=(1,))
-    end = 0
-    for a in range(0, words.size, _SORT_CHUNK):
-        w = words[a:a + _SORT_CHUNK]
-        size = sizes[w]
-        start = np.cumsum(size + 1, dtype=np.int64)
-        start += end - size - 1
-        end = int(start[-1] + size[-1]) + 1
-        out[start + size] = ord("\n")
-        # Stored big-endian, so that the integer's bytes in memory are the word's.
-        head = prefix[w].astype(">u8").view(np.uint64)
-        for r in range(4):
-            at[start[r::4]] |= head[r::4]
-        long = np.flatnonzero(size > 8)
-        more = size[long] - 8
-        out[_runs(start[long] + 8, more)] = _gather(blob, tails[w[long]], more)
-    return out[:-8]
+def _tail_bytes(words: np.ndarray, sizes: np.ndarray, blob: np.ndarray,
+                tails: np.ndarray) -> np.ndarray:
+    """The bytes past the 8th of these words among the keys (as
+    `_sort_words` reads them), concatenated in this order, gathered
+    _SORT_CHUNK words at a time."""
+    long = words[sizes[words] > 8]
+    more = sizes[long] - 8
+    out = np.empty(int(more.sum(dtype=np.int64)), dtype=np.uint8)
+    at = 0
+    for a in range(0, long.size, _SORT_CHUNK):
+        part = _gather(blob, tails[long[a:a + _SORT_CHUNK]], more[a:a + _SORT_CHUNK])
+        out[at:at + part.size] = part
+        at += part.size
+    return out
 
 
 @dataclass(eq=False)
@@ -394,8 +477,10 @@ class CorpusIndex:
         in one pass over the ids, and every term's positions are kept.
         """
         found = self._found
-        tids = {term: [self.vocab.find(tok) for tok in term.tokens]
-                for term in dict.fromkeys(terms) if term not in found}
+        new = [term for term in dict.fromkeys(terms) if term not in found]
+        tokens = list(dict.fromkeys(tok for term in new for tok in term.tokens))
+        tid = dict(zip(tokens, self.vocab.find(tokens).tolist()))
+        tids = {term: [tid[tok] for tok in term.tokens] for term in new}
         heads = self._positions(sorted({t[0] for t in tids.values() if min(t) >= 0}))
         for term, t in tids.items():
             found[term] = self._runs(heads[t[0]], t) if min(t) >= 0 else _EMPTY
@@ -469,8 +554,7 @@ def _ascii_tokens(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     punctuation: it spans from its run's first word byte to its last, and
     a run with no word byte gives none.
     """
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    kind = np.take(_BYTE_KIND, codes)
+    kind = np.frombuffer(raw.translate(_BYTE_KIND), dtype=np.uint8)
     parts = _run_edges(kind == _WORD)  # runs of word bytes
     edges = _run_edges(kind == _EDGE)  # runs of edge punctuation
     # A run of edge punctuation with word bytes on both sides joins the
@@ -480,11 +564,11 @@ def _ascii_tokens(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a, b = edges[0::2], edges[1::2]
     inner = (np.take(kind, a - 1, mode="clip") == _WORD) & (np.take(kind, b, mode="clip") == _WORD)
     del kind
-    joined = np.zeros(codes.size + 1, dtype=bool)
+    joined = np.zeros(len(raw) + 1, dtype=bool)
     joined[a[inner]] = joined[b[inner]] = True
     starts = parts[0::2][~joined[parts[0::2]]]
     sizes = parts[1::2][~joined[parts[1::2]]] - starts
-    return np.take(_LOWER, codes), starts, sizes
+    return np.frombuffer(raw.lower(), dtype=np.uint8), starts, sizes
 
 
 def _run_edges(mask: np.ndarray) -> np.ndarray:
@@ -517,8 +601,8 @@ def _index_tokens(documents: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
     and its tokens' ranks among them. The keys of all batches are then
     sorted by the same kernel, `_sort_words`, which makes the copies of a
     word from several batches one vocabulary word; each batch's ranks are
-    mapped to vocabulary ids, and the vocabulary's bytes are written once,
-    from the keys.
+    mapped to vocabulary ids, and the distinct words' keys become the
+    `Vocabulary`.
     """
     lengths = [0]
     pending = []   # (bytes, starts, sizes) of the tokens not yet sorted
@@ -571,8 +655,8 @@ def _index_tokens(documents: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
         base += n
         batches[i] = None
     del rank, batch
-    vocab = _vocabulary_bytes(words, prefix, sizes, blob, tails)
-    return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=Vocabulary(vocab[:-1], words.size))
+    vocab = Vocabulary(prefix[words], sizes[words], _tail_bytes(words, sizes, blob, tails))
+    return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=vocab)
 
 
 def _span(data: np.ndarray, starts: np.ndarray,
@@ -605,10 +689,8 @@ def _sort_batch(pending: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     prefix = _prefixes(blob, starts, sizes)
     starts += 8
     words, rank = _distinct_words(prefix, sizes, blob, starts)
-    sizes = sizes[words]
-    long = np.flatnonzero(sizes > 8)
-    tail = _gather(blob, starts[words[long]], sizes[long] - 8)
-    return prefix[words], sizes.astype(np.int32), tail, rank
+    return (prefix[words], sizes[words].astype(np.int32),
+            _tail_bytes(words, sizes, blob, starts), rank)
 
 
 def corpus_files(corpus_dir: str | Path) -> list[Path]:
@@ -776,27 +858,38 @@ def cooccurrence_counts(index: CorpusIndex, a: Term, b: Term,
 # --- persistence -----------------------------------------------------------
 
 def cache_path(cache_dir: str | Path, digest: str) -> Path:
-    """Where the index of a corpus with this digest is cached."""
+    """Where the index of a corpus with this digest is cached: a directory."""
     key = json.dumps({"format": _CACHE_FORMAT, "digest": digest}, sort_keys=True)
-    return Path(cache_dir) / f"index-{hashlib.sha256(key.encode()).hexdigest()}.npz"
+    return Path(cache_dir) / f"index-{hashlib.sha256(key.encode()).hexdigest()}"
 
 
 def save_index(index: CorpusIndex, cache_dir: str | Path) -> Path:
-    """Persist the index under its cache key; returns the file's path."""
+    """Persist the index under its cache key; returns the directory's path.
+
+    The arrays and the metadata are written into a temporary directory,
+    which is renamed into place. Should another writer have put the same
+    key's directory there first, that one is kept.
+    """
     path = cache_path(cache_dir, index.digest)
-    meta = {"format": _CACHE_FORMAT, "digest": index.digest,
-            "vocab_size": len(index.vocab)}
-    tmp = path.with_name(f".{path.stem}-{os.urandom(6).hex()}.tmp")
+    vocab = index.vocab
+    arrays = {"ids": index.ids, "doc_offsets": index.doc_offsets,
+              "prefix": vocab.prefix, "sizes": vocab.sizes, "tails": vocab.tails}
+    meta = {"format": _CACHE_FORMAT, "digest": index.digest, "vocab_size": len(vocab),
+            "crc32": {name: zlib.crc32(a) for name, a in arrays.items()}}
+    tmp = path.with_name(f".{path.name}-{os.urandom(6).hex()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            with open(tmp, "xb") as fh:
-                np.savez(fh, ids=index.ids, doc_offsets=index.doc_offsets,
-                         vocab=index.vocab.blob, meta=json.dumps(meta))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+            tmp.mkdir()
+            for name, a in arrays.items():
+                np.save(tmp / f"{name}.npy", a, allow_pickle=False)
+            (tmp / "meta.json").write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
+            os.rename(tmp, path)
+        except OSError:
+            if not path.is_dir():
+                raise
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
     except OSError as exc:
         raise CorpusError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return path
@@ -810,37 +903,41 @@ def _require(ok: bool, path, what: str) -> None:
 def load_index(path: str | Path) -> CorpusIndex:
     """Read an index written by `save_index`, checking it before use.
 
-    Nothing is unpickled. A file that is not such an index, or whose
-    arrays are inconsistent, raises CorpusError naming the path.
+    Each array is mapped read-only, not copied, and nothing is unpickled.
+    A directory that is not such an index, or whose arrays are damaged or
+    inconsistent, raises CorpusError naming the path.
     """
+    path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"][()]))
-            ids = data["ids"]
-            offsets = data["doc_offsets"]
-            blob = data["vocab"]
-    except (OSError, ValueError, KeyError, TypeError, EOFError,
-            zipfile.BadZipFile) as exc:
+        meta = json.loads((path / "meta.json").read_bytes())
+        arrays = {name: np.asarray(np.load(path / f"{name}.npy", mmap_mode="r", allow_pickle=False))
+                  for name in _ARRAYS}
+    except (OSError, ValueError, EOFError) as exc:
         raise CorpusError(f"cannot load index cache {path}: {exc}") from exc
     _require(isinstance(meta, dict) and meta.get("format") == _CACHE_FORMAT,
              path, "not a relmap index of this format")
-    digest, vocab_size = meta.get("digest"), meta.get("vocab_size")
-    _require(isinstance(digest, str) and type(vocab_size) is int and vocab_size >= 0,
-             path, "bad metadata")
-    _require(ids.dtype == np.int32 and ids.ndim == 1
-             and offsets.dtype == np.int64 and offsets.ndim == 1
-             and blob.dtype == np.uint8 and blob.ndim == 1, path, "bad array types")
+    digest, vocab_size, crc = meta.get("digest"), meta.get("vocab_size"), meta.get("crc32")
+    _require(isinstance(digest, str) and type(vocab_size) is int and vocab_size >= 0
+             and isinstance(crc, dict), path, "bad metadata")
+    ids, offsets = arrays["ids"], arrays["doc_offsets"]
+    prefix, sizes, tails = arrays["prefix"], arrays["sizes"], arrays["tails"]
+    _require(ids.dtype == np.int32 and offsets.dtype == np.int64 and prefix.dtype == np.uint64
+             and sizes.dtype == np.int32 and tails.dtype == np.uint8
+             and all(a.ndim == 1 for a in arrays.values()), path, "bad array types")
+    for name, a in arrays.items():
+        _require(crc.get(name) == zlib.crc32(a), path, f"{name}.npy does not match its CRC-32")
     _require(offsets.size >= 1 and offsets[0] == 0 and offsets[-1] == ids.size
              and bool(np.all(offsets[1:] >= offsets[:-1])),
              path, "document offsets do not partition the tokens")
-    vocab = Vocabulary(blob, vocab_size)
+    _require(prefix.size == vocab_size, path, "vocabulary is not of the stated size")
+    vocab = Vocabulary(prefix, sizes, tails)
     try:
         vocab.check()
     except ValueError as exc:  # UnicodeDecodeError included
         raise CorpusError(f"bad index cache {path}: {exc}") from exc
     _require(ids.size == 0 or (int(ids.min()) >= 0 and int(ids.max()) < vocab_size),
              path, "token id out of vocabulary range")
-    _require(all(vocab.find(m) < 0 for m in MARKERS), path, "vocabulary holds a slot marker")
+    _require(not vocab.locate(MARKERS)[1].any(), path, "vocabulary holds a slot marker")
     return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=vocab, digest=digest)
 
 

@@ -27,7 +27,7 @@ from .dataset import Dataset, mean
 from .errors import ConfigError, DataError
 from .problems import Mapping, MappingProblem
 from .solver import (AttributionalScorer, HybridScorer, RelationalScorer,
-                     SolveResult, solve, solve_constrained)
+                     SolveResult, _search, solve, solve_constrained)
 
 logger = logging.getLogger(__name__)
 
@@ -305,12 +305,22 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
         for trial in range(trials):
             indices = rng.sample(range(problem.m), m_prime)
             sub = problem.restricted(indices)
-            internal = solve(sub, scorer, f"{config.seed}:{trial}", tie_policy=tie_policy,
-                             m_max=config.m_max)
-            internal_scores.append(accuracy(internal.mapping, sub.intended_mapping()))
-            total = solve_constrained(problem, sub.intended, scorer, f"{config.seed}:{trial}",
-                                      tie_policy=tie_policy, m_max=config.m_max)
-            hits = sum(total.mapping.perm[i] == gold[i] for i in indices)
+            seed = f"{config.seed}:{trial}"
+            if m_prime == problem.m:
+                # The reduced problem is the whole one under another id, and
+                # every mapping meets total mode's constraint: one search
+                # serves both modes. Only the seeded draw of a tied winner
+                # differs, since it reads the problem id.
+                _, found = _search(problem, scorer, tie_policy, config.m_max)
+                internal = found.pick(seed, sub.id, tie_policy)
+                total = found.pick(seed, problem.id, tie_policy)
+            else:
+                internal = solve(sub, scorer, seed, tie_policy=tie_policy,
+                                 m_max=config.m_max).mapping.perm
+                total = solve_constrained(problem, sub.intended, scorer, seed,
+                                          tie_policy=tie_policy, m_max=config.m_max).mapping.perm
+            internal_scores.append(accuracy(Mapping(sub.id, internal), sub.intended_mapping()))
+            hits = sum(total[i] == gold[i] for i in indices)
             total_scores.append(100.0 * hits / m_prime)
         rows.append(CoherenceRow(
             problem_id=problem.id, trials=trials,

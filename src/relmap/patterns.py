@@ -36,9 +36,11 @@ as a tuple, but "a\\x01 X Y" comes before "a X Y" as a string, and the
 spaced pieces "a\\x01 " < "a " keep that order.
 
 The slot strings are sorted by sorting their token ids, since the
-vocabulary is sorted, and the pieces of the r-th string get the codes
-2r + 1 and 2r + 2 unless some string holds a character at or below
-U+0020; only then are the pieces sorted as strings (`_alphabet`).
+vocabulary is sorted, and the markers are placed among them by the
+vocabulary's keys, without decoding a word. The pieces of the r-th
+string get the codes 2r + 1 and 2r + 2 unless some string holds a
+character at or below U+0020; only then are the strings decoded and the
+pieces sorted as strings (`_alphabet`).
 
 The codes of a pattern are packed most significant first into as few
 uint64 words as the code width needs, so that comparing the words
@@ -57,9 +59,11 @@ Array layout of `PatternStats`, for P distinct patterns and E nonzero
 - ``pairs``: the pair table, the mined pairs in first-seen order and
   then the reverses not among them, which also receive counts.
 - ``phrase_counts``: windows mined per pair, keyed by pair.
-- ``words`` and ``codes``: the sorted slot strings, and a (2, len(words))
-  array of each string's code as the last slot (row 0) and as an inner
-  slot (row 1).
+- ``slots`` and ``codes``: the sorted slot strings, each the id of its
+  word in ``vocab``, the index's vocabulary, or, for a marker, -1 minus
+  its place in `terms.MARKERS` (`slot_words` decodes them); and a
+  (2, len(slots)) array of each string's code as the last slot (row 0)
+  and as an inner slot (row 1).
 - ``keys``: (n_words, P) uint64, the packed codes of the distinct
   patterns in serialized order; pattern ids index its columns.
 - ``starts``: P + 1 offsets; the entries of pattern p are
@@ -78,13 +82,13 @@ is read from its packed codes in ``keys``.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import MAX_MID, MAX_POST, MAX_PRE, CorpusIndex, _find_windows, _stable_argsort
+from .corpus import (MAX_MID, MAX_POST, MAX_PRE, CorpusIndex, Vocabulary, _find_windows,
+                     _stable_argsort)
 from .csr import CSR, from_coo
 from .errors import ConfigError, RelmapError
 from .problems import MappingProblem
@@ -149,7 +153,8 @@ class PatternStats:
 
     pairs: list[TermPair]
     phrase_counts: dict[TermPair, int]
-    words: list[str]
+    vocab: Vocabulary
+    slots: np.ndarray
     codes: np.ndarray
     keys: np.ndarray
     starts: np.ndarray
@@ -179,21 +184,23 @@ def _window_arrays(index: CorpusIndex, pairs: list[TermPair], table: dict[TermPa
 
 
 def _alphabet(index: CorpusIndex, win: dict[str, np.ndarray]
-              ) -> tuple[list[str], np.ndarray, np.ndarray]:
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The slot strings, their codes, and each window's context words.
 
     Returns the sorted slot strings (the words seen in windows and the
-    markers), their (2, n) codes, row 0 coding a string as a pattern's
-    last slot and row 1 as an inner one, and a (2 + MAX_MID, n_windows)
-    array: the position in the slot strings of each window's pre word,
-    middle words and post word, 0 where the window has none.
+    markers) as `PatternStats.slots` holds them, their (2, n) codes, row
+    0 coding a string as a pattern's last slot and row 1 as an inner one,
+    and a (2 + MAX_MID, n_windows) array: the position in the slot
+    strings of each window's pre word, middle words and post word, 0
+    where the window has none.
 
     The vocabulary is sorted, so ranking the seen ids ranks their words,
-    and no word equals a marker, so the markers are inserted among them.
-    When no string holds a character at or below U+0020, each string w
-    has w < w + " " < the next string, so the codes interleave: the r-th
-    string's pieces are 2r + 1 and 2r + 2. Otherwise the pieces are
-    sorted as strings.
+    and no word equals a marker, so the markers are placed among them by
+    the vocabulary's keys. No word is decoded for that. When no string
+    holds a character at or below U+0020, each string w has
+    w < w + " " < the next string, so the codes interleave: the r-th
+    string's pieces are 2r + 1 and 2r + 2. Otherwise the strings are
+    decoded and their pieces sorted as strings.
     """
     has = [win["pre"] > 0, *(win["mid"] > k for k in range(MAX_MID)), win["post"] > 0]
     at = [win["x"] - 1, *(win["x_end"] + k for k in range(MAX_MID)), win["y_end"]]
@@ -201,29 +208,42 @@ def _alphabet(index: CorpusIndex, win: dict[str, np.ndarray]
     order = _stable_argsort(seen)
     seen = np.take(seen, order)
     new = np.diff(seen, prepend=-1) != 0
-    words = index.vocab.words(seen[new])
+    ids = seen[new].astype(np.int64)
     rank = np.empty(seen.size, dtype=np.int64)
     rank[order] = np.cumsum(new) - 1
-    for m in MARKERS:
-        at = bisect_left(words, m)
-        words.insert(at, m)
+    # The seen words below a marker are those of ids below its place in
+    # the vocabulary; taken in increasing order, each marker also follows
+    # the markers placed before it.
+    marks = sorted(MARKERS)
+    below = np.searchsorted(ids, index.vocab.locate(marks)[0]) + np.arange(len(marks))
+    slots = ids
+    for m, at in zip(marks, below.tolist()):
+        slots = np.insert(slots, at, -1 - MARKERS.index(m))
         rank[rank >= at] += 1
     context = np.zeros((len(has), win["x"].size), dtype=np.int64)
     for row, h in zip(context, has):
         row[h], rank = rank[:np.count_nonzero(h)], rank[np.count_nonzero(h):]
-    n = len(words)
-    # UTF-8 codes a character at or below U+0020 as that one byte alone.
-    if np.frombuffer("".join(words).encode(), dtype=np.uint8).min(initial=255) > ord(" "):
+    n = slots.size
+    # UTF-8 codes a character at or below U+0020 as that one byte alone,
+    # and each word is followed by one space; no marker holds such a byte.
+    if np.count_nonzero(index.vocab.joined(ids, ord(" ")) <= ord(" ")) == ids.size:
         codes = np.arange(1, 2 * n + 1).reshape(n, 2).T.copy()
     else:
+        words = slot_words(slots, index.vocab)
         pieces = words + [w + " " for w in words]
         codes = np.empty(2 * n, dtype=np.int64)
         codes[sorted(range(2 * n), key=pieces.__getitem__)] = np.arange(1, 2 * n + 1)
         codes = codes.reshape(2, n)
-    return words, codes, context
+    return slots, codes, context
 
 
-def _variants(win: dict[str, np.ndarray], words: list[str], codes: np.ndarray,
+def slot_words(slots: np.ndarray, vocab: Vocabulary) -> list[str]:
+    """The slot strings that `PatternStats.slots` holds, decoded."""
+    words = iter(vocab.words(slots[slots >= 0]))
+    return [MARKERS[-1 - s] if s < 0 else next(words) for s in slots.tolist()]
+
+
+def _variants(win: dict[str, np.ndarray], slots: np.ndarray, codes: np.ndarray,
               context: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Packed codes and pair ids of every distinct variant of every window.
 
@@ -237,7 +257,8 @@ def _variants(win: dict[str, np.ndarray], words: list[str], codes: np.ndarray,
     the windows. The variants are in no particular order; `mine_patterns`
     sorts them by (pattern, pair).
     """
-    marker = {(m, last): int(codes[int(not last), bisect_left(words, m)])
+    place = {m: int(np.flatnonzero(slots == -1 - k)[0]) for k, m in enumerate(MARKERS)}
+    marker = {(m, last): int(codes[int(not last), place[m]])
               for m in MARKERS for last in (False, True)}
     swap = np.arange(int(codes.max()) + 1)
     for last in (False, True):
@@ -306,8 +327,8 @@ def mine_patterns(index: CorpusIndex, pairs: list[TermPair],
     table = list(dict.fromkeys([*pairs, *(p.reversed() for p in pairs)]))
     win, phrase_counts = _window_arrays(
         index, pairs, {p: i for i, p in enumerate(table)}, max_phrases_per_pair)
-    words, codes, context = _alphabet(index, win)
-    keys, owner = _variants(win, words, codes, context)
+    slots, codes, context = _alphabet(index, win)
+    keys, owner = _variants(win, slots, codes, context)
     order = _stable_argsort(*keys, owner)
     # The sorted keys are built one row at a time, only the distinct
     # patterns' are kept, and each array is dropped once used, which keeps
@@ -332,7 +353,8 @@ def mine_patterns(index: CorpusIndex, pairs: list[TermPair],
     del owner, entry
     n_pairs = np.diff(starts)
     return PatternStats(
-        pairs=table, phrase_counts=phrase_counts, words=words, codes=codes, keys=keys,
+        pairs=table, phrase_counts=phrase_counts, vocab=index.vocab, slots=slots, codes=codes,
+        keys=keys,
         starts=starts, entry_pair=entry_pair, entry_count=entry_count,
         column_order=_stable_argsort(n_pairs.max(initial=0) - n_pairs))
 

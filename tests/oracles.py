@@ -11,11 +11,12 @@ digest. The lookup
 reference keeps the vocabulary as a list of strings and builds postings
 for every token id with a full stable argsort and a bincount, the
 package's earlier design; the byte-blob vocabulary and the per-query
-postings must find the same ids, words and start positions. The
-vocabulary-check reference splits each chunk of the vocabulary's bytes
-into words and compares neighbours in Python, the package's earlier
-design; the prefix-compared check must accept and refuse the same
-vocabularies with the same message. The search references score and
+postings must find the same ids, words and start positions.
+`word_keys` builds a vocabulary's keys one word at a time. The
+vocabulary-check reference rebuilds every word from its keys and
+compares neighbours in Python, as the package's earlier design
+compared the words of its newline-joined bytes; the key-compared check
+must accept and refuse the same vocabularies with the same message. The search references score and
 compare one mapping at a time, one Python call per mapping, as the slow
 reference for the package's block search core.
 The hybrid's probability reference totals a channel by counting the
@@ -70,7 +71,7 @@ from scipy.sparse.linalg import svds
 
 from relmap.corpus import MAX_MID, MAX_POST, MAX_PRE, _find_windows
 from relmap.errors import RelmapError, TransformError
-from relmap.patterns import MAX_SLOTS, _segments
+from relmap.patterns import MAX_SLOTS, _segments, slot_words
 from relmap.space import _WEAK_ROW_SHARE, _one_blas_thread
 from relmap.terms import TermPair
 
@@ -155,23 +156,46 @@ class ListIndex:
         return np.array(keep, dtype=np.int64)
 
 
-def check_vocabulary(blob, size, chunk_words):
-    """Raise ValueError as `Vocabulary.check` must, by the earlier design:
-    each chunk of `chunk_words` words is decoded, split into bytes objects
-    and its neighbours compared in Python."""
-    words = blob.split(b"\n") if blob or size else []
-    if len(words) != size:
+def word_keys(words):
+    """The keys of these byte words, one word at a time, as `corpus.Vocabulary`
+    holds them: each word's first 8 bytes, zero-padded, as a big-endian
+    uint64, its size as int32, and its bytes past the 8th, concatenated."""
+    prefix = np.array([int.from_bytes(w[:8].ljust(8, b"\0"), "big") for w in words],
+                      dtype=np.uint64)
+    sizes = np.array([len(w) for w in words], dtype=np.int32)
+    tails = np.frombuffer(b"".join(w[8:] for w in words), dtype=np.uint8)
+    return prefix, sizes, tails
+
+
+def check_vocabulary(prefix, sizes, tails, chunk_words):
+    """Raise ValueError as `Vocabulary.check` must, in Python: every word is
+    rebuilt from its keys, each chunk of `chunk_words` words is decoded
+    and searched for whitespace, and its neighbours, up to the next
+    chunk's first word, are compared as bytes objects."""
+    if len(sizes) != len(prefix):
         raise ValueError("vocabulary is not of the stated size")
-    if size and not words[0]:
+    sizes = sizes.tolist()
+    if min(sizes, default=1) < 1:
         raise ValueError("vocabulary holds an empty word")
-    last = None
+    words, at = [], 0
+    for p, n in zip(prefix.tolist(), sizes):
+        words.append(p.to_bytes(8, "big")[:n] + tails[at:at + max(n - 8, 0)].tobytes())
+        at += max(n - 8, 0)
+    size = len(words)
     for a in range(0, size, chunk_words):
-        part = words[a:a + chunk_words]
-        b"\n".join(part).decode("utf-8")
-        if not ((last is None or last < part[0])
-                and all(map(operator.lt, part, part[1:]))):
+        part = words[a:a + chunk_words + 1]
+        if sum(max(n - 8, 0) for n in sizes[:a + len(part)]) > len(tails):
+            raise ValueError("vocabulary's bytes past the 8th do not match its sizes")
+        if any(p.to_bytes(8, "big")[min(n, 8):].strip(b"\0")
+               for p, n in zip(prefix[a:a + len(part)].tolist(), sizes[a:a + len(part)])):
+            raise ValueError("vocabulary key has bytes past its word's end")
+        text = b"\0".join(part[:chunk_words]).decode("utf-8")
+        if any(c.isspace() for c in text):
+            raise ValueError("vocabulary holds a word with whitespace")
+        if not all(map(operator.lt, part, part[1:])):
             raise ValueError("vocabulary is not strictly increasing")
-        last = part[-1]
+    if at != len(tails):
+        raise ValueError("vocabulary's bytes past the 8th do not match its sizes")
 
 
 @dataclass(frozen=True)
@@ -456,9 +480,9 @@ def decode(stats, ids):
     bits = int(stats.codes.max()).bit_length()
     codes = unpack(stats.keys[:, ids], bits)
     word_of = np.zeros(int(stats.codes.max()) + 1, dtype=np.int64)
-    word_of[stats.codes] = np.arange(len(stats.words))
+    word_of[stats.codes] = np.arange(stats.slots.size)
     lengths = np.count_nonzero(codes, axis=1).tolist()
-    words = stats.words
+    words = slot_words(stats.slots, stats.vocab)
     return [tuple(map(words.__getitem__, row[:n]))
             for row, n in zip(word_of[codes].tolist(), lengths)]
 

@@ -3,9 +3,12 @@ import hashlib
 import json
 import pickle
 import random
+import shutil
 import string
 import tempfile
 import tracemalloc
+import zlib
+from bisect import bisect_left
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (ListIndex, batch_index, batch_ingest, scan_cooccurrences, scan_windows,
-                     search_phrases)
+                     search_phrases, word_keys)
 from relmap import corpus as corpus_module
 from relmap.corpus import (_find_windows, cache_path, cached_index, cooccurrence_counts,
                            corpus_digest, corpus_files, ingest, load_index, save_index)
@@ -87,7 +90,7 @@ def test_ingest_skips_a_leading_byte_order_mark(tmp_path):
     plain.write_bytes(b"sun attracts planet")
     marked.write_bytes(b"\xef\xbb\xbfsun attracts planet")
     want, got = ingest([plain]), ingest([marked])
-    assert got.vocab.find("sun") == want.vocab.find("sun") >= 0
+    assert got.vocab.find(["sun"])[0] == want.vocab.find(["sun"])[0] >= 0
     assert list(got.vocab) == list(want.vocab)
     assert got.ids.tolist() == want.ids.tolist()
     assert got.digest == corpus_digest([marked]) != want.digest
@@ -212,6 +215,9 @@ ascii_text = st.lists(st.one_of(
 
 @given(ascii_text)
 @example("\x1cSun\x1d--\x1e'o'\x1f\r\nA.B. ...\x00\x7f!")
+# Every ASCII byte: all in one run, and each at a word's edges and inside it.
+@example("".join(map(chr, range(128))))
+@example(" ".join(f"{chr(c)}A{chr(c)}b{chr(c)}" for c in range(128)))
 @settings(max_examples=300, deadline=None)
 def test_byte_tokenizer_equals_tokenize(text):
     """On ASCII text the byte tokenizer gives `tokenize`'s tokens: all ten
@@ -289,8 +295,9 @@ def test_index_of_the_planted_corpus_keeps_its_bytes(tmp_path, monkeypatch):
     for batch_tokens in (corpus_module._BATCH_TOKENS, 4096):
         monkeypatch.setattr(corpus_module, "_BATCH_TOKENS", batch_tokens)
         index = ingest(corpus_files(tmp_path))
-        arrays = {"ids": index.ids, "doc_offsets": index.doc_offsets, "vocab": index.vocab.blob}
-        assert {name: hashlib.sha256(a.tobytes()).hexdigest()
+        vocab = "\n".join(index.vocab.words(np.arange(len(index.vocab)))).encode("utf-8")
+        arrays = {"ids": index.ids, "doc_offsets": index.doc_offsets, "vocab": vocab}
+        assert {name: hashlib.sha256(a).hexdigest()
                 for name, a in arrays.items()} == PLANTED_INDEX_SHA256
 
 
@@ -332,7 +339,7 @@ def sort_docs(draw):
 @settings(max_examples=200, deadline=None)
 def test_index_equals_dict_oracle_on_sort_edge_cases(documents, batch_tokens, sort_chunk):
     """`index_token_lists` and `ingest` give the ids, offsets, vocabulary
-    bytes and digest of one first-seen dict and a Python sort, with the
+    keys and digest of one first-seen dict and a Python sort, with the
     tokens sorted in batches of 1-3 tokens (batches that end mid-document
     and between repeats of a word, whose words are then sorted again), of
     8 or in one batch. `_SORT_CHUNK` sets how many 8-byte prefixes a sort
@@ -350,8 +357,9 @@ def test_index_equals_dict_oracle_on_sort_edge_cases(documents, batch_tokens, so
         assert index.ids.dtype == np.int32 and index.doc_offsets.dtype == np.int64
         assert index.ids.tolist() == ids.tolist()
         assert index.doc_offsets.tolist() == offsets.tolist()
-        assert len(index.vocab) == len(vocab)
-        assert bytes(index.vocab.blob) == "\n".join(vocab).encode("utf-8")
+        keys = (index.vocab.prefix, index.vocab.sizes, index.vocab.tails)
+        for key, want in zip(keys, word_keys([w.encode("utf-8") for w in vocab])):
+            assert key.dtype == want.dtype and key.tolist() == want.tolist()
     assert got[1].digest == digest
 
 
@@ -373,9 +381,13 @@ def test_sort_of_long_tied_words_takes_few_rounds(monkeypatch):
 
 def test_load_memory_holds_no_word_objects(tmp_path):
     """200k distinct words, each a token once: loading the cached index and
-    one window search trace a peak under 9 MB (about 6 MB: the ids, the
-    vocabulary's 1.8 MB of bytes and its offsets). The words as a list of
-    strings take about 13 MB alone, and the old full postings 3 MB more."""
+    one window search trace a peak under 9 MB. It is 3.5 MB: the arrays
+    are mapped from the cache, which tracemalloc does not see, and what is
+    traced is the vocabulary check of one chunk of words and the search.
+    Copied from an ``.npz``, with the vocabulary as newline-joined bytes
+    and an array of word offsets, it traced 5.7 MB. The words as a list
+    of strings take about 13 MB alone, and the old full postings 3 MB
+    more."""
     rng = random.Random(7)
     words = [f"w{i:07d}" for i in range(200_000)]
     rng.shuffle(words)
@@ -457,11 +469,11 @@ def test_window_search_matches_scan_per_pair(documents, xys, data):
 
 
 def test_postings_are_built_on_first_search(tmp_path):
-    """Ingest finds no word offsets and no postings. A search keeps the
+    """Ingest finds no tail offsets and no postings. A search keeps the
     positions of the terms it names, and only those, and a term asked for
     again is served from them."""
     index = write_corpus(tmp_path, ["the sun attracts the planet"])
-    assert "_offsets" not in vars(index.vocab)
+    assert "_tail_starts" not in vars(index.vocab)
     loaded = load_index(save_index(index, tmp_path / "cache"))
     the, sun = Term.parse("the"), Term.parse("sun")
     for idx in (index, loaded):
@@ -503,8 +515,29 @@ def test_blob_vocabulary_matches_list_oracle(documents, probes, data):
         assert [got.vocab[i] for i in range(len(vocab))] == vocab
         assert got.vocab.words(pick) == [vocab[i] for i in pick]
         assert got.vocab.words(np.array(pick, dtype=np.int32)) == [vocab[i] for i in pick]
-        for word in vocab + probes + near:
-            assert got.vocab.find(word) == ref.token_id(word)
+        words = vocab + probes + near
+        assert got.vocab.find(words).tolist() == [ref.token_id(word) for word in words]
+
+
+@given(st.lists(sort_word, max_size=30), st.lists(sort_word, max_size=8))
+@example(["abcdefghijklmnopa", "abcdefghijklmnopb", "abcdefgh"], ["abcdefghijklmnop"])
+@settings(max_examples=200, deadline=None)
+def test_find_equals_bisect_over_decoded_words(words, absent):
+    """Words found in one batch, among words that tie on their first 8 or
+    16 bytes, are placed as `bisect` places them in the decoded words:
+    the words themselves, absent ones, and ones a byte longer or shorter."""
+    index = index_token_lists([words])
+    with tempfile.TemporaryDirectory() as cache:
+        loaded = load_index(save_index(index, cache))
+    probes = words + absent + [w + "\x00" for w in words] + [w[:-1] for w in words]
+    for got in (index, loaded):
+        decoded = got.vocab.words(np.arange(len(got.vocab)))
+        assert decoded == sorted(set(words))
+        below, found = got.vocab.locate(probes)
+        assert below.tolist() == [bisect_left(decoded, w) for w in probes]
+        assert found.tolist() == [w in decoded for w in probes]
+        assert got.vocab.find(probes).tolist() == [
+            decoded.index(w) if w in decoded else -1 for w in probes]
 
 
 @given(vocab_docs, st.data())
@@ -800,22 +833,39 @@ class Trap:
         return (UNPICKLED.append, ("unpickled",))
 
 
-def _saved_arrays(tmp_path):
-    index = write_corpus(tmp_path, ["the sun warms the planet", "a sun"])
-    path = save_index(index, tmp_path / "cache")
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {key: data[key] for key in data.files}
+def _saved_arrays(tmp_path, texts=("the sun warms the planet", "a sun")):
+    """A saved index's directory, and its arrays and metadata as read back."""
+    path = save_index(write_corpus(tmp_path, list(texts)), tmp_path / "cache")
+    arrays = {name: np.load(path / f"{name}.npy") for name in corpus_module._ARRAYS}
+    arrays["meta"] = json.loads((path / "meta.json").read_text())
     return path, arrays
+
+
+def _write(path, arrays):
+    """Write these arrays into the index directory, and the metadata, given
+    as a dict with each array's CRC-32 put in, or as its text."""
+    meta = arrays["meta"]
+    for name in corpus_module._ARRAYS:
+        np.save(path / f"{name}.npy", arrays[name])
+    if isinstance(meta, dict):
+        meta = json.dumps(dict(meta, crc32={name: zlib.crc32(arrays[name])
+                                            for name in corpus_module._ARRAYS
+                                            if arrays[name].dtype != object}))
+    (path / "meta.json").write_text(meta)
 
 
 def test_load_refuses_object_arrays_without_unpickling(tmp_path):
     path, arrays = _saved_arrays(tmp_path)
-    for key in ("ids", "meta"):
-        bad = dict(arrays, **{key: np.array([Trap()], dtype=object)})
-        with open(path, "wb") as fh:
-            np.savez(fh, **bad)
+    for name in corpus_module._ARRAYS:
+        _write(path, dict(arrays, **{name: np.array([Trap()], dtype=object)}))
         with pytest.raises(CorpusError, match=path.name):
             load_index(path)
+    _write(path, arrays)
+    load_index(path)
+    (path / "meta.json").write_bytes(pickle.dumps(Trap()))
+    with pytest.raises(CorpusError, match=path.name):
+        load_index(path)
+    shutil.rmtree(path)
     path.write_bytes(pickle.dumps(Trap()))
     with pytest.raises(CorpusError, match=path.name):
         load_index(path)
@@ -823,51 +873,99 @@ def test_load_refuses_object_arrays_without_unpickling(tmp_path):
 
 
 def _meta(arrays, **changes):
-    meta = json.loads(str(arrays["meta"]))
-    meta.update(changes)
-    return json.dumps(meta)
+    return dict(arrays["meta"], **changes)
 
 
 def _vocab(arrays, words):
-    """A replacement vocabulary of these byte words, its size stated to match."""
-    return {"vocab": np.frombuffer(b"\n".join(words), np.uint8),
+    """The keys of a replacement vocabulary of these byte words, its size
+    stated to match."""
+    prefix, sizes, tails = word_keys(words)
+    return {"prefix": prefix, "sizes": sizes, "tails": tails,
             "meta": _meta(arrays, vocab_size=len(words))}
 
 
-# The saved vocabulary is a, planet, sun, the, warms.
+SAVED_WORDS = [b"a", b"planet", b"sun", b"the", b"warms"]
+
+
+def _with_bit(a, i, bit):
+    """A copy of the array with bit `bit` of entry i set."""
+    a = a.copy()
+    a[i] |= a.dtype.type(1 << bit)
+    return a
+
+
 @pytest.mark.parametrize("corrupt", [
-    lambda a: {"meta": _meta(a, format="relmap-corpus-index-v2")},
+    lambda a: {"meta": _meta(a, format="relmap-corpus-index-v4")},
     lambda a: {"meta": _meta(a, vocab_size=99)},
     lambda a: {"meta": "[1, 2]"},
     lambda a: {"ids": a["ids"].astype(np.int64)},
     lambda a: {"doc_offsets": a["doc_offsets"].astype(np.int32)},
-    lambda a: {"vocab": a["vocab"].astype(np.int16)},
+    lambda a: {"prefix": a["prefix"].astype(np.int64)},
+    lambda a: {"sizes": a["sizes"].astype(np.int64)},
+    lambda a: {"tails": a["tails"].astype(np.int16)},
     lambda a: {"doc_offsets": np.array([0, a["ids"].size + 1, a["ids"].size])},
     lambda a: {"doc_offsets": a["doc_offsets"] + 1},
     lambda a: {"doc_offsets": a["doc_offsets"][:-1].copy()},
     lambda a: {"ids": np.where(a["ids"] == 0, 10**6, a["ids"]).astype(np.int32)},
     lambda a: {"ids": np.where(a["ids"] == 0, -1, a["ids"]).astype(np.int32)},
-    lambda a: {"vocab": np.frombuffer(b"\n".join(sorted(bytes(a["vocab"]).split(b"\n"),
-                                                       reverse=True)), np.uint8)},
-    lambda a: {"vocab": np.frombuffer(b"\xff" + bytes(a["vocab"]), np.uint8)},
+    lambda a: _vocab(a, SAVED_WORDS[::-1]),
+    lambda a: _vocab(a, [b"a", b"planet", b"sun", b"the", b"warms\xff"]),
     lambda a: _vocab(a, [b"a", b"planet", b"planet", b"sun", b"the", b"warms"]),
     lambda a: _vocab(a, [b"a", b"planet", b"sun", b"warms", b"warm"]),
     lambda a: _vocab(a, [b"a", b"", b"planet", b"sun", b"the", b"warms"]),
     lambda a: _vocab(a, [b"", b"a", b"planet", b"sun", b"the", b"warms"]),
     lambda a: _vocab(a, [b"a", b"planet", b"sun", b"the", b"warms", b""]),
-    lambda a: {"vocab": np.frombuffer(bytes(a["vocab"]) + b"\n", np.uint8)},
+    lambda a: {"sizes": np.append(a["sizes"], np.int32(1))},
     lambda a: {"meta": _meta(a, vocab_size=-1)},
+    lambda a: {"prefix": _with_bit(a["prefix"], 0, 0)},
+    lambda a: {"prefix": _with_bit(a["prefix"], 0, 48)},
+    lambda a: {"tails": np.append(a["tails"], np.uint8(ord("a")))},
+    lambda a: {"sizes": _with_bit(a["sizes"], 1, 3)},
+    lambda a: _vocab(a, [b"a", b"abcdefghij", b"abcdefghij", b"sun", b"the", b"warms"]),
+    lambda a: _vocab(a, [b"a", b"abcdefghijklmnopz", b"abcdefghijklmnopy", b"sun", b"the"]),
+    lambda a: _vocab(a, [b"a", b"abcdefghijklmnop", b"abcdefghijklmnop", b"sun", b"the"]),
 ], ids=["format", "vocab-size", "meta-type",
-        "ids-dtype", "offsets-dtype", "vocab-dtype", "offsets-order", "offsets-start",
+        "ids-dtype", "offsets-dtype", "vocab-dtype", "sizes-dtype", "tails-dtype",
+        "offsets-order", "offsets-start",
         "offsets-end", "id-too-large", "id-negative", "vocab-unsorted", "vocab-utf8",
         "vocab-duplicate", "vocab-after-extension", "vocab-empty-word",
         "vocab-empty-first-word", "vocab-empty-last-word", "vocab-trailing-newline",
-        "vocab-size-negative"])
+        "vocab-size-negative", "prefix-last-byte-past-size", "prefix-second-byte-past-size",
+        "tails-longer", "tails-shorter", "long-duplicate", "unsorted-past-byte-16",
+        "duplicate-of-16-bytes"])
 def test_load_checks_what_it_reads(tmp_path, corrupt):
+    """Each defect is refused by its own check: the CRC-32 of every array
+    is written to match it. The saved vocabulary is a, planet, sun, the
+    and warms; `tails-shorter` makes "planet" a word of 14 bytes, with
+    none of its bytes past the 8th in `tails`."""
     path, arrays = _saved_arrays(tmp_path)
-    with open(path, "wb") as fh:
-        np.savez(fh, **dict(arrays, **corrupt(arrays)))
+    _write(path, dict(arrays, **corrupt(arrays)))
     with pytest.raises(CorpusError, match=path.name):
+        load_index(path)
+
+
+@pytest.mark.parametrize("name", corpus_module._ARRAYS)
+def test_load_refuses_an_array_that_fails_its_crc(tmp_path, name):
+    """One changed bit in any array, the saved CRC-32s kept, is refused."""
+    path, arrays = _saved_arrays(tmp_path, ["the sun illuminates the planet"])
+    assert all(arrays[key].size for key in corpus_module._ARRAYS)
+    changed = arrays[name].copy()
+    changed.view(np.uint8)[0] ^= 1
+    for key in corpus_module._ARRAYS:
+        np.save(path / f"{key}.npy", changed if key == name else arrays[key])
+    with pytest.raises(CorpusError, match=f"{name}.npy does not match its CRC-32"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("word", [b"a b", b"a\tb", b"a\nb", b"a\x1cb", b"a\xc2\x85b",
+                                  b"a\xc2\xa0b", b"a\xe3\x80\x80b", b"abcdefgh b"])
+def test_load_refuses_a_word_with_whitespace(tmp_path, word):
+    """`tokenize` never emits whitespace, and mining's order of pattern
+    pieces relies on that: a cached word holding any, ASCII or not,
+    inside its first 8 bytes or past them, is refused."""
+    path, arrays = _saved_arrays(tmp_path)
+    _write(path, dict(arrays, **_vocab(arrays, [b"a", word, b"sun", b"the", b"warms"])))
+    with pytest.raises(CorpusError, match=f"{path.name}.*whitespace"):
         load_index(path)
 
 
@@ -885,36 +983,34 @@ def test_load_checks_order_across_check_chunks(tmp_path, monkeypatch):
     between two chunks too."""
     monkeypatch.setattr(corpus_module, "_CHECK_WORDS", 2)
     path, arrays = _saved_arrays(tmp_path)
-    words = bytes(arrays["vocab"]).split(b"\n")
+    words = SAVED_WORDS
     load_index(path)
     for i in range(len(words) - 1):
         swapped = words[:i] + [words[i + 1], words[i]] + words[i + 2:]
-        with open(path, "wb") as fh:
-            np.savez(fh, **dict(arrays, **_vocab(arrays, swapped)))
+        _write(path, dict(arrays, **_vocab(arrays, swapped)))
         with pytest.raises(CorpusError, match="not strictly increasing"):
             load_index(path)
 
 
 # Words for the vocabulary check: NUL and control bytes; words of 8 bytes
 # or fewer that are prefixes of one another; long words that share 8 or
-# more leading bytes; and 2-, 3- and 4-byte characters across byte 8.
-WORD_HEADS = ["", "a", "abcdefg", "abcdefgh", "abcdefghij"]
+# 16 or more leading bytes; and 2-, 3- and 4-byte characters across byte 8.
+WORD_HEADS = ["", "a", "abcdefg", "abcdefgh", "abcdefghij", "abcdefghijklmnop"]
 WORD_CHARS = ["a", "b", "\x00", "\x01", "\x1b", "é", "€", "😀"]
 TRICKY_WORDS = sorted([b"a", b"a\x00", b"a\x00\x00", b"a\x01", b"abcdefgh", b"abcdefgh\x00",
                        b"abcdefghA", b"abcdefghB", b"abcdefghijA", b"abcdefghijB",
+                       b"abcdefghijklmnopA", b"abcdefghijklmnopB",
                        "abcdefgé".encode(), "abcdefg€".encode(), "abcdefg😀".encode(),
                        b"b\x1b"])
 
 
-def _vocabulary(words, size=None):
-    blob = b"\n".join(words)
-    return corpus_module.Vocabulary(np.frombuffer(blob, dtype=np.uint8),
-                                    len(words) if size is None else size)
-
-
 def _outcome(check):
+    """The type and message of the ValueError `check` raises; a decoder's
+    message, which gives positions in the bytes decoded, is left out."""
     try:
         check()
+    except UnicodeDecodeError as exc:
+        return type(exc), None
     except ValueError as exc:
         return type(exc), str(exc)
     return None
@@ -922,57 +1018,75 @@ def _outcome(check):
 
 @st.composite
 def vocabularies(draw):
-    """(words, size): a sorted vocabulary, often with one defect."""
+    """The keys of a sorted vocabulary, often with one defect."""
     word = st.builds(lambda head, tail: (head + tail).encode("utf-8"),
                      st.sampled_from(WORD_HEADS), st.text(WORD_CHARS, max_size=6))
     words = sorted(set(draw(st.lists(word, max_size=40))))
-    defect = draw(st.sampled_from(["none", "swap", "duplicate", "empty", "invalid", "size"]))
-    if words and defect != "none":
-        i = draw(st.integers(0, len(words) - 1))
-        if defect == "swap" and i + 1 < len(words):
-            words[i], words[i + 1] = words[i + 1], words[i]
-        elif defect == "duplicate":
-            words.insert(i, words[i])
-        elif defect == "empty":
-            words.insert(i, b"")
-        elif defect == "invalid":
-            words[i] += draw(st.sampled_from([b"\xff", b"\xe2\x82"]))
-    size = len(words) + (draw(st.sampled_from([-1, 1])) if defect == "size" else 0)
-    return words, size
+    defect = draw(st.sampled_from(["none", "swap", "duplicate", "empty", "invalid", "space",
+                                   "size", "past", "tails"]))
+    i = draw(st.integers(0, len(words) - 1)) if words else 0
+    if words and defect == "swap" and i + 1 < len(words):
+        words[i], words[i + 1] = words[i + 1], words[i]
+    elif words and defect == "duplicate":
+        words.insert(i, words[i])
+    elif defect == "empty":
+        words.insert(i, b"")
+    elif words and defect == "invalid":
+        words[i] += draw(st.sampled_from([b"\xff", b"\xe2\x82"]))
+    elif words and defect == "space":
+        words[i] += draw(st.sampled_from([b" ", b"\n", b"\xe2\x80\x83"]))
+    prefix, sizes, tails = word_keys(words)
+    if defect == "size":
+        sizes = np.append(sizes, np.int32(1)) if draw(st.booleans()) else sizes[:-1]
+    elif words and defect == "past" and sizes[i] < 8:
+        prefix = _with_bit(prefix, i, draw(st.integers(0, 8 * (8 - int(sizes[i])) - 1)))
+    elif defect == "tails":
+        tails = np.append(tails, np.uint8(1)) if draw(st.booleans()) or not tails.size \
+            else tails[:-1]
+    return prefix, sizes, tails
 
 
 @given(vocabularies(), st.sampled_from([1, 2, 3, 7, 1 << 14]))
 @settings(max_examples=500, deadline=None)
-def test_check_equals_chunked_reference(vocab, chunk):
-    """The prefix-compared check accepts and refuses as the earlier chunked
-    check does, with the same message, whatever the chunk size."""
-    words, size = vocab
+def test_check_equals_chunked_reference(keys, chunk):
+    """The key-compared check accepts and refuses as a check of the words
+    rebuilt in Python does, with the same message, whatever the chunk
+    size."""
     with mock.patch.object(corpus_module, "_CHECK_WORDS", chunk):
-        got = _outcome(_vocabulary(words, size).check)
-    assert got == _outcome(lambda: oracles.check_vocabulary(b"\n".join(words), size, chunk))
+        got = _outcome(corpus_module.Vocabulary(*keys).check)
+    assert got == _outcome(lambda: oracles.check_vocabulary(*keys, chunk))
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 1 << 14])
 def test_check_refuses_each_swap_duplicate_and_empty_word(chunk, monkeypatch):
     """Each swapped or duplicated neighbour pair, and an empty word at each
     place, is refused: inside a chunk, across a chunk boundary, and for
-    words that differ only past byte 8."""
+    words that differ only past byte 8 or past byte 16."""
     monkeypatch.setattr(corpus_module, "_CHECK_WORDS", chunk)
     words = TRICKY_WORDS
-    _vocabulary(words).check()
+    corpus_module.Vocabulary(*word_keys(words)).check()
     for i in range(len(words) - 1):
         for bad in (words[:i] + [words[i + 1], words[i]] + words[i + 2:],
-                    words[:i + 1] + words[i:], words[:i + 1] + [b""] + words[i + 1:]):
+                    words[:i + 1] + words[i:]):
             with pytest.raises(ValueError, match="not strictly increasing"):
-                _vocabulary(bad).check()
+                corpus_module.Vocabulary(*word_keys(bad)).check()
+        with pytest.raises(ValueError, match="empty word"):
+            corpus_module.Vocabulary(*word_keys(words[:i + 1] + [b""] + words[i + 1:])).check()
 
 
 def test_load_names_path_of_missing_array(tmp_path):
-    path, arrays = _saved_arrays(tmp_path)
-    del arrays["vocab"]
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    with pytest.raises(CorpusError, match=path.name):
+    """A missing, empty or cut `.npy` file, or a missing `meta.json`, is
+    refused naming the index's directory."""
+    path, arrays = _saved_arrays(tmp_path, ["the sun illuminates the planet"])
+    for name in [*corpus_module._ARRAYS, "meta"]:
+        file = path / (f"{name}.npy" if name != "meta" else "meta.json")
+        raw = file.read_bytes()
+        for damage in (file.unlink, lambda: file.write_bytes(b""),
+                       lambda: file.write_bytes(raw[:-1])):
+            damage()
+            with pytest.raises(CorpusError, match=path.name):
+                load_index(path)
+        file.write_bytes(raw)
         load_index(path)
 
 
@@ -997,17 +1111,24 @@ def test_cache_refuses_another_corpus_under_this_key(tmp_path):
     assert not hit
     assert list(index.vocab) == ["planet", "sun", "the", "warms"]
     assert cached_index(files, cache)[1]
-    # a file copied under this corpus's key is refused, not served
-    cache_path(cache, digest).write_bytes(foreign.read_bytes())
+    # an index copied under this corpus's key is refused, not served
+    shutil.rmtree(cache_path(cache, digest))
+    shutil.copytree(foreign, cache_path(cache, digest))
     with pytest.raises(CorpusError, match="another corpus"):
         cached_index(files, cache)
 
 
 def test_cache_never_opens_stale_pickles(tmp_path):
+    """Neither a pickle nor an index of format v4 (an ``.npz`` file, here
+    a trap) under the corpus's old keys is opened."""
     files = _files(tmp_path, ["the sun warms the planet"])
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / f"index-{corpus_digest(files)}.pkl").write_bytes(pickle.dumps(Trap()))
+    v4 = json.dumps({"format": "relmap-corpus-index-v4", "digest": corpus_digest(files)},
+                    sort_keys=True)
+    (cache / f"index-{hashlib.sha256(v4.encode()).hexdigest()}.npz").write_bytes(
+        pickle.dumps(Trap()))
     index, hit = cached_index(files, cache)
     assert not hit
     assert index.total_tokens == 5
@@ -1017,16 +1138,31 @@ def test_cache_never_opens_stale_pickles(tmp_path):
 def test_failed_save_leaves_nothing(tmp_path, monkeypatch):
     index = write_corpus(tmp_path, ["the sun warms the planet"])
     cache = tmp_path / "cache"
+    saved = []
 
-    def broken_savez(fh, **arrays):
-        fh.write(b"PK\x03\x04 partial")
-        raise RuntimeError("disk full")
+    def broken_save(file, array, allow_pickle=True):
+        Path(file).write_bytes(b"\x93NUMPY partial")
+        saved.append(file)
+        if len(saved) == 3:
+            raise RuntimeError("disk full")
 
-    monkeypatch.setattr(corpus_module.np, "savez", broken_savez)
+    monkeypatch.setattr(corpus_module.np, "save", broken_save)
     with pytest.raises(RuntimeError, match="disk full"):
         save_index(index, cache)
     assert not cache_path(cache, index.digest).exists()
     assert list(cache.iterdir()) == []
+
+
+def test_save_keeps_an_index_already_in_place(tmp_path):
+    """A second save under a key whose directory another writer has
+    renamed into place keeps that one and leaves no temporary directory."""
+    index = write_corpus(tmp_path, ["the sun warms the planet"])
+    cache = tmp_path / "cache"
+    path = save_index(index, cache)
+    before = {f.name: f.read_bytes() for f in path.iterdir()}
+    assert save_index(index, cache) == path
+    assert {f.name: f.read_bytes() for f in path.iterdir()} == before
+    assert list(cache.iterdir()) == [path]
 
 
 def test_index_refuses_newline_in_vocabulary():

@@ -8,10 +8,11 @@ from relmap.config import Config
 from relmap.corpus import ingest
 from relmap.dataset import Dataset, builtin_dataset
 from relmap.errors import ConfigError, DataError
-from relmap.evaluation import (accuracy, coherence_experiment, run_batch,
+from relmap import solver as solver_module
+from relmap.evaluation import (accuracy, coherence_experiment, make_scorer, run_batch,
                                sensitivity_sweep, solve_batch)
 from relmap.problems import Mapping
-from relmap.solver import RelationalScorer
+from relmap.solver import RelationalScorer, solve, solve_constrained
 
 from conftest import problem_by_id
 
@@ -229,6 +230,36 @@ def test_coherence_prepares_each_full_problem_once(planted_star, monkeypatch):
     for problem in dataset:
         assert prepared.count(problem.id) == 1
         assert prepared.count(f"{problem.id}#sub") == 4
+
+
+def test_coherence_at_full_size_walks_once(monkeypatch):
+    """At m' = m one search serves both modes. On a field where every
+    mapping ties (one POS tag for every term) it walks once per problem,
+    not twice, and each mode draws its tied winner with its own problem
+    id, as a solve of the reduced problem and a constrained solve do."""
+    problems = [p.restricted(range(5), suffix="m5") for p in builtin_dataset()
+                if p.m >= 5][:4]
+    problems = [dataclasses.replace(p, pos_tags={t.text: "NN" for t in (*p.source, *p.target)})
+                for p in problems]
+    cfg = Config(mode="attributional", provider="pos", seed=3)
+    want = []
+    for problem in problems:
+        scorer = make_scorer(cfg, problem, None, None)
+        sub = problem.restricted(range(problem.m))
+        internal = solve(sub, scorer, f"{cfg.seed}:0").mapping
+        total = solve_constrained(problem, sub.intended, scorer, f"{cfg.seed}:0").mapping
+        want.append((accuracy(internal, sub.intended_mapping()),
+                     accuracy(dataclasses.replace(total, problem_id=sub.id),
+                              sub.intended_mapping())))
+    walks = []
+    real = solver_module._argmax_blocks
+    monkeypatch.setattr(solver_module, "_argmax_blocks",
+                        lambda *args, **kwargs: walks.append(1) or real(*args, **kwargs))
+    report = coherence_experiment(Dataset(problems), m_prime=5, trials_per_problem=3,
+                                  config=cfg)
+    assert len(walks) == len(problems)
+    assert [(r.internal_accuracy, r.total_accuracy) for r in report.rows] == want
+    assert any(a != b for a, b in want)
 
 
 def test_coherence_report_layout(planted_star):
