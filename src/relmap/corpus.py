@@ -105,6 +105,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .csr import _ranges
 from .errors import CorpusError
 from .terms import _PUNCT, MARKERS, Term, TermPair, tokenize
 
@@ -238,12 +239,12 @@ class Vocabulary:
         out = np.full(int(end[-1]) if end.size else 0, sep, dtype=np.uint8)
         head = np.minimum(size, 8)
         first = self.prefix[ids].astype(">u8").view(np.uint8).reshape(-1, 8)
-        out[_runs(start, head)] = first[np.arange(8) < head[:, None]]
+        out[_ranges(start, head)] = first[np.arange(8) < head[:, None]]
         long = np.flatnonzero(size > 8)
         if long.size:
             more = size[long] - 8
-            out[_runs(start[long] + 8, more)] = _gather(self.tails, self._tail_starts[ids[long]],
-                                                       more)
+            out[_ranges(start[long] + 8, more)] = _gather(
+                self.tails, self._tail_starts[ids[long]], more)
         return out
 
     def check(self) -> None:
@@ -338,14 +339,7 @@ def _prefixes(padded: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.n
 def _gather(blob: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The byte runs blob[s:s + n] of these starts and sizes, concatenated;
     a byte past the blob's end reads as its last byte."""
-    return blob.take(_runs(starts, sizes), mode="clip")
-
-
-def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The positions s, s + 1, ..., s + n - 1 of each of these starts and
-    sizes, concatenated."""
-    first = np.cumsum(sizes) - sizes
-    return np.repeat(starts - first, sizes) + np.arange(int(sizes.sum()))
+    return blob.take(_ranges(starts, sizes), mode="clip")
 
 
 def _sort_words(prefix: np.ndarray, sizes: np.ndarray, blob: np.ndarray,
@@ -815,13 +809,7 @@ def _find_windows(index: CorpusIndex, pairs: list[TermPair]) -> tuple[np.ndarray
 
 def _expand(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, first[i] + k) for each i and each k < count[i], in that order."""
-    owner = np.repeat(np.arange(first.size), count)
-    shift = first + count
-    shift -= np.cumsum(count)
-    at = np.repeat(shift, count)
-    del shift
-    at += np.arange(at.size)
-    return owner, at
+    return np.repeat(np.arange(first.size), count), _ranges(first, count)
 
 
 def cooccurrence_counts(index: CorpusIndex, a: Term, b: Term,

@@ -66,7 +66,7 @@ class CSR:
         """The matrix of these rows, in this order."""
         counts = np.diff(self.indptr)[rows]
         indptr = _offsets(counts)
-        at = np.repeat(self.indptr[rows] - indptr[:-1], counts) + np.arange(indptr[-1])
+        at = _ranges(self.indptr[rows], counts)
         return CSR(self.data[at], self.indices[at], indptr, (len(rows), self.shape[1]))
 
     def take_columns(self, cols: np.ndarray) -> CSR:
@@ -93,6 +93,17 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     out = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
     return out
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The integers s, s + 1, ..., s + n - 1 of each of these starts s and
+    sizes n, concatenated."""
+    shift = starts - np.cumsum(sizes)
+    shift += sizes
+    at = np.repeat(shift, sizes)
+    del shift
+    at += np.arange(at.size)
+    return at
 
 
 def from_coo(row: np.ndarray, col: np.ndarray, data: np.ndarray,
@@ -153,8 +164,7 @@ def gram(X: CSR, cols: tuple[np.ndarray, np.ndarray, np.ndarray], a: int, b: int
         cells = slice(indptr[r], indptr[s])
         c = count[indptr[r] - indptr[0]:indptr[s] - indptr[0]]
         # Where in `cols` each product's second factor X[j, k] lies.
-        at = np.repeat(starts[X.indices[cells]] - (np.cumsum(c) - c), c)
-        at += np.arange(at.size)
+        at = _ranges(starts[X.indices[cells]], c)
         w = np.repeat(X.data[cells], c)
         w *= col_vals[at]
         cell = col_rows[at]

@@ -20,38 +20,41 @@ string pattern: the windows of all pairs come from one array search
 over the index, and a window is laid out as at most MAX_SLOTS slots
 (pre word, X, up to three middle words, Y, post word), and every slot
 is an integer code; code 0 marks a slot past the pattern's end. The
-codes rank one sorted alphabet of pieces: each slot string (the words
-seen in windows plus "X", "Y" and "*") once as it is and once with a
-trailing space. An inner slot is coded by its spaced piece and the
-pattern's last slot by its bare piece.
+slot strings are the words seen in windows plus "X", "Y" and "*".
 
-Order rule. A serialized pattern (slots joined by single spaces) is
-the concatenation of its pieces, so comparing code tuples gives exactly
-the order of the serialized patterns: no spaced piece is a prefix of
-another piece, because words hold no whitespace, and a bare piece that
-is a prefix of another piece ends its pattern. Ranking each slot's word
-alone is not enough, because a word may hold a character below U+0020
-that is not whitespace: ("a", "X", "Y") comes before ("a\\x01", "X", "Y")
-as a tuple, but "a\\x01 X Y" comes before "a X Y" as a string, and the
-spaced pieces "a\\x01 " < "a " keep that order.
+Order rule. Comparing code tuples must give the order of the
+serialized patterns (slots joined by single spaces). When no slot
+string holds a character at or below U+0020, each string has one code,
+its rank + 1: the separating space then sorts below every character of
+every string, so a string that is a proper prefix of another sorts
+first both as a slot and in the text, and a pattern that ends sorts
+before one that goes on. Otherwise ranking each slot's string alone is
+not enough: ("a", "X", "Y") comes before ("a\\x01", "X", "Y") as a
+tuple, but "a\\x01 X Y" comes before "a X Y" as a string. Then the codes
+rank one sorted alphabet of pieces, each string once as it is and once
+with a trailing space; an inner slot is coded by its spaced piece, so
+that "a\\x01 " < "a " keeps the order, and the pattern's last slot by
+its bare piece. A serialized pattern is the concatenation of its
+pieces, no spaced piece is a prefix of another piece, because words
+hold no whitespace, and a bare piece that is a prefix of another piece
+ends its pattern.
 
 The slot strings are sorted by sorting their token ids, since the
 vocabulary is sorted, and the markers are placed among them by the
-vocabulary's keys, without decoding a word. The pieces of the r-th
-string get the codes 2r + 1 and 2r + 2 unless some string holds a
-character at or below U+0020; only then are the strings decoded and the
-pieces sorted as strings (`_alphabet`).
+vocabulary's keys, without decoding a word; only on the second path
+are the strings decoded and the pieces sorted as strings (`_alphabet`).
 
-The codes of a pattern are packed most significant first into as few
-uint64 words as the code width needs, so that comparing the words
-compares the code tuples. The variants of all windows (`_variants`)
-are sorted at once by (pattern words, pair) with `corpus._stable_argsort`,
-a few passes of `np.sort` over plain uint64s, each sorting one digit of
-the record with the positions packed beside it. Equal runs give the
-counts. The pair must be part of the record, because the variants of
-one (pattern, pair) entry can lie apart: a block's exchanged variants
-come in the order of their direct pairs, not of the reversed pairs'
-ids, and a pair listed twice repeats its windows.
+The variants of all windows are held as MAX_SLOTS rows of slot codes,
+one row per slot, in the smallest unsigned dtype that holds the largest
+code (`_variants`), and are sorted at once by (slot rows, pair) with
+`corpus._stable_argsort`, a few passes of `np.sort` over plain uint64s,
+each sorting one digit of the record with the positions packed beside
+it; the kernel packs the rows into those digits and drops the bits no
+variant uses. Equal runs give the counts. The pair must be part of the
+record, because the variants of one (pattern, pair) entry can lie
+apart: a block's exchanged variants come in the order of their direct
+pairs, not of the reversed pairs' ids, and a pair listed twice repeats
+its windows.
 
 Array layout of `PatternStats`, for P distinct patterns and E nonzero
 (pair, pattern) entries:
@@ -63,9 +66,10 @@ Array layout of `PatternStats`, for P distinct patterns and E nonzero
   word in ``vocab``, the index's vocabulary, or, for a marker, -1 minus
   its place in `terms.MARKERS` (`slot_words` decodes them); and a
   (2, len(slots)) array of each string's code as the last slot (row 0)
-  and as an inner slot (row 1).
-- ``keys``: (n_words, P) uint64, the packed codes of the distinct
-  patterns in serialized order; pattern ids index its columns.
+  and as an inner slot (row 1); the rows are equal where each string
+  has one code.
+- ``keys``: (MAX_SLOTS, P), the slot codes of the distinct patterns in
+  serialized order, slot by row; pattern ids index its columns.
 - ``starts``: P + 1 offsets; the entries of pattern p are
   ``starts[p]:starts[p + 1]``, so ``np.diff(starts)`` is the number of
   generating pairs of each pattern.
@@ -76,7 +80,7 @@ Array layout of `PatternStats`, for P distinct patterns and E nonzero
 
 Matrix columns stay pattern ids from selection to F: `select_columns`
 returns ids and `build_frequency_matrix` takes them; a column's pattern
-is read from its packed codes in ``keys``.
+is read from its slot codes in ``keys``.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ import numpy as np
 
 from .corpus import (MAX_MID, MAX_POST, MAX_PRE, CorpusIndex, Vocabulary, _find_windows,
                      _stable_argsort)
-from .csr import CSR, from_coo
+from .csr import CSR, _ranges, from_coo
 from .errors import ConfigError, RelmapError
 from .problems import MappingProblem
 from .terms import MARKERS, WILDCARD, X_SLOT, Y_SLOT, TermPair
@@ -111,35 +115,6 @@ def build_pair_list(problems: Iterable[MappingProblem]) -> list[TermPair]:
                     if a != b:
                         seen.setdefault(TermPair(a, b))
     return list(seen)
-
-
-# --- packed codes -------------------------------------------------------------
-
-def _segments(bits: int):
-    """(slot, word, shift in slot, shift in word, mask) of each part of a slot code
-    that lies in one uint64 word, slot codes of `bits` bits laid end to end."""
-    for slot in range(MAX_SLOTS):
-        start, end = slot * bits, (slot + 1) * bits
-        for w in range(start // 64, (end - 1) // 64 + 1):
-            lo, hi = max(start, 64 * w), min(end, 64 * w + 64)
-            yield (slot, w, np.uint64(end - hi), np.uint64(64 * w + 64 - hi),
-                   np.uint64((1 << (hi - lo)) - 1))
-
-
-def _pack(codes: np.ndarray, bits: int) -> np.ndarray:
-    """(n, MAX_SLOTS) codes -> (n_words, n) uint64 words, most significant first."""
-    codes = codes.astype(np.uint64)
-    words = np.zeros((-(-MAX_SLOTS * bits // 64), codes.shape[0]), dtype=np.uint64)
-    for slot in range(MAX_SLOTS):
-        _pack_slot(words, slot, codes[:, slot], bits)
-    return words
-
-
-def _pack_slot(packed: np.ndarray, slot: int, codes: np.ndarray, bits: int) -> None:
-    """Or one slot's uint64 codes into (n_words, ...) packed words."""
-    for s, w, in_slot, in_word, mask in _segments(bits):
-        if s == slot:
-            packed[w] |= (codes >> in_slot & mask) << in_word
 
 
 # --- statistics ---------------------------------------------------------------
@@ -197,10 +172,10 @@ def _alphabet(index: CorpusIndex, win: dict[str, np.ndarray]
     The vocabulary is sorted, so ranking the seen ids ranks their words,
     and no word equals a marker, so the markers are placed among them by
     the vocabulary's keys. No word is decoded for that. When no string
-    holds a character at or below U+0020, each string w has
-    w < w + " " < the next string, so the codes interleave: the r-th
-    string's pieces are 2r + 1 and 2r + 2. Otherwise the strings are
-    decoded and their pieces sorted as strings.
+    holds a character at or below U+0020, the r-th string's code is
+    r + 1 in both rows. Otherwise the strings are decoded and their
+    pieces, each string bare and with a trailing space, sorted as
+    strings. The module docstring gives the order rule.
     """
     has = [win["pre"] > 0, *(win["mid"] > k for k in range(MAX_MID)), win["post"] > 0]
     at = [win["x"] - 1, *(win["x_end"] + k for k in range(MAX_MID)), win["y_end"]]
@@ -227,7 +202,7 @@ def _alphabet(index: CorpusIndex, win: dict[str, np.ndarray]
     # UTF-8 codes a character at or below U+0020 as that one byte alone,
     # and each word is followed by one space; no marker holds such a byte.
     if np.count_nonzero(index.vocab.joined(ids, ord(" ")) <= ord(" ")) == ids.size:
-        codes = np.arange(1, 2 * n + 1).reshape(n, 2).T.copy()
+        codes = np.tile(np.arange(1, n + 1), (2, 1))
     else:
         words = slot_words(slots, index.vocab)
         pieces = words + [w + " " for w in words]
@@ -245,17 +220,19 @@ def slot_words(slots: np.ndarray, vocab: Vocabulary) -> list[str]:
 
 def _variants(win: dict[str, np.ndarray], slots: np.ndarray, codes: np.ndarray,
               context: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Packed codes and pair ids of every distinct variant of every window.
+    """Slot codes and pair ids of every distinct variant of every window.
 
-    Windows are taken one shape (pre, mid, post) at a time, so that the
-    free slots sit at fixed columns. Direct windows give variants to the
+    Returns a (MAX_SLOTS, n) array of the n variants' slot codes, in the
+    smallest unsigned dtype that holds the largest code, and their pair
+    ids. Windows are taken one shape (pre, mid, post) at a time, so that
+    the free slots sit at fixed rows. Direct windows give variants to the
     window's pair; exchanged ones, the same codes with X and Y swapped,
-    to the reversed pair. A shape's slot codes are packed one slot at a
-    time into (key word, window) arrays, both orientations side by side.
-    Each of the 2^f masks of its f free slots then writes one block of
-    variants straight into the output, so that each numpy loop runs over
-    the windows. The variants are in no particular order; `mine_patterns`
-    sorts them by (pattern, pair).
+    to the reversed pair. A shape's slot codes are laid out once, both
+    orientations side by side; each of the 2^f masks of its f free slots
+    then copies them into one block of the output and writes "*" over
+    the rows it wildcards, so that each numpy loop runs over the windows.
+    The variants are in no particular order; `mine_patterns` sorts them
+    by (pattern, pair).
     """
     place = {m: int(np.flatnonzero(slots == -1 - k)[0]) for k, m in enumerate(MARKERS)}
     marker = {(m, last): int(codes[int(not last), place[m]])
@@ -264,10 +241,9 @@ def _variants(win: dict[str, np.ndarray], slots: np.ndarray, codes: np.ndarray,
     for last in (False, True):
         x, y = marker[X_SLOT, last], marker[Y_SLOT, last]
         swap[x], swap[y] = y, x
-    bits = int(codes.max()).bit_length()
-    n_words = -(-MAX_SLOTS * bits // 64)
+    dtype = np.min_scalar_type(int(codes.max()))
     # The codes of the slot strings by (row, orientation, string).
-    oriented = np.stack([codes, swap[codes]], axis=1).astype(np.uint64)
+    oriented = np.stack([codes, swap[codes]], axis=1).astype(dtype)
     shapes = []
     for pre, mid, post in itertools.product(range(MAX_PRE + 1), range(MAX_MID + 1),
                                             range(MAX_POST + 1)):
@@ -276,38 +252,31 @@ def _variants(win: dict[str, np.ndarray], slots: np.ndarray, codes: np.ndarray,
         if not sel.size:
             continue
         n_slots = pre + mid + post + 2
-        # (column, context row) of each free slot
+        # (slot, context row) of each free slot
         free = ([(0, 0)] * pre + [(pre + 1 + k, 1 + k) for k in range(mid)]
                 + [(n_slots - 1, 1 + MAX_MID)] * post)
-        packed = np.zeros((n_words, 2, sel.size), dtype=np.uint64)
-        star = np.zeros(MAX_SLOTS, dtype=np.int64)
+        window = np.zeros((MAX_SLOTS, 2, sel.size), dtype=dtype)
         for col, last, m in ((pre, False, X_SLOT), (pre + mid + 1, not post, Y_SLOT)):
-            _pack_slot(packed, col, np.array([[marker[m, last]], [swap[marker[m, last]]]],
-                                             dtype=np.uint64), bits)
+            window[col] = np.array([[marker[m, last]], [swap[marker[m, last]]]])
+        star = {}
         for col, row in free:
             last = col == n_slots - 1
             star[col] = marker[WILDCARD, last]
-            slot = np.take(oriented[int(not last)], np.take(context[row], sel), axis=1)
-            _pack_slot(packed, col, slot, bits)
+            window[col] = np.take(oriented[int(not last)], np.take(context[row], sel), axis=1)
         owner = np.concatenate([np.take(win["pair"], sel), np.take(win["rev"], sel)])
-        # Packing is bit concatenation, so a variant's key is the window's
-        # key with the wildcarded fields cleared and filled with "*".
-        masks = np.arange(1 << len(free))
-        wild = np.zeros((masks.size, MAX_SLOTS), dtype=bool)
-        wild[:, [col for col, _row in free]] = masks[:, None] >> np.arange(len(free)) & 1
-        shapes.append((packed.reshape(n_words, -1), owner,
-                       _pack(np.where(wild, 0, (1 << bits) - 1), bits),
-                       _pack(np.where(wild, star, 0), bits)))
-    size = sum(owner.size * hold.shape[1] for _packed, owner, hold, _fill in shapes)
-    keys = np.empty((n_words, size), dtype=np.uint64)
+        shapes.append((window.reshape(MAX_SLOTS, -1), owner, star))
+    size = sum(owner.size << len(star) for _window, owner, star in shapes)
+    keys = np.empty((MAX_SLOTS, size), dtype=dtype)
     owners = np.empty(size, dtype=np.int32)
     at = 0
-    for packed, owner, hold, fill in shapes:
+    for window, owner, star in shapes:
         n = owner.size
-        for m in range(hold.shape[1]):
+        for mask in range(1 << len(star)):
             block = keys[:, at:at + n]
-            np.bitwise_and(packed, hold[:, m:m + 1], out=block)
-            block |= fill[:, m:m + 1]
+            block[...] = window
+            for k, (col, code) in enumerate(star.items()):
+                if mask >> k & 1:
+                    block[col] = code
             owners[at:at + n] = owner
             at += n
     return keys, owners
@@ -330,7 +299,7 @@ def mine_patterns(index: CorpusIndex, pairs: list[TermPair],
     slots, codes, context = _alphabet(index, win)
     keys, owner = _variants(win, slots, codes, context)
     order = _stable_argsort(*keys, owner)
-    # The sorted keys are built one row at a time, only the distinct
+    # The sorted codes are built one slot row at a time, only the distinct
     # patterns' are kept, and each array is dropped once used, which keeps
     # the peak memory near that of the variants.
     owner = np.take(owner, order)
@@ -402,9 +371,8 @@ def build_frequency_matrix(rows: list[TermPair], cols: np.ndarray,
     for i, pair in enumerate(rows):
         if pair in table:
             row_of[table[pair]] = i
-    first = stats.starts[ids]
-    n = stats.starts[ids + 1] - first
-    entry = np.repeat(first - np.cumsum(n) + n, n) + np.arange(int(n.sum()))
+    n = stats.starts[ids + 1] - stats.starts[ids]
+    entry = _ranges(stats.starts[ids], n)
     ii = row_of[stats.entry_pair[entry]]
     kept = ii >= 0
     data = stats.entry_count[entry[kept]].astype(np.float64)

@@ -41,7 +41,7 @@ package's windows for one pair as `PhraseOccurrence` objects, and is
 checked against `scan_windows`. The pattern-mining reference takes its
 windows from it, builds string patterns and counts them in dicts; the
 package's integer-coded miner must give the same counts, columns and
-matrix; `decode` reads the miner's packed column codes back as slot
+matrix; `decode` reads the miner's column slot codes back as slot
 tuples, which only the tests need. The scipy.sparse references are the
 package's earlier F and X, held as scipy matrices: its `_as_csr`, both
 weightings and the no-SVD cosines from one sparse product, against which
@@ -71,7 +71,7 @@ from scipy.sparse.linalg import svds
 
 from relmap.corpus import MAX_MID, MAX_POST, MAX_PRE, _find_windows
 from relmap.errors import RelmapError, TransformError
-from relmap.patterns import MAX_SLOTS, _segments, slot_words
+from relmap.patterns import slot_words
 from relmap.space import _WEAK_ROW_SHARE, _one_blas_thread
 from relmap.terms import TermPair
 
@@ -465,20 +465,10 @@ def build_frequency_matrix(rows, cols, stats):
     return mat
 
 
-def unpack(words, bits):
-    """Inverse of `relmap.patterns._pack`: (n_words, n) uint64 words ->
-    (n, MAX_SLOTS) slot codes of `bits` bits each."""
-    codes = np.zeros((words.shape[1], MAX_SLOTS), dtype=np.uint64)
-    for slot, w, in_slot, in_word, mask in _segments(bits):
-        codes[:, slot] |= (words[w] >> in_word & mask) << in_slot
-    return codes.astype(np.int64)
-
-
 def decode(stats, ids):
     """The patterns of these column ids of `PatternStats`, as slot-string
-    tuples, unpacked from their codes."""
-    bits = int(stats.codes.max()).bit_length()
-    codes = unpack(stats.keys[:, ids], bits)
+    tuples, read from their slot codes."""
+    codes = stats.keys[:, ids].T.astype(np.int64)
     word_of = np.zeros(int(stats.codes.max()) + 1, dtype=np.int64)
     word_of[stats.codes] = np.arange(stats.slots.size)
     lengths = np.count_nonzero(codes, axis=1).tolist()

@@ -19,8 +19,8 @@ from relmap.corpus import _stable_argsort, corpus_files, ingest
 from relmap.dataset import Dataset
 from relmap.errors import ConfigError, RelmapError
 from relmap.evaluation import sensitivity_sweep
-from relmap.patterns import (build_frequency_matrix, build_pair_list, mine_patterns,
-                             prune_rows, select_columns)
+from relmap.patterns import (MAX_SLOTS, build_frequency_matrix, build_pair_list,
+                             mine_patterns, prune_rows, select_columns)
 from relmap.planted import PlantedConfig, generate_planted_corpus
 from relmap.terms import Term, TermPair
 
@@ -32,12 +32,24 @@ from conftest import column_ids, index_token_lists, mined_counts
 ALPHABET = ["a", "b", "a\x01", "c", "a\x00b", "b\x1b"]
 T_VALUES = (1, 2, 3, 7, 1000)
 
-terms = st.lists(st.sampled_from(ALPHABET[:4]), min_size=1, max_size=2).map(
-    lambda t: Term(tokens=tuple(t)))
-pairs_st = st.lists(st.tuples(terms, terms).filter(lambda xy: xy[0] != xy[1])
+# Words that extend one another and hold no byte at or below U+0020, so
+# that each slot string has one code: "a" < "a!b" < "ab" < "a~" as strings,
+# and "a X" < "a!b X" as patterns, because " " sorts below every byte.
+EXTENDING = ["a", "ab", "abc", "b", "ba", "a!b", "a~"]
+
+
+def term_pairs(words):
+    """Up to 8 pairs of distinct terms of one or two of these words."""
+    terms = st.lists(st.sampled_from(words), min_size=1, max_size=2).map(
+        lambda t: Term(tokens=tuple(t)))
+    return st.lists(st.tuples(terms, terms).filter(lambda xy: xy[0] != xy[1])
                     .map(lambda xy: TermPair(*xy)), max_size=8)
-documents = st.lists(st.lists(st.sampled_from(ALPHABET), max_size=40),
-                     min_size=1, max_size=4)
+
+
+def documents(words):
+    return st.lists(st.lists(st.sampled_from(words), max_size=40), min_size=1, max_size=4)
+
+
 caps = st.one_of(st.none(), st.integers(1, 3))
 
 
@@ -66,7 +78,7 @@ def assert_same_mining(index, pairs, cap):
     return stats
 
 
-@given(docs=documents, pairs=pairs_st, cap=caps)
+@given(docs=documents(ALPHABET), pairs=term_pairs(ALPHABET[:4]), cap=caps)
 @settings(max_examples=300, deadline=None)
 def test_random_corpora_match_reference(docs, pairs, cap):
     assert_same_mining(index_token_lists(docs), pairs, cap)
@@ -83,7 +95,14 @@ def test_multiword_terms_and_missing_reverses(docs, cap):
     assert_same_mining(index_token_lists(docs), pairs, cap)
 
 
-def test_wide_alphabet_packs_codes_across_words():
+@given(docs=documents(EXTENDING), pairs=term_pairs(EXTENDING[:4]), cap=caps)
+@settings(max_examples=500, deadline=None)
+def test_words_that_extend_one_another_take_one_code(docs, pairs, cap):
+    stats = assert_same_mining(index_token_lists(docs), pairs, cap)
+    assert np.array_equal(stats.codes[0], stats.codes[1])
+
+
+def test_wide_alphabet_keeps_slot_codes_in_rows():
     rng = np.random.default_rng(5)
     fillers = [f"f{i}" for i in range(3000)] + [f"f{i}\x01" for i in range(300)]
     docs = [[str(w) for w in rng.choice(["a", "b", "c"] + fillers, size=400,
@@ -92,7 +111,27 @@ def test_wide_alphabet_packs_codes_across_words():
     a, b, c = (Term(tokens=(t,)) for t in "abc")
     pairs = [TermPair(a, b), TermPair(b, c), TermPair(c, a), TermPair(a, c)]
     stats = assert_same_mining(index_token_lists(docs), pairs, None)
-    assert stats.keys.shape[0] >= 2   # slot codes straddle uint64 words
+    # "\x01" sends the strings down the decoded path: two codes each.
+    assert int(stats.codes.max()) == 2 * stats.slots.size > 255
+    assert stats.keys.shape == (MAX_SLOTS, len(stats.starts) - 1)
+    assert stats.keys.dtype == np.uint16
+
+
+def test_past_65535_codes_rows_are_uint32():
+    # Each document's four context words are its own, so the slot strings
+    # are those 68,000 words and the three markers, one code each.
+    n = 17_000
+    index = index_token_lists([[f"p{i}", "a", f"m{i}", f"n{i}", "b", f"q{i}"]
+                               for i in range(n)])
+    pairs = [TermPair.parse("a", "b")]
+    stats = mine_patterns(index, pairs)
+    ref = oracles.mine_patterns(index, pairs)
+    assert int(stats.codes.max()) == 4 * n + 3
+    assert stats.keys.shape == (MAX_SLOTS, len(stats.starts) - 1)
+    assert stats.keys.dtype == np.uint32
+    assert stats.phrase_counts == ref.phrase_counts == {pairs[0]: n}
+    assert oracles.decode(stats, select_columns(stats, 1000, 1)) == \
+        oracles.select_columns(ref, 1000, 1)
 
 
 def index_of(*docs):
@@ -181,22 +220,25 @@ def test_sweep_over_t_matches_separate_runs(planted_all):
 # --- the sort kernel ----------------------------------------------------------
 
 @st.composite
-def uint64_fields(draw, n):
-    """A uint64 field of n values below 2**width, drawn from a few values so
-    that records tie."""
+def unsigned_fields(draw, n):
+    """A field of n values below 2**width, drawn from a few values so that
+    records tie: uint64, or the smallest unsigned dtype that holds them, as
+    mining's slot rows are."""
     width = draw(st.sampled_from([0, 1, 3, 17, 31, 44, 45, 46, 63, 64]))
     pool = draw(st.lists(st.integers(0, 2 ** width - 1), min_size=1, max_size=3))
     values = draw(st.lists(st.one_of(st.sampled_from(pool), st.integers(0, 2 ** width - 1)),
                            min_size=n, max_size=n))
-    return np.array(values, dtype=np.uint64)
+    narrow = draw(st.booleans())
+    return np.array(values, dtype=np.min_scalar_type(max(values, default=0)) if narrow
+                    else np.uint64)
 
 
 @st.composite
 def records(draw):
-    """1-4 uint64 fields, whose widths make records straddle the digits of a
-    pass, and maybe an int32 owner id up to a pair table's size last."""
+    """1-4 unsigned fields, whose widths make records straddle the digits of
+    a pass, and maybe an int32 owner id up to a pair table's size last."""
     n = draw(st.integers(0, 50))
-    fields = draw(st.lists(uint64_fields(n), min_size=1, max_size=4))
+    fields = draw(st.lists(unsigned_fields(n), min_size=1, max_size=4))
     if draw(st.booleans()):
         table = draw(st.sampled_from([1, 2, 180, 2240, 2 ** 31 - 1]))
         fields.append(np.array(draw(st.lists(st.integers(0, table - 1), min_size=n, max_size=n)),
@@ -230,8 +272,10 @@ def test_stable_argsort_takes_wide_fields_in_several_passes():
 # copy of every key in sorted order, mining this corpus peaked at 6.01 MB;
 # the cap is that plus 10%. Traced as here, from a fresh index, that code
 # peaked at 7.02 MB, and the code that decoded the words seen in windows
-# at 5.55 MB; this code, which places the markers among them by the
-# vocabulary's keys, peaks at 4.40 MB.
+# at 5.55 MB; the code that placed the markers among them by the
+# vocabulary's keys and packed each variant's codes into uint64 words, at
+# 4.40 MB; this code, which holds the variants as uint16 slot rows, one
+# code per slot string, peaks at 4.25 MB.
 MINING_PEAK_CAP_MB = 6.61
 
 
