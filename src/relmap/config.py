@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
@@ -112,8 +112,8 @@ def _coerce(name: str, value: str, target_type, nullable: bool):
     return value
 
 
-def load_config_file(path: str | Path, base: Optional[Config] = None) -> Config:
-    """`base` (or the defaults) with a file's `key = value` lines (# comments).
+def load_config_file(path: str | Path) -> Config:
+    """The defaults with a file's `key = value` lines (# comments).
 
     A key takes its field's type, and `none` only if the field is Optional.
     """
@@ -138,4 +138,4 @@ def load_config_file(path: str | Path, base: Optional[Config] = None) -> Config:
         types = [t for t in get_args(hints[key]) if t is not type(None)]
         values[key] = _coerce(key, value, types[0] if types else hints[key],
                               nullable=bool(types))
-    return replace(base or Config(), **values)
+    return Config(**values)

@@ -157,10 +157,10 @@ class Vocabulary:
     Word i is three keys: prefix[i], its first 8 bytes as one big-endian
     integer with the bytes past its end zeroed (as `_prefixes` reads
     them); sizes[i], its size in bytes; and its bytes past the 8th, which
-    follow those of the words before it in `tails`. A read-only sequence
-    of its words: `len`, item access, `find` and `locate` (many words
-    placed by one `searchsorted` over the prefixes) and `words` (many
-    words decoded in one pass). No word is decoded until asked for.
+    follow those of the words before it in `tails`. It offers `len`,
+    `find` and `locate` (many words placed by one `searchsorted` over the
+    prefixes) and `words` (many words decoded in one pass), and no item
+    access. No word is decoded until asked for.
 
     Words that share a prefix sort by their size clipped to 9, then by
     their bytes past the 8th: a prefix pads a word with zeros, so of two
@@ -184,11 +184,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return int(self.prefix.size)
-
-    def __getitem__(self, i: int) -> str:
-        if not 0 <= i < len(self):
-            raise IndexError(f"word id {i} out of range")
-        return self.words([i])[0]
 
     def words(self, ids) -> list[str]:
         """The words with these ids, in their order, decoded in one pass."""

@@ -5,6 +5,8 @@ F and X are held as `CSR`: row i stores its cells in
 ``indptr[i]:indptr[i + 1]`` of `indices` (column ids) and `data`
 (float64 values). Every function here makes or keeps the form scipy
 calls canonical: each row's columns ascending, no cell stored twice.
+`from_coo` is given each cell once, as `build_frequency_matrix` gives
+them, and sums none.
 
 Each operation that sums does so in the order scipy.sparse sums the
 operation it replaced, so that F, X and everything after them keep their
@@ -108,22 +110,14 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def from_coo(row: np.ndarray, col: np.ndarray, data: np.ndarray,
              shape: tuple[int, int]) -> CSR:
-    """The matrix holding data[e] at (row[e], col[e]), cells in any order.
-
-    A cell given more than once holds the sum of its values, added in the
-    order given. Zeros are kept.
-    """
+    """The matrix holding data[e] at (row[e], col[e]), cells in any order,
+    each given once. Zeros are kept."""
     n_r, n_c = int(shape[0]), int(shape[1])
     key = np.asarray(row, dtype=np.int64) * max(n_c, 1) + col
     order = np.argsort(key, kind="stable")
-    key, data = key[order], np.asarray(data, dtype=np.float64)[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    if not first.all():
-        data = np.bincount(np.cumsum(first) - 1, weights=data)
-        key = key[first]
-    row, col = np.divmod(key, max(n_c, 1))
-    return CSR(data, col, _offsets(np.bincount(row, minlength=n_r)), (n_r, n_c))
+    row, col = np.divmod(key[order], max(n_c, 1))
+    return CSR(np.asarray(data, dtype=np.float64)[order], col,
+               _offsets(np.bincount(row, minlength=n_r)), (n_r, n_c))
 
 
 def columns(X: CSR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import patterns as pt
+from . import solver
 from . import space as sp
 from .attributes import (CombinedSimilarity, PmiIrSimilarity, PosSimilarity,
                          load_external_similarity)
@@ -26,8 +27,7 @@ from .corpus import CorpusIndex
 from .dataset import Dataset, mean
 from .errors import ConfigError, DataError
 from .problems import Mapping, MappingProblem
-from .solver import (AttributionalScorer, HybridScorer, RelationalScorer,
-                     SolveResult, _search, solve, solve_constrained)
+from .solver import AttributionalScorer, HybridScorer, RelationalScorer, SolveResult, solve
 
 logger = logging.getLogger(__name__)
 
@@ -241,29 +241,6 @@ class CoherenceReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-class _PreparedOnce:
-    """A scorer that prepares one problem once and serves it to every trial.
-
-    Total mode searches the same full problem in each trial; the reduced
-    problems of internal mode differ per trial and are prepared as usual.
-    Like every scorer it offers `mode` and `prepare`: a solve explains its
-    winner from the score `prepare` returned.
-    """
-
-    def __init__(self, scorer, problem: MappingProblem):
-        self.scorer = scorer
-        self.problem = problem
-        self.mode = scorer.mode
-        self._score = None
-
-    def prepare(self, problem: MappingProblem):
-        if problem is not self.problem:
-            return self.scorer.prepare(problem)
-        if self._score is None:
-            self._score = self.scorer.prepare(problem)
-        return self._score
-
-
 def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int,
                          config: Config, index: Optional[CorpusIndex] = None,
                          tie_policy: str = "random") -> CoherenceReport:
@@ -278,6 +255,15 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
     the subproblem either way. m_prime == m degenerates to a single
     full-size trial; larger m_prime skips the problem with a warning.
     The subset draws and every trial's solve are seeded by `config.seed`.
+
+    Each problem is checked and prepared once, and that one score serves
+    every trial. A trial runs two pruned walks, the ones `solve` and
+    `solve_constrained` run: the constrained walk on that score for total
+    mode, and a walk on the reduced problem's own score for internal mode.
+    At m_prime == m the constraint covers every term and the reduced
+    problem is the whole one under another id, so the total walk serves
+    internal mode too. Each mode draws its tied winner with its own
+    problem id, as those solves do.
     """
     if m_prime < 2:
         raise ConfigError(f"m_prime must be >= 2, got {m_prime}")
@@ -300,25 +286,20 @@ def coherence_experiment(dataset: Dataset, m_prime: int, trials_per_problem: int
         rng = random.Random(f"{config.seed}:{problem.id}")
         trials = 1 if m_prime == problem.m else trials_per_problem
         internal_scores, total_scores = [], []
-        scorer = _PreparedOnce(make_scorer(config, problem, space, index), problem)
+        solver._check(problem, tie_policy, config.m_max)
+        scorer = make_scorer(config, problem, space, index)
+        score = scorer.prepare(problem)
         gold = problem.intended_mapping().perm
         for trial in range(trials):
             indices = rng.sample(range(problem.m), m_prime)
             sub = problem.restricted(indices)
             seed = f"{config.seed}:{trial}"
-            if m_prime == problem.m:
-                # The reduced problem is the whole one under another id, and
-                # every mapping meets total mode's constraint: one search
-                # serves both modes. Only the seeded draw of a tied winner
-                # differs, since it reads the problem id.
-                _, found = _search(problem, scorer, tie_policy, config.m_max)
-                internal = found.pick(seed, sub.id, tie_policy)
-                total = found.pick(seed, problem.id, tie_policy)
-            else:
-                internal = solve(sub, scorer, seed, tie_policy=tie_policy,
-                                 m_max=config.m_max).mapping.perm
-                total = solve_constrained(problem, sub.intended, scorer, seed,
-                                          tie_policy=tie_policy, m_max=config.m_max).mapping.perm
+            whole = solver._argmax_blocks(score, problem.m, sorted(indices),
+                                          sorted(gold[i] for i in indices), prune=True)
+            alone = whole if m_prime == problem.m else solver._argmax_blocks(
+                scorer.prepare(sub), m_prime, prune=True)
+            internal = alone.pick(seed, sub.id, tie_policy)
+            total = whole.pick(seed, problem.id, tie_policy)
             internal_scores.append(accuracy(Mapping(sub.id, internal), sub.intended_mapping()))
             hits = sum(total[i] == gold[i] for i in indices)
             total_scores.append(100.0 * hits / m_prime)

@@ -110,10 +110,3 @@ class Mapping:
     def __post_init__(self):
         if sorted(self.perm) != list(range(len(self.perm))):
             raise DataError(f"not a permutation: {self.perm}")
-
-    def assignment(self, problem: MappingProblem) -> dict[str, str]:
-        if problem.id != self.problem_id:
-            raise DataError(f"mapping for {self.problem_id!r} applied to "
-                            f"problem {problem.id!r}")
-        return {problem.source[i].text: problem.target[j].text
-                for i, j in enumerate(self.perm)}

@@ -430,9 +430,6 @@ class SolveResult:
     breakdown: list[tuple[str, float]]
     diagnostics: dict = field(default_factory=dict)
 
-    def assignment(self) -> dict[str, str]:
-        return self.mapping.assignment(self.problem)
-
     def to_text(self) -> str:
         """Tab-separated assignment lines followed by a JSON diagnostics block."""
         import json
@@ -551,23 +548,22 @@ def _argmax_blocks(score_fn, m: int, sub_src: Sequence[int] = (),
     return _Argmax(best, tied, n_mappings, n_scored)
 
 
-def _search(problem: MappingProblem, scorer, tie_policy: str, m_max: int,
-            sub_src: Sequence[int] = (), sub_tgt: Sequence[int] = ()) -> tuple[object, _Argmax]:
-    """The search every solve shares: tie-policy and budget checks, prepare
-    and argmax. Returns the prepared score and the search's outcome."""
+def _check(problem: MappingProblem, tie_policy: str, m_max: int) -> None:
+    """The refusals every search makes before it prepares a score: an
+    unknown tie policy, and a problem over the budget."""
     if tie_policy not in TIE_POLICIES:
         raise DataError(f"unknown tie policy {tie_policy!r}; expected one of {TIE_POLICIES}")
     if problem.m > m_max:
         raise BudgetError(f"m={problem.m} means {math.factorial(problem.m):,} mappings, "
                           f"over the budget of m <= {m_max}")
-    score_fn = scorer.prepare(problem)
-    return score_fn, _argmax_blocks(score_fn, problem.m, sub_src, sub_tgt, prune=True)
 
 
 def _solve(problem: MappingProblem, scorer, seed, tie_policy: str, m_max: int,
            sub_src: Sequence[int] = (), sub_tgt: Sequence[int] = ()) -> SolveResult:
-    """The search, the tie pick and the result."""
-    score_fn, found = _search(problem, scorer, tie_policy, m_max, sub_src, sub_tgt)
+    """The checks, prepare, the pruned walk, the tie pick and the result."""
+    _check(problem, tie_policy, m_max)
+    score_fn = scorer.prepare(problem)
+    found = _argmax_blocks(score_fn, problem.m, sub_src, sub_tgt, prune=True)
     perm = found.pick(seed, problem.id, tie_policy)
     return SolveResult(
         problem=problem,

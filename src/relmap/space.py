@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .csr import CSR, columns, from_coo, gram
+from .csr import CSR, columns, gram
 from .errors import BudgetError, ConfigError, DataError, TransformError
 from .terms import TermPair
 
@@ -63,30 +63,12 @@ _DECOMPOSITION_BUDGET_BYTES = 4 * 10 ** 9
 _BOUND_MARGIN = 1e-6
 
 
-def _as_csr(matrix) -> CSR:
-    """A `CSR`, a dense array, or any sparse matrix with ``.tocsr()`` (such
-    as scipy's) as a `CSR` without stored zeros, which would poison the
-    log-based weights."""
-    if isinstance(matrix, CSR):
-        out = matrix
-    elif hasattr(matrix, "tocsr"):
-        m = matrix.tocsr()
-        out = from_coo(np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices,
-                       m.data, m.shape)
-    else:
-        a = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-        row, col = np.nonzero(a)
-        out = from_coo(row, col, a[row, col], a.shape)
-    return out.with_data(out.data)
-
-
-def transform_ppmic(F) -> CSR:
+def transform_ppmic(F: CSR) -> CSR:
     """Positive pointwise mutual information of each cell.
 
     Probabilities are ratios of frequency sums over the whole matrix;
     cells whose PMI is negative are zeroed, so density never grows.
     """
-    F = _as_csr(F)
     total = F.data.sum()
     if total <= 0:
         raise TransformError("cannot transform an all-zero frequency matrix")
@@ -96,7 +78,7 @@ def transform_ppmic(F) -> CSR:
     return F.with_data(np.where(pmi > 0, pmi, 0.0))
 
 
-def transform_log_entropy(F) -> tuple[CSR, np.ndarray]:
+def transform_log_entropy(F: CSR) -> tuple[CSR, np.ndarray]:
     """log(f+1) cells scaled by one minus the column's normalized entropy.
 
     Returns (X, kept_cols) where kept_cols are the original indices of
@@ -104,7 +86,6 @@ def transform_log_entropy(F) -> tuple[CSR, np.ndarray]:
     whose mass sits in a single row keeps full weight; a column uniform
     over every row is weighted to zero.
     """
-    F = _as_csr(F)
     if F.data.sum() <= 0:
         raise TransformError("cannot transform an all-zero frequency matrix")
     n_r = F.shape[0]
@@ -121,7 +102,7 @@ def transform_log_entropy(F) -> tuple[CSR, np.ndarray]:
     return X.with_data(np.log1p(X.data) * weights[X.indices]), kept
 
 
-def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
+def truncated_svd(X: CSR, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank-k factors (U_k, sigma_k), shaped (n, k) and (k,), sigma descending.
 
     Every column after the last strict gap at or below k, a strict gap
@@ -154,7 +135,6 @@ def truncated_svd(X, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if k < 1:
         raise ConfigError(f"svd rank k must be >= 1, got {k}")
-    X = _as_csr(X)
     n = X.shape[0]
     label = _components(X)
     rows = np.argsort(label, kind="stable")
@@ -299,18 +279,15 @@ def _components(X: CSR) -> np.ndarray:
     label = np.arange(n)
     if X.nnz == 0:
         return label
-    counts = np.diff(X.indptr)
-    by_col = np.argsort(X.indices, kind="stable")
-    row_of = np.repeat(np.arange(n), counts)[by_col]
-    cols = X.indices[by_col]
-    col_starts = np.flatnonzero(np.diff(cols, prepend=-1))
-    col_sizes = np.diff(np.append(col_starts, cols.size))
-    rows = np.flatnonzero(counts)
+    starts, row_of, _ = columns(X)
+    used = np.flatnonzero(np.diff(starts))
+    firsts = starts[used]
+    col_min = np.empty(X.shape[1], dtype=np.int64)
+    rows = np.flatnonzero(np.diff(X.indptr))
     row_starts = X.indptr[rows]
-    seen = np.empty(cols.size, dtype=np.int64)
     while True:
-        seen[by_col] = np.repeat(np.minimum.reduceat(label[row_of], col_starts), col_sizes)
-        near = np.minimum.reduceat(seen, row_starts)
+        col_min[used] = np.minimum.reduceat(label[row_of], firsts)
+        near = np.minimum.reduceat(col_min[X.indices], row_starts)
         new = label.copy()
         np.minimum.at(new, label[rows], near)
         new[rows] = np.minimum(new[rows], near)
@@ -432,7 +409,7 @@ def build_space(U_k: np.ndarray, sigma_k: np.ndarray,
     return RelationSpace(row_index=dict(row_index), W=_normalize_rows(U_k * sigma_k[None, :]))
 
 
-def build_space_from_matrix(X, rows: list[TermPair], *, k: Optional[int]) -> RelationSpace:
+def build_space_from_matrix(X: CSR, rows: list[TermPair], *, k: Optional[int]) -> RelationSpace:
     """Space from a weighted matrix, with or without SVD smoothing.
 
     k=None skips the decomposition: similarities are then the cosines of
@@ -444,7 +421,6 @@ def build_space_from_matrix(X, rows: list[TermPair], *, k: Optional[int]) -> Rel
     row_index = {pair: i for i, pair in enumerate(rows)}
     if len(row_index) != len(rows):
         raise DataError("duplicate pair rows in relation space")
-    X = _as_csr(X)
     if k is None:
         _require_cosine_budget(X.shape[0])
         return RelationSpace(row_index=row_index, cosines=_gram_cosines(X))

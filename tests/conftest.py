@@ -54,6 +54,13 @@ def problem_by_id(dataset, pid):
     return next(p for p in dataset if p.id == pid)
 
 
+def assignment(result):
+    """A solve result's mapping, source term text -> target term text."""
+    problem = result.problem
+    return {problem.source[i].text: problem.target[j].text
+            for i, j in enumerate(result.mapping.perm)}
+
+
 def mined_counts(stats, pairs):
     """{pair: {pattern: count}} of mined statistics, read through the matrix."""
     cols = select_columns(stats, t=max(1, len(stats.column_order)), n_r=1)

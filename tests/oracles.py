@@ -43,11 +43,12 @@ windows from it, builds string patterns and counts them in dicts; the
 package's integer-coded miner must give the same counts, columns and
 matrix; `decode` reads the miner's column slot codes back as slot
 tuples, which only the tests need. The scipy.sparse references are the
-package's earlier F and X, held as scipy matrices: its `_as_csr`, both
-weightings and the no-SVD cosines from one sparse product, against which
-the numpy matrix of `relmap.csr` must give the same bytes; `as_scipy`
-turns that matrix into a scipy one, for the tests that index or densify
-it.
+package's earlier F and X, held as scipy matrices: both weightings and
+the no-SVD cosines from one sparse product, against which the numpy
+matrix of `relmap.csr` must give the same bytes. The space functions
+take only that matrix: `as_csr` builds it from a dense array or a scipy
+matrix, and `as_scipy` turns it into a scipy one, for the tests that
+index or densify it.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import svds
 
 from relmap.corpus import MAX_MID, MAX_POST, MAX_PRE, _find_windows
+from relmap.csr import CSR
 from relmap.errors import RelmapError, TransformError
 from relmap.patterns import slot_words
 from relmap.space import _WEAK_ROW_SHARE, _one_blas_thread
@@ -489,14 +491,24 @@ def as_scipy(X):
 
 
 def scipy_as_csr(matrix):
-    """The package's `_as_csr` as it was on scipy.sparse: float64, stored
-    zeros eliminated."""
+    """A dense array or a scipy matrix as a scipy CSR matrix: float64,
+    stored zeros eliminated."""
     if sp.issparse(matrix):
         out = matrix.tocsr().astype(np.float64)
     else:
         out = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
     out.eliminate_zeros()
     return out
+
+
+def as_csr(matrix) -> CSR:
+    """A dense array or a scipy matrix as a `relmap.csr.CSR` in canonical
+    form without stored zeros, the form the package's transforms and
+    `build_frequency_matrix` give the space functions."""
+    out = scipy_as_csr(matrix)
+    out.sort_indices()
+    out.sum_duplicates()
+    return CSR(out.data, out.indices.astype(np.int64), out.indptr.astype(np.int64), out.shape)
 
 
 def scipy_ppmic(F):

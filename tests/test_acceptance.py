@@ -8,10 +8,10 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from oracles import (PhraseOccurrence, as_scipy, brute_force_best, enumerate_pattern_strings,
-                     generate_patterns, hybrid_probabilities, ppmi_cell)
+from oracles import (PhraseOccurrence, as_csr, as_scipy, brute_force_best,
+                     enumerate_pattern_strings, generate_patterns, hybrid_probabilities,
+                     ppmi_cell)
 from relmap.attributes import TableSimilarity
 from relmap.config import Config
 from relmap.corpus import corpus_files, ingest
@@ -26,7 +26,7 @@ from relmap.space import transform_ppmic, truncated_svd
 from relmap.terms import TermPair
 from test_solver import SimTable
 
-from conftest import problem_by_id
+from conftest import assignment, problem_by_id
 
 
 def report(line):
@@ -92,7 +92,7 @@ def test_ppmic_conformance():
         F = rng.integers(0, 6, size=(20, 50)).astype(float)
         if F.sum() == 0:
             F[0, 0] = 1.0
-        out = as_scipy(transform_ppmic(F)).toarray()
+        out = as_scipy(transform_ppmic(as_csr(F))).toarray()
         rows = F.tolist()
         for i in range(20):
             for j in range(50):
@@ -100,7 +100,7 @@ def test_ppmic_conformance():
                 worst = max(worst, delta)
                 assert delta <= 1e-9
         assert np.count_nonzero(out) <= np.count_nonzero(F)
-    uniform = transform_ppmic(np.full((20, 50), 3.0))
+    uniform = transform_ppmic(as_csr(np.full((20, 50), 3.0)))
     assert uniform.nnz == 0
     report(f"ppmic conformance: 50 matrices, max |delta| = {worst:.2e}, "
            f"nnz never grew, uniform -> all zeros")
@@ -112,7 +112,7 @@ def test_svd_contracts():
     # orthonormality and k >= rank reconstruction
     for _ in range(10):
         low_rank = (rng.standard_normal((30, 4)) @ rng.standard_normal((4, 80)))
-        u, s = truncated_svd(sp.csr_matrix(low_rank), 10)
+        u, s = truncated_svd(as_csr(low_rank), 10)
         nonzero = s > 1e-12
         gram = u[:, nonzero].T @ u[:, nonzero]
         assert np.linalg.norm(gram - np.eye(int(nonzero.sum()))) <= 1e-8
@@ -123,7 +123,7 @@ def test_svd_contracts():
     k = 5
     for _ in range(20):
         X = rng.standard_normal((30, 80))
-        u, s = truncated_svd(sp.csr_matrix(X), k)
+        u, s = truncated_svd(as_csr(X), k)
         ours = np.linalg.norm(u @ u.T @ X - X)
         for _ in range(50):
             B = rng.standard_normal((30, k)) @ rng.standard_normal((k, 80))
@@ -209,8 +209,8 @@ def test_coherence_direction(planted_star):
                      problem.intended[problem.source[i].text] for i in subset}
             total = solve_constrained(problem, fixed, scorer, tie_policy="first")
             internal = solve(problem.restricted(subset), scorer, tie_policy="first")
-            assert {s: t for s, t in total.assignment().items() if s in fixed} == \
-                internal.assignment()
+            assert {s: t for s, t in assignment(total).items() if s in fixed} == \
+                assignment(internal)
     report(f"coherence direction: total {rel.total_average:.1f} >= "
            f"internal {rel.internal_average:.1f}; attributional total == "
            f"internal under deterministic ties")

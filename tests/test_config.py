@@ -38,17 +38,6 @@ def test_a_config_cannot_be_changed():
     assert cfg == Config()
 
 
-def test_loading_a_file_leaves_its_base_unchanged(tmp_path):
-    base = Config(k=50, seed=2)
-    path = tmp_path / "run.cfg"
-    path.write_text("seed = 9\n", encoding="utf-8")
-    assert load_config_file(path, base) == Config(k=50, seed=9)
-    path.write_text("k = 20\nt = 0\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="t must be >= 1, got 0"):
-        load_config_file(path, base)
-    assert base == Config(k=50, seed=2)
-
-
 def test_a_bad_file_is_refused_even_where_a_flag_would_override_it(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("t = 0\n", encoding="utf-8")

@@ -35,11 +35,15 @@ def occ_key(occ):
             occ.pre, occ.mid, occ.post)
 
 
+def all_words(vocab):
+    """Every word of the vocabulary, in id order."""
+    return vocab.words(np.arange(len(vocab)))
+
+
 def doc_tokens(index):
     """The index's documents as token lists, decoded from its arrays."""
     offsets = index.doc_offsets.tolist()
-    return [[index.vocab[i] for i in index.ids[a:b].tolist()]
-            for a, b in zip(offsets[:-1], offsets[1:])]
+    return [index.vocab.words(index.ids[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 # --- ingestion --------------------------------------------------------------
@@ -48,7 +52,7 @@ def test_ingest_empty_list():
     index = ingest([])
     assert index.total_tokens == 0
     assert index.n_documents == 0
-    assert list(index.vocab) == []
+    assert all_words(index.vocab) == []
     assert occurrences(index, Term.parse("sun")) == []
 
 
@@ -64,8 +68,8 @@ def test_ingest_twice_doubles_counts(tmp_path):
     once = write_corpus(tmp_path, [text])
     twice = write_corpus(tmp_path, [text, text], prefix="dup")
     assert twice.total_tokens == 2 * once.total_tokens
-    assert list(twice.vocab) == list(once.vocab)
-    for tok in once.vocab:
+    assert all_words(twice.vocab) == all_words(once.vocab)
+    for tok in all_words(once.vocab):
         term = Term((tok,))
         assert len(occurrences(twice, term)) == 2 * len(occurrences(once, term))
 
@@ -91,11 +95,11 @@ def test_ingest_skips_a_leading_byte_order_mark(tmp_path):
     marked.write_bytes(b"\xef\xbb\xbfsun attracts planet")
     want, got = ingest([plain]), ingest([marked])
     assert got.vocab.find(["sun"])[0] == want.vocab.find(["sun"])[0] >= 0
-    assert list(got.vocab) == list(want.vocab)
+    assert all_words(got.vocab) == all_words(want.vocab)
     assert got.ids.tolist() == want.ids.tolist()
     assert got.digest == corpus_digest([marked]) != want.digest
     ids, _, vocab, digest = batch_ingest([marked])
-    assert (ids.tolist(), vocab, digest) == (got.ids.tolist(), list(got.vocab), got.digest)
+    assert (ids.tolist(), vocab, digest) == (got.ids.tolist(), all_words(got.vocab), got.digest)
 
 
 def test_ingest_dir_reads_lexicographically(tmp_path):
@@ -121,7 +125,7 @@ def test_ingest_equals_batch_oracle(file_texts):
     assert index.ids.dtype == np.int32 and index.doc_offsets.dtype == np.int64
     assert index.ids.tolist() == ids.tolist()
     assert index.doc_offsets.tolist() == offsets.tolist()
-    assert list(index.vocab) == vocab
+    assert all_words(index.vocab) == vocab
     assert index.digest == digest
 
 
@@ -273,7 +277,7 @@ def test_ingest_of_ascii_and_other_files_equals_batch_oracle(files, batch_tokens
         ids, offsets, vocab, digest = batch_ingest(paths)
     assert index.ids.tolist() == ids.tolist()
     assert index.doc_offsets.tolist() == offsets.tolist()
-    assert list(index.vocab) == vocab
+    assert all_words(index.vocab) == vocab
     assert index.digest == digest
 
 
@@ -376,7 +380,7 @@ def test_sort_of_long_tied_words_takes_few_rounds(monkeypatch):
         [[long_word, *(f"w{i}" for i in range(1 << 14))], [long_word]])
     assert len(index.vocab) == (1 << 14) + 1
     assert index.ids[0] == index.ids[-1] == len(index.vocab) - 1
-    assert index.vocab[len(index.vocab) - 1] == long_word
+    assert index.vocab.words([len(index.vocab) - 1]) == [long_word]
     assert len(rounds) == 17
 
 def test_load_memory_holds_no_word_objects(tmp_path):
@@ -511,8 +515,7 @@ def test_blob_vocabulary_matches_list_oracle(documents, probes, data):
     near = [w + "\x00" for w in vocab] + [w[:-1] for w in vocab if len(w) > 1]
     for got in (index, loaded):
         assert len(got.vocab) == len(vocab)
-        assert list(got.vocab) == vocab
-        assert [got.vocab[i] for i in range(len(vocab))] == vocab
+        assert all_words(got.vocab) == vocab
         assert got.vocab.words(pick) == [vocab[i] for i in pick]
         assert got.vocab.words(np.array(pick, dtype=np.int32)) == [vocab[i] for i in pick]
         words = vocab + probes + near
@@ -801,7 +804,7 @@ def test_saved_index_gives_identical_windows(documents, x, y):
     index = dataclasses.replace(index_token_lists(documents), digest="d" * 64)
     with tempfile.TemporaryDirectory() as cache:
         loaded = load_index(save_index(index, cache))
-    assert list(loaded.vocab) == list(index.vocab)
+    assert all_words(loaded.vocab) == all_words(index.vocab)
     assert loaded.ids.tolist() == index.ids.tolist()
     assert loaded.doc_offsets.tolist() == index.doc_offsets.tolist()
     assert loaded.digest == index.digest
@@ -817,7 +820,7 @@ def test_saved_empty_index_roundtrips(tmp_path):
         loaded = load_index(save_index(index, tmp_path / str(len(documents))))
         assert loaded.total_tokens == 0
         assert loaded.n_documents == len(documents)
-        assert list(loaded.vocab) == []
+        assert all_words(loaded.vocab) == []
         assert search_phrases(loaded, TermPair.parse("x", "y")) == []
 
 
@@ -1109,7 +1112,7 @@ def test_cache_refuses_another_corpus_under_this_key(tmp_path):
     assert foreign != cache_path(cache, digest)
     index, hit = cached_index(files, cache)
     assert not hit
-    assert list(index.vocab) == ["planet", "sun", "the", "warms"]
+    assert all_words(index.vocab) == ["planet", "sun", "the", "warms"]
     assert cached_index(files, cache)[1]
     # an index copied under this corpus's key is refused, not served
     shutil.rmtree(cache_path(cache, digest))

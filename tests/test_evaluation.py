@@ -6,7 +6,7 @@ import pytest
 
 from relmap.config import Config
 from relmap.corpus import ingest
-from relmap.dataset import Dataset, builtin_dataset
+from relmap.dataset import Dataset, builtin_dataset, mean
 from relmap.errors import ConfigError, DataError
 from relmap import solver as solver_module
 from relmap.evaluation import (accuracy, coherence_experiment, make_scorer, run_batch,
@@ -14,7 +14,7 @@ from relmap.evaluation import (accuracy, coherence_experiment, make_scorer, run_
 from relmap.problems import Mapping
 from relmap.solver import RelationalScorer, solve, solve_constrained
 
-from conftest import problem_by_id
+from conftest import assignment, problem_by_id
 
 
 def mapping(pid, perm):
@@ -262,6 +262,39 @@ def test_coherence_at_full_size_walks_once(monkeypatch):
     assert any(a != b for a, b in want)
 
 
+@pytest.mark.parametrize("tie_policy", ["random", "first"])
+@pytest.mark.parametrize("m_prime", [2, 3, 5, 6])
+def test_coherence_equals_the_public_solves(m_prime, tie_policy):
+    """Each row is the mean, over the subsets and seeds coherence draws, of
+    `solve` on the reduced problem and of `solve_constrained` on the whole
+    one. With one POS tag for every term every mapping ties, so each tied
+    winner is drawn, and drawn with its own problem's id."""
+    problems = [p.restricted(range(6), suffix="m6") for p in builtin_dataset()
+                if p.m >= 6][:5]
+    problems = [dataclasses.replace(p, pos_tags={t.text: "NN" for t in (*p.source, *p.target)})
+                for p in problems]
+    cfg = Config(mode="attributional", provider="pos", seed=4)
+    report = coherence_experiment(Dataset(problems), m_prime=m_prime, trials_per_problem=3,
+                                  config=cfg, tie_policy=tie_policy)
+    want = []
+    for problem in problems:
+        rng = random.Random(f"{cfg.seed}:{problem.id}")
+        scorer = make_scorer(cfg, problem, None, None)
+        gold = problem.intended_mapping().perm
+        internal, total = [], []
+        for trial in range(1 if m_prime == problem.m else 3):
+            indices = rng.sample(range(problem.m), m_prime)
+            sub = problem.restricted(indices)
+            seed = f"{cfg.seed}:{trial}"
+            alone = solve(sub, scorer, seed, tie_policy=tie_policy).mapping
+            whole = solve_constrained(problem, sub.intended, scorer, seed,
+                                      tie_policy=tie_policy).mapping
+            internal.append(accuracy(alone, sub.intended_mapping()))
+            total.append(100.0 * sum(whole.perm[i] == gold[i] for i in indices) / m_prime)
+        want.append((problem.id, mean(internal), mean(total)))
+    assert [(r.problem_id, r.internal_accuracy, r.total_accuracy) for r in report.rows] == want
+
+
 def test_coherence_report_layout(planted_star):
     data, index = planted_star
     report = coherence_experiment(Dataset(data.problems[:2]), m_prime=3,
@@ -356,12 +389,12 @@ def test_attributional_pos_keeps_tag_classes_together():
     a1 = problem_by_id(ds, "A1")
     cfg = Config(mode="attributional", provider="pos", seed=0)
     results, _ = solve_batch(Dataset([a1]), cfg)
-    assignment = results[0].assignment()
-    for src, tgt in assignment.items():
+    mapped = assignment(results[0])
+    for src, tgt in mapped.items():
         assert a1.pos_tags[src] == a1.pos_tags[tgt]
     # exact matches outrank everything else
-    assert assignment["attracts"] == "attracts"
-    assert assignment["revolves"] == "revolves"
+    assert mapped["attracts"] == "attracts"
+    assert mapped["revolves"] == "revolves"
 
 
 def test_coherence_builtin_attributional_subproblem_count():

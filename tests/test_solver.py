@@ -15,6 +15,8 @@ from relmap.solver import (AttributionalScorer, HybridScorer, RelationalScorer,
                            _mapping_blocks, solve, solve_constrained)
 from relmap.terms import TermPair
 
+from conftest import assignment
+
 
 def make_problem(m, pid="p"):
     return MappingProblem.build(id=pid,
@@ -154,7 +156,7 @@ def test_attributional_identity_indicator():
     provider = TableSimilarity({(t, t): 1.0 for t in "abc"})
     result = solve(problem, AttributionalScorer(provider), seed=0)
     assert result.score == 3.0
-    assert result.assignment() == {"a": "a", "b": "b", "c": "c"}
+    assert assignment(result) == {"a": "a", "b": "b", "c": "c"}
 
 
 def test_attributional_m2_example():
@@ -383,8 +385,8 @@ def test_attributional_total_equals_internal_with_first_policy(seed):
     fixed = {f"s{i}": f"t{i}" for i in subset}
     total = solve_constrained(problem, fixed, scorer, tie_policy="first")
     internal = solve(problem.restricted(subset), scorer, tie_policy="first")
-    assert {s: t for s, t in total.assignment().items() if s in fixed} == \
-        internal.assignment()
+    assert {s: t for s, t in assignment(total).items() if s in fixed} == \
+        assignment(internal)
 
 
 def test_solve_result_serialization_deterministic():

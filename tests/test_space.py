@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from oracles import (as_scipy, dense_cosines, dense_svd, log_entropy_cell, ppmi_cell,
+from oracles import (as_csr, as_scipy, dense_cosines, dense_svd, log_entropy_cell, ppmi_cell,
                      scalar_sim_r, sparse_svd, truncated_svd_every_component,
                      truncated_svd_full)
 from relmap.config import Config
@@ -24,7 +24,7 @@ from relmap.patterns import (build_frequency_matrix, build_pair_list,
                              mine_patterns, prune_rows, select_columns)
 from relmap.problems import MappingProblem
 from relmap.solver import RelationalScorer
-from relmap.space import (_DECOMPOSITION_BYTES_PER_CELL, _FACTOR_BYTES_PER_CELL, _as_csr,
+from relmap.space import (_DECOMPOSITION_BYTES_PER_CELL, _FACTOR_BYTES_PER_CELL,
                           _components, _gram_cosines, _require_cosine_budget,
                           _require_decomposition_budget, build_space, build_space_from_matrix,
                           transform_log_entropy, transform_ppmic, truncated_svd)
@@ -32,7 +32,8 @@ from relmap.terms import TermPair
 
 from conftest import write_corpus
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def dense(matrix):
@@ -42,19 +43,19 @@ def dense(matrix):
 # --- PPMI transform ---------------------------------------------------------
 
 def test_ppmic_uniform_matrix_is_zero():
-    out = transform_ppmic([[3.0, 3.0], [3.0, 3.0]])
+    out = transform_ppmic(as_csr([[3.0, 3.0], [3.0, 3.0]]))
     assert out.nnz == 0
 
 
 def test_ppmic_diagonal_log2():
-    out = dense(transform_ppmic([[4.0, 0.0], [0.0, 4.0]]))
+    out = dense(transform_ppmic(as_csr([[4.0, 0.0], [0.0, 4.0]])))
     want = [[math.log(2.0), 0.0], [0.0, math.log(2.0)]]
     assert np.allclose(out, want, atol=1e-12)
 
 
 def test_ppmic_clamps_negative_cells():
     F = [[3.0, 1.0], [1.0, 3.0]]
-    out = dense(transform_ppmic(F))
+    out = dense(transform_ppmic(as_csr(F)))
     for i in range(2):
         for j in range(2):
             assert out[i][j] == pytest.approx(ppmi_cell(F, i, j), abs=1e-12)
@@ -63,7 +64,7 @@ def test_ppmic_clamps_negative_cells():
 
 def test_ppmic_rejects_all_zero():
     with pytest.raises(TransformError):
-        transform_ppmic([[0.0, 0.0], [0.0, 0.0]])
+        transform_ppmic(as_csr([[0.0, 0.0], [0.0, 0.0]]))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -73,7 +74,7 @@ def test_ppmic_matches_scalar_oracle(seed):
     F = rng.integers(0, 5, size=(6, 9)).astype(float)
     if F.sum() == 0:
         F[0, 0] = 1.0
-    out = dense(transform_ppmic(F))
+    out = dense(transform_ppmic(as_csr(F)))
     rows = F.tolist()
     for i in range(F.shape[0]):
         for j in range(F.shape[1]):
@@ -85,7 +86,7 @@ def test_ppmic_matches_scalar_oracle(seed):
 # --- log entropy transform --------------------------------------------------
 
 def test_log_entropy_single_mass_column():
-    X, kept = transform_log_entropy([[5.0, 0.0], [0.0, 2.0]])
+    X, kept = transform_log_entropy(as_csr([[5.0, 0.0], [0.0, 2.0]]))
     out = dense(X)
     assert kept.tolist() == [0, 1]
     assert out[0][0] == pytest.approx(math.log(6.0))
@@ -93,21 +94,21 @@ def test_log_entropy_single_mass_column():
 
 
 def test_log_entropy_uniform_column_zeroed():
-    X, kept = transform_log_entropy([[2.0, 3.0], [2.0, 0.0]])
+    X, kept = transform_log_entropy(as_csr([[2.0, 3.0], [2.0, 0.0]]))
     out = dense(X)
     assert out[0][0] == 0.0 and out[1][0] == 0.0  # uniform column, weight 0
     assert out[0][1] > 0
 
 
 def test_log_entropy_drops_zero_columns():
-    X, kept = transform_log_entropy([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
+    X, kept = transform_log_entropy(as_csr([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0]]))
     assert kept.tolist() == [0, 2]
     assert X.shape == (2, 2)
 
 
 def test_log_entropy_matches_scalar_oracle():
     F = [[2.0, 0.0], [1.0, 1.0]]
-    X, kept = transform_log_entropy(F)
+    X, kept = transform_log_entropy(as_csr(F))
     out = dense(X)
     for i in range(2):
         for j in range(2):
@@ -122,7 +123,7 @@ def test_log_entropy_random_matches_oracle(seed):
     F = rng.integers(0, 4, size=(5, 7)).astype(float)
     if F.sum() == 0:
         F[0, 0] = 1.0
-    X, kept = transform_log_entropy(F)
+    X, kept = transform_log_entropy(as_csr(F))
     out = dense(X)
     rows = F.tolist()
     for col_out, j in enumerate(kept):
@@ -135,25 +136,24 @@ def test_log_entropy_random_matches_oracle(seed):
 
 def test_svd_rank_one_exact():
     X = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
-    u, s = truncated_svd(sp.csr_matrix(X), 1)
+    u, s = truncated_svd(as_csr(X), 1)
     recon = u @ u.T @ X
     assert np.linalg.norm(recon - X) <= 1e-8
 
 
 def test_svd_diagonal_analytic():
     # singular values of diag(3, 1) are exactly 3 and 1
-    u, s = truncated_svd(np.diag([3.0, 1.0]), 1)
+    u, s = truncated_svd(as_csr(np.diag([3.0, 1.0])), 1)
     assert s.shape == (1,)
     assert s[0] == pytest.approx(3.0, abs=1e-12)
-    u_full, s_full = truncated_svd(sp.csr_matrix(np.diag([3.0, 1.0])), 1)
-    recon = u_full @ u_full.T @ np.diag([3.0, 1.0])
+    recon = u @ u.T @ np.diag([3.0, 1.0])
     assert np.allclose(recon, [[3.0, 0.0], [0.0, 0.0]], atol=1e-10)
 
 
 def test_svd_full_rank_reconstruction():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, 4))
-    u, s = truncated_svd(sp.csr_matrix(X), 4)
+    u, s = truncated_svd(as_csr(X), 4)
     err = np.linalg.norm(u @ u.T @ X - X) / np.linalg.norm(X)
     assert err <= 1e-8
 
@@ -161,7 +161,7 @@ def test_svd_full_rank_reconstruction():
 def test_svd_orthonormal_columns():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((20, 30))
-    u, s = truncated_svd(X, 8)
+    u, s = truncated_svd(as_csr(X), 8)
     gram = u.T @ u
     assert np.linalg.norm(gram - np.eye(8)) <= 1e-8
     assert all(s[i] >= s[i + 1] for i in range(len(s) - 1))
@@ -169,7 +169,7 @@ def test_svd_orthonormal_columns():
 
 def test_svd_pads_when_k_exceeds_dimension():
     X = np.diag([2.0, 1.0])
-    u, s = truncated_svd(X, 5)
+    u, s = truncated_svd(as_csr(X), 5)
     assert u.shape == (2, 5)
     assert s.shape == (5,)
     assert np.all(s[2:] == 0)
@@ -178,14 +178,14 @@ def test_svd_pads_when_k_exceeds_dimension():
 
 def test_svd_rejects_bad_k():
     with pytest.raises(ConfigError):
-        truncated_svd(np.eye(3), 0)
+        truncated_svd(as_csr(np.eye(3)), 0)
 
 
 def test_svd_refuses_a_gram_matrix_over_the_memory_budget():
     """One nonzero per row: X is tiny, but its Gram matrix is n_r x n_r."""
     n_r = 10_000
-    X = sp.csr_matrix((np.ones(n_r), (np.arange(n_r), np.zeros(n_r, dtype=np.int64))),
-                      shape=(n_r, 1))
+    X = as_csr(sp.csr_matrix((np.ones(n_r), (np.arange(n_r), np.zeros(n_r, dtype=np.int64))),
+                             shape=(n_r, 1)))
     with pytest.raises(BudgetError, match="n_r=10,000 .* 4,800,000,000 bytes"):
         truncated_svd(X, 5)
     rows = [TermPair.parse(f"a{i}", f"b{i}") for i in range(n_r)]
@@ -206,7 +206,7 @@ def test_no_svd_refuses_a_cosine_matrix_over_the_memory_budget():
     """Without SVD the same budget on n_r holds: 10,000 rows of one nonzero
     each are refused before any 10,000 x 10,000 array (800 MB) is formed."""
     n_r = 10_000
-    X = sp.csr_matrix((np.ones(n_r), (np.arange(n_r), np.arange(n_r))), shape=(n_r, n_r))
+    X = as_csr(sp.identity(n_r, format="csr"))
     rows = [TermPair.parse(f"a{i}", f"b{i}") for i in range(n_r)]
     tracemalloc.start()
     try:
@@ -226,7 +226,7 @@ def test_no_svd_cosines_peak_within_the_budget_per_cell():
     n_r, n_c = 1_000, 200
     X = rng.uniform(0.5, 2.0, (n_r, n_c)) * (rng.random((n_r, n_c)) < 0.2)
     X[:, 0] = 1.0
-    X = _as_csr(X)
+    X = as_csr(X)
     assert not _components(X).any()
     tracemalloc.start()
     try:
@@ -243,7 +243,7 @@ def test_svd_beats_random_rank_k_competitors():
     for _ in range(5):
         X = rng.standard_normal((12, 18))
         k = 3
-        u, s = truncated_svd(sp.csr_matrix(X), k)
+        u, s = truncated_svd(as_csr(X), k)
         best = np.linalg.norm(u @ u.T @ X - X)
         for _ in range(20):
             B = rng.standard_normal((12, k)) @ rng.standard_normal((k, 18))
@@ -253,7 +253,7 @@ def test_svd_beats_random_rank_k_competitors():
 def test_svd_sparse_path_matches_dense():
     rng = np.random.default_rng(3)
     X = sp.random(700, 900, density=0.01, random_state=rng, format="csr")
-    u, s = truncated_svd(X, 5)   # Gram eigendecomposition against dense LAPACK
+    u, s = truncated_svd(as_csr(X), 5)   # Gram eigendecomposition against dense LAPACK
     dense_s = np.linalg.svd(X.toarray(), compute_uv=False)[:5]
     assert np.allclose(s, dense_s, rtol=1e-6, atol=1e-8)
     assert np.linalg.norm(u.T @ u - np.eye(5)) <= 1e-6
@@ -292,17 +292,17 @@ def shuffled_blocks(rng, blocks, n_zero, n_cols_extra=0):
 def test_components_match_csgraph(seed, n_r, n_c, density):
     rng = np.random.default_rng(seed)
     X = sp.random(n_r, n_c, density=density, random_state=rng, format="csr")
-    assert _components(X).tolist() == csgraph_labels(X).tolist()
+    assert _components(as_csr(X)).tolist() == csgraph_labels(X).tolist()
 
 
 def test_components_of_empty_rows_singletons_and_permuted_blocks():
     rng = np.random.default_rng(0)
-    assert _components(sp.csr_matrix((4, 3))).tolist() == [0, 1, 2, 3]
+    assert _components(as_csr(np.zeros((4, 3)))).tolist() == [0, 1, 2, 3]
     alone = sp.identity(50, format="csr")[rng.permutation(50)]
-    assert _components(alone).tolist() == list(range(50))
+    assert _components(as_csr(alone)).tolist() == list(range(50))
     blocks = [rng.standard_normal((r, c)) for r, c in ((3, 4), (1, 2), (5, 1), (2, 2))]
     X = shuffled_blocks(rng, blocks, n_zero=3, n_cols_extra=2)
-    labels = _components(X)
+    labels = _components(as_csr(X))
     assert labels.tolist() == csgraph_labels(X).tolist()
     assert sorted(np.bincount(labels)[np.unique(labels)].tolist()) == [1, 1, 1, 1, 2, 3, 5]
 
@@ -317,7 +317,7 @@ def test_components_of_a_chain_at_the_budget_edge():
     cols = np.concatenate([np.arange(n_r), np.arange(n_r) + 1])
     X = sp.csr_matrix((np.ones(2 * n_r), (rows, cols)), shape=(n_r, n_r + 1))
     start = time.perf_counter()
-    labels = _components(X)
+    labels = _components(as_csr(X))
     assert time.perf_counter() - start < 1.0
     assert not labels.any()
     assert labels.tolist() == csgraph_labels(X).tolist()
@@ -401,7 +401,7 @@ def test_component_decomposition_matches_one_eigh(X):
     row_index = {p: i for i, p in enumerate(rows)}
     spectrum = np.sqrt(np.maximum(np.linalg.eigvalsh((X @ X.T).toarray())[::-1], 0.0))
     for k in range(1, n_r + 3):
-        u, s = truncated_svd(X, k)
+        u, s = truncated_svd(as_csr(X), k)
         u_ref, s_ref = truncated_svd_full(X, k)
         sigma_1 = s_ref.max(initial=0.0)
         kept = int(np.count_nonzero(s_ref > NOISE * sigma_1))
@@ -424,10 +424,10 @@ def test_component_decomposition_matches_one_eigh(X):
 SVD_BYTES = """
 import hashlib
 import numpy as np
-import scipy.sparse as sp
+from oracles import as_csr
 from relmap.space import truncated_svd
-X = sp.csr_matrix(np.random.default_rng(3).random((400, 60)))
-u, s = truncated_svd(X, 50)
+X = np.random.default_rng(3).random((400, 60))
+u, s = truncated_svd(as_csr(X), 50)
 print(hashlib.sha256(u.tobytes() + s.tobytes()).hexdigest())
 """
 
@@ -435,7 +435,8 @@ print(hashlib.sha256(u.tobytes() + s.tobytes()).hexdigest())
 def test_truncated_svd_keeps_its_bytes_at_two_blas_threads():
     out = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]),
+                   OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", SVD_BYTES], env=env,
                               capture_output=True, text=True, timeout=120)
@@ -452,8 +453,8 @@ def test_one_component_keeps_the_bits_of_one_eigh(seed, n_r, n_c, k):
     X = rng.standard_normal((n_r, n_c)) * (rng.random((n_r, n_c)) < 0.3)
     X[:, 0] = rng.uniform(0.5, 2.0, n_r)   # every row shares column 0
     X = sp.csr_matrix(X)
-    assert not _components(X).any()
-    u, s = truncated_svd(X, k)
+    assert not _components(as_csr(X)).any()
+    u, s = truncated_svd(as_csr(X), k)
     u_ref, s_ref = truncated_svd_full(X, k)
     assert s.tobytes() == s_ref.tobytes()
     assert u.tobytes() == u_ref.tobytes()
@@ -487,7 +488,7 @@ def test_skipping_components_keeps_the_bits_of_every_eigh(X):
     and U_k and sigma_k keep the bits of an eigh of every component, at
     every k from 1 to past n_r."""
     for k in range(1, X.shape[0] + 3):
-        u, s = truncated_svd(X, k)
+        u, s = truncated_svd(as_csr(X), k)
         u_ref, s_ref = truncated_svd_every_component(X, k)
         assert s.tobytes() == s_ref.tobytes()
         assert u.tobytes() == u_ref.tobytes()
@@ -506,12 +507,12 @@ def test_a_weak_component_below_the_cut_is_not_decomposed(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    u, s = truncated_svd(X, 3)
+    u, s = truncated_svd(as_csr(X), 3)
     assert sizes == [6]
     u_ref, s_ref = truncated_svd_every_component(X, 3)
     assert (u.tobytes(), s.tobytes()) == (u_ref.tobytes(), s_ref.tobytes())
     sizes.clear()
-    truncated_svd(X, 12)
+    truncated_svd(as_csr(X), 12)
     assert sizes == [6, 6]
 
 
@@ -526,7 +527,7 @@ def test_budget_counts_the_largest_component():
     """A 9,129-row component is refused inside a larger X, before any
     n_r x n_r or n_r x k array is formed; 10,000 rows in 2-row components
     are not, and keep the bits of an eigh of every component."""
-    X = sp.block_diag([chain(9_129), sp.identity(871)], format="csr")
+    X = as_csr(sp.block_diag([chain(9_129), sp.identity(871)], format="csr"))
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError, match=r"n_r=10,000 pair rows at k=5 .* \(9,129 rows\)"):
@@ -537,7 +538,7 @@ def test_budget_counts_the_largest_component():
     assert peak < 8 * 10_000 * 10_000 / 100
     rng = np.random.default_rng(0)
     pairs = sp.block_diag([rng.uniform(0.5, 2.0, (2, 2)) for _ in range(5_000)], format="csr")
-    u, s = truncated_svd(pairs, 5)
+    u, s = truncated_svd(as_csr(pairs), 5)
     u_ref, s_ref = truncated_svd_every_component(pairs, 5)
     assert (u.tobytes(), s.tobytes()) == (u_ref.tobytes(), s_ref.tobytes())
 
@@ -548,7 +549,7 @@ def test_budget_counts_the_factors():
     component from 9,128 rows to 9,029."""
     with pytest.raises(BudgetError,
                        match="n_r=3 pair rows at k=1,000,000,000 .* 96,000,000,000 bytes"):
-        truncated_svd(np.eye(3), 10 ** 9)
+        truncated_svd(as_csr(np.eye(3)), 10 ** 9)
     with pytest.raises(BudgetError, match=r"\(9,030 rows\)"):
         _require_decomposition_budget(9_030, 300, 9_030)
     _require_decomposition_budget(9_029, 300, 9_029)
@@ -562,7 +563,7 @@ def test_decomposed_blocks_hold_no_more_than_the_budget_counts(monkeypatch):
     hold 25.6 MB."""
     rng = np.random.default_rng(3)
     block = rng.uniform(0.5, 2.0, (400, 8))
-    X = sp.block_diag([block * (1 + i / 1000) for i in range(20)], format="csr")
+    X = as_csr(sp.block_diag([block * (1 + i / 1000) for i in range(20)], format="csr"))
     n_r, k = X.shape[0], 10
     calls = []
     eigh = np.linalg.eigh
@@ -597,7 +598,7 @@ def test_weak_row_is_zeroed():
     X0[2, 2] = 1.0
     X0[3, 2] = 2.0
     rows = [TermPair.parse(f"a{i}", f"b{i}") for i in range(5)]
-    space = build_space_from_matrix(X0 @ V.T, rows, k=2)
+    space = build_space_from_matrix(as_csr(X0 @ V.T), rows, k=2)
     assert np.linalg.norm(space.W, axis=1).tolist() == pytest.approx(
         [1.0, 1.0, 0.0, 0.0, 0.0], abs=1e-12)
     assert np.all(space.W[2:] == 0.0)
@@ -621,7 +622,7 @@ def spaces(draw):
     if draw(st.booleans()):
         X = sp.random(len(rows), draw(st.integers(1, 40)), density=0.3, random_state=rng,
                       data_rvs=rng.standard_normal)
-        return build_space_from_matrix(sp.diags(scale) @ X, rows, k=None), rows
+        return build_space_from_matrix(as_csr(sp.diags(scale) @ X), rows, k=None), rows
     k = draw(st.integers(1, 320))
     U = rng.standard_normal((len(rows), k)) * scale[:, None]
     space = build_space(U, rng.uniform(0.1, 10.0, size=k), {p: i for i, p in enumerate(rows)})
@@ -819,7 +820,7 @@ def test_no_svd_cosines_match_the_dense_oracle(X):
     normalized rows to 2e-15, zero the same weak rows, and are exactly 0.0
     across components."""
     rows = [TermPair.parse(f"a{i}", f"b{i}") for i in range(X.shape[0])]
-    cos = build_space_from_matrix(X, rows, k=None).cosines
+    cos = build_space_from_matrix(as_csr(X), rows, k=None).cosines
     want, weak = dense_cosines(X)
     assert np.abs(cos - want).max() <= 2e-15
     assert np.all(cos == cos.T)
