@@ -37,29 +37,26 @@ inside its document. Each (x term, y term) hit is mapped to the pair
 slots with those terms through a sorted key array, and one stable sort
 by slot gives the windows in (pair, document, x start, y start) order.
 
-Ingest streams the files, and tokenizes an ASCII file by bytes. Each
-file is read, hashed and tokenized before the next one is read. An ASCII
-file's bytes are classed through a table indexed by byte (whitespace,
-edge punctuation, word byte) and lowercased, both by `bytes` methods; a
-token runs from the first word byte to the last of a run of bytes that
-are not whitespace, so it is the runs of word bytes joined across the
-runs of edge punctuation that lie between two of them, found for all
-tokens at once. Any other file, one that starts with a byte-order mark
-included, goes through `terms.tokenize`, and its tokens are joined by
-"\\n" as UTF-8 bytes. Either way a file becomes its bytes and the start
-and size of each token, and everything after that is one path. The
-tokens are sorted in batches of _BATCH_TOKENS, in numpy. Each token's
-bytes become a key once: its prefix, its size, and its bytes past the
-8th. A batch is sorted by value on (prefix, size clipped to 9), and only
-ties of words longer than 8 bytes are refined over the bytes past the
-8th (`_sort_words`). A sorted batch keeps only its distinct words, as
-keys, and its tokens' ranks among them. So at any time memory holds one
-file, the bytes and bounds of one batch's tokens and that batch's sort,
-the keys of the distinct words of the batches so far and 4 bytes per
-token: never a Python string per corpus token or per vocabulary word,
-except for the tokens of one file that is not ASCII. At the end the keys
-of all batches are sorted by the same kernel, so that copies of a word
-from several batches become one vocabulary word, each batch's ranks are
+Ingest streams the files: each is read, hashed and tokenized by bytes
+before the next one is read. Its text is decoded, lowercased whole as
+`terms.tokenize` lowercases it and encoded as UTF-8 again, and its bytes
+are classed as whitespace, edge punctuation or word bytes: ASCII bytes
+through a table, and the few wider characters that split or are stripped
+by their codes. A token runs from the first word byte to the last of a
+run of bytes that are not whitespace, so it is the runs of word bytes
+joined across the runs of edge punctuation that lie between two of them,
+found for all tokens at once. The tokens are sorted in batches of
+_BATCH_TOKENS, in numpy. Each token's bytes become a key once: its
+prefix, its size, and its bytes past the 8th. A batch is sorted by value
+on (prefix, size clipped to 9), and only ties of words longer than 8
+bytes are refined over the bytes past the 8th (`_sort_words`). A sorted
+batch keeps only its distinct words, as keys, and its tokens' ranks
+among them. So at any time memory holds one file, the bytes and bounds
+of one batch's tokens and that batch's sort, the keys of the distinct
+words of the batches so far and 4 bytes per token: never a Python string
+per corpus token or per vocabulary word. At the end the keys of all
+batches are sorted by the same kernel, so that copies of a word from
+several batches become one vocabulary word, each batch's ranks are
 mapped to vocabulary ids, and the keys of the distinct words are the
 vocabulary.
 
@@ -68,10 +65,10 @@ Cache. `save_index` writes one directory per cache key, holding
 ``tails.npy`` and ``meta.json``: the format, the corpus digest, the
 vocabulary's size and the CRC-32 of each array's bytes. The directory
 name is a hash of the corpus content digest and the format version.
-There is one tokenization, `terms.tokenize`'s, taken by bytes for ASCII
-files, and the format version stands for it, so an index written by
-another tokenizer or layout is never found; the ``.npz`` files of
-format v4 and before are never opened. The directory is written under a
+There is one tokenization, `terms.tokenize`'s, taken by bytes, and the
+format version stands for it, so an index written by another tokenizer
+or layout is never found; the ``.npz`` files of format v4 and before
+are never opened. The directory is written under a
 temporary name in the cache directory and renamed into place, so no
 reader sees a partial index. `load_index` maps each array read-only
 (``mmap_mode="r"``, ``allow_pickle=False``), so nothing is copied or
@@ -107,7 +104,7 @@ import numpy as np
 
 from .csr import _ranges
 from .errors import CorpusError
-from .terms import _PUNCT, MARKERS, Term, TermPair, tokenize
+from .terms import _PUNCT, MARKERS, Term, TermPair
 
 logger = logging.getLogger(__name__)
 
@@ -115,11 +112,8 @@ MAX_PRE = 1
 MAX_MID = 3
 MAX_POST = 1
 
-# The format tag also stands for the tokenization and for how a file is
-# decoded, which the cache key and metadata do not otherwise name. A file
-# takes one of two paths to its tokens (`_file_tokens`): the byte tokenizer
-# for ASCII (`_ascii_tokens` and its tables) or `terms.tokenize` for any
-# other text. Any change to the tokens of either path must bump it.
+# The format tag also stands for how `_file_tokens` decodes and tokenizes
+# a file, which the cache key and metadata do not name: new tokens bump it.
 _CACHE_FORMAT = "relmap-corpus-index-v5"
 # The arrays of a cached index, each one `.npy` file.
 _ARRAYS = ("ids", "doc_offsets", "prefix", "sizes", "tails")
@@ -143,11 +137,21 @@ _FILL, _BANG, _HIGH = (np.uint64(int.from_bytes(bytes([c]) * 8, "big"))
 _WHITESPACE = re.compile(r"\s")
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
-# The byte tokenizer's table for `bytes.translate`, read only at ASCII
-# bytes: each byte's kind (whitespace as `str.split` splits on it, edge
-# punctuation as `tokenize` strips it, or a word byte).
-_SPACE, _EDGE, _WORD = 0, 1, 2
-_BYTE_KIND = bytes(_SPACE if chr(c).isspace() else _EDGE if chr(c) in _PUNCT else _WORD
+# The kinds of the characters past ASCII that split or are stripped, all of
+# 2 or 3 bytes (tests check every code point), and their 3-byte codes.
+_SPACE, _EDGE, _WORD, _LEAD = 0, 1, 2, 3
+_WIDE_KIND = (dict.fromkeys("\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
+                            + "\u2028\u2029\u202f\u205f\u3000", _SPACE)
+              | dict.fromkeys((c for c in _PUNCT if not c.isascii()), _EDGE))
+_WIDE = sorted((int.from_bytes(c.encode().ljust(3, b"\0"), "big"), len(c.encode()), k)
+               for c, k in _WIDE_KIND.items())
+_WIDE_CODES, _WIDE_SIZES, _WIDE_KINDS = (np.array(column, dtype=np.int64) for column in zip(*_WIDE))
+_WIDE_LEADS = {code >> 16 for code, _, _ in _WIDE}
+# The byte tokenizer's table for `bytes.translate`: each byte's kind
+# (whitespace as `str.split` splits on it, edge punctuation as `tokenize`
+# strips it, a word byte, or a lead: a wide character's first byte).
+_BYTE_KIND = bytes(_LEAD if c in _WIDE_LEADS else _WORD if c >= 0x80
+                   else _SPACE if chr(c).isspace() else _EDGE if chr(c) in _PUNCT else _WORD
                    for c in range(256))
 
 
@@ -524,26 +528,36 @@ def ingest(paths: list[str | Path]) -> CorpusIndex:
 
 def _file_tokens(path: Path, hasher) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The file's tokens as (bytes, starts, sizes), `tokenize`'s tokens of
-    its UTF-8 text less a leading byte-order mark; the SHA-256 of its
-    bytes goes into `hasher`. An ASCII file is tokenized by bytes."""
+    its UTF-8 text less a leading byte-order mark, lowercased whole as
+    `tokenize` lowercases it; the SHA-256 of its bytes goes into `hasher`."""
     try:
         raw = path.read_bytes()
-        text = None if raw.isascii() else raw.decode("utf-8-sig")
+        low = raw.decode("utf-8-sig").lower().encode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot ingest {path}: {exc}") from exc
     hasher.update(hashlib.sha256(raw).digest())
-    return _ascii_tokens(raw) if text is None else _joined_tokens(tokenize(text))
+    return _byte_tokens(low)
 
 
-def _ascii_tokens(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`tokenize`'s tokens of ASCII text, as (bytes, starts, sizes): token
-    i is the lowercased bytes[starts[i]:starts[i] + sizes[i]].
+def _byte_tokens(low: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`tokenize`'s tokens of lowercase UTF-8 text, as (bytes, starts,
+    sizes): token i is bytes[starts[i]:starts[i] + sizes[i]].
 
     A token is a run of bytes that are not whitespace, less the edge
     punctuation: it spans from its run's first word byte to its last, and
-    a run with no word byte gives none.
+    a run with no word byte gives none. A character of `_WIDE_KIND` is
+    classed whole, by its code at its lead, a byte no character holds inside.
     """
-    kind = np.frombuffer(raw.translate(_BYTE_KIND), dtype=np.uint8)
+    data = np.frombuffer(low, dtype=np.uint8)
+    kind = np.frombuffer(low.translate(_BYTE_KIND), dtype=np.uint8).copy()
+    lead = np.flatnonzero(kind == _LEAD)
+    kind[lead] = _WORD
+    b0, b1, b2 = (np.take(data, lead + k, mode="clip").astype(np.int64) for k in range(3))
+    code = b0 << 16 | b1 << 8 | np.where(b0 < 0xE0, 0, b2)
+    at = np.searchsorted(_WIDE_CODES, code)
+    hit = _WIDE_CODES.take(at, mode="clip") == code
+    at = at[hit]
+    kind[_ranges(lead[hit], _WIDE_SIZES[at])] = np.repeat(_WIDE_KINDS[at], _WIDE_SIZES[at])
     parts = _run_edges(kind == _WORD)  # runs of word bytes
     edges = _run_edges(kind == _EDGE)  # runs of edge punctuation
     # A run of edge punctuation with word bytes on both sides joins the
@@ -553,11 +567,11 @@ def _ascii_tokens(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a, b = edges[0::2], edges[1::2]
     inner = (np.take(kind, a - 1, mode="clip") == _WORD) & (np.take(kind, b, mode="clip") == _WORD)
     del kind
-    joined = np.zeros(len(raw) + 1, dtype=bool)
+    joined = np.zeros(len(low) + 1, dtype=bool)
     joined[a[inner]] = joined[b[inner]] = True
     starts = parts[0::2][~joined[parts[0::2]]]
     sizes = parts[1::2][~joined[parts[1::2]]] - starts
-    return np.frombuffer(raw.lower(), dtype=np.uint8), starts, sizes
+    return data, starts, sizes
 
 
 def _run_edges(mask: np.ndarray) -> np.ndarray:
@@ -565,20 +579,6 @@ def _run_edges(mask: np.ndarray) -> np.ndarray:
     padded = np.zeros(mask.size + 2, dtype=bool)
     padded[1:-1] = mask
     return np.flatnonzero(padded[1:] != padded[:-1])
-
-
-def _joined_tokens(tokens: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tokens as (bytes, starts, sizes), each token's UTF-8 bytes
-    followed by a "\\n"; an empty token, or one holding a newline, is
-    refused with CorpusError."""
-    data = np.frombuffer("\n".join([*tokens, ""]).encode("utf-8"), dtype=np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    starts = np.zeros(ends.size, dtype=np.int64)
-    starts[1:] = ends[:-1] + 1
-    sizes = ends - starts
-    if ends.size != len(tokens) or not sizes.all():
-        raise CorpusError("a vocabulary word is empty or holds a newline")
-    return data, starts, sizes
 
 
 def _index_tokens(documents: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> CorpusIndex:

@@ -9,8 +9,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import PUNCTUATION, as_scipy, decode
 
-from relmap.corpus import _index_tokens, _joined_tokens, corpus_files, ingest
+from relmap.corpus import _index_tokens, corpus_files, ingest
 from relmap.dataset import Dataset
+from relmap.errors import CorpusError
 from relmap.patterns import build_frequency_matrix, select_columns
 from relmap.planted import PlantedConfig, generate_planted_corpus
 
@@ -47,6 +48,20 @@ def index_token_lists(documents):
     that none is a slot marker (`terms.MARKERS`).
     """
     return _index_tokens(map(_joined_tokens, documents))
+
+
+def _joined_tokens(tokens):
+    """The tokens as (bytes, starts, sizes), each token's UTF-8 bytes
+    followed by a "\\n"; an empty token, or one holding a newline, is
+    refused with CorpusError."""
+    data = np.frombuffer("\n".join([*tokens, ""]).encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.zeros(ends.size, dtype=np.int64)
+    starts[1:] = ends[:-1] + 1
+    sizes = ends - starts
+    if ends.size != len(tokens) or not sizes.all():
+        raise CorpusError("a vocabulary word is empty or holds a newline")
+    return data, starts, sizes
 
 
 def problem_by_id(dataset, pid):

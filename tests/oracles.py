@@ -5,8 +5,8 @@ shared code with the package beyond its public data types. The ingest
 references tokenize one word at a time and assign ids after every file
 is tokenized, from one first-seen dict over the whole corpus and a
 Python sort of its words, the package's earlier designs; the streamed
-ingest, with its byte tokenizer for ASCII files and its numpy sort of
-batches of tokens, must give the same ids, offsets, vocabulary and
+ingest, with its byte tokenizer and its numpy sort of batches of
+tokens, must give the same ids, offsets, vocabulary and
 digest. The lookup
 reference keeps the vocabulary as a list of strings and builds postings
 for every token id with a full stable argsort and a bincount, the

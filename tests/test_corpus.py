@@ -5,6 +5,7 @@ import pickle
 import random
 import shutil
 import string
+import sys
 import tempfile
 import tracemalloc
 import zlib
@@ -25,9 +26,9 @@ from relmap.corpus import (_find_windows, cache_path, cached_index, cooccurrence
                            corpus_digest, corpus_files, ingest, load_index, save_index)
 from relmap.errors import CorpusError
 from relmap.planted import PlantedConfig, generate_planted_corpus
-from relmap.terms import MARKERS, Term, TermPair, tokenize
+from relmap.terms import _PUNCT, MARKERS, Term, TermPair, tokenize
 
-from conftest import index_token_lists, occurrences, token_texts, write_corpus
+from conftest import WHITESPACE, index_token_lists, occurrences, token_texts, write_corpus
 
 
 def occ_key(occ):
@@ -217,21 +218,49 @@ ascii_text = st.lists(st.one_of(
 ), max_size=30).map("".join)
 
 
-@given(ascii_text)
+# The characters past ASCII that split or are stripped, and the ones
+# whose lowercase or context needs the whole text: the Kelvin sign, "İ",
+# capital sigma where a word ends and a byte-order mark inside the text.
+WIDE = [c for c in WHITESPACE + list(_PUNCT) if not c.isascii()]
+WIDE_TEXT = " ".join(f"{c}A{c}b{c}" for c in WIDE) + " \u212a İx ΟΔΟΣ ΣΑ. a\ufeffb \ufeff"
+
+
+@given(st.one_of(ascii_text, token_texts))
 @example("\x1cSun\x1d--\x1e'o'\x1f\r\nA.B. ...\x00\x7f!")
 # Every ASCII byte: all in one run, and each at a word's edges and inside it.
 @example("".join(map(chr, range(128))))
 @example(" ".join(f"{chr(c)}A{chr(c)}b{chr(c)}" for c in range(128)))
+# Each wide character at a word's edges and inside it, and all in one run;
+# and so every character of 2 or 3 bytes, and one of 4.
+@example(WIDE_TEXT)
+@example("x" + "".join(WIDE) + "y")
+@example(" ".join(f"{c}A{c}b{c}" for c in map(chr, range(0x80, 0x10000))
+                  if not 0xD800 <= ord(c) < 0xE000) + " 😀A😀b😀")
 @settings(max_examples=300, deadline=None)
 def test_byte_tokenizer_equals_tokenize(text):
-    """On ASCII text the byte tokenizer gives `tokenize`'s tokens: all ten
-    whitespace bytes split, every punctuation byte is stripped at a
-    token's edges and kept inside it, upper case is lowered, and NUL and
-    DEL are word bytes."""
-    data, starts, sizes = corpus_module._ascii_tokens(text.encode("ascii"))
-    got = [data[a:a + n].tobytes().decode("ascii")
+    """On lowercased UTF-8 text the byte tokenizer gives `tokenize`'s
+    tokens: all ten ASCII whitespace bytes and the wide whitespace split,
+    every punctuation character is stripped at a token's edges and kept
+    inside it, and NUL, DEL and every other character are word bytes."""
+    data, starts, sizes = corpus_module._byte_tokens(text.lower().encode("utf-8"))
+    got = [data[a:a + n].tobytes().decode("utf-8")
            for a, n in zip(starts.tolist(), sizes.tolist())]
     assert got == tokenize(text)
+
+
+def test_wide_characters_are_every_one_that_splits_or_is_stripped():
+    """The byte tokenizer's wide characters are exactly those past ASCII
+    that `str.split` splits on or `tokenize` strips, over every code
+    point, each with its kind and of 2 or 3 bytes in UTF-8: a Unicode
+    version that adds one would show here. Every other byte past ASCII
+    is a word byte, whatever `chr` of it is."""
+    wide = {c: corpus_module._SPACE if c.isspace() else corpus_module._EDGE
+            for c in map(chr, range(0x80, sys.maxunicode + 1)) if c.isspace() or c in _PUNCT}
+    assert corpus_module._WIDE_KIND == wide
+    assert {len(c.encode("utf-8")) for c in wide} == {2, 3}
+    leads = {c.encode("utf-8")[0] for c in wide}
+    assert list(corpus_module._BYTE_KIND[0x80:]) == [
+        corpus_module._LEAD if b in leads else corpus_module._WORD for b in range(0x80, 0x100)]
 
 
 # Text full of the slot markers: alone, doubled, around and inside words
@@ -254,20 +283,19 @@ def test_no_token_is_a_slot_marker(text):
     lowercase, and "*" is edge punctuation. So no index that `ingest`
     builds holds a slot marker."""
     assert not set(tokenize(text)) & set(MARKERS)
-    if text.isascii():
-        data, starts, sizes = corpus_module._ascii_tokens(text.encode("ascii"))
-        got = {data[a:a + n].tobytes().decode("ascii")
-               for a, n in zip(starts.tolist(), sizes.tolist())}
-        assert not got & set(MARKERS)
+    data, starts, sizes = corpus_module._byte_tokens(text.lower().encode("utf-8"))
+    got = {data[a:a + n].tobytes().decode("utf-8")
+           for a, n in zip(starts.tolist(), sizes.tolist())}
+    assert not got & set(MARKERS)
 
 
 @given(st.lists(st.tuples(st.one_of(ascii_text, token_texts), st.booleans()), max_size=5),
        st.sampled_from([1, 3, corpus_module._BATCH_TOKENS]))
 @settings(max_examples=150, deadline=None)
 def test_ingest_of_ascii_and_other_files_equals_batch_oracle(files, batch_tokens):
-    """Files tokenized by bytes (ASCII) and by `tokenize` (any other text,
-    or a byte-order mark before it) index as the batch design does, in
-    batches that mix the two."""
+    """Files of ASCII and of any other text, some with a byte-order mark
+    before it, index as the batch design does, which tokenizes each word
+    on its own, in batches that mix them."""
     with tempfile.TemporaryDirectory() as root:
         paths = [Path(root) / f"doc{i}.txt" for i in range(len(files))]
         for path, (text, bom) in zip(paths, files):
@@ -290,19 +318,33 @@ PLANTED_INDEX_SHA256 = {
 }
 
 
+def decorate(text):
+    """The text with a byte-order mark, its first word in curly quotes, its
+    next two spaces a no-break and an ideographic space, and an em dash
+    stuck to the word before its next space: the same tokens."""
+    head, space, rest = text.partition(" ")
+    rest = rest.replace(" ", "\u00a0", 1).replace(" ", "\u3000", 1).replace(" ", "\u2014 ", 1)
+    return f"\ufeff\u201c{head}\u201d{space}{rest}"
+
+
 def test_index_of_the_planted_corpus_keeps_its_bytes(tmp_path, monkeypatch):
     """The index arrays of a planted corpus keep their bytes: a tokenizer
     that changed them would need a new `_CACHE_FORMAT`. They do not
     depend on the batch size: the corpus's 32,900 tokens are one batch of
-    the default size, and nine of 4,096 tokens, whose keys are merged."""
+    the default size, and nine of 4,096 tokens, whose keys are merged.
+    Nor do they change when every file is then decorated past ASCII."""
     generate_planted_corpus(tmp_path, PlantedConfig(target_tokens=20_000, seed=0))
-    for batch_tokens in (corpus_module._BATCH_TOKENS, 4096):
-        monkeypatch.setattr(corpus_module, "_BATCH_TOKENS", batch_tokens)
-        index = ingest(corpus_files(tmp_path))
-        vocab = "\n".join(index.vocab.words(np.arange(len(index.vocab)))).encode("utf-8")
-        arrays = {"ids": index.ids, "doc_offsets": index.doc_offsets, "vocab": vocab}
-        assert {name: hashlib.sha256(a).hexdigest()
-                for name, a in arrays.items()} == PLANTED_INDEX_SHA256
+    for decorated in (False, True):
+        if decorated:
+            for path in corpus_files(tmp_path):
+                path.write_text(decorate(path.read_text(encoding="utf-8")), encoding="utf-8")
+        for batch_tokens in (corpus_module._BATCH_TOKENS, 4096):
+            monkeypatch.setattr(corpus_module, "_BATCH_TOKENS", batch_tokens)
+            index = ingest(corpus_files(tmp_path))
+            vocab = "\n".join(index.vocab.words(np.arange(len(index.vocab)))).encode("utf-8")
+            arrays = {"ids": index.ids, "doc_offsets": index.doc_offsets, "vocab": vocab}
+            assert {name: hashlib.sha256(a).hexdigest()
+                    for name, a in arrays.items()} == PLANTED_INDEX_SHA256
 
 
 # Words for the sort of the batches' words: stems of 7, 8, 15, 16 and 32
