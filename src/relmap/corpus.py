@@ -45,20 +45,20 @@ through a table, and the few wider characters that split or are stripped
 by their codes. A token runs from the first word byte to the last of a
 run of bytes that are not whitespace, so it is the runs of word bytes
 joined across the runs of edge punctuation that lie between two of them,
-found for all tokens at once. The tokens are sorted in batches of
-_BATCH_TOKENS, in numpy. Each token's bytes become a key once: its
-prefix, its size, and its bytes past the 8th. A batch is sorted by value
-on (prefix, size clipped to 9), and only ties of words longer than 8
-bytes are refined over the bytes past the 8th (`_sort_words`). A sorted
-batch keeps only its distinct words, as keys, and its tokens' ranks
-among them. So at any time memory holds one file, the bytes and bounds
-of one batch's tokens and that batch's sort, the keys of the distinct
-words of the batches so far and 4 bytes per token: never a Python string
-per corpus token or per vocabulary word. At the end the keys of all
-batches are sorted by the same kernel, so that copies of a word from
-several batches become one vocabulary word, each batch's ranks are
+found for all tokens at once. Each token's bytes become a key at once,
+before the next file is read: its prefix, its size, and its bytes past
+the 8th (`_keys`). One merge step sorts keys (`_merge`): it sorts them by
+value on (prefix, size clipped to 9), refines only ties of words longer
+than 8 bytes over the bytes past the 8th (`_sort_words`), and keeps the
+distinct words, as keys, and each word's rank among them. Each batch of
+_BATCH_TOKENS tokens is merged once its last token has come, and the
+batches' distinct words are merged again, so that copies of a word from
+several batches become one vocabulary word; each batch's ranks are
 mapped to vocabulary ids, and the keys of the distinct words are the
-vocabulary.
+vocabulary. So at any time memory holds one file, the keys of the tokens
+waiting for their batch, one merge, the keys of the distinct words of
+the batches so far and 4 bytes per token: never a Python string per
+corpus token or per vocabulary word.
 
 Cache. `save_index` writes one directory per cache key, holding
 ``ids.npy``, ``doc_offsets.npy``, ``prefix.npy``, ``sizes.npy``,
@@ -123,7 +123,7 @@ _CHECK_WORDS = 1 << 16
 # as keys, are sorted again to make the vocabulary.
 _BATCH_TOKENS = 1 << 16
 # 8-byte prefixes a round of the word sort reads, beyond one a word, and
-# the words written into the vocabulary's bytes at once.
+# the words whose bytes past the 8th a merge gathers at once.
 _SORT_CHUNK = 1 << 14
 # _PREFIX_MASKS[k] keeps the first k of 8 big-endian bytes. A table, not a
 # shift: shifting a 64-bit integer by 64 bits is undefined.
@@ -147,6 +147,9 @@ _WIDE = sorted((int.from_bytes(c.encode().ljust(3, b"\0"), "big"), len(c.encode(
                for c, k in _WIDE_KIND.items())
 _WIDE_CODES, _WIDE_SIZES, _WIDE_KINDS = (np.array(column, dtype=np.int64) for column in zip(*_WIDE))
 _WIDE_LEADS = {code >> 16 for code, _, _ in _WIDE}
+# Whether a lead byte and the byte after it, as lead << 8 | next, begin a
+# wide character: most characters with a lead byte begin none.
+_WIDE_PAIRS = np.isin(np.arange(1 << 16), [code >> 8 for code, _, _ in _WIDE])
 # The byte tokenizer's table for `bytes.translate`: each byte's kind
 # (whitespace as `str.split` splits on it, edge punctuation as `tokenize`
 # strips it, a word byte, or a lead: a wide character's first byte).
@@ -411,19 +414,6 @@ def _sort_words(prefix: np.ndarray, sizes: np.ndarray, blob: np.ndarray,
     return order, first
 
 
-def _distinct_words(prefix: np.ndarray, sizes: np.ndarray, blob: np.ndarray,
-                    tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct words among these keys (as `_sort_words` reads them),
-    as the index of one copy of each, in increasing order, and the rank
-    among them of each word."""
-    order, first = _sort_words(prefix, sizes, blob, tails)
-    distinct = first == np.arange(prefix.size, dtype=np.int32)
-    del first
-    rank = np.empty(prefix.size, dtype=np.int32)
-    rank[order] = np.cumsum(distinct, dtype=np.int32) - 1
-    return order[distinct], rank
-
-
 def _tail_bytes(words: np.ndarray, sizes: np.ndarray, blob: np.ndarray,
                 tails: np.ndarray) -> np.ndarray:
     """The bytes past the 8th of these words among the keys (as
@@ -515,7 +505,7 @@ def ingest(paths: list[str | Path]) -> CorpusIndex:
     """Build an index over the given files, in the given order.
 
     The files are streamed: each is read, hashed and tokenized before
-    the next is read (`_file_tokens`), and its tokens wait, as bytes, for
+    the next is read (`_file_tokens`), and its tokens wait, as keys, for
     their batch to be sorted (`_index_tokens`). Files must be UTF-8 text,
     whose leading byte-order mark is skipped; an unreadable or
     mis-encoded file raises CorpusError naming the path. An empty path
@@ -546,12 +536,17 @@ def _byte_tokens(low: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A token is a run of bytes that are not whitespace, less the edge
     punctuation: it spans from its run's first word byte to its last, and
     a run with no word byte gives none. A character of `_WIDE_KIND` is
-    classed whole, by its code at its lead, a byte no character holds inside.
+    classed whole, by its code at its lead, a byte no character holds
+    inside; a code is read only where the lead and the byte after it
+    begin such a character.
     """
     data = np.frombuffer(low, dtype=np.uint8)
     kind = np.frombuffer(low.translate(_BYTE_KIND), dtype=np.uint8).copy()
     lead = np.flatnonzero(kind == _LEAD)
     kind[lead] = _WORD
+    pair = data[lead].astype(np.uint16) << 8 | np.take(data, lead + 1, mode="clip")
+    lead = lead[_WIDE_PAIRS[pair]]
+    del pair
     b0, b1, b2 = (np.take(data, lead + k, mode="clip").astype(np.int64) for k in range(3))
     code = b0 << 16 | b1 << 8 | np.where(b0 < 0xE0, 0, b2)
     at = np.searchsorted(_WIDE_CODES, code)
@@ -584,102 +579,90 @@ def _run_edges(mask: np.ndarray) -> np.ndarray:
 def _index_tokens(documents: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> CorpusIndex:
     """The index of documents given as (bytes, starts, sizes) of their tokens.
 
-    The tokens are sorted in batches of up to _BATCH_TOKENS, each batch
-    once its last token has come and the documents before it are freed.
-    A sorted batch keeps only its distinct words, as keys (`_sort_batch`),
-    and its tokens' ranks among them. The keys of all batches are then
-    sorted by the same kernel, `_sort_words`, which makes the copies of a
-    word from several batches one vocabulary word; each batch's ranks are
-    mapped to vocabulary ids, and the distinct words' keys become the
-    `Vocabulary`.
+    Each document's tokens become keys (`_keys`) before the next document
+    is made, so no document's bytes outlive its keys. The keys are sorted
+    in batches of up to _BATCH_TOKENS tokens, each batch once its last
+    token has come (`_merge`), which keeps its distinct words' keys and
+    gives its tokens' ranks among the words of the batches. The same
+    merge of the batches' keys makes the copies of a word from several
+    batches one vocabulary word; each batch's ranks are mapped to
+    vocabulary ids, and the distinct words' keys become the `Vocabulary`.
     """
     lengths = [0]
-    pending = []   # (bytes, starts, sizes) of the tokens not yet sorted
+    pending = []   # the keys of the tokens not yet sorted
     held = 0       # tokens in `pending`
-    batches = []   # (prefixes, sizes, bytes past the 8th, ranks) of each sorted batch
+    batches = []   # the keys of each sorted batch's distinct words
+    ranks = []     # each sorted batch's tokens' ranks among them all
     for data, starts, sizes in documents:
         lengths.append(starts.size)
         at = 0
         while at < starts.size:
             end = min(starts.size, at + _BATCH_TOKENS - held)
-            pending.append(_span(data, starts[at:end], sizes[at:end]))
+            pending.append(_keys(data, starts[at:end], sizes[at:end]))
             held += end - at
             at = end
             if held == _BATCH_TOKENS:
-                batches.append(_sort_batch(pending))
+                ranks.append(_merge(pending, batches))
                 held = 0
         del data, starts, sizes  # before the next document is made
-    if held or not batches:
-        batches.append(_sort_batch(pending))
+    if held:
+        ranks.append(_merge(pending, batches))
     offsets = np.cumsum(lengths, dtype=np.int64)
-    # Every batch's keys, one after another; each batch's are freed once
-    # copied. The bytes past the 8th are followed by the zeros the sort
-    # reads past them.
-    count = sum(prefix.size for prefix, _, _, _ in batches)
-    prefix = np.empty(count, dtype=np.uint64)
-    sizes = np.empty(count, dtype=np.int32)
-    blob = np.zeros(sum(tail.size for _, _, tail, _ in batches) + 8 * _SORT_CHUNK, dtype=np.uint8)
-    at = base = 0
-    for i, (p, size, tail, ranks) in enumerate(batches):
-        prefix[at:at + p.size] = p
-        sizes[at:at + p.size] = size
-        blob[base:base + tail.size] = tail
-        at += p.size
-        base += tail.size
-        batches[i] = (p.size, ranks)
-    del p, size, tail, ranks
+    vocab = []
+    rank = _merge(batches, vocab)
+    ids = np.empty(offsets[-1], dtype=np.int32)
+    at = 0
+    for i, batch in enumerate(ranks):
+        np.take(rank, batch, out=ids[at:at + batch.size])
+        at += batch.size
+        ranks[i] = None
+    return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=Vocabulary(*vocab[0]))
+
+
+def _keys(data: np.ndarray, starts: np.ndarray,
+          sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The keys of the words data[s:s + n] of these starts and sizes:
+    their 8-byte prefixes, their sizes (as int32) and their bytes past the
+    8th, concatenated in their order."""
+    a = int(starts[0])
+    padded = np.zeros(int(starts[-1] + sizes[-1]) - a + 8, dtype=np.uint8)
+    padded[:-8] = data[a:a + padded.size - 8]
+    starts = starts - a
+    long = sizes > 8
+    return (_prefixes(padded, starts, sizes), sizes.astype(np.int32),
+            _gather(padded, starts[long] + 8, sizes[long] - 8))
+
+
+def _merge(parts: list, words: list) -> np.ndarray:
+    """Sort the words given as keys in `parts`, and empty it.
+
+    The keys of the distinct words, in increasing order, are appended to
+    `words`. Returns each word's rank among the keys of `words`,
+    concatenated.
+    """
+    # The bytes the sort reads past the last word's end are zeros.
+    pad = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int32),
+           np.zeros(8 * _SORT_CHUNK, dtype=np.uint8))
+    prefix, sizes, blob = (np.concatenate(keys) for keys in zip(*parts, pad))
+    parts.clear()
     # Where each word's bytes past the 8th start in `blob`; a word of 8
     # bytes or fewer has none, and 0.
-    tails = np.zeros(count, dtype=np.int64)
+    tails = np.zeros(prefix.size, dtype=np.int64)
     long = np.flatnonzero(sizes > 8)
     more = sizes[long] - 8
     tails[long] = np.cumsum(more, dtype=np.int64) - more
     del long, more
-    words, rank = _distinct_words(prefix, sizes, blob, tails)
-    ids = np.empty(offsets[-1], dtype=np.int32)
-    at = base = 0
-    for i, (n, batch) in enumerate(batches):
-        np.take(rank, batch + base, out=ids[at:at + batch.size])
-        at += batch.size
-        base += n
-        batches[i] = None
-    del rank, batch
-    vocab = Vocabulary(prefix[words], sizes[words], _tail_bytes(words, sizes, blob, tails))
-    return CorpusIndex(ids=ids, doc_offsets=offsets, vocab=vocab)
-
-
-def _span(data: np.ndarray, starts: np.ndarray,
-          sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bytes from the first of these words to the end of the last,
-    with the words' starts in them."""
-    a, b = int(starts[0]), int(starts[-1] + sizes[-1])
-    return data[a:b], starts - a, sizes
-
-
-def _sort_batch(pending: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct words of the (bytes, starts, sizes) in `pending`, in
-    increasing order, and each token's rank among them.
-
-    The words come back as keys: their 8-byte prefixes, their sizes (as
-    int32) and their bytes past the 8th, concatenated in their order.
-    `pending` is emptied before the sort.
-    """
-    sizes = np.concatenate([_EMPTY, *(sizes for _, _, sizes in pending)])
-    # The bytes the sort reads past the last word's end are zeros.
-    blob = np.zeros(sum(data.size for data, _, _ in pending) + 8 * _SORT_CHUNK, dtype=np.uint8)
-    starts = np.empty(sizes.size, dtype=np.int64)
-    at = n = 0
-    for data, first, _ in pending:
-        blob[at:at + data.size] = data
-        np.add(first, at, out=starts[n:n + first.size])
-        at += data.size
-        n += first.size
-    pending.clear()
-    prefix = _prefixes(blob, starts, sizes)
-    starts += 8
-    words, rank = _distinct_words(prefix, sizes, blob, starts)
-    return (prefix[words], sizes[words].astype(np.int32),
-            _tail_bytes(words, sizes, blob, starts), rank)
+    order, first = _sort_words(prefix, sizes, blob, tails)
+    distinct = first == np.arange(prefix.size, dtype=np.int32)
+    del first
+    rank = np.empty(prefix.size, dtype=np.int32)
+    rank[order] = np.cumsum(distinct, dtype=np.int32) + (sum(p.size for p, _, _ in words) - 1)
+    kept = order[distinct]
+    del order, distinct
+    tail = _tail_bytes(kept, sizes, blob, tails)
+    del blob, tails
+    words.append((prefix[kept], sizes[kept], tail))
+    return rank
 
 
 def corpus_files(corpus_dir: str | Path) -> list[Path]:
@@ -722,8 +705,10 @@ def _stable_argsort(*fields: np.ndarray) -> np.ndarray:
             if a < z:
                 digit = (f.astype(np.uint64) if lo == 0
                          else np.take(f, order).astype(np.uint64, copy=False))
-                digit >>= np.uint64(low + a - at)
-                digit &= np.uint64((1 << (z - a)) - 1)
+                if low + a > at:
+                    digit >>= np.uint64(low + a - at)
+                if z < at + size:  # the field's bits go on past the pass
+                    digit &= np.uint64((1 << (z - a)) - 1)
                 digit <<= np.uint64(a - lo + b)
                 key |= digit
                 del digit

@@ -251,6 +251,9 @@ def records(draw):
 @example([np.array([7], dtype=np.uint64)])
 @example([np.array([2 ** 64 - 1, 2 ** 64 - 1], dtype=np.uint64),
           np.array([1, 0], dtype=np.int32)])
+# A field whose lowest used bit is not bit 0, which is shifted but not
+# masked, beside one that is neither.
+@example([np.array([12, 4, 8, 4], dtype=np.uint8), np.array([1, 3, 2, 0], dtype=np.uint64)])
 @settings(max_examples=300, deadline=None)
 def test_stable_argsort_equals_lexsort(fields):
     order = _stable_argsort(*fields)
